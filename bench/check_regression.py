@@ -65,6 +65,12 @@ bench/baseline/ and fails (exit 1) when:
      the partitioning column) must record `sharded_skipped_passes >= 1`
      at the largest group count — shard-aligned scans exist to skip the
      partition pass, so zero skips means the alignment detection broke.
+  12. The write path goes superlinear again: in the `write_path_ms`
+     table of BENCH_division.json (the n=16000 dividend R), computing R's
+     statistics (`stats`) or normalizing R after an 8-row edit
+     (`edit_normalize`) must take at most WRITE_PATH_RATIO_LIMIT (3x)
+     the same run's `scan` (copy R and normalize it). Same-run ratios,
+     so runner speed cancels out and no baseline is involved.
 
 Whenever a gate disarms (skips) instead of judging, the skip message
 prints the runner fingerprint — hardware_threads and git_sha — of the
@@ -113,6 +119,10 @@ CALIBRATED_RATIO_LIMIT = 1.0
 # footprint is output-bounded, so 0.5x is generous — a breach means the
 # operator started materializing something binary-shaped.
 MULTIWAY_INTERMEDIATE_FRACTION = 0.5
+# Statistics and edit-normalize vs a plain copy-and-normalize of the same
+# relation: all three are linear passes over sorted storage, so a breach
+# means a sort (or hash pass) crept back onto the write path.
+WRITE_PATH_RATIO_LIMIT = 3.0
 
 FILES = {
     "BENCH_division.json": ("runtime_ms",),
@@ -509,6 +519,39 @@ def check_multiway_bound(errors, data):
         )
 
 
+def check_write_path(errors, data):
+    """Gate 12: write-path costs on R stay within a factor of one scan."""
+    rows = data.get("write_path_ms", [])
+    if not rows:
+        errors.append("write_path_ms table missing from BENCH_division.json")
+        return
+    row = max_row(rows, "n")
+    n = row["n"]
+    missing = [key for key in ("scan", "stats", "edit_normalize")
+               if key not in row]
+    if missing:
+        errors.append(f"write_path_ms at n={n} is missing column(s) {missing}")
+        return
+    scan_ms = row["scan"]
+    if scan_ms <= 0:
+        errors.append(f"non-positive scan time {scan_ms} in write_path_ms at n={n}")
+        return
+    for column in ("stats", "edit_normalize"):
+        ms = row[column]
+        ratio = ms / scan_ms
+        if ratio > WRITE_PATH_RATIO_LIMIT:
+            errors.append(
+                f"write_path_ms/{column} at n={n} is {ms:.3f}ms, {ratio:.1f}x "
+                f"scan ({scan_ms:.3f}ms) > {WRITE_PATH_RATIO_LIMIT}x limit — "
+                f"the write path is no longer linear in |R|"
+            )
+        else:
+            print(
+                f"  ok: write_path_ms/{column} {ms:.3f}ms is {ratio:.2f}x scan "
+                f"({scan_ms:.3f}ms) <= {WRITE_PATH_RATIO_LIMIT}x at n={n}"
+            )
+
+
 def check_choices(errors, data, table):
     expectation = EXPECTED_CHOICES.get(table)
     rows = data.get(table, [])
@@ -658,6 +701,7 @@ def main():
             check_parallel_ratio(errors, current)
             check_prepared_ratio(errors, current)
             check_result_cached_ratio(errors, current)
+            check_write_path(errors, current)
         if name == "BENCH_setjoin.json":
             check_calibrated_ratio(errors, current)
             check_multiway_bound(errors, current)

@@ -7,6 +7,45 @@
 namespace setalg::core {
 namespace {
 
+// Lexicographic row order on the flat storage. Inlined into the sort and
+// merge loops below; CompareTuples is out of line.
+inline bool RowLess(const Value* a, const Value* b, std::size_t arity) {
+  for (std::size_t k = 0; k < arity; ++k) {
+    if (a[k] != b[k]) return a[k] < b[k];
+  }
+  return false;
+}
+
+inline bool RowEqual(const Value* a, const Value* b, std::size_t arity) {
+  for (std::size_t k = 0; k < arity; ++k) {
+    if (a[k] != b[k]) return false;
+  }
+  return true;
+}
+
+// The first of the sorted rows [lo, hi) of `v` not less than `row`.
+// Gallops from lo before bisecting, so an answer d rows past lo costs
+// O(log d) compares: merging t rows into p costs O(t log(p/t)).
+std::size_t LowerBoundFrom(const Value* v, std::size_t lo, std::size_t hi,
+                           const Value* row, std::size_t arity) {
+  std::size_t probe = lo;
+  for (std::size_t step = 1;
+       probe < hi && RowLess(v + probe * arity, row, arity); step *= 2) {
+    lo = probe + 1;
+    probe = lo + step;
+  }
+  hi = std::min(probe, hi);
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (RowLess(v + mid * arity, row, arity)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 // Sorts the flat storage's rows lexicographically and removes duplicates.
 // Returns the resulting row count.
 std::size_t SortUniqueRows(std::vector<Value>* values, std::size_t arity) {
@@ -17,42 +56,42 @@ std::size_t SortUniqueRows(std::vector<Value>* values, std::size_t arity) {
     return values->empty() ? 0 : 1;
   }
   const std::size_t rows = values->size() / arity;
-  // Strictly-sorted input (the common case: rows re-added in normalized
-  // order, e.g. from the engine's batch streams) needs no index sort.
-  // Checked with a tight loop over the flat storage — this runs on every
-  // normalization of freshly built relations.
-  {
-    const Value* v = values->data();
-    bool already_sorted = true;
-    for (std::size_t i = 1; i < rows; ++i) {
-      const Value* prev = v + (i - 1) * arity;
-      const Value* cur = prev + arity;
-      std::size_t k = 0;
-      while (k < arity && prev[k] == cur[k]) ++k;
-      if (k == arity || prev[k] > cur[k]) {  // Duplicate or out of order.
-        already_sorted = false;
-        break;
-      }
-    }
-    if (already_sorted) return rows;
+  const Value* v = values->data();
+  // The longest strictly sorted prefix. It is everything for rows added
+  // in normalized order (the engine's batch streams), and everything but
+  // the appended rows for an edit of a normalized relation.
+  std::size_t prefix = std::min<std::size_t>(rows, 1);
+  while (prefix < rows &&
+         RowLess(v + (prefix - 1) * arity, v + prefix * arity, arity)) {
+    ++prefix;
   }
-  std::vector<std::size_t> order(rows);
-  for (std::size_t i = 0; i < rows; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return CompareTuples(TupleView(values->data() + a * arity, arity),
-                         TupleView(values->data() + b * arity, arity)) < 0;
+  if (prefix == rows) return rows;
+
+  // Sort only the tail, by row index...
+  std::vector<std::size_t> order(rows - prefix);
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = prefix + i;
+  std::sort(order.begin(), order.end(), [v, arity](std::size_t a, std::size_t b) {
+    return RowLess(v + a * arity, v + b * arity, arity);
   });
-  std::vector<Value> sorted;
-  sorted.reserve(values->size());
-  for (std::size_t k = 0; k < rows; ++k) {
-    TupleView row(values->data() + order[k] * arity, arity);
-    if (!sorted.empty()) {
-      TupleView prev(sorted.data() + sorted.size() - arity, arity);
-      if (TupleEquals(prev, row)) continue;
-    }
-    sorted.insert(sorted.end(), row.begin(), row.end());
+  // ...and merge it in: the prefix rows between two insertion points are
+  // copied in one block, and a tail row equal to the previous tail row or
+  // to a prefix row is dropped.
+  std::vector<Value> merged;
+  merged.reserve(values->size());
+  std::size_t copied = 0;  // Prefix rows [0, copied) are in `merged`.
+  const Value* previous = nullptr;
+  for (const std::size_t i : order) {
+    const Value* row = v + i * arity;
+    if (previous != nullptr && RowEqual(previous, row, arity)) continue;
+    previous = row;
+    const std::size_t at = LowerBoundFrom(v, copied, prefix, row, arity);
+    merged.insert(merged.end(), v + copied * arity, v + at * arity);
+    copied = at;
+    if (copied < prefix && RowEqual(v + copied * arity, row, arity)) continue;
+    merged.insert(merged.end(), row, row + arity);
   }
-  *values = std::move(sorted);
+  merged.insert(merged.end(), v + copied * arity, v + prefix * arity);
+  *values = std::move(merged);
   return values->size() / arity;
 }
 

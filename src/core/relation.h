@@ -19,7 +19,10 @@ namespace setalg::core {
 /// A finite relation with set semantics.
 ///
 /// Mutation model: Add() appends rows; the relation re-normalizes (sorts and
-/// deduplicates) lazily before any read. Not thread-safe.
+/// deduplicates) lazily before any read, and that first read writes the
+/// storage. Not thread-safe until normalized: once Normalize() has run
+/// and no row was added since, reads write nothing and may be shared
+/// between threads (txn::VersionedDatabase publishes relations that way).
 class Relation {
  public:
   /// An empty relation of the given arity. Arity 0 is allowed (the two
@@ -57,6 +60,9 @@ class Relation {
   bool Contains(TupleView t) const;
 
   /// Forces normalization now (sort + unique). Reads normalize implicitly.
+  /// Only the rows after the longest strictly sorted prefix are sorted,
+  /// then merged into it, so a sorted relation costs one O(n) check and
+  /// an edit that appends t rows to one costs O(n + t log t).
   void Normalize() const;
 
   /// All values occurring anywhere in the relation, sorted and unique.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
-#include <unordered_set>
 
 #include "util/check.h"
 
@@ -23,32 +22,58 @@ std::uint64_t ColumnStats::Width() const {
   return RangeWidth(min_value, max_value);
 }
 
+namespace {
+
+// Accumulates an equi-depth histogram over `total` values fed as runs of
+// equal values in ascending order. BuildHistogram and both column paths
+// of ComputeRelationStats feed it, so they all close the same buckets.
+class HistogramBuilder {
+ public:
+  explicit HistogramBuilder(std::uint64_t total,
+                            std::size_t max_buckets = kHistogramBuckets)
+      : depth_((total + max_buckets - 1) / max_buckets) {
+    histogram_.total = total;
+  }
+
+  void AddRun(core::Value value, std::uint64_t length) {
+    if (seen_ == 0) histogram_.min_value = value;
+    seen_ += length;
+    count_ += length;
+    ++distinct_;
+    // Runs go into one bucket whole, so a bucket boundary is always a
+    // value boundary.
+    if (count_ >= depth_ || seen_ == histogram_.total) {
+      histogram_.upper.push_back(value);
+      histogram_.counts.push_back(count_);
+      histogram_.distincts.push_back(distinct_);
+      count_ = 0;
+      distinct_ = 0;
+    }
+  }
+
+  Histogram Finish() { return std::move(histogram_); }
+
+ private:
+  Histogram histogram_;
+  std::uint64_t depth_;
+  std::uint64_t seen_ = 0;
+  std::uint64_t count_ = 0;
+  std::uint64_t distinct_ = 0;
+};
+
+}  // namespace
+
 Histogram BuildHistogram(const std::vector<core::Value>& sorted_values,
                          std::size_t max_buckets) {
-  Histogram h;
-  if (sorted_values.empty() || max_buckets == 0) return h;
-  h.min_value = sorted_values.front();
-  h.total = sorted_values.size();
-  const std::uint64_t depth = (h.total + max_buckets - 1) / max_buckets;
-  std::uint64_t count = 0;
-  std::uint64_t distinct = 0;
+  if (sorted_values.empty() || max_buckets == 0) return Histogram{};
+  HistogramBuilder builder(sorted_values.size(), max_buckets);
   for (std::size_t i = 0; i < sorted_values.size();) {
-    // Runs of equal values go into one bucket whole, so a bucket boundary
-    // is always a value boundary.
-    std::size_t j = i;
+    std::size_t j = i + 1;
     while (j < sorted_values.size() && sorted_values[j] == sorted_values[i]) ++j;
-    count += j - i;
-    ++distinct;
-    if (count >= depth || j == sorted_values.size()) {
-      h.upper.push_back(sorted_values[i]);
-      h.counts.push_back(count);
-      h.distincts.push_back(distinct);
-      count = 0;
-      distinct = 0;
-    }
+    builder.AddRun(sorted_values[i], j - i);
     i = j;
   }
-  return h;
+  return builder.Finish();
 }
 
 double Histogram::SelectivityLeq(core::Value v) const {
@@ -110,77 +135,91 @@ std::string Histogram::ToString() const {
   return out.str();
 }
 
+namespace {
+
+// Range, distinct count and histogram of the `n` (> 0) values read at
+// values[0], values[stride], ... in no particular order. After one
+// min/max pass the values are counted into a dense array when their
+// range is at most 2n wide, and sorted once otherwise.
+void SummarizeUnordered(const core::Value* values, std::size_t n,
+                        std::size_t stride, ColumnStats* column) {
+  core::Value lo = values[0];
+  core::Value hi = values[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    lo = std::min(lo, values[i * stride]);
+    hi = std::max(hi, values[i * stride]);
+  }
+  column->min_value = lo;
+  column->max_value = hi;
+  const std::uint64_t width = RangeWidth(lo, hi);
+  if (width <= 2 * static_cast<std::uint64_t>(n) &&
+      n <= std::numeric_limits<std::uint32_t>::max()) {
+    std::vector<std::uint32_t> counts(width);
+    for (std::size_t i = 0; i < n; ++i) {
+      ++counts[static_cast<std::uint64_t>(values[i * stride]) -
+               static_cast<std::uint64_t>(lo)];
+    }
+    HistogramBuilder histogram(n);
+    for (std::uint64_t k = 0; k < width; ++k) {
+      if (counts[k] == 0) continue;
+      histogram.AddRun(lo + static_cast<core::Value>(k), counts[k]);
+    }
+    column->histogram = histogram.Finish();
+  } else {
+    std::vector<core::Value> sorted(n);
+    for (std::size_t i = 0; i < n; ++i) sorted[i] = values[i * stride];
+    std::sort(sorted.begin(), sorted.end());
+    column->histogram = BuildHistogram(sorted);
+  }
+  // Each distinct value lies in exactly one bucket.
+  for (const std::uint64_t distinct : column->histogram.distincts) {
+    column->distinct += distinct;
+  }
+}
+
+}  // namespace
+
 RelationStats ComputeRelationStats(const core::Relation& relation) {
   RelationStats stats;
   stats.arity = relation.arity();
   stats.cardinality = relation.size();
   stats.columns.resize(relation.arity());
   if (relation.empty() || relation.arity() == 0) return stats;
+  const std::size_t n = relation.size();
+  const std::size_t arity = relation.arity();
+  const core::Value* data = relation.flat().data();
+  const bool binary = arity == 2;
 
-  // The storage is sorted lexicographically, so column 1 distincts (and
-  // the group runs of a binary relation) fall out of run boundaries; the
-  // other columns use a hash set each.
-  std::vector<std::unordered_set<core::Value>> seen(relation.arity());
-  for (std::size_t c = 1; c < relation.arity(); ++c) {
-    seen[c].reserve(relation.size() * 2);
-  }
-
-  // Per-column value streams for the histograms: column 0 arrives sorted
-  // (the storage is lexicographic), the others sort once after the scan.
-  std::vector<std::vector<core::Value>> values(relation.arity());
-  for (std::size_t c = 0; c < relation.arity(); ++c) {
-    values[c].reserve(relation.size());
-  }
+  // The storage is sorted lexicographically, so column 1 ascends: its
+  // distinct values, and the groups of a binary relation, are its runs.
+  ColumnStats& first = stats.columns[0];
+  first.min_value = data[0];
+  first.max_value = data[(n - 1) * arity];
+  HistogramBuilder first_histogram(n);
   std::vector<core::Value> group_sizes;
+  for (std::size_t i = 0; i < n;) {
+    const core::Value key = data[i * arity];
+    std::size_t j = i + 1;
+    while (j < n && data[j * arity] == key) ++j;
+    ++first.distinct;
+    first_histogram.AddRun(key, j - i);
+    if (binary) group_sizes.push_back(static_cast<core::Value>(j - i));
+    i = j;
+  }
+  first.histogram = first_histogram.Finish();
 
-  const bool binary = relation.arity() == 2;
-  core::Value run_key = relation.tuple(0)[0];
-  std::size_t run_length = 0;
-  auto close_group = [&](std::size_t length) {
-    if (!binary) return;
+  for (std::size_t c = 1; c < arity; ++c) {
+    SummarizeUnordered(data + c, n, arity, &stats.columns[c]);
+  }
+  if (binary) {
+    ColumnStats sizes;
+    SummarizeUnordered(group_sizes.data(), group_sizes.size(), 1, &sizes);
     GroupStats& g = stats.groups;
-    ++g.num_groups;
-    g.min_group_size =
-        g.num_groups == 1 ? length : std::min(g.min_group_size, length);
-    g.max_group_size = std::max(g.max_group_size, length);
-    group_sizes.push_back(static_cast<core::Value>(length));
-  };
-
-  for (std::size_t i = 0; i < relation.size(); ++i) {
-    core::TupleView t = relation.tuple(i);
-    for (std::size_t c = 0; c < relation.arity(); ++c) {
-      ColumnStats& col = stats.columns[c];
-      if (i == 0) {
-        col.min_value = col.max_value = t[c];
-      } else {
-        col.min_value = std::min(col.min_value, t[c]);
-        col.max_value = std::max(col.max_value, t[c]);
-      }
-      if (c > 0) seen[c].insert(t[c]);
-      values[c].push_back(t[c]);
-    }
-    if (t[0] != run_key) {
-      ++stats.columns[0].distinct;
-      close_group(run_length);
-      run_key = t[0];
-      run_length = 0;
-    }
-    ++run_length;
-  }
-  ++stats.columns[0].distinct;
-  close_group(run_length);
-  for (std::size_t c = 1; c < relation.arity(); ++c) {
-    stats.columns[c].distinct = seen[c].size();
-  }
-  if (binary && stats.groups.num_groups > 0) {
-    stats.groups.avg_group_size = static_cast<double>(stats.cardinality) /
-                                  static_cast<double>(stats.groups.num_groups);
-    std::sort(group_sizes.begin(), group_sizes.end());
-    stats.groups.size_histogram = BuildHistogram(group_sizes);
-  }
-  for (std::size_t c = 0; c < relation.arity(); ++c) {
-    if (c > 0) std::sort(values[c].begin(), values[c].end());
-    stats.columns[c].histogram = BuildHistogram(values[c]);
+    g.num_groups = group_sizes.size();
+    g.min_group_size = static_cast<std::size_t>(sizes.min_value);
+    g.max_group_size = static_cast<std::size_t>(sizes.max_value);
+    g.avg_group_size = static_cast<double>(n) / static_cast<double>(g.num_groups);
+    g.size_histogram = std::move(sizes.histogram);
   }
   return stats;
 }

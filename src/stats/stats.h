@@ -1,9 +1,9 @@
-// One-pass relation statistics for cost-based planning.
+// Linear-time relation statistics for cost-based planning.
 //
 // The paper's experiments show that the *right* division/set-join
 // algorithm depends on the shape of the inputs — group counts, set sizes,
 // divisor size — not just on |D|. This module computes exactly those
-// shape parameters in a single pass over each stored relation:
+// shape parameters from each stored relation's sorted storage:
 //   - cardinality,
 //   - per-column distinct counts, value range (domain width) and an
 //     equi-depth histogram (value distribution, per-bucket distinct
@@ -114,10 +114,12 @@ struct RelationStats {
   std::string ToString() const;
 };
 
-/// Computes the statistics of `relation` in one pass over its normalized
-/// (sorted, deduplicated) storage. Cost: O(n) hash-set inserts per column
-/// plus one O(n log n) sort per non-leading column for its histogram
-/// (column 1 and the group sizes fall out of the sorted storage).
+/// Computes the statistics of `relation` from its normalized (sorted,
+/// deduplicated) storage. Column 1 and the group profile fall out of the
+/// run boundaries of the sorted storage in one O(n) pass. Every other
+/// column (and the group sizes) takes one min/max pass, then a dense
+/// count when its value range is at most 2n wide — O(n) — or else one
+/// O(n log n) sort.
 RelationStats ComputeRelationStats(const core::Relation& relation);
 
 /// Merges equi-depth histograms over disjoint row sets whose value ranges

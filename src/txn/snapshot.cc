@@ -34,6 +34,9 @@ const stats::RelationStats* Snapshot::Get(const std::string& name) const {
 }
 
 void WriteBatch::Set(std::string name, core::Relation relation) {
+  // Readers share published relations without locking, so a relation is
+  // normalized before it can become visible, never lazily by a reader.
+  relation.Normalize();
   // Last write per name wins — and counts as one write: re-staging a name
   // replaces the earlier entry so a commit bumps each touched relation's
   // version exactly once.
@@ -64,7 +67,9 @@ VersionedDatabase::VersionedDatabase(const core::Database& db)
   Snapshot::RelationMap relations;
   std::unordered_map<std::string, std::uint64_t> versions;
   for (const auto& name : schema_.Names()) {
-    relations.emplace(name, std::make_shared<core::Relation>(db.relation(name)));
+    auto relation = std::make_shared<core::Relation>(db.relation(name));
+    relation->Normalize();
+    relations.emplace(name, std::move(relation));
     versions.emplace(name, 0);
   }
   head_ = SnapshotPtr(new Snapshot(schema_, std::move(relations),
@@ -78,6 +83,7 @@ SnapshotPtr VersionedDatabase::snapshot() const {
 
 SnapshotPtr VersionedDatabase::SetRelation(const std::string& name,
                                            core::Relation relation) {
+  relation.Normalize();
   std::vector<std::pair<std::string, core::Relation>> writes;
   writes.emplace_back(name, std::move(relation));
   std::lock_guard<std::mutex> lock(mu_);
@@ -89,6 +95,7 @@ SnapshotPtr VersionedDatabase::Mutate(
   std::lock_guard<std::mutex> lock(mu_);
   core::Relation copy = head_->relation(name);
   fn(copy);
+  copy.Normalize();
   std::vector<std::pair<std::string, core::Relation>> writes;
   writes.emplace_back(name, std::move(copy));
   return PublishLocked(std::move(writes));

@@ -11,7 +11,9 @@
 // relation pointers are frozen at commit time, and the shared_ptr keeps
 // every relation alive for as long as any reader holds the snapshot.
 // Any number of threads may therefore execute queries against the same
-// (or different) snapshots while writers keep committing.
+// (or different) snapshots while writers keep committing. Every write
+// path normalizes a relation before publishing it, so no reader ever
+// runs core::Relation's lazy, unsynchronized normalization.
 //
 // Identity: the head allocates its id from the same process-wide counter
 // as core::Database (`core::NextDatabaseId`), and every snapshot reports
@@ -110,6 +112,7 @@ class Snapshot : public core::DatabaseView, public stats::StatsProvider {
 class WriteBatch {
  public:
   /// Stages a full replacement of `name` (last write per name wins).
+  /// Normalizes `relation` here, outside the head's mutex.
   void Set(std::string name, core::Relation relation);
 
   bool empty() const { return writes_.empty(); }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "core/csv.h"
 #include "core/database.h"
 #include "core/index.h"
@@ -8,6 +12,7 @@
 #include "core/schema.h"
 #include "core/tuple.h"
 #include "test_util.h"
+#include "util/rng.h"
 #include "witness/figures.h"
 
 namespace setalg::core {
@@ -141,6 +146,67 @@ TEST(Relation, FlatLayoutIsRowMajorSorted) {
 
 TEST(Relation, ToStringListsTuples) {
   EXPECT_EQ(MakeRel(1, {{2}, {1}}).ToString(), "{(1), (2)}");
+}
+
+// Adds `rows` in the given order and checks the normalized storage
+// against a std::set of the same rows.
+void ExpectNormalizesLikeSet(std::size_t arity, const std::vector<Tuple>& rows,
+                             const std::string& what) {
+  Relation r(arity);
+  for (const auto& row : rows) r.Add(row);
+  const std::set<Tuple> oracle(rows.begin(), rows.end());
+  std::vector<Value> want;
+  for (const auto& row : oracle) want.insert(want.end(), row.begin(), row.end());
+  EXPECT_EQ(r.size(), oracle.size()) << what;
+  EXPECT_EQ(r.flat(), want) << what;
+}
+
+// Normalization sorts only what follows the longest sorted prefix and
+// merges it in. The tails below repeat prefix rows, repeat themselves,
+// and land before, inside and after the prefix.
+TEST(Relation, NormalizeMatchesSetOracle) {
+  util::Rng rng(404);
+  for (std::size_t arity = 1; arity <= 4; ++arity) {
+    auto row = [&](Value lo, Value hi) {
+      Tuple t(arity);
+      for (auto& v : t) v = rng.NextInt(lo, hi);
+      return t;
+    };
+    const std::string at = " at arity " + std::to_string(arity);
+    ExpectNormalizesLikeSet(arity, {}, "empty" + at);
+    for (int trial = 0; trial < 30; ++trial) {
+      std::set<Tuple> distinct;
+      const std::size_t prefix_rows = 1 + rng.NextBounded(40);
+      for (std::size_t i = 0; i < prefix_rows; ++i) distinct.insert(row(10, 14));
+      const std::vector<Tuple> prefix(distinct.begin(), distinct.end());
+      std::vector<Tuple> tail;
+      for (int i = 0; i < 3; ++i) {
+        tail.push_back(prefix[rng.NextBounded(prefix.size())]);
+      }
+      const Tuple twice = row(10, 14);
+      tail.push_back(twice);
+      tail.push_back(twice);
+      tail.push_back(row(0, 5));    // Before the prefix.
+      tail.push_back(row(10, 14));  // Inside its range.
+      tail.push_back(row(20, 25));  // After it.
+      tail.push_back(prefix.back());
+      const std::size_t keep = 1 + rng.NextBounded(tail.size());
+      tail.resize(keep);
+      rng.Shuffle(&tail);
+
+      std::vector<Tuple> edited = prefix;
+      edited.insert(edited.end(), tail.begin(), tail.end());
+      const std::string case_name = "trial " + std::to_string(trial) + at;
+      ExpectNormalizesLikeSet(arity, prefix, "sorted " + case_name);
+      ExpectNormalizesLikeSet(arity, edited, "prefix+tail " + case_name);
+      rng.Shuffle(&edited);
+      ExpectNormalizesLikeSet(arity, edited, "unsorted " + case_name);
+      // A duplicate of the last row ends the prefix.
+      std::vector<Tuple> repeated = prefix;
+      repeated.push_back(prefix.back());
+      ExpectNormalizesLikeSet(arity, repeated, "repeated last " + case_name);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

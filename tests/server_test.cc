@@ -27,6 +27,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -246,9 +247,22 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
   std::vector<std::vector<Record>> records(kClients);
   std::vector<std::string> failures;
 
+  // Paces the writer with the clients: commit c waits until c/kCommits of
+  // all statements are answered, or every client is done. An unpaced
+  // writer can publish all its commits before the first client connects.
+  std::mutex pace_mu;
+  std::condition_variable pace_cv;
+  int answered = 0;              // Guarded by pace_mu.
+  bool clients_finished = false;  // Guarded by pace_mu.
+
   std::thread writer([&] {
     util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 17);
     for (int c = 0; c < kCommits; ++c) {
+      {
+        const int due = c * kClients * kStatementsPerClient / kCommits;
+        std::unique_lock<std::mutex> lock(pace_mu);
+        pace_cv.wait(lock, [&] { return answered >= due || clients_finished; });
+      }
       txn::SnapshotPtr snap;
       if (rng.Next() % 3 == 0) {
         // Multi-relation batch: replace T and U together.
@@ -324,11 +338,21 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
         records[static_cast<std::size_t>(c)].push_back(
             {statement, response->header.version, response->header.digest,
              response->header.rows});
+        {
+          std::lock_guard<std::mutex> lock(pace_mu);
+          ++answered;
+        }
+        pace_cv.notify_one();
       }
       client->Close();
     });
   }
   for (auto& thread : clients) thread.join();
+  {
+    std::lock_guard<std::mutex> lock(pace_mu);
+    clients_finished = true;
+  }
+  pace_cv.notify_one();
   writer.join();
   ASSERT_TRUE(failures.empty()) << failures.front();
 
@@ -367,9 +391,8 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
   EXPECT_EQ(replayed,
             static_cast<std::size_t>(kClients * kStatementsPerClient));
   // The writer really raced the readers: responses span multiple
-  // versions (40 commits against 192 statements makes a single-version
-  // run astronomically unlikely — it would mean every query finished
-  // before the first commit).
+  // versions (the paced writer spreads its 40 commits over the 192
+  // statements).
   EXPECT_GT(distinct_versions_seen, 1u);
   EXPECT_EQ(fixture.server->sessions_accepted(),
             static_cast<std::size_t>(kClients));

@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/database.h"
@@ -21,18 +22,22 @@ namespace {
 
 using setalg::testing::MakeRel;
 
-// Brute-force reference for ComputeRelationStats.
+// Brute-force reference for ComputeRelationStats: distinct counts from
+// std::set, histograms from BuildHistogram over each sorted column and
+// over the sorted group sizes.
 RelationStats BruteForceStats(const core::Relation& r) {
   RelationStats stats;
   stats.arity = r.arity();
   stats.cardinality = r.size();
   stats.columns.resize(r.arity());
   std::vector<std::set<core::Value>> distinct(r.arity());
+  std::vector<std::vector<core::Value>> columns(r.arity());
   std::map<core::Value, std::size_t> group_sizes;
   for (std::size_t i = 0; i < r.size(); ++i) {
     core::TupleView t = r.tuple(i);
     for (std::size_t c = 0; c < r.arity(); ++c) {
       distinct[c].insert(t[c]);
+      columns[c].push_back(t[c]);
       ColumnStats& col = stats.columns[c];
       if (i == 0) {
         col.min_value = col.max_value = t[c];
@@ -45,19 +50,34 @@ RelationStats BruteForceStats(const core::Relation& r) {
   }
   for (std::size_t c = 0; c < r.arity(); ++c) {
     stats.columns[c].distinct = distinct[c].size();
+    std::sort(columns[c].begin(), columns[c].end());
+    stats.columns[c].histogram = BuildHistogram(columns[c]);
   }
   if (r.arity() == 2 && !group_sizes.empty()) {
     GroupStats& g = stats.groups;
     g.num_groups = group_sizes.size();
     g.min_group_size = group_sizes.begin()->second;
+    std::vector<core::Value> sizes;
     for (const auto& [key, size] : group_sizes) {
       g.min_group_size = std::min(g.min_group_size, size);
       g.max_group_size = std::max(g.max_group_size, size);
+      sizes.push_back(static_cast<core::Value>(size));
     }
     g.avg_group_size =
         static_cast<double>(r.size()) / static_cast<double>(g.num_groups);
+    std::sort(sizes.begin(), sizes.end());
+    g.size_histogram = BuildHistogram(sizes);
   }
   return stats;
+}
+
+void ExpectSameHistogram(const Histogram& got, const Histogram& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.total, want.total) << what;
+  EXPECT_EQ(got.min_value, want.min_value) << what;
+  EXPECT_EQ(got.upper, want.upper) << what;
+  EXPECT_EQ(got.counts, want.counts) << what;
+  EXPECT_EQ(got.distincts, want.distincts) << what;
 }
 
 void ExpectSameStats(const RelationStats& got, const RelationStats& want) {
@@ -68,11 +88,15 @@ void ExpectSameStats(const RelationStats& got, const RelationStats& want) {
     EXPECT_EQ(got.columns[c].distinct, want.columns[c].distinct) << "col " << c;
     EXPECT_EQ(got.columns[c].min_value, want.columns[c].min_value) << "col " << c;
     EXPECT_EQ(got.columns[c].max_value, want.columns[c].max_value) << "col " << c;
+    ExpectSameHistogram(got.columns[c].histogram, want.columns[c].histogram,
+                        "col " + std::to_string(c) + " histogram");
   }
   EXPECT_EQ(got.groups.num_groups, want.groups.num_groups);
   EXPECT_EQ(got.groups.min_group_size, want.groups.min_group_size);
   EXPECT_EQ(got.groups.max_group_size, want.groups.max_group_size);
   EXPECT_DOUBLE_EQ(got.groups.avg_group_size, want.groups.avg_group_size);
+  ExpectSameHistogram(got.groups.size_histogram, want.groups.size_histogram,
+                      "group-size histogram");
 }
 
 TEST(RelationStats, SmallBinaryRelationByHand) {
@@ -130,6 +154,70 @@ TEST(RelationStats, MatchesBruteForceOnWorkloadInstances) {
     const auto instance = workload::MakeDivisionInstance(config);
     ExpectSameStats(ComputeRelationStats(instance.r), BruteForceStats(instance.r));
     ExpectSameStats(ComputeRelationStats(instance.s), BruteForceStats(instance.s));
+  }
+}
+
+// Columns whose value range is at most 2n wide are counted densely, wider
+// ones are sorted: random columns of both kinds, and narrow columns
+// pressed against INT64_MIN and INT64_MAX, must all match the oracle.
+TEST(RelationStats, MatchesBruteForceOnWideAndExtremeRanges) {
+  constexpr core::Value kMin = std::numeric_limits<core::Value>::min();
+  constexpr core::Value kMax = std::numeric_limits<core::Value>::max();
+  util::Rng rng(2027);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t arity = 1 + rng.NextBounded(4);
+    const std::size_t rows = 1 + rng.NextBounded(300);
+    // One value generator per column.
+    std::vector<int> shapes(arity);
+    for (auto& shape : shapes) shape = static_cast<int>(rng.NextBounded(5));
+    auto draw = [&](int shape) -> core::Value {
+      switch (shape) {
+        case 0:  // At most `rows` values wide: dense counts.
+          return static_cast<core::Value>(rng.NextBounded(rows)) - 50;
+        case 1:  // As narrow, against INT64_MIN.
+          return kMin + static_cast<core::Value>(rng.NextBounded(rows));
+        case 2:  // As narrow, against INT64_MAX.
+          return kMax - static_cast<core::Value>(rng.NextBounded(rows));
+        case 3:  // Anywhere in int64: sorted.
+          return static_cast<core::Value>(rng.Next());
+        default:  // A few values, both extremes among them: sorted.
+          switch (rng.NextBounded(4)) {
+            case 0: return kMin;
+            case 1: return kMax;
+            default: return static_cast<core::Value>(rng.NextBounded(8));
+          }
+      }
+    };
+    core::Relation r(arity);
+    core::Tuple t(arity);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t c = 0; c < arity; ++c) t[c] = draw(shapes[c]);
+      r.Add(t);
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectSameStats(ComputeRelationStats(r), BruteForceStats(r));
+  }
+}
+
+TEST(RelationStats, DenseAndSortedPathsMeetAtTwiceTheCardinality) {
+  // Column 2 of n rows spans a range of exactly 2n values (counted
+  // densely), then 2n + 1 (sorted); both must match the oracle.
+  for (const std::size_t n : {1u, 2u, 7u, 64u}) {
+    for (const core::Value span : {static_cast<core::Value>(2 * n),
+                                   static_cast<core::Value>(2 * n + 1)}) {
+      core::Relation r(2);
+      for (std::size_t i = 0; i < n; ++i) {
+        const core::Value second =
+            i + 1 == n ? span - 1 : static_cast<core::Value>(i % 3);
+        r.Add({static_cast<core::Value>(i / 2), second});
+      }
+      SCOPED_TRACE("n=" + std::to_string(n) + " span=" + std::to_string(span));
+      const RelationStats stats = ComputeRelationStats(r);
+      ExpectSameStats(stats, BruteForceStats(r));
+      if (n > 1) {
+        EXPECT_EQ(stats.columns[1].Width(), static_cast<std::uint64_t>(span));
+      }
+    }
   }
 }
 

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -309,6 +310,71 @@ TEST(SnapshotTest, ConcurrentReadersSeeAtomicCommits) {
     head.Commit(std::move(batch));
   }
   for (auto& reader : readers) reader.join();
+}
+
+// Readers share a published relation without locking, so every write
+// path must publish it normalized: a relation left to normalize on first
+// read gets sorted by several readers at once. Each path below commits
+// rows in reverse order with duplicates; four readers released by one
+// latch then read the relation back.
+TEST(SnapshotTest, CommitsPublishNormalizedRelations) {
+  constexpr int kReaders = 4;
+  constexpr core::Value kRows = 3000;
+  // Rows (i, i % 7) for i in [from, to), descending and each added twice.
+  auto add_unsorted = [](Relation* r, core::Value from, core::Value to) {
+    for (core::Value i = to; i-- > from;) {
+      r->Add({i, i % 7});
+      r->Add({i, i % 7});
+    }
+  };
+  auto sorted_flat = [](core::Value from, core::Value to) {
+    std::vector<core::Value> flat;
+    for (core::Value i = from; i < to; ++i) {
+      flat.push_back(i);
+      flat.push_back(i % 7);
+    }
+    return flat;
+  };
+
+  VersionedDatabase head(DivisionSchema());
+  std::vector<std::pair<SnapshotPtr, std::vector<core::Value>>> published;
+  {
+    Relation r(2);
+    add_unsorted(&r, 0, kRows);
+    WriteBatch batch;
+    batch.Set("R", std::move(r));
+    published.emplace_back(head.Commit(std::move(batch)), sorted_flat(0, kRows));
+  }
+  {
+    Relation r(2);
+    add_unsorted(&r, kRows, 2 * kRows);
+    published.emplace_back(head.SetRelation("R", std::move(r)),
+                           sorted_flat(kRows, 2 * kRows));
+  }
+  // Mutate appends to the previous (sorted) R: its new rows all land
+  // before the old ones.
+  published.emplace_back(
+      head.Mutate("R", [&](Relation& r) { add_unsorted(&r, 0, kRows); }),
+      sorted_flat(0, 2 * kRows));
+
+  for (const auto& entry : published) {
+    const SnapshotPtr& snapshot = entry.first;
+    const std::vector<core::Value>& want = entry.second;
+    std::latch start(1);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&, t] {
+        start.wait();
+        const Relation& r = snapshot->relation("R");
+        EXPECT_EQ(r.size(), want.size() / 2)
+            << "reader " << t << " at version " << snapshot->version();
+        EXPECT_TRUE(r.flat() == want)
+            << "reader " << t << " at version " << snapshot->version();
+      });
+    }
+    start.count_down();
+    for (auto& reader : readers) reader.join();
+  }
 }
 
 // ---------------------------------------------------------------------------
