@@ -70,10 +70,10 @@ std::size_t ParallelThreads() {
   return std::max(2u, std::min(4u, hw == 0 ? 2u : hw));
 }
 
-// Best-of-3 wall time of a hand-built set-join plan executed through the
-// pipelined batch surface (batched/parallel columns; the engine run
-// includes the scans and grouping the kernel-direct cells do outside the
-// timer). `stats_out`, when non-null, receives the last run's stats.
+// Best-of-3 wall time of a hand-built set-join plan executed by the engine
+// (batched/parallel columns; the engine run includes the scans and
+// grouping the kernel-direct cells do outside the timer). `stats_out`,
+// when non-null, receives the last run's stats.
 double EnginePlanMillis(const core::DatabaseView& db, engine::PhysicalOpPtr root,
                         const char* what, const engine::EngineOptions& options,
                         engine::PlanStats* stats_out = nullptr) {
@@ -201,12 +201,12 @@ std::vector<ContainmentRow> PrintContainmentTable() {
           setjoin::ContainmentAlgorithm::kInvertedIndex);
     };
     row.batched_ms = EnginePlanMillis(db, make_root(), "containment",
-                                      engine::EngineOptions::Batched());
+                                      engine::EngineOptions{});
     std::printf("  %-22.3f", row.batched_ms);
     engine::PlanStats parallel_stats;
     row.parallel_ms =
         EnginePlanMillis(db, make_root(), "containment-parallel",
-                         engine::EngineOptions::Parallel(ParallelThreads()),
+                         engine::EngineOptions{}.WithThreads(ParallelThreads()),
                          &parallel_stats);
     row.threads = parallel_stats.threads_used;
     row.partitions = parallel_stats.partitions;
@@ -220,13 +220,13 @@ std::vector<ContainmentRow> PrintContainmentTable() {
       engine::PlanStats sharded_stats;
       row.sharded_ms =
           EnginePlanMillis(*snapshot, make_root(), "containment-sharded",
-                           engine::EngineOptions::Parallel(ParallelThreads()),
+                           engine::EngineOptions{}.WithThreads(ParallelThreads()),
                            &sharded_stats);
       row.sharded_skipped_passes = sharded_stats.partition_passes_skipped;
     }
     std::printf("  %-22.3f", row.sharded_ms);
     row.prepared_ms = PreparedPlanMillis(db, make_root(), "containment-prepared",
-                                         engine::EngineOptions::Batched());
+                                         engine::EngineOptions{});
     std::printf("  %-22.3f", row.prepared_ms);
     std::printf("  %zu\n", row.matches);
     rows.push_back(std::move(row));
@@ -280,16 +280,16 @@ std::vector<EqualityRow> PrintEqualityTable() {
           setjoin::EqualityJoinAlgorithm::kCanonicalHash);
     };
     row.batched_ms = EnginePlanMillis(db, make_root(), "equality",
-                                      engine::EngineOptions::Batched());
+                                      engine::EngineOptions{});
     engine::PlanStats parallel_stats;
     row.parallel_ms =
         EnginePlanMillis(db, make_root(), "equality-parallel",
-                         engine::EngineOptions::Parallel(ParallelThreads()),
+                         engine::EngineOptions{}.WithThreads(ParallelThreads()),
                          &parallel_stats);
     row.threads = parallel_stats.threads_used;
     row.partitions = parallel_stats.partitions;
     row.prepared_ms = PreparedPlanMillis(db, make_root(), "equality-prepared",
-                                         engine::EngineOptions::Batched());
+                                         engine::EngineOptions{});
     std::printf("%-8zu  %-14.3f  %-14.3f  %-14.3f  %-14.3f  %-14.3f  %-14.3f  "
                 "%-8zu\n",
                 groups, row.nested_ms, row.hash_ms, row.chosen_ms, row.batched_ms,

@@ -14,18 +14,16 @@
 // of any collected join chain, and per-operator estimated-vs-actual
 // intermediate sizes are reported too.
 //
-// Execution is selected by one --mode flag plus orthogonal knobs:
-//   --mode reference   legacy 1:1 evaluation, no planner rewrites
+// Planning is selected by one --mode flag plus orthogonal knobs:
+//   --mode reference   1:1 lowering, no planner rewrites
 //   --mode planned     rewrite-enabled planning (the default)
 //   --mode cost        statistics-driven algorithm selection
-//   --mode batched     pipelined batch execution
-//   --mode parallel    batched + a worker pool for partitioned operators
-// --threads N sizes the worker pool, --batch-size N sets the pipelined
-// batch granularity (and implies the batch surface), and --multiway lets
-// the planner collect equality-join chains and route them to the
-// worst-case-optimal multiway operator when they beat the binary plan
-// (the older --reference / --cost-based spellings are still accepted);
-// --plan-cache [N] enables the engine's plan cache (N entries, default
+// Every mode executes through the engine's one pipelined executor.
+// --threads N gives each run an N-wide worker pool for the partitioned
+// operators, --batch-size N sets the pipeline's batch granularity, and
+// --multiway lets the planner collect equality-join chains and route them
+// to the worst-case-optimal multiway operator when they beat the binary
+// plan; --plan-cache [N] enables the engine's plan cache (N entries, default
 // 64) and runs the expression twice — the second run is served from the
 // cache, and -v reports the outcome (miss then hit) plus cache tallies,
 // so the prepared-statement hot path is observable from the CLI.
@@ -68,22 +66,7 @@
 int main(int argc, char** argv) {
   using namespace setalg;
 
-  // Canonicalize the legacy flag spellings first, so one parse loop below
-  // handles one spelling per option.
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--reference") {
-      args.push_back("--mode");
-      args.push_back("reference");
-    } else if (arg == "--cost-based") {
-      args.push_back("--mode");
-      args.push_back("cost");
-    } else {
-      args.push_back(arg);
-    }
-  }
-
+  const std::vector<std::string> args(argv + 1, argv + argc);
   std::vector<std::string> relation_specs;
   std::vector<std::string> expressions;
   bool verbose = false;
@@ -91,8 +74,6 @@ int main(int argc, char** argv) {
   std::string connect;
   bool multiway = false;
   bool calibrate = false;
-  bool batched = false;
-  bool threads_given = false;
   long long batch_size = static_cast<long long>(engine::kDefaultBatchSize);
   long long threads = 1;
   long long plan_cache_entries = 0;
@@ -108,8 +89,7 @@ int main(int argc, char** argv) {
       verbose = true;
     } else if (arg == "--mode") {
       if (i + 1 >= nargs) {
-        std::fprintf(stderr, "--mode needs one of "
-                             "reference|planned|cost|batched|parallel\n");
+        std::fprintf(stderr, "--mode needs one of reference|planned|cost\n");
         return 2;
       }
       mode = args[++i];
@@ -139,14 +119,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--batch-size needs a positive integer\n");
         return 2;
       }
-      batched = true;
       ++i;
     } else if (arg == "--threads") {
       if (i + 1 >= nargs || !util::ParseInt64(args[i + 1], &threads) || threads < 1) {
         std::fprintf(stderr, "--threads needs a positive integer\n");
         return 2;
       }
-      threads_given = true;
       ++i;
     } else if (arg == "--sessions") {
       if (i + 1 >= nargs || !util::ParseInt64(args[i + 1], &sessions) || sessions < 1) {
@@ -169,7 +147,7 @@ int main(int argc, char** argv) {
   if ((relation_specs.empty() && connect.empty()) || expressions.empty()) {
     std::fprintf(stderr,
                  "usage: raq NAME=ARITY:PATH [NAME=ARITY:PATH ...] [-v] "
-                 "[--mode reference|planned|cost|batched|parallel] [--multiway] "
+                 "[--mode reference|planned|cost] [--multiway] "
                  "[--calibrate] [--threads N] [--shards K] [--batch-size N] "
                  "[--plan-cache [N]] "
                  "[--sessions N] [--connect HOST:PORT] -- STMT [STMT ...]\n"
@@ -286,19 +264,13 @@ int main(int argc, char** argv) {
     options = engine::EngineOptions{};
   } else if (mode == "cost") {
     options = engine::EngineOptions::CostBased();
-  } else if (mode == "batched") {
-    options = engine::EngineOptions::Batched();
-  } else if (mode == "parallel") {
-    if (!threads_given) threads = 4;
-    options = engine::EngineOptions::Parallel(static_cast<std::size_t>(threads));
   } else {
-    std::fprintf(stderr, "unknown --mode '%s' (want "
-                         "reference|planned|cost|batched|parallel)\n",
+    std::fprintf(stderr, "unknown --mode '%s' (want reference|planned|cost)\n",
                  mode.c_str());
     return 2;
   }
-  if (batched) options = options.WithBatchSize(static_cast<std::size_t>(batch_size));
-  if (threads_given) options = options.WithThreads(static_cast<std::size_t>(threads));
+  options = options.WithBatchSize(static_cast<std::size_t>(batch_size))
+                .WithThreads(static_cast<std::size_t>(threads));
   if (multiway) options = options.WithMultiway();
   // Statements run in order through one engine, so later statements plan
   // with whatever the earlier ones taught the store.
@@ -416,14 +388,12 @@ int main(int argc, char** argv) {
                          ? "within"
                          : "exceeds");
       }
-      if (batched) {
-        std::fprintf(stderr,
-                     "-- batched: %zu-tuple batches, %llu emitted, peak batch "
-                     "%zu bytes\n",
-                     run->stats.batch_size,
-                     static_cast<unsigned long long>(run->stats.batches_emitted),
-                     run->stats.peak_batch_bytes);
-      }
+      std::fprintf(stderr,
+                   "-- batches: %zu-tuple batches, %llu emitted, peak batch "
+                   "%zu bytes\n",
+                   run->stats.batch_size,
+                   static_cast<unsigned long long>(run->stats.batches_emitted),
+                   run->stats.peak_batch_bytes);
       if (run->stats.threads_used > 1) {
         std::fprintf(stderr,
                      "-- parallel: %zu threads, %zu partition task(s), "

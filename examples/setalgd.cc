@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   bool multiway = false;
   bool calibrate = false;
   long long threads = 1;
-  bool threads_given = false;
   long long shards = 1;
   long long port = 0;
   for (int i = 1; i < argc; ++i) {
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
       ++i;
     } else if (arg == "--mode") {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "--mode needs one of reference|planned|cost|batched|parallel\n");
+        std::fprintf(stderr, "--mode needs one of reference|planned|cost\n");
         return 2;
       }
       mode = argv[++i];
@@ -64,7 +63,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--threads needs a positive integer\n");
         return 2;
       }
-      threads_given = true;
       ++i;
     } else if (arg == "--shards") {
       if (i + 1 >= argc || !util::ParseInt64(argv[i + 1], &shards) || shards < 1) {
@@ -79,7 +77,7 @@ int main(int argc, char** argv) {
   if (relation_specs.empty()) {
     std::fprintf(stderr,
                  "usage: setalgd NAME=ARITY:PATH [NAME=ARITY:PATH ...] "
-                 "[--port N] [--mode reference|planned|cost|batched|parallel] "
+                 "[--port N] [--mode reference|planned|cost] "
                  "[--multiway] [--threads N] [--shards K] [--calibrate]\n");
     return 2;
   }
@@ -123,16 +121,11 @@ int main(int argc, char** argv) {
     options = engine::EngineOptions{};
   } else if (mode == "cost") {
     options = engine::EngineOptions::CostBased();
-  } else if (mode == "batched") {
-    options = engine::EngineOptions::Batched();
-  } else if (mode == "parallel") {
-    if (!threads_given) threads = 4;
-    options = engine::EngineOptions::Parallel(static_cast<std::size_t>(threads));
   } else {
     std::fprintf(stderr, "unknown --mode '%s'\n", mode.c_str());
     return 2;
   }
-  if (threads_given) options = options.WithThreads(static_cast<std::size_t>(threads));
+  options = options.WithThreads(static_cast<std::size_t>(threads));
   if (multiway) options = options.WithMultiway();
   // One store for the whole process: every session the server spawns
   // shares it, so each session's traffic tunes the others' plans.

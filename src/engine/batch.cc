@@ -78,16 +78,38 @@ MaterializedInput MaterializedInput::From(BatchIterator* input, std::size_t arit
   return view;
 }
 
+std::size_t RowSet::Find(core::TupleView row, std::uint64_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  const auto tag = static_cast<std::uint32_t>(hash >> 32);
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.row == 0) return i;
+    if (slot.tag == tag && core::TupleEquals(StoredRow(slot.row - 1), row)) return i;
+  }
+}
+
+void RowSet::Grow() {
+  slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), Slot{});
+  const std::size_t mask = slots_.size() - 1;
+  // Stored rows are distinct, so each needs only an empty slot.
+  for (std::size_t index = 0; index < size_; ++index) {
+    const std::uint64_t hash = core::HashTuple(StoredRow(index));
+    std::size_t i = hash & mask;
+    while (slots_[i].row != 0) i = (i + 1) & mask;
+    slots_[i] = {static_cast<std::uint32_t>(index + 1),
+                 static_cast<std::uint32_t>(hash >> 32)};
+  }
+}
+
 bool RowSet::Insert(core::TupleView row) {
   SETALG_DCHECK(row.size() == arity_);
+  if (2 * (size_ + 1) > slots_.size()) Grow();
   const std::uint64_t hash = core::HashTuple(row);
-  auto& bucket = buckets_[hash];
-  for (std::uint32_t index : bucket) {
-    if (core::TupleEquals(StoredRow(index), row)) return false;
-  }
-  // Indices are 32-bit; fail loudly rather than wrap past 2^32 rows.
+  Slot& slot = slots_[Find(row, hash)];
+  if (slot.row != 0) return false;
+  // Slots hold 32-bit indices; fail loudly rather than wrap past 2^32 rows.
   SETALG_CHECK(size_ < 0xFFFFFFFFu);
-  bucket.push_back(static_cast<std::uint32_t>(size_));
+  slot = {static_cast<std::uint32_t>(size_ + 1), static_cast<std::uint32_t>(hash >> 32)};
   values_.insert(values_.end(), row.begin(), row.end());
   ++size_;
   return true;
@@ -95,12 +117,8 @@ bool RowSet::Insert(core::TupleView row) {
 
 bool RowSet::Contains(core::TupleView row) const {
   SETALG_DCHECK(row.size() == arity_);
-  auto it = buckets_.find(core::HashTuple(row));
-  if (it == buckets_.end()) return false;
-  for (std::uint32_t index : it->second) {
-    if (core::TupleEquals(StoredRow(index), row)) return true;
-  }
-  return false;
+  if (size_ == 0) return false;
+  return slots_[Find(row, core::HashTuple(row))].row != 0;
 }
 
 }  // namespace setalg::engine

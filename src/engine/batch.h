@@ -2,16 +2,17 @@
 // operators: fixed-capacity tuple batches and the Open/NextBatch/Close
 // iterator contract.
 //
-// The materializing PhysicalOp::Execute is a thin loop over this surface
-// (every operator is implemented batch-at-a-time exactly once), and
-// EngineOptions::batched composes the per-operator iterators into a
-// pipeline that never materializes the streaming operators' outputs. The
-// complexity currency of the paper is unchanged — PlanStats still counts
-// the (distinct) tuples each operator produces — and a pipelined run
-// buffers one batch per operator edge, plus the blocking operators' state,
-// plus an O(distinct output) dedup set on each edge whose stream may
-// repeat tuples (projection, union): set semantics is preserved exactly,
-// not approximated.
+// Every operator is implemented batch-at-a-time exactly once. Engine runs
+// compose the per-operator iterators into a pipeline that never
+// materializes the streaming operators' outputs; the materializing
+// reference (engine::RunMaterialized) drives the same iterators one
+// operator at a time through PhysicalOp::Execute. The complexity currency
+// of the paper is unchanged — PlanStats still counts the (distinct)
+// tuples each operator produces — and a pipelined run buffers one batch
+// per operator edge, plus the blocking operators' state, plus an
+// O(distinct output) dedup set on each edge whose stream may repeat
+// tuples (a projection that drops a column, a union): set semantics is
+// preserved exactly, not approximated.
 //
 // Iterator contract:
 //   - Open() is called exactly once before the first NextBatch(); blocking
@@ -29,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/relation.h"
@@ -146,9 +146,10 @@ class RelationBatchIterator final : public BatchIterator {
 };
 
 /// A materialized view of an input stream: borrows the relation behind a
-/// plain relation streamer (the materializing Execute path — no copy) or
-/// drains the stream into an owned copy (pipelined edges). Either way the
-/// stream counts as consumed.
+/// plain relation streamer (a re-streamed shared subplan, or the
+/// materializing reference's inputs — no copy) or drains the stream into
+/// an owned copy (pipelined edges). Either way the stream counts as
+/// consumed.
 class MaterializedInput {
  public:
   /// `input` must outlive the view when borrowing applies.
@@ -197,9 +198,11 @@ class RowCursor {
   bool done_ = false;
 };
 
-/// An incrementally-built set of rows: hash-probed membership/insertion
-/// over flat row storage. Backs the streaming dedup filters and the
-/// difference operator's build side.
+/// An incrementally-built set of rows: one flat open-addressing table
+/// (linear probing, at most half full) of indices into flat row storage.
+/// Each slot also stores the high half of its row's hash, so a probe
+/// compares rows only on a tag match. Backs the streaming dedup filters
+/// and the difference operator's build side.
 class RowSet {
  public:
   explicit RowSet(std::size_t arity) : arity_(arity) {}
@@ -212,16 +215,25 @@ class RowSet {
   std::size_t size() const { return size_; }
 
  private:
-  core::TupleView StoredRow(std::uint32_t index) const {
-    return core::TupleView(values_.data() + static_cast<std::size_t>(index) * arity_,
-                           arity_);
+  struct Slot {
+    std::uint32_t row = 0;  // 1 + the stored row's index; 0 marks empty.
+    std::uint32_t tag = 0;  // High 32 bits of the row's hash.
+  };
+
+  core::TupleView StoredRow(std::size_t index) const {
+    return core::TupleView(values_.data() + index * arity_, arity_);
   }
+
+  /// The slot holding `row`, or the empty slot that ends its probe run.
+  std::size_t Find(core::TupleView row, std::uint64_t hash) const;
+
+  /// Doubles the table (16 slots at first) and re-inserts every row.
+  void Grow();
 
   std::size_t arity_;
   std::size_t size_ = 0;
   std::vector<core::Value> values_;  // Inserted rows, flat row-major.
-  // Row hash → indices of stored rows with that hash.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
+  std::vector<Slot> slots_;          // Power-of-two size.
 };
 
 }  // namespace setalg::engine

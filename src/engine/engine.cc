@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "engine/calibration.h"
 #include "engine/parallel.h"
@@ -18,7 +19,8 @@ namespace {
 
 // One operator's stats entry with the plan-time prediction paired in, if
 // any — this is what makes every run a cost-model calibration point.
-// Shared by both executors so the execution modes can never diverge.
+// Shared by the pipelined executor and the materializing reference, so the
+// two can never diverge.
 OpStats MakeOpStats(const PhysicalOp* op, std::size_t output_size,
                     const PhysicalPlan* plan) {
   OpStats entry{op, op->source(), op->label(), output_size, false, 0.0, 0.0};
@@ -29,6 +31,20 @@ OpStats MakeOpStats(const PhysicalOp* op, std::size_t output_size,
     entry.estimated_cost = estimate->second.cost;
   }
   return entry;
+}
+
+// A run's PlanStats before execution: the plan-level annotations
+// (rewrites, choices, AGM bound) and the run's batch size and width.
+PlanStats NewPlanStats(const PhysicalPlan& plan, std::size_t batch_size,
+                       std::size_t threads) {
+  PlanStats stats;
+  stats.rewrites = plan.rewrites;
+  stats.choices = plan.choices;
+  stats.agm_bound = plan.agm_bound;
+  stats.has_agm_bound = plan.has_agm_bound;
+  stats.batch_size = batch_size == 0 ? 1 : batch_size;
+  stats.threads_used = threads;
+  return stats;
 }
 
 // Label prefix up to the first of "[( " — the calibration op-kind, e.g.
@@ -77,73 +93,55 @@ void FeedCalibration(CalibrationStore* store, const PlanStats& stats) {
   }
 }
 
-// Post-order DAG execution with memoization: shared operators run once.
-class Executor {
+// The semantics reference behind RunMaterialized: post-order DAG
+// execution with memoization (shared operators run once), every
+// operator's output materialized, normalized and counted.
+class MaterializingExecutor {
  public:
-  Executor(const core::DatabaseView* db, const EngineOptions* options,
-           const PhysicalPlan* plan, PlanStats* stats, WorkerPool* pool)
-      : ctx_(db, stats, options->batch_size, pool), options_(options), plan_(plan),
-        stats_(stats) {}
+  MaterializingExecutor(const core::DatabaseView* db, const PhysicalPlan* plan,
+                        PlanStats* stats)
+      : ctx_(db, stats), plan_(plan), stats_(stats) {}
 
-  const core::Relation* Execute(const PhysicalOpPtr& op) {
-    auto it = memo_.find(op.get());
-    if (it != memo_.end()) return &it->second;
-
-    std::vector<const core::Relation*> inputs;
-    inputs.reserve(op->children().size());
-    for (const auto& child : op->children()) {
-      const core::Relation* input = Execute(child);
-      if (input == nullptr) return nullptr;
-      inputs.push_back(input);
-    }
-
-    core::Relation out = op->Execute(ctx_, inputs);
-    out.Normalize();
-    const std::size_t size = out.size();
-    if (stats_ != nullptr) {
-      if (options_->collect_node_stats) {
-        stats_->ops.push_back(MakeOpStats(op.get(), size, plan_));
-      }
-      stats_->max_intermediate = std::max(stats_->max_intermediate, size);
-      stats_->total_intermediate += size;
-    }
-    if (options_->max_intermediate_budget != 0 &&
-        size > options_->max_intermediate_budget) {
-      std::ostringstream message;
-      message << "intermediate-size budget exceeded: " << op->label()
-              << " materialized " << size << " tuples (budget "
-              << options_->max_intermediate_budget << ")";
-      error_ = message.str();
-      return nullptr;
-    }
-    return &memo_.emplace(op.get(), std::move(out)).first->second;
-  }
-
-  const std::string& error() const { return error_; }
-
-  core::Relation TakeOutput(const PhysicalOpPtr& root) {
+  core::Relation Run(const PhysicalOpPtr& root) {
+    Execute(root);
     return std::move(memo_.at(root.get()));
   }
 
  private:
+  const core::Relation& Execute(const PhysicalOpPtr& op) {
+    auto it = memo_.find(op.get());
+    if (it != memo_.end()) return it->second;
+
+    std::vector<const core::Relation*> inputs;
+    inputs.reserve(op->children().size());
+    for (const auto& child : op->children()) inputs.push_back(&Execute(child));
+
+    core::Relation out = op->Execute(ctx_, inputs);
+    out.Normalize();
+    const std::size_t size = out.size();
+    stats_->ops.push_back(MakeOpStats(op.get(), size, plan_));
+    stats_->max_intermediate = std::max(stats_->max_intermediate, size);
+    stats_->total_intermediate += size;
+    // Node-based map: references to stored relations survive rehashing.
+    return memo_.emplace(op.get(), std::move(out)).first->second;
+  }
+
   ExecContext ctx_;
-  const EngineOptions* options_;
   const PhysicalPlan* plan_;
   PlanStats* stats_;
   std::unordered_map<const PhysicalOp*, core::Relation> memo_;
-  std::string error_;
 };
 
-class BatchedExecutor;
+class PipelinedExecutor;
 
 // Wraps one operator's batch stream on a pipeline edge: guarantees set
 // semantics downstream (deduping streams that may carry duplicates),
 // counts the operator's distinct output rows for PlanStats — the same
-// per-operator cardinalities the materializing executor records — and
+// per-operator cardinalities the materializing reference records — and
 // enforces the intermediate-size budget as the stream grows.
 class InstrumentedIterator final : public BatchIterator {
  public:
-  InstrumentedIterator(BatchedExecutor* executor, const PhysicalOp* op,
+  InstrumentedIterator(PipelinedExecutor* executor, const PhysicalOp* op,
                        std::unique_ptr<BatchIterator> inner, std::size_t batch_size)
       : executor_(executor), op_(op), inner_(std::move(inner)),
         batch_size_(batch_size) {}
@@ -157,14 +155,14 @@ class InstrumentedIterator final : public BatchIterator {
   // A bypassed scan stream still produces its operator's stats entry —
   // the rows the consumer read from sharded storage are exactly what a
   // full drain would have counted, so per-op PlanStats (and the budget
-  // check) match the materializing executor either way.
+  // check) are the same either way.
   void AccountBypassedScan(std::size_t rows) override;
 
  private:
   bool NextDeduped(Batch& out);
   void FinalizeOnce();
 
-  BatchedExecutor* executor_;
+  PipelinedExecutor* executor_;
   const PhysicalOp* op_;
   std::unique_ptr<BatchIterator> inner_;
   std::size_t batch_size_;
@@ -175,18 +173,18 @@ class InstrumentedIterator final : public BatchIterator {
   Batch scratch_;
 };
 
-// Pipelined execution over the batch surface: composes the operators'
-// iterators edge-to-edge so streaming operators never materialize their
+// The engine's executor: composes the operators' iterators edge-to-edge
+// over the batch surface, so streaming operators never materialize their
 // output. Shared subplans (DAG nodes with more than one parent) cannot
 // share one stream, so they are materialized once and re-streamed to each
 // parent. Per-operator PlanStats (distinct output rows, max/total
-// intermediate, join rows) match the materializing executor exactly; the
-// batch fields (batches_emitted, peak_batch_bytes) describe this mode's
-// actual buffering.
-class BatchedExecutor {
+// intermediate, join rows) match the materializing reference exactly; the
+// batch fields (batches_emitted, peak_batch_bytes) describe the
+// pipeline's actual buffering.
+class PipelinedExecutor {
  public:
-  BatchedExecutor(const core::DatabaseView* db, const EngineOptions* options,
-                  const PhysicalPlan* plan, PlanStats* stats, WorkerPool* pool)
+  PipelinedExecutor(const core::DatabaseView* db, const EngineOptions* options,
+                    const PhysicalPlan* plan, PlanStats* stats, WorkerPool* pool)
       : ctx_(db, stats, options->batch_size, pool), options_(options), plan_(plan),
         stats_(stats) {}
 
@@ -195,11 +193,10 @@ class BatchedExecutor {
       std::unordered_set<const PhysicalOp*> visited;
       CountParents(root, &visited);
     }
-    std::unique_ptr<BatchIterator> it = Build(root);
-    core::Relation out = DrainToRelation(it.get(), root->arity(), ctx_.batch_size());
+    core::Relation out = DrainRoot(root);
     if (!error_.empty()) return util::Result<core::Relation>::Error(error_);
     {
-      // Emit OpStats in the same post-order the materializing executor
+      // Emit OpStats in the same post-order the materializing reference
       // uses, independent of the streams' interleaved completion order.
       std::unordered_set<const PhysicalOp*> visited;
       AppendStats(root, &visited);
@@ -263,6 +260,37 @@ class BatchedExecutor {
       return std::make_unique<RelationBatchIterator>(&it->second);
     }
     return BuildFresh(op);
+  }
+
+  // Runs the pipeline and returns the root's rows as an exact-size
+  // relation. The rows first collect in a per-thread buffer that keeps
+  // its capacity from run to run, and the pipeline is torn down before
+  // they are copied out. Draining straight into the result would grow it
+  // by doubling on every run and leave its block at the top of the
+  // thread's malloc arena when the caller frees it. glibc trims a free
+  // top larger than twice the largest recently freed block, so a server
+  // answering one ~1 MB result after another would fault about 3 MB back
+  // in per statement.
+  core::Relation DrainRoot(const PhysicalOpPtr& root) {
+    const std::size_t arity = root->arity();
+    std::unique_ptr<BatchIterator> it = Build(root);
+    if (arity == 0) return DrainToRelation(it.get(), 0, ctx_.batch_size());
+    // Bounds what an idle thread keeps: 4 MB.
+    constexpr std::size_t kMaxRetainedValues = std::size_t{1} << 19;
+    thread_local std::vector<core::Value> retained;
+    std::vector<core::Value> rows = std::move(retained);  // A nested run starts empty.
+    rows.clear();
+    it->Open();
+    Batch batch(arity, ctx_.batch_size());
+    while (it->NextBatch(batch)) {
+      rows.insert(rows.end(), batch.values().begin(), batch.values().end());
+    }
+    it->Close();
+    it.reset();
+    core::Relation out(arity);
+    if (!rows.empty()) out.AddRows(rows.data(), rows.size() / arity);
+    if (rows.capacity() <= kMaxRetainedValues) retained = std::move(rows);
+    return out;
   }
 
   std::unique_ptr<BatchIterator> BuildFresh(const PhysicalOpPtr& op) {
@@ -542,33 +570,17 @@ util::Result<RunResult> Engine::Run(const PhysicalPlan& plan,
 util::Result<RunResult> Engine::RunImpl(const PhysicalPlan& plan,
                                         const core::DatabaseView& db) const {
   SETALG_CHECK(plan.root != nullptr);
+  const std::size_t threads = options_.threads == 0 ? 1 : options_.threads;
   RunResult result;
-  result.stats.rewrites = plan.rewrites;
-  result.stats.choices = plan.choices;
-  result.stats.agm_bound = plan.agm_bound;
-  result.stats.has_agm_bound = plan.has_agm_bound;
-  result.stats.batch_size = options_.batch_size == 0 ? 1 : options_.batch_size;
+  result.stats = NewPlanStats(plan, options_.batch_size, threads);
   // One fixed worker pool per run (serial runs pay nothing): partitioned
   // operators fan out through it, everything else ignores it.
-  const std::size_t threads = options_.threads == 0 ? 1 : options_.threads;
-  result.stats.threads_used = threads;
   std::unique_ptr<WorkerPool> pool;
   if (threads > 1) pool = std::make_unique<WorkerPool>(threads);
-  if (options_.batched) {
-    BatchedExecutor executor(&db, &options_, &plan, &result.stats, pool.get());
-    auto out = executor.Run(plan.root);
-    if (!out.ok()) return util::Result<RunResult>::Error(out.error());
-    result.relation = std::move(*out);
-    if (options_.calibration != nullptr) {
-      FeedCalibration(options_.calibration.get(), result.stats);
-    }
-    return result;
-  }
-  Executor executor(&db, &options_, &plan, &result.stats, pool.get());
-  if (executor.Execute(plan.root) == nullptr) {
-    return util::Result<RunResult>::Error(executor.error());
-  }
-  result.relation = executor.TakeOutput(plan.root);
+  PipelinedExecutor executor(&db, &options_, &plan, &result.stats, pool.get());
+  auto out = executor.Run(plan.root);
+  if (!out.ok()) return util::Result<RunResult>::Error(out.error());
+  result.relation = std::move(*out);
   if (options_.calibration != nullptr) {
     FeedCalibration(options_.calibration.get(), result.stats);
   }
@@ -577,15 +589,23 @@ util::Result<RunResult> Engine::RunImpl(const PhysicalPlan& plan,
 
 util::Result<RunResult> Engine::Run(const ra::ExprPtr& expr, const core::DatabaseView& db,
                                     const EngineOptions& options) {
-  // The throwaway engine cannot amortize a statistics pass across calls
-  // (this is the hot path behind legacy ra::Eval), so it only computes
-  // stats when the options actually need them for algorithm choice. Use a
-  // persistent Engine to get cached stats and estimate annotations.
+  // The throwaway engine cannot amortize a statistics pass across calls,
+  // so it only computes stats when the options actually need them for
+  // algorithm choice. Use a persistent Engine to get cached stats and
+  // estimate annotations.
   const Engine engine(options);
   auto plan = options.cost_based ? engine.Plan(expr, db)
                                  : engine.Plan(expr, db.schema());
   if (!plan.ok()) return util::Result<RunResult>::Error(plan.error());
   return engine.RunImpl(*plan, db);
+}
+
+RunResult RunMaterialized(const PhysicalPlan& plan, const core::DatabaseView& db) {
+  SETALG_CHECK(plan.root != nullptr);
+  RunResult result;
+  result.stats = NewPlanStats(plan, kDefaultBatchSize, 1);
+  result.relation = MaterializingExecutor(&db, &plan, &result.stats).Run(plan.root);
+  return result;
 }
 
 ra::EvalStats ToEvalStats(const PlanStats& stats) {

@@ -5,13 +5,17 @@
 //   auto result = engine.Run(expr, db);          // util::Result<RunResult>
 //   if (result.ok()) use(result->relation, result->stats);
 //
-// Engine::Run subsumes the legacy ra::Eval / ra::MaxIntermediateSize
-// tree-walker: those are now thin wrappers over the engine's reference
-// lowering (EngineOptions::Reference()), which reproduces the legacy
-// semantics and per-node statistics exactly. The default options enable
-// the planner rewrites — most notably routing the classic division
-// pattern to a sub-quadratic operator — so the same logical expression
-// runs with O(n) instead of Ω(n²) intermediates (Prop. 26 vs. Section 5).
+// Every Engine run executes through one pipelined executor over the batch
+// surface (engine/batch.h). The default options enable the planner
+// rewrites — most notably routing the classic division pattern to a
+// sub-quadratic operator — so the same logical expression runs with O(n)
+// instead of Ω(n²) intermediates (Prop. 26 vs. Section 5).
+//
+// RunMaterialized, outside the Engine, is the semantics reference: every
+// operator's output materialized, normalized and counted. The legacy
+// ra::Eval / ra::MaxIntermediateSize are thin wrappers over it on the
+// reference lowering (EngineOptions::Reference()), and the differential
+// harnesses use it as their oracle.
 #ifndef SETALG_ENGINE_ENGINE_H_
 #define SETALG_ENGINE_ENGINE_H_
 
@@ -102,8 +106,11 @@ class PreparedQuery {
 /// the process-wide EngineOptions::shared_plan_cache / result_cache
 /// instead, which are striped/locked and shareable across engines and
 /// threads. Prepared handles remain session-scoped (single-threaded).
-/// The worker-pool parallelism of EngineOptions::threads lives *inside*
-/// a run and is unaffected by any of this.
+/// Each run builds its own executor state (and, for
+/// EngineOptions::threads > 1, its own worker pool), so the parallelism
+/// *inside* a run is unaffected by any of this. The one state a run
+/// leaves behind is per thread: the buffer its result rows were staged
+/// in (at most 4 MB is kept).
 class Engine {
  public:
   /// An engine with the default (rewrite-enabled) options.
@@ -184,17 +191,18 @@ class Engine {
   util::Result<RunResult> Run(const PhysicalPlan& plan,
                               const core::DatabaseView& db) const;
 
-  /// One-shot convenience. Computes statistics only when
-  /// `options.cost_based` needs them (a throwaway engine cannot amortize
-  /// the pass); use a persistent Engine for cached stats and
-  /// estimated-vs-actual annotations on every run.
+  /// One-shot convenience: plans and executes with a throwaway engine.
+  /// Computes statistics only when `options.cost_based` needs them (a
+  /// throwaway engine cannot amortize the pass); use a persistent Engine
+  /// for cached stats and estimated-vs-actual annotations on every run.
   static util::Result<RunResult> Run(const ra::ExprPtr& expr, const core::DatabaseView& db,
                                      const EngineOptions& options);
 
  private:
   /// The single execution tail every Run overload lands on: builds the
-  /// worker pool, picks the executor, copies plan-level annotations
-  /// (rewrites, choices, AGM bound) into the run's PlanStats.
+  /// worker pool, runs the pipelined executor, copies plan-level
+  /// annotations (rewrites, choices, AGM bound) into the run's PlanStats
+  /// and feeds the calibration store.
   util::Result<RunResult> RunImpl(const PhysicalPlan& plan,
                                   const core::DatabaseView& db) const;
 
@@ -224,6 +232,16 @@ class Engine {
   mutable std::uint64_t db_stats_id_ = 0;
   mutable std::unique_ptr<PlanCache> plan_cache_;
 };
+
+/// Executes `plan` the reference way: serial, at kDefaultBatchSize,
+/// post-order over the DAG (shared operators run once), with every
+/// operator's output materialized and normalized. PlanStats records one
+/// OpStats entry per operator, the max/total intermediate (c(E') of
+/// Definition 16) and the join rows; there is no budget, calibration,
+/// worker pool or cache. Results and per-operator row counts equal every
+/// Engine run of the same plan — tests/batch_exec_test.cc holds the two
+/// to that. Only ra::Eval and the differential harnesses call it.
+RunResult RunMaterialized(const PhysicalPlan& plan, const core::DatabaseView& db);
 
 /// Projects PlanStats onto the legacy ra::EvalStats view: operators that
 /// carry a logical source become NodeStats entries. For a reference-mode

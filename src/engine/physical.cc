@@ -355,10 +355,14 @@ class DifferenceOp final : public PhysicalOp {
 class ProjectIterator final : public StreamingUnaryIterator {
  public:
   ProjectIterator(std::unique_ptr<BatchIterator> input, std::size_t in_arity,
-                  const std::vector<std::size_t>* columns, std::size_t batch_size)
+                  const std::vector<std::size_t>* columns, bool distinct,
+                  std::size_t batch_size)
       : StreamingUnaryIterator(std::move(input), in_arity, batch_size),
         columns_(columns),
+        distinct_(distinct),
         row_(columns->size()) {}
+
+  bool distinct() const override { return distinct_; }
 
  protected:
   void Emit(TupleView t, Batch* out) override {
@@ -370,8 +374,8 @@ class ProjectIterator final : public StreamingUnaryIterator {
 
  private:
   const std::vector<std::size_t>* columns_;
+  bool distinct_;
   core::Tuple row_;
-  // distinct() stays false: dropping columns merges rows.
 };
 
 class ProjectOp final : public PhysicalOp {
@@ -379,7 +383,11 @@ class ProjectOp final : public PhysicalOp {
   ProjectOp(PhysicalOpPtr input, std::vector<std::size_t> columns,
             const ra::Expr* source)
       : PhysicalOp(columns.size(), {std::move(input)}, source),
-        columns_(std::move(columns)) {}
+        columns_(std::move(columns)) {
+    std::vector<bool> kept(child(0)->arity(), false);
+    for (std::size_t c : columns_) kept[c - 1] = true;
+    injective_ = std::find(kept.begin(), kept.end(), false) == kept.end();
+  }
 
   std::string label() const override {
     return "project[" + ColumnsToString(columns_) + "]";
@@ -388,8 +396,11 @@ class ProjectOp final : public PhysicalOp {
   std::unique_ptr<BatchIterator> MakeBatchIterator(
       ExecContext& ctx,
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
+    // A projection keeping every input column maps distinct rows to
+    // distinct rows; one that drops a column may merge them.
+    const bool distinct = injective_ && inputs[0]->distinct();
     return std::make_unique<ProjectIterator>(std::move(inputs[0]), child(0)->arity(),
-                                             &columns_, ctx.batch_size());
+                                             &columns_, distinct, ctx.batch_size());
   }
 
   PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
@@ -401,6 +412,7 @@ class ProjectOp final : public PhysicalOp {
 
  private:
   std::vector<std::size_t> columns_;
+  bool injective_ = false;  // Every input column is kept.
 };
 
 class SelectIterator final : public StreamingUnaryIterator {
@@ -904,9 +916,10 @@ class DivisionIterator final : public BatchIterator {
     switch (algorithm_) {
       case setjoin::DivisionAlgorithm::kHashDivision:
       case setjoin::DivisionAlgorithm::kAggregate: {
-        // An already-materialized dividend (the materializing Execute
-        // path) goes straight to the kernel; a live pipeline edge is
-        // probed batch-at-a-time with O(#groups) state.
+        // An already-materialized dividend (a re-streamed shared subplan,
+        // or the materializing reference) goes straight to the kernel; a
+        // live pipeline edge is probed batch-at-a-time with O(#groups)
+        // state.
         if (auto* direct = dynamic_cast<RelationBatchIterator*>(inputs_[0].get())) {
           result_ = equality_
                         ? setjoin::DivideEqual(direct->relation(), divisor.get(),

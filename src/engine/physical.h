@@ -2,15 +2,16 @@
 // evaluated once) of operators, each implemented once against the batched
 // Open/NextBatch/Close surface (engine/batch.h).
 //
-// Every operator's kernel is batch-at-a-time. The materializing
-// Execute() — the semantics reference every complexity statement in the
-// paper is phrased against (the cardinality of materialized intermediates,
-// Definition 16) — is a thin loop over that surface: it wraps the
-// children's materialized outputs in relation streamers and drains the
-// operator's own iterator. EngineOptions::batched instead composes the
+// Every operator's kernel is batch-at-a-time. Engine runs compose the
 // iterators across operators into a pipeline (engine.cc), so streaming
-// operators never materialize at all while PlanStats still records the
-// same per-operator (distinct) output cardinalities.
+// operators never materialize at all while PlanStats still records each
+// operator's (distinct) output cardinality. The materializing Execute() is
+// a thin loop over the same surface: it wraps the children's materialized
+// outputs in relation streamers and drains the operator's own iterator.
+// engine::RunMaterialized drives it. That run is the semantics reference
+// every complexity statement in the paper is phrased against (the
+// cardinality of materialized intermediates, Definition 16); ra::Eval and
+// the differential harnesses use it, Engine never does.
 //
 // Concrete operators cover the relational algebra one-to-one (scan, union,
 // difference, projection, selection, const-tag, join, semijoin) plus the
@@ -110,13 +111,13 @@ struct PlanStats {
   /// Cost-based algorithm selections made while planning (empty unless
   /// EngineOptions::cost_based was set and statistics were available).
   std::vector<AlgorithmChoice> choices;
-  /// The batch size the run used on the batch surface (both execution
-  /// modes loop it; see engine/batch.h).
+  /// The batch size the run used on the batch surface (see
+  /// engine/batch.h).
   std::size_t batch_size = 0;
   /// Operator-output batches that crossed the batch surface.
   std::uint64_t batches_emitted = 0;
   /// Largest single operator-output batch footprint observed, in bytes —
-  /// the per-edge buffering cost of the pipelined mode.
+  /// the per-edge buffering cost of the pipeline.
   std::size_t peak_batch_bytes = 0;
   /// Worker threads available to the run (EngineOptions::threads; 1 for a
   /// serial run). Partitioned operators never change results or the row
@@ -220,8 +221,8 @@ class PhysicalOp {
   /// The operator's batch-at-a-time kernel: returns an iterator producing
   /// this operator's output from the children's streams (`inputs`, in
   /// child order, consumed at most once each). Input streams are always
-  /// duplicate-free (relation streamers in materializing mode, deduped
-  /// pipeline edges in batched mode); the output stream may carry
+  /// duplicate-free (relation streamers under the materializing reference,
+  /// deduped pipeline edges in an Engine run); the output stream may carry
   /// duplicates unless its distinct() says otherwise. `ctx` must outlive
   /// the iterator.
   virtual std::unique_ptr<BatchIterator> MakeBatchIterator(
@@ -229,8 +230,8 @@ class PhysicalOp {
 
   /// Materializes this operator's output — a thin loop over
   /// MakeBatchIterator with the children's materialized outputs as input
-  /// streams. The result need not be normalized — the executor normalizes
-  /// before recording stats.
+  /// streams. The result need not be normalized — RunMaterialized
+  /// normalizes before recording stats.
   core::Relation Execute(ExecContext& ctx,
                          const std::vector<const core::Relation*>& inputs) const;
 

@@ -612,19 +612,6 @@ EngineOptions EngineOptions::CostBased() {
   return options;
 }
 
-EngineOptions EngineOptions::Batched(std::size_t batch_size) {
-  EngineOptions options;
-  options.batched = true;
-  options.batch_size = batch_size;
-  return options;
-}
-
-EngineOptions EngineOptions::Parallel(std::size_t threads, std::size_t batch_size) {
-  EngineOptions options = Batched(batch_size);
-  options.threads = threads;
-  return options;
-}
-
 EngineOptions EngineOptions::WithCalibration(
     std::shared_ptr<CalibrationStore> store) const {
   EngineOptions o = *this;
@@ -644,7 +631,6 @@ std::uint64_t OptionsFingerprint(const EngineOptions& options) {
   mix(static_cast<std::uint64_t>(options.set_equality_algorithm));
   mix(options.cost_based);
   mix(options.multiway);
-  mix(options.batched);
   mix(options.batch_size);
   mix(options.threads);
   mix(options.collect_node_stats);

@@ -72,16 +72,11 @@ struct EngineOptions {
   /// choice is recorded in PhysicalPlan::choices / PlanStats::choices.
   bool cost_based = false;
 
-  /// Execute plans through the pipelined batch surface (engine/batch.h):
-  /// streaming operators pass fixed-size tuple batches to their consumers
-  /// instead of materializing at every operator boundary. Results and
-  /// PlanStats row counts are identical to the materializing mode (the
-  /// differential harness in tests/batch_exec_test.cc enforces this); this
-  /// is an execution mode, not a plan choice — the planner and cost model
-  /// are unaffected.
-  bool batched = false;
-
-  /// Tuples per batch on the batch surface (both execution modes loop it).
+  /// Tuples per batch on the pipelined batch surface (engine/batch.h;
+  /// raq --batch-size). An execution knob, not a semantics change:
+  /// results and PlanStats row counts are identical at every size
+  /// (tests/batch_exec_test.cc enforces it at {1, 2, 7, 1024}); only
+  /// PlanStats::batch_size/batches_emitted/peak_batch_bytes differ.
   /// Values < 1 are treated as 1.
   std::size_t batch_size = kDefaultBatchSize;
 
@@ -89,7 +84,7 @@ struct EngineOptions {
   /// set-join / semijoin operators (engine/parallel.h; raq --threads).
   /// 1 (the default) runs everything serial; N > 1 gives each run a fixed
   /// N-wide worker pool and partitions eligible operators N ways by group
-  /// key. Like `batched`, this is an execution knob, not a semantics
+  /// key. Like `batch_size`, this is an execution knob, not a semantics
   /// change: results and per-operator PlanStats row counts are identical
   /// to the serial run (tests/batch_exec_test.cc enforces it at threads
   /// {1, 2, 7}); only PlanStats::threads_used/partitions differ. Under
@@ -105,7 +100,7 @@ struct EngineOptions {
   /// plans, keyed on the expression's structure (ra::ExprHash) and the
   /// database's id; a version-vector mismatch re-costs the cached plan
   /// from fresh statistics instead of re-lowering it (PlanStats::cache
-  /// reports hit/miss/revalidated/repicked). Like `batched`/`threads`
+  /// reports hit/miss/revalidated/repicked). Like `batch_size`/`threads`
   /// this is an execution-path knob, never a semantics change: cached
   /// results and per-operator PlanStats row counts are bit-identical to
   /// an uncached run (tests/plan_cache_test.cc enforces it).
@@ -147,9 +142,9 @@ struct EngineOptions {
   /// sizes are tracked regardless).
   bool collect_node_stats = true;
 
-  /// When non-zero, a run fails (Result error) as soon as any operator
-  /// materializes more than this many tuples — a guardrail for serving
-  /// workloads that must not buffer quadratic intermediates.
+  /// When non-zero, a run fails (Result error) as soon as any operator's
+  /// output grows past this many distinct tuples — a guardrail for
+  /// serving workloads that must not buffer quadratic intermediates.
   std::size_t max_intermediate_budget = 0;
 
   /// The 1:1 lowering with every rewrite and fast kernel disabled —
@@ -160,14 +155,6 @@ struct EngineOptions {
   /// selection: the planner consults the cost model per call site instead
   /// of the fixed algorithm defaults.
   static EngineOptions CostBased();
-
-  /// The rewrite-enabled options with pipelined batch execution.
-  static EngineOptions Batched(std::size_t batch_size = kDefaultBatchSize);
-
-  /// The rewrite-enabled options with pipelined batch execution and an
-  /// N-wide worker pool for partitioned operators.
-  static EngineOptions Parallel(std::size_t threads,
-                                std::size_t batch_size = kDefaultBatchSize);
 
   // -- Fluent composition ----------------------------------------------------
   // The presets above return a fresh value; these mutators layer knobs on
@@ -181,11 +168,8 @@ struct EngineOptions {
     return o;
   }
 
-  /// Also turns on batched execution: a batch size only matters on the
-  /// pipelined surface.
   EngineOptions WithBatchSize(std::size_t n) const {
     EngineOptions o = *this;
-    o.batched = true;
     o.batch_size = n < 1 ? 1 : n;
     return o;
   }
@@ -219,7 +203,8 @@ struct EngineOptions {
 
 /// Deterministic hash of every EngineOptions field that can change what a
 /// lowered plan looks like or what a run produces (rewrites, algorithm
-/// defaults, cost_based, execution mode, budgets, stats collection).
+/// defaults, cost_based, batch size and threads, budgets, stats
+/// collection).
 /// Cache-wiring fields (plan_cache_*, shared_plan_cache, result_cache)
 /// are excluded: they select *where* plans/results are stored, never what
 /// they are. The process-wide caches mix this into their keys so engines

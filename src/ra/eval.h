@@ -6,12 +6,13 @@
 // (each distinct subexpression once), which is what the dichotomy
 // experiments measure.
 //
-// Eval is the semantic REFERENCE: it delegates to engine::Engine under
+// Eval is the semantic REFERENCE: it lowers under
 // EngineOptions::Reference(), a 1:1 lowering with every planner rewrite
-// disabled, so each logical node is materialized as written. Use
-// engine::Engine (engine/engine.h) directly for the pattern-aware planner
-// that routes e.g. the classic division expression to a sub-quadratic
-// physical operator.
+// disabled, and runs the plan through engine::RunMaterialized, so each
+// logical node is materialized as written. Use engine::Engine
+// (engine/engine.h) for the pattern-aware planner that routes e.g. the
+// classic division expression to a sub-quadratic physical operator, and
+// for pipelined execution.
 #ifndef SETALG_RA_EVAL_H_
 #define SETALG_RA_EVAL_H_
 

@@ -1,12 +1,12 @@
-// Differential/property harness for batched AND parallel execution:
-// every plan must produce identical (sorted, set-semantics) results and
-// identical per-operator PlanStats row counts whether it runs through the
-// materializing executor, the pipelined batch surface, or the partitioned
-// parallel executor — at every batch size (including the degenerate size
-// 1 and the off-power-of-two 7 that exercise batch-boundary carry-over)
-// and at every thread count in {1, 2, 7} (1 exercises the partitioned
-// code inline, 2 a minimal pool, 7 an off-power-of-two fan-out wider than
-// many of the workloads' group counts, so empty partitions occur).
+// Differential/property harness for the engine's pipelined executor,
+// serial and parallel: every plan must produce the results (sorted,
+// set-semantics) and per-operator PlanStats row counts of the
+// materializing reference (engine::RunMaterialized) — at every batch size
+// (including the degenerate size 1 and the off-power-of-two 7 that
+// exercise batch-boundary carry-over) and at every thread count in
+// {1, 2, 7} (1 exercises the partitioned code inline, 2 a minimal pool,
+// 7 an off-power-of-two fan-out wider than many of the workloads' group
+// counts, so empty partitions occur).
 //
 // The suite reads SETALG_BATCH_SEED (default 1) as the base of its seed
 // range; CI runs it under ASan/UBSan and under ThreadSanitizer with a
@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "setjoin/grouped.h"
 #include "setjoin/setjoin.h"
 #include "test_util.h"
+#include "util/rng.h"
 #include "workload/generators.h"
 
 namespace setalg::engine {
@@ -47,7 +50,7 @@ std::uint64_t BaseSeed() {
   return (end == env || value == 0) ? 1 : static_cast<std::uint64_t>(value);
 }
 
-// Asserts that the pipelined run reproduced the materializing run's
+// Asserts that the pipelined run reproduced the materializing reference's
 // per-operator instrumentation exactly: same operators in the same
 // post-order, same (distinct) output cardinalities, same aggregates.
 void ExpectSameStats(const PlanStats& expected, const PlanStats& actual,
@@ -97,58 +100,40 @@ void ExpectCachedRunsMatch(const EngineOptions& options, const ra::ExprPtr& expr
 }
 
 // Lowers `expr` once under `base` options and executes the same plan
-// through the materializing executor (serial — the semantics reference)
-// and through the pipelined executor at every (threads × batch size)
-// point of the differential matrix, asserting results and PlanStats row
-// counts identical to the serial reference at every point. The parallel
-// materializing combination is exercised too (threads > 1, batched off):
-// partitioned operators plug into both executors. At one batch size per
-// thread count the workload additionally runs through a shared Engine
-// with the plan cache enabled (see ExpectCachedRunsMatch).
+// through the materializing reference and through the engine at every
+// (threads × batch size) point of the differential matrix, asserting
+// results and PlanStats row counts identical to the reference at every
+// point. At one batch size per thread count the workload additionally
+// runs through a shared Engine with the plan cache enabled (see
+// ExpectCachedRunsMatch).
 void ExpectBatchedMatches(const EngineOptions& base, const ra::ExprPtr& expr,
                           const core::Database& db, const std::string& context) {
-  const Engine reference(base);
-  auto plan = base.cost_based ? reference.Plan(expr, db)
-                              : reference.Plan(expr, db.schema());
+  const Engine planner(base);
+  auto plan = base.cost_based ? planner.Plan(expr, db) : planner.Plan(expr, db.schema());
   ASSERT_TRUE(plan.ok()) << context << ": " << plan.error();
-  auto expected = reference.Run(*plan, db);
-  ASSERT_TRUE(expected.ok()) << context << ": " << expected.error();
+  const RunResult expected = RunMaterialized(*plan, db);
 
   for (std::size_t threads : kThreadCounts) {
     for (std::size_t batch_size : kBatchSizes) {
-      EngineOptions options = base;
-      options.batched = true;
-      options.batch_size = batch_size;
-      options.threads = threads;
+      const EngineOptions options = base.WithThreads(threads).WithBatchSize(batch_size);
       const Engine batched(options);
       auto run = batched.Run(*plan, db);
       const std::string what = context + " batch_size=" +
                                std::to_string(batch_size) +
                                " threads=" + std::to_string(threads);
       ASSERT_TRUE(run.ok()) << what << ": " << run.error();
-      EXPECT_EQ(run->relation, expected->relation) << what;
-      ExpectSameStats(expected->stats, run->stats, what);
+      EXPECT_EQ(run->relation, expected.relation) << what;
+      ExpectSameStats(expected.stats, run->stats, what);
       EXPECT_EQ(run->stats.batch_size, batch_size);
       EXPECT_EQ(run->stats.threads_used, threads) << what;
-      if (!expected->relation.empty()) {
+      if (!expected.relation.empty()) {
         EXPECT_GT(run->stats.batches_emitted, 0u) << what;
         EXPECT_GT(run->stats.peak_batch_bytes, 0u) << what;
       }
       if (batch_size == 7) {
-        ExpectCachedRunsMatch(options, expr, db, expected->relation,
-                              expected->stats, what + " plan-cache");
+        ExpectCachedRunsMatch(options, expr, db, expected.relation, expected.stats,
+                              what + " plan-cache");
       }
-    }
-    if (threads > 1) {
-      // Materializing executor with a worker pool (no batching).
-      EngineOptions options = base;
-      options.threads = threads;
-      auto run = Engine(options).Run(*plan, db);
-      const std::string what =
-          context + " materializing threads=" + std::to_string(threads);
-      ASSERT_TRUE(run.ok()) << what << ": " << run.error();
-      EXPECT_EQ(run->relation, expected->relation) << what;
-      ExpectSameStats(expected->stats, run->stats, what);
     }
   }
 }
@@ -291,8 +276,8 @@ TEST(BatchExec, DifferentialOnGeneratorFamilies) {
 }
 
 // ---------------------------------------------------------------------------
-// Multiway join chains: the worst-case-optimal operator through every
-// executor, differentially against the binary plan.
+// Multiway join chains: the worst-case-optimal operator through the
+// differential matrix, and against the binary plan.
 // ---------------------------------------------------------------------------
 
 // The triangle chain R(a,b) ⋈ S(b,c) ⋈ T(c,a), written the binary way.
@@ -382,19 +367,18 @@ TEST(BatchExec, DifferentialOnMultiwayJoinChains) {
 
 void ExpectPlanBatchedMatches(const PhysicalPlan& plan, const core::Database& db,
                               const Relation& expected, const std::string& context) {
-  const Engine materializing;
-  auto reference = materializing.Run(plan, db);
-  ASSERT_TRUE(reference.ok()) << context << ": " << reference.error();
-  EXPECT_EQ(reference->relation, expected) << context;
+  const RunResult reference = RunMaterialized(plan, db);
+  EXPECT_EQ(reference.relation, expected) << context;
   for (std::size_t threads : kThreadCounts) {
     for (std::size_t batch_size : kBatchSizes) {
-      const Engine batched(EngineOptions::Parallel(threads, batch_size));
+      const Engine batched(
+          EngineOptions{}.WithThreads(threads).WithBatchSize(batch_size));
       auto run = batched.Run(plan, db);
       const std::string what = context + " batch_size=" + std::to_string(batch_size) +
                                " threads=" + std::to_string(threads);
       ASSERT_TRUE(run.ok()) << what << ": " << run.error();
       EXPECT_EQ(run->relation, expected) << what;
-      ExpectSameStats(reference->stats, run->stats, what);
+      ExpectSameStats(reference.stats, run->stats, what);
     }
   }
 }
@@ -475,6 +459,87 @@ TEST(BatchExec, AsGroupedConsumersAgreeWithNestedLoopReference) {
 }
 
 // ---------------------------------------------------------------------------
+// Stream-level properties of the batch surface.
+// ---------------------------------------------------------------------------
+
+// The operator's own stream over its children's own streams, with no
+// pipeline edges (no dedup, no accounting) in between. `op` must outlive
+// the stream.
+std::unique_ptr<BatchIterator> RawStream(const PhysicalOpPtr& op, ExecContext& ctx) {
+  std::vector<std::unique_ptr<BatchIterator>> inputs;
+  for (const auto& child : op->children()) inputs.push_back(RawStream(child, ctx));
+  return op->MakeBatchIterator(ctx, std::move(inputs));
+}
+
+// A projection keeping every input column is injective, so over a
+// distinct input its stream is distinct and the pipeline edge above it
+// needs no dedup set. One that drops a column may merge rows.
+TEST(BatchExec, CoveringProjectionStreamIsDistinct) {
+  core::Schema schema;
+  schema.AddRelation("R", 2);
+  core::Database db(schema);
+  db.SetRelation("R", MakeRel(2, {{1, 2}, {1, 3}, {2, 2}}));
+  ExecContext ctx(&db, nullptr);
+  const PhysicalOpPtr scan = MakeScan("R", 2);
+
+  EXPECT_TRUE(RawStream(MakeProject(scan, {1, 2, 2, 1}), ctx)->distinct());
+  EXPECT_TRUE(RawStream(MakeProject(scan, {2, 1}), ctx)->distinct());
+  EXPECT_FALSE(RawStream(MakeProject(scan, {1}), ctx)->distinct());
+  EXPECT_FALSE(RawStream(MakeProject(scan, {2, 2}), ctx)->distinct());
+  // A union stream may repeat rows, and so may any projection of it.
+  EXPECT_FALSE(RawStream(MakeProject(MakeUnion(scan, scan), {1, 2}), ctx)->distinct());
+
+  const PhysicalOpPtr covering_op = MakeProject(scan, {1, 2, 2, 1});
+  auto covering = RawStream(covering_op, ctx);
+  EXPECT_EQ(DrainToRelation(covering.get(), 4, 2),
+            MakeRel(4, {{1, 2, 2, 1}, {1, 3, 3, 1}, {2, 2, 2, 2}}));
+}
+
+// RowSet against std::set, per arity 0-4: enough inserts to cross several
+// table growths, a value domain narrow enough for heavy duplicates, and
+// Contains probes on the empty set, after every insert batch and for rows
+// outside the domain.
+TEST(BatchExec, RowSetMatchesStdSetOracle) {
+  util::Rng rng(BaseSeed());
+  // About 2000 distinct rows per arity (7^4 = 2401), 6000 inserts.
+  constexpr std::uint64_t kDomain[] = {1, 2000, 45, 13, 7};
+  for (std::size_t arity = 0; arity <= 4; ++arity) {
+    const std::string context = "arity " + std::to_string(arity);
+    RowSet set(arity);
+    std::set<core::Tuple> oracle;
+    core::Tuple row(arity);
+    const auto random_row = [&] {
+      for (auto& value : row) {
+        value = static_cast<core::Value>(rng.NextBounded(kDomain[arity]));
+      }
+    };
+    random_row();
+    EXPECT_FALSE(set.Contains(row)) << context;
+    for (int i = 0; i < 6000; ++i) {
+      random_row();
+      ASSERT_EQ(set.Insert(row), oracle.insert(row).second) << context << " insert " << i;
+      ASSERT_EQ(set.size(), oracle.size()) << context;
+      if (i % 50 == 0) {
+        random_row();
+        EXPECT_EQ(set.Contains(row), oracle.count(row) == 1) << context << " probe " << i;
+      }
+    }
+    if (arity > 0) {
+      EXPECT_GT(set.size(), 1000u) << context;
+    }
+    for (const core::Tuple& stored : oracle) {
+      EXPECT_TRUE(set.Contains(stored)) << context;
+      EXPECT_FALSE(set.Insert(stored)) << context;
+    }
+    if (arity > 0) {
+      row.assign(arity, static_cast<core::Value>(kDomain[arity]));
+      EXPECT_FALSE(set.Contains(row)) << context;
+    }
+    EXPECT_EQ(set.size(), oracle.size()) << context;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // DAG sharing, budget enforcement, and batch accounting.
 // ---------------------------------------------------------------------------
 
@@ -490,15 +555,13 @@ TEST(BatchExec, SharedSubplansMaterializeOnceAndKeepStatsParity) {
   PhysicalPlan plan;
   plan.root = MakeUnion(MakeProject(scan, {1}), MakeProject(scan, {2}));
 
-  const Engine materializing;
-  auto expected = materializing.Run(plan, db);
-  ASSERT_TRUE(expected.ok()) << expected.error();
+  const RunResult expected = RunMaterialized(plan, db);
   for (std::size_t batch_size : kBatchSizes) {
-    const Engine batched(EngineOptions::Batched(batch_size));
+    const Engine batched(EngineOptions{}.WithBatchSize(batch_size));
     auto run = batched.Run(plan, db);
     ASSERT_TRUE(run.ok()) << run.error();
-    EXPECT_EQ(run->relation, expected->relation);
-    ExpectSameStats(expected->stats, run->stats,
+    EXPECT_EQ(run->relation, expected.relation);
+    ExpectSameStats(expected.stats, run->stats,
                     "shared batch_size=" + std::to_string(batch_size));
   }
 }
@@ -506,7 +569,7 @@ TEST(BatchExec, SharedSubplansMaterializeOnceAndKeepStatsParity) {
 TEST(BatchExec, BudgetAbortsOversizedBatchedRuns) {
   const auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}, {3, 10}}), MakeRel(1, {{10}, {30}}));
-  EngineOptions options = EngineOptions::Batched(2);
+  EngineOptions options = EngineOptions{}.WithBatchSize(2);
   options.recognize_division = false;
   options.recognize_semijoin_projection = false;
   options.use_fast_semijoin = false;
@@ -537,7 +600,7 @@ TEST(BatchExec, ParallelMergeIsDeterministicAcrossRepeatedRuns) {
   const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
-  const Engine engine(EngineOptions::Parallel(7, /*batch_size=*/7));
+  const Engine engine(EngineOptions{}.WithThreads(7).WithBatchSize(7));
   auto plan = engine.Plan(expr, db.schema());
   ASSERT_TRUE(plan.ok()) << plan.error();
 
@@ -572,7 +635,7 @@ TEST(BatchExec, BatchAccountingBoundsThePipelineFootprint) {
   const auto expr = ra::Join(ra::Rel("R", 2), ra::Rel("S", 1),
                              {{2, ra::Cmp::kEq, 1}});
   for (std::size_t batch_size : kBatchSizes) {
-    const Engine batched(EngineOptions::Batched(batch_size));
+    const Engine batched(EngineOptions{}.WithBatchSize(batch_size));
     auto run = batched.Run(expr, db);
     ASSERT_TRUE(run.ok()) << run.error();
     // Widest stream in this plan is the join output (arity 3): no batch

@@ -370,7 +370,7 @@ TEST(Engine, ParallelDivisionMatchesSerialAndRecordsFanOut) {
 
 TEST(Engine, BudgetStillEnforcedOnParallelRuns) {
   const auto db = SmallDb();
-  EngineOptions options = EngineOptions::Parallel(4, /*batch_size=*/2);
+  EngineOptions options = EngineOptions{}.WithThreads(4).WithBatchSize(2);
   options.recognize_division = false;
   options.recognize_semijoin_projection = false;
   options.use_fast_semijoin = false;

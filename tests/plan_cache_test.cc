@@ -11,8 +11,9 @@
 // options. The harness interleaves randomized database mutations
 // (in-place inserts, deletes, bulk loads) with repeated prepared and
 // transparently-cached executions and checks that identity after every
-// mutation, across Reference/planned/CostBased × materializing/batched ×
-// threads {1, 2, 7}.
+// mutation, across Reference/planned/CostBased × threads {1, 2, 7}, and
+// checks the fresh run itself against the materializing reference
+// (engine::RunMaterialized) of the same plan.
 //
 // Like tests/batch_exec_test.cc, the suite reads SETALG_BATCH_SEED
 // (default 1) as the base of its seed range; CI runs it under ASan/UBSan
@@ -80,6 +81,21 @@ void ExpectIdenticalStats(const PlanStats& expected, const PlanStats& actual,
         << context << " op " << i;
     EXPECT_DOUBLE_EQ(got.estimated_cost, want.estimated_cost)
         << context << " op " << i;
+  }
+}
+
+// The per-operator row counts a pipelined run shares with the
+// materializing reference of the same plan (its batch accounting differs).
+void ExpectSameRowCounts(const PlanStats& expected, const PlanStats& actual,
+                         const std::string& context) {
+  EXPECT_EQ(actual.max_intermediate, expected.max_intermediate) << context;
+  EXPECT_EQ(actual.total_intermediate, expected.total_intermediate) << context;
+  EXPECT_EQ(actual.join_rows_emitted, expected.join_rows_emitted) << context;
+  ASSERT_EQ(actual.ops.size(), expected.ops.size()) << context;
+  for (std::size_t i = 0; i < expected.ops.size(); ++i) {
+    EXPECT_EQ(actual.ops[i].label, expected.ops[i].label) << context << " op " << i;
+    EXPECT_EQ(actual.ops[i].output_size, expected.ops[i].output_size)
+        << context << " op " << i << " (" << expected.ops[i].label << ")";
   }
 }
 
@@ -163,71 +179,73 @@ TEST(PlanCache, CacheDifferentialUnderRandomizedMutations) {
     };
     for (const Mode& mode : AllModes()) {
       for (std::size_t threads : kThreadCounts) {
-        for (bool batched : {false, true}) {
-          EngineOptions options = mode.options;
-          options.batched = batched;
-          options.batch_size = 7;
-          options.threads = threads;
-          EngineOptions cached_options = options;
-          cached_options.plan_cache_entries = 8;
-          const Engine cached(cached_options);
-          const Engine fresh(options);  // Replans on every Run.
-          const std::string what = mode.name + (batched ? " batched" : "") +
-                                   " threads=" + std::to_string(threads) +
-                                   " seed=" + std::to_string(seed);
+        const EngineOptions options = mode.options.WithBatchSize(7).WithThreads(threads);
+        EngineOptions cached_options = options;
+        cached_options.plan_cache_entries = 8;
+        const Engine cached(cached_options);
+        const Engine fresh(options);  // Replans on every Run.
+        const std::string what = mode.name + " threads=" + std::to_string(threads) +
+                                 " seed=" + std::to_string(seed);
 
-          auto db = setalg::testing::RandomDatabase(schema, 40, 12, seed);
-          std::vector<PreparedQuery> prepared;
-          for (const auto& expr : exprs) {
-            auto handle = cached.Prepare(expr, db);
-            ASSERT_TRUE(handle.ok()) << what << ": " << handle.error();
-            prepared.push_back(std::move(*handle));
-          }
-
-          util::Rng rng(seed * 977 + threads * 31 + (batched ? 7 : 0));
-          for (int step = 0; step < 5; ++step) {
-            MutateDatabase(&db, &rng, seed, step);
-            for (std::size_t i = 0; i < exprs.size(); ++i) {
-              const std::string context =
-                  what + " step=" + std::to_string(step) + " expr=" +
-                  std::to_string(i);
-              auto want = fresh.Run(exprs[i], db);
-              ASSERT_TRUE(want.ok()) << context << ": " << want.error();
-              ASSERT_EQ(want->stats.cache, CacheOutcome::kUncached);
-
-              // First cached touch after the mutation: transparent path.
-              auto through_cache = cached.Run(exprs[i], db);
-              ASSERT_TRUE(through_cache.ok())
-                  << context << ": " << through_cache.error();
-              EXPECT_EQ(through_cache->relation.flat(), want->relation.flat())
-                  << context << " (transparent)";
-              ExpectIdenticalStats(want->stats, through_cache->stats,
-                                   context + " (transparent)");
-              // Something other than a fresh lowering served the run:
-              // either the mutation invalidated it (revalidated/repicked)
-              // or the versions happened to survive the step (hit).
-              EXPECT_NE(through_cache->stats.cache, CacheOutcome::kUncached)
-                  << context;
-              EXPECT_NE(through_cache->stats.cache, CacheOutcome::kMiss)
-                  << context;
-
-              // The prepared handle shares the entry: by now revalidated,
-              // so executing it must be a pure hit — and still identical.
-              auto via_handle = cached.Run(prepared[i], db);
-              ASSERT_TRUE(via_handle.ok()) << context << ": " << via_handle.error();
-              EXPECT_EQ(via_handle->relation.flat(), want->relation.flat())
-                  << context << " (prepared)";
-              ExpectIdenticalStats(want->stats, via_handle->stats,
-                                   context + " (prepared)");
-              EXPECT_EQ(via_handle->stats.cache, CacheOutcome::kHit) << context;
-            }
-          }
-          // Every run after the warm-up Prepares was served by the cache.
-          const PlanCache* cache = cached.plan_cache();
-          ASSERT_NE(cache, nullptr) << what;
-          EXPECT_EQ(cache->stats().misses, exprs.size()) << what;
-          EXPECT_GT(cache->stats().hits, 0u) << what;
+        auto db = setalg::testing::RandomDatabase(schema, 40, 12, seed);
+        std::vector<PreparedQuery> prepared;
+        for (const auto& expr : exprs) {
+          auto handle = cached.Prepare(expr, db);
+          ASSERT_TRUE(handle.ok()) << what << ": " << handle.error();
+          prepared.push_back(std::move(*handle));
         }
+
+        util::Rng rng(seed * 977 + threads * 31);
+        for (int step = 0; step < 5; ++step) {
+          MutateDatabase(&db, &rng, seed, step);
+          for (std::size_t i = 0; i < exprs.size(); ++i) {
+            const std::string context =
+                what + " step=" + std::to_string(step) + " expr=" +
+                std::to_string(i);
+            auto want = fresh.Run(exprs[i], db);
+            ASSERT_TRUE(want.ok()) << context << ": " << want.error();
+            ASSERT_EQ(want->stats.cache, CacheOutcome::kUncached);
+            // The fresh run agrees with the materializing reference.
+            auto plan = fresh.Plan(exprs[i], db);
+            ASSERT_TRUE(plan.ok()) << context << ": " << plan.error();
+            const RunResult reference = RunMaterialized(*plan, db);
+            EXPECT_EQ(reference.relation.flat(), want->relation.flat())
+                << context << " (reference)";
+            ExpectSameRowCounts(reference.stats, want->stats,
+                                context + " (reference)");
+
+            // First cached touch after the mutation: transparent path.
+            auto through_cache = cached.Run(exprs[i], db);
+            ASSERT_TRUE(through_cache.ok())
+                << context << ": " << through_cache.error();
+            EXPECT_EQ(through_cache->relation.flat(), want->relation.flat())
+                << context << " (transparent)";
+            ExpectIdenticalStats(want->stats, through_cache->stats,
+                                 context + " (transparent)");
+            // Something other than a fresh lowering served the run:
+            // either the mutation invalidated it (revalidated/repicked)
+            // or the versions happened to survive the step (hit).
+            EXPECT_NE(through_cache->stats.cache, CacheOutcome::kUncached)
+                << context;
+            EXPECT_NE(through_cache->stats.cache, CacheOutcome::kMiss)
+                << context;
+
+            // The prepared handle shares the entry: by now revalidated,
+            // so executing it must be a pure hit — and still identical.
+            auto via_handle = cached.Run(prepared[i], db);
+            ASSERT_TRUE(via_handle.ok()) << context << ": " << via_handle.error();
+            EXPECT_EQ(via_handle->relation.flat(), want->relation.flat())
+                << context << " (prepared)";
+            ExpectIdenticalStats(want->stats, via_handle->stats,
+                                 context + " (prepared)");
+            EXPECT_EQ(via_handle->stats.cache, CacheOutcome::kHit) << context;
+          }
+        }
+        // Every run after the warm-up Prepares was served by the cache.
+        const PlanCache* cache = cached.plan_cache();
+        ASSERT_NE(cache, nullptr) << what;
+        EXPECT_EQ(cache->stats().misses, exprs.size()) << what;
+        EXPECT_GT(cache->stats().hits, 0u) << what;
       }
     }
   }
@@ -645,56 +663,51 @@ TEST(ResultCacheTest, DifferentialUnderRandomizedMutations) {
         generator.Generate(1, 3),
     };
     for (const Mode& mode : AllModes()) {
-      for (bool batched : {false, true}) {
-        EngineOptions options = mode.options;
-        options.batched = batched;
-        options.batch_size = 7;
-        EngineOptions cached_options = options;
-        cached_options.plan_cache_entries = 0;  // The concurrent wiring.
-        cached_options.shared_plan_cache =
-            std::make_shared<SharedPlanCache>(16, 0);
-        const auto results = std::make_shared<ResultCache>(16, 1u << 20);
-        cached_options.result_cache = results;
-        const Engine cached(cached_options);
-        const Engine fresh(options);
-        const std::string what = mode.name + (batched ? " batched" : "") +
-                                 " seed=" + std::to_string(seed);
+      const EngineOptions options = mode.options.WithBatchSize(7);
+      EngineOptions cached_options = options;
+      cached_options.plan_cache_entries = 0;  // The concurrent wiring.
+      cached_options.shared_plan_cache =
+          std::make_shared<SharedPlanCache>(16, 0);
+      const auto results = std::make_shared<ResultCache>(16, 1u << 20);
+      cached_options.result_cache = results;
+      const Engine cached(cached_options);
+      const Engine fresh(options);
+      const std::string what = mode.name + " seed=" + std::to_string(seed);
 
-        auto db = setalg::testing::RandomDatabase(schema, 40, 12, seed);
-        util::Rng rng(seed * 1013 + (batched ? 7 : 0));
-        for (int step = 0; step < 5; ++step) {
-          MutateDatabase(&db, &rng, seed, step);
-          for (std::size_t i = 0; i < exprs.size(); ++i) {
-            const std::string context = what + " step=" + std::to_string(step) +
-                                        " expr=" + std::to_string(i);
-            auto want = fresh.Run(exprs[i], db);
-            ASSERT_TRUE(want.ok()) << context << ": " << want.error();
-            ASSERT_EQ(want->stats.cache, CacheOutcome::kUncached);
+      auto db = setalg::testing::RandomDatabase(schema, 40, 12, seed);
+      util::Rng rng(seed * 1013);
+      for (int step = 0; step < 5; ++step) {
+        MutateDatabase(&db, &rng, seed, step);
+        for (std::size_t i = 0; i < exprs.size(); ++i) {
+          const std::string context = what + " step=" + std::to_string(step) +
+                                      " expr=" + std::to_string(i);
+          auto want = fresh.Run(exprs[i], db);
+          ASSERT_TRUE(want.ok()) << context << ": " << want.error();
+          ASSERT_EQ(want->stats.cache, CacheOutcome::kUncached);
 
-            // First touch after the mutation: may be served any way —
-            // including a result hit, when the mutation happened to leave
-            // this expression's read set untouched — but never silently
-            // stale: identical to the fresh run or bust.
-            auto first = cached.Run(exprs[i], db);
-            ASSERT_TRUE(first.ok()) << context << ": " << first.error();
-            EXPECT_EQ(first->relation.flat(), want->relation.flat())
-                << context << " (first)";
-            ExpectIdenticalStats(want->stats, first->stats, context + " (first)");
+          // First touch after the mutation: may be served any way —
+          // including a result hit, when the mutation happened to leave
+          // this expression's read set untouched — but never silently
+          // stale: identical to the fresh run or bust.
+          auto first = cached.Run(exprs[i], db);
+          ASSERT_TRUE(first.ok()) << context << ": " << first.error();
+          EXPECT_EQ(first->relation.flat(), want->relation.flat())
+              << context << " (first)";
+          ExpectIdenticalStats(want->stats, first->stats, context + " (first)");
 
-            // Second touch with no intervening mutation: whole-result
-            // replay, still byte-identical.
-            auto second = cached.Run(exprs[i], db);
-            ASSERT_TRUE(second.ok()) << context << ": " << second.error();
-            EXPECT_EQ(second->stats.cache, CacheOutcome::kResultHit) << context;
-            EXPECT_EQ(second->relation.flat(), want->relation.flat())
-                << context << " (second)";
-            ExpectIdenticalStats(want->stats, second->stats,
-                                 context + " (second)");
-          }
+          // Second touch with no intervening mutation: whole-result
+          // replay, still byte-identical.
+          auto second = cached.Run(exprs[i], db);
+          ASSERT_TRUE(second.ok()) << context << ": " << second.error();
+          EXPECT_EQ(second->stats.cache, CacheOutcome::kResultHit) << context;
+          EXPECT_EQ(second->relation.flat(), want->relation.flat())
+              << context << " (second)";
+          ExpectIdenticalStats(want->stats, second->stats,
+                               context + " (second)");
         }
-        EXPECT_GT(results->stats().hits, 0u) << what;
-        EXPECT_GT(results->stats().insertions, 0u) << what;
       }
+      EXPECT_GT(results->stats().hits, 0u) << what;
+      EXPECT_GT(results->stats().insertions, 0u) << what;
     }
   }
 }
@@ -757,10 +770,11 @@ TEST(ResultCacheTest, HitNeverSurvivesVersionVectorChange) {
 
   // A second engine with different semantics shares the cache object but
   // not the entries: the options fingerprint partitions the key space.
-  EngineOptions batched_options = options;
-  batched_options.batched = true;
-  const Engine batched(batched_options);
-  auto cross = batched.Run(division, db);
+  EngineOptions budgeted_options = options;
+  budgeted_options.max_intermediate_budget = 1000;
+  ASSERT_NE(OptionsFingerprint(budgeted_options), OptionsFingerprint(options));
+  const Engine budgeted(budgeted_options);
+  auto cross = budgeted.Run(division, db);
   ASSERT_TRUE(cross.ok());
   EXPECT_NE(cross->stats.cache, CacheOutcome::kResultHit);
   auto plain = Engine().Run(division, db);

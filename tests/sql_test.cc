@@ -6,11 +6,13 @@
 // workload::MakeSqlWorkload (which re-implements the lowering rules of
 // sql/analyzer.h independently), and running both sides through the
 // engine must give bit-identical relations and matching PlanStats across
-// every execution surface: {reference, cost-based, batched, parallel} ×
-// plan-cache {off, on}. Because the trees are structurally equal, the
-// planner's rewrites fire identically on both — the harness additionally
-// pins that the division family routes through the division rewrite and
-// that the triangle chain routes through the multiway join.
+// every execution surface: {reference, cost-based, batch size 64,
+// 2 threads} × plan-cache {off, on}, and the reference mode's results and
+// row counts must match ra::Eval, the materializing reference. Because
+// the trees are structurally equal, the planner's rewrites fire
+// identically on both — the harness additionally pins that the division
+// family routes through the division rewrite and that the triangle chain
+// routes through the multiway join.
 //
 // The gfdiv family pairs SQL with gf::GfToSaEq output — semantically
 // equal but structurally different trees — so only results compare there.
@@ -32,6 +34,7 @@
 #include "core/database.h"
 #include "core/relation.h"
 #include "engine/engine.h"
+#include "ra/eval.h"
 #include "ra/expr.h"
 #include "sql/analyzer.h"
 #include "sql/lexer.h"
@@ -89,8 +92,8 @@ std::vector<ModeConfig> Modes() {
   return {
       {"reference", engine::EngineOptions::Reference()},
       {"cost", engine::EngineOptions::CostBased()},
-      {"batched", engine::EngineOptions::Batched()},
-      {"parallel2", engine::EngineOptions::Parallel(2)},
+      {"batched", engine::EngineOptions{}.WithBatchSize(64)},
+      {"parallel2", engine::EngineOptions{}.WithThreads(2)},
   };
 }
 
@@ -146,6 +149,16 @@ TEST(SqlDifferential, FuzzAgainstHandBuiltLowerings) {
             << context;
         if (pair.compare_stats) {
           ExpectSameStats(from_ra->stats, from_sql->stats, context);
+        }
+        if (mode == "reference" && cache_entries == 0) {
+          ra::EvalStats reference_stats;
+          const core::Relation reference = ra::Eval(pair.expr, db, &reference_stats);
+          EXPECT_EQ(reference.flat(), from_ra->relation.flat()) << context;
+          EXPECT_EQ(reference_stats.max_intermediate, from_ra->stats.max_intermediate)
+              << context;
+          EXPECT_EQ(reference_stats.total_intermediate,
+                    from_ra->stats.total_intermediate)
+              << context;
         }
         if (mode == "cost" && cache_entries == 0) {
           if (!from_sql->relation.empty()) ++nonempty_results;

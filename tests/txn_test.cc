@@ -394,11 +394,8 @@ struct StressMode {
 };
 
 std::vector<StressMode> StressModes() {
-  StressMode cost{"cost-based", engine::EngineOptions::CostBased()};
-  StressMode batched{"planned-batched", engine::EngineOptions{}};
-  batched.options.batched = true;
-  batched.options.batch_size = 64;
-  return {std::move(cost), std::move(batched)};
+  return {{"cost-based", engine::EngineOptions::CostBased()},
+          {"planned-batched", engine::EngineOptions{}.WithBatchSize(64)}};
 }
 
 void RunReaderWriterStress(const StressMode& mode, std::uint64_t seed) {
@@ -490,6 +487,11 @@ void RunReaderWriterStress(const StressMode& mode, std::uint64_t seed) {
       EXPECT_EQ(record.arity, want->relation.arity()) << context;
       EXPECT_EQ(record.flat, want->relation.flat()) << context;
       ExpectIdenticalStats(want->stats, record.stats, context);
+      // The replay itself agrees with the materializing reference.
+      auto plan = replay_engine.Plan(exprs[record.expr_idx], it->second);
+      ASSERT_TRUE(plan.ok()) << plan.error();
+      EXPECT_EQ(engine::RunMaterialized(*plan, it->second).relation.flat(), record.flat)
+          << context << " (reference)";
     }
   }
 }
@@ -580,9 +582,9 @@ TEST(ShardedTest, MergedStatsMatchDirectComputation) {
 }
 
 // The tentpole differential: every query family member over a sharded
-// snapshot — serial, 2 and 7 threads, plain and batched — must be
-// bit-identical to the serial run over the plain unsharded database, and
-// shard-aligned parallel runs must actually skip partition passes.
+// snapshot — serial, 2 and 7 threads — must be bit-identical to the
+// serial run over the plain unsharded database, and shard-aligned
+// parallel runs must actually skip partition passes.
 TEST(ShardedTest, ShardedRunsMatchUnshardedSerialAcrossThreads) {
   const std::uint64_t seed = BaseSeed();
   const core::Schema schema = DivisionSchema();
