@@ -312,8 +312,9 @@ CostEstimate CostModel::EstimateDivision(setjoin::DivisionAlgorithm algorithm,
       est.max_intermediate = n;
       break;
     case setjoin::DivisionAlgorithm::kSortMerge:
-      // Streams the normalized storage; the divisor pointer can re-advance
-      // up to m steps in each of the g groups.
+      // Streams the normalized storage to find the groups, then merges
+      // each group its size does not rule out against the divisor, up to
+      // m steps per group.
       est.cost = kTupleOp * (n + 0.5 * g * m);
       est.max_intermediate = est.output_size;
       break;

@@ -895,11 +895,17 @@ class SemiJoinOp final : public PhysicalOp {
 // Division.
 // ---------------------------------------------------------------------------
 
-// Division: the divisor (build side) is always consumed first; the
-// hash/aggregate algorithms then probe the dividend stream with O(#groups)
-// state, while the remaining algorithms (sort-merge needs sorted runs,
-// nested-loop an index, classic-ra a database) materialize it and call
-// the setjoin:: kernel — blocking, but still batch-in/batch-out.
+// Division: the divisor (build side) is always consumed first. On a live
+// dividend stream, hash and aggregate division hand each batch's flat
+// values to setjoin::SinglePassDivision, whose state grows with the
+// number of groups and |S|, not with the dividend; the stream is
+// duplicate-free by the batch-surface contract, in any order. Otherwise
+// — a borrowed relation (a re-streamed shared subplan, or the
+// materializing reference), or an algorithm that needs the whole
+// dividend (sort-merge sorted runs, nested-loop an index, classic-ra a
+// database) — the dividend is materialized and the setjoin:: kernel
+// called, which passes a hash/aggregate dividend in one chunk. Blocking,
+// but still batch-in/batch-out.
 class DivisionIterator final : public BatchIterator {
  public:
   DivisionIterator(ExecContext& ctx, std::vector<std::unique_ptr<BatchIterator>> inputs,
@@ -913,41 +919,25 @@ class DivisionIterator final : public BatchIterator {
     const std::size_t batch_size = ctx_.batch_size();
     const MaterializedInput divisor =
         MaterializedInput::From(inputs_[1].get(), 1, batch_size);
-    switch (algorithm_) {
-      case setjoin::DivisionAlgorithm::kHashDivision:
-      case setjoin::DivisionAlgorithm::kAggregate: {
-        // An already-materialized dividend (a re-streamed shared subplan,
-        // or the materializing reference) goes straight to the kernel; a
-        // live pipeline edge is probed batch-at-a-time with O(#groups)
-        // state.
-        if (auto* direct = dynamic_cast<RelationBatchIterator*>(inputs_[0].get())) {
-          result_ = equality_
-                        ? setjoin::DivideEqual(direct->relation(), divisor.get(),
-                                               algorithm_)
-                        : setjoin::Divide(direct->relation(), divisor.get(),
-                                          algorithm_);
-          break;
-        }
-        // The shared single-pass kernels (setjoin::DivideStream), fed the
-        // probe stream: duplicate-free by the batch-surface contract, so
-        // group sizes count distinct pairs exactly like the relation path.
-        RowCursor dividend(inputs_[0].get(), 2, batch_size);
-        dividend.Open();
-        result_ = setjoin::DivideStream(
-            [&dividend](TupleView* t) { return dividend.Next(t); }, divisor.get(),
-            algorithm_, equality_);
-        dividend.Close();
-        break;
+    BatchIterator* stream = inputs_[0].get();
+    const bool single_pass = algorithm_ == setjoin::DivisionAlgorithm::kHashDivision ||
+                             algorithm_ == setjoin::DivisionAlgorithm::kAggregate;
+    if (single_pass && dynamic_cast<RelationBatchIterator*>(stream) == nullptr) {
+      setjoin::SinglePassDivision kernel(divisor.get(), algorithm_, equality_);
+      Batch batch(2, batch_size);
+      stream->Open();
+      while (stream->NextBatch(batch)) {
+        kernel.Consume(batch.values().data(), batch.size());
       }
-      default: {
-        const MaterializedInput dividend =
-            MaterializedInput::From(inputs_[0].get(), 2, batch_size);
-        result_ = equality_
-                      ? setjoin::DivideEqual(dividend.get(), divisor.get(), algorithm_)
-                      : setjoin::Divide(dividend.get(), divisor.get(), algorithm_);
-        break;
-      }
+      stream->Close();
+      result_ = kernel.Finish();
+    } else {
+      const MaterializedInput dividend = MaterializedInput::From(stream, 2, batch_size);
+      result_ = equality_
+                    ? setjoin::DivideEqual(dividend.get(), divisor.get(), algorithm_)
+                    : setjoin::Divide(dividend.get(), divisor.get(), algorithm_);
     }
+    // A linear check when the dividend arrived sorted.
     result_.Normalize();
     pos_ = 0;
   }

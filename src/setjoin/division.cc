@@ -1,20 +1,17 @@
 #include "setjoin/division.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <bit>
 
 #include "core/database.h"
 #include "core/index.h"
 #include "setjoin/grouped.h"
-#include "util/bitset.h"
 #include "util/check.h"
 
 namespace setalg::setjoin {
 namespace {
 
 using core::Relation;
-using core::TupleView;
 using core::Value;
 
 std::vector<Value> DivisorElements(const Relation& s) {
@@ -51,121 +48,51 @@ Relation NestedLoopDivide(const Relation& r, const Relation& s, bool equality) {
   return out;
 }
 
-// Sort-merge division: r is sorted by (A, B), so each group's B-list is a
-// sorted run; merge it against the sorted divisor. Deliberately streams
-// over the normalized relation (no grouping materialization) — this is
-// the zero-allocation kernel of Graefe's taxonomy.
+// Sort-merge division over R's flat storage, sorted by (A, B): each
+// group's B-list is a sorted run. A group whose size rules it out (fewer
+// than |S| rows, or for equality not exactly |S|) is skipped unmerged;
+// the rest merge against the sorted divisor up to the first divisor
+// element missing from the run. Allocates nothing but the output — the
+// zero-allocation kernel of Graefe's taxonomy.
 Relation SortMergeDivide(const Relation& r, const Relation& s, bool equality) {
-  Relation out(1);
-  const auto divisor = DivisorElements(s);
-  std::size_t i = 0;
+  const std::vector<Value>& divisor = s.flat();  // Sorted and unique.
+  const std::size_t m = divisor.size();
+  const Value* rows = r.flat().data();
   const std::size_t n = r.size();
-  while (i < n) {
-    const Value a = r.tuple(i)[0];
-    std::size_t matched = 0;
-    std::size_t group_size = 0;
+  Relation out(1);
+  for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
+    const Value a = rows[2 * begin];
+    end = begin + 1;
+    while (end < n && rows[2 * end] == a) ++end;
+    const std::size_t size = end - begin;
+    if (equality ? size != m : size < m) continue;
+    // The run's element d + extra meets divisor[d], where `extra` counts
+    // the run's elements outside S so far, at most size - m of them. The
+    // two counters advance on branches, not through a load of the
+    // divisor, so the merge streams.
+    const Value* run = rows + 2 * begin + 1;
     std::size_t d = 0;
-    while (i < n && r.tuple(i)[0] == a) {
-      const Value b = r.tuple(i)[1];
-      ++group_size;
-      while (d < divisor.size() && divisor[d] < b) ++d;
-      if (d < divisor.size() && divisor[d] == b) {
-        ++matched;
+    std::size_t extra = 0;
+    while (d < m) {
+      const Value b = run[2 * (d + extra)];
+      if (b == divisor[d]) {
         ++d;
+      } else if (b < divisor[d] && extra < size - m) {
+        ++extra;
+      } else {
+        break;  // divisor[d] is not in the group.
       }
-      ++i;
     }
-    const bool contains = matched == divisor.size();
-    const bool qualifies =
-        equality ? contains && group_size == divisor.size() : contains;
-    if (qualifies) out.Add({a});
+    if (d == m) out.AddRows(&a, 1);
   }
   return out;
 }
 
-// Graefe's hash-division: number the divisor 0..|S|-1 in a hash table; keep
-// one bitmap per candidate; a candidate qualifies when its bitmap is full.
-// Templated over the dividend row source (an indexed relation loop or the
-// engine's batched probe stream) so both spellings share this kernel; the
-// source must yield distinct (a, b) tuples — group_size counts them.
-template <typename NextRowFn>
-Relation HashDivideRows(NextRowFn&& next, const Relation& s, bool equality) {
-  Relation out(1);
-  const auto divisor = DivisorElements(s);
-  std::unordered_map<Value, std::size_t> divisor_slots;
-  divisor_slots.reserve(divisor.size() * 2);
-  for (std::size_t k = 0; k < divisor.size(); ++k) divisor_slots[divisor[k]] = k;
-
-  struct CandidateState {
-    util::Bitset bitmap;
-    std::size_t group_size = 0;
-  };
-  std::unordered_map<Value, CandidateState> states;
-  TupleView t;
-  while (next(&t)) {
-    auto& state = states[t[0]];
-    if (state.bitmap.empty() && !divisor.empty()) {
-      state.bitmap = util::Bitset(divisor.size());
-    }
-    ++state.group_size;
-    auto slot = divisor_slots.find(t[1]);
-    if (slot != divisor_slots.end()) state.bitmap.Set(slot->second);
-  }
-  for (const auto& [a, state] : states) {
-    const bool contains = divisor.empty() || state.bitmap.AllSet();
-    const bool qualifies =
-        equality ? contains && state.group_size == divisor.size() : contains;
-    if (qualifies) out.Add({a});
-  }
-  return out;
-}
-
-// Aggregate (counting) division — the Section 5 strategy: count per
-// candidate how many divisor elements it matches; compare against |S|.
-// Row-source-templated like HashDivideRows.
-template <typename NextRowFn>
-Relation AggregateDivideRows(NextRowFn&& next, const Relation& s, bool equality) {
-  Relation out(1);
-  const auto divisor = DivisorElements(s);
-  std::unordered_set<Value> divisor_set(divisor.begin(), divisor.end());
-  std::unordered_map<Value, std::pair<std::size_t, std::size_t>> counts;
-  TupleView t;
-  while (next(&t)) {
-    auto& [hits, total] = counts[t[0]];
-    ++total;
-    if (divisor_set.count(t[1]) > 0) ++hits;
-  }
-  for (const auto& [a, hit_total] : counts) {
-    const bool contains = hit_total.first == divisor.size();
-    const bool qualifies =
-        equality ? contains && hit_total.second == divisor.size() : contains;
-    if (qualifies) out.Add({a});
-  }
-  return out;
-}
-
-// Row source iterating a normalized relation front to back.
-class RelationRowSource {
- public:
-  explicit RelationRowSource(const Relation& r) : r_(&r) {}
-
-  bool operator()(TupleView* t) {
-    if (i_ >= r_->size()) return false;
-    *t = r_->tuple(i_++);
-    return true;
-  }
-
- private:
-  const Relation* r_;
-  std::size_t i_ = 0;
-};
-
-Relation HashDivide(const Relation& r, const Relation& s, bool equality) {
-  return HashDivideRows(RelationRowSource(r), s, equality);
-}
-
-Relation AggregateDivide(const Relation& r, const Relation& s, bool equality) {
-  return AggregateDivideRows(RelationRowSource(r), s, equality);
+Relation SinglePassDivide(const Relation& r, const Relation& s,
+                          DivisionAlgorithm algorithm, bool equality) {
+  SinglePassDivision kernel(s, algorithm, equality);
+  kernel.Consume(r.flat().data(), r.size());
+  return kernel.Finish();
 }
 
 // Evaluates the classic RA expression on a transient two-relation database.
@@ -218,9 +145,8 @@ Relation Dispatch(const Relation& r, const Relation& s, DivisionAlgorithm algori
     case DivisionAlgorithm::kSortMerge:
       return SortMergeDivide(r, s, equality);
     case DivisionAlgorithm::kHashDivision:
-      return HashDivide(r, s, equality);
     case DivisionAlgorithm::kAggregate:
-      return AggregateDivide(r, s, equality);
+      return SinglePassDivide(r, s, algorithm, equality);
     case DivisionAlgorithm::kClassicRa:
       return ClassicRaDivide(r, s, equality, stats);
   }
@@ -240,21 +166,131 @@ core::Relation DivideEqual(const core::Relation& r, const core::Relation& s,
   return Dispatch(r, s, algorithm, /*equality=*/true, stats);
 }
 
-core::Relation DivideStream(const std::function<bool(core::TupleView*)>& next,
-                            const core::Relation& s, DivisionAlgorithm algorithm,
-                            bool equality) {
+SinglePassDivision::SinglePassDivision(const core::Relation& s,
+                                       DivisionAlgorithm algorithm, bool equality)
+    : bitmaps_(algorithm == DivisionAlgorithm::kHashDivision),
+      equality_(equality),
+      divisor_(kDivisorSlotsPerValue),
+      candidates_(kCandidateSlotsPerValue) {
   SETALG_CHECK_EQ(s.arity(), 1u);
-  switch (algorithm) {
-    case DivisionAlgorithm::kHashDivision:
-      return HashDivideRows(next, s, equality);
-    case DivisionAlgorithm::kAggregate:
-      return AggregateDivideRows(next, s, equality);
-    default:
-      SETALG_CHECK_STREAM(false)
-          << "DivideStream supports only the single-pass algorithms, got "
-          << DivisionAlgorithmToString(algorithm);
+  SETALG_CHECK_STREAM(algorithm == DivisionAlgorithm::kHashDivision ||
+                      algorithm == DivisionAlgorithm::kAggregate)
+      << "SinglePassDivision supports only the single-pass algorithms, got "
+      << DivisionAlgorithmToString(algorithm);
+  // S is sorted and unique, so b's id is its rank in S.
+  for (const Value b : s.flat()) divisor_.Insert(b);
+  words_per_candidate_ = bitmaps_ ? (divisor_.size() + 63) / 64 : 0;
+}
+
+std::uint32_t SinglePassDivision::CandidateId(core::Value key) {
+  const std::uint32_t id = candidates_.Insert(key);
+  if (id == keys_.size()) {
+    keys_.push_back(key);
+    sizes_.push_back(0);
+    if (bitmaps_) {
+      words_.resize(words_.size() + words_per_candidate_, 0);
+    } else {
+      hits_.push_back(0);
+    }
   }
-  return Relation(1);
+  return id;
+}
+
+void SinglePassDivision::Consume(const core::Value* values, std::size_t rows) {
+  if (rows == 0) return;
+  const bool bitmaps = bitmaps_;
+  const std::size_t words_per_candidate = words_per_candidate_;
+  // The memo of the current run's key and the run's row and hit counts
+  // live in locals, so the bitmap stores cannot force them through
+  // memory; the counts go to the candidate when the run ends.
+  Value key = values[0];
+  std::uint32_t id = CandidateId(key);
+  std::size_t run_rows = 0;
+  std::size_t run_hits = 0;
+  const auto end_run = [&] {
+    sizes_[id] += run_rows;
+    if (!bitmaps) hits_[id] += run_hits;
+  };
+  for (const Value* row = values; row != values + 2 * rows; row += 2) {
+    if (row[0] != key) {
+      end_run();
+      key = row[0];
+      id = CandidateId(key);
+      run_rows = 0;
+      run_hits = 0;
+    }
+    ++run_rows;
+    const std::uint32_t b = divisor_.Find(row[1]);
+    if (b == IdTable::kAbsent) continue;
+    if (bitmaps) {
+      words_[id * words_per_candidate + b / 64] |= std::uint64_t{1} << (b % 64);
+    } else {
+      ++run_hits;
+    }
+  }
+  end_run();
+}
+
+core::Relation SinglePassDivision::Finish() const {
+  const std::size_t m = divisor_.size();
+  // The last bitmap word of a full candidate: the low m mod 64 bits set.
+  const std::uint64_t last_word =
+      m % 64 == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << (m % 64)) - 1;
+  Relation out(1);
+  for (std::size_t id = 0; id < keys_.size(); ++id) {
+    if (equality_ && sizes_[id] != m) continue;
+    bool contains = true;
+    if (bitmaps_) {
+      const std::uint64_t* words = words_.data() + id * words_per_candidate_;
+      for (std::size_t w = 0; contains && w < words_per_candidate_; ++w) {
+        contains = words[w] == (w + 1 == words_per_candidate_ ? last_word
+                                                                : ~std::uint64_t{0});
+      }
+    } else {
+      contains = hits_[id] == m;
+    }
+    if (contains) out.AddRows(&keys_[id], 1);
+  }
+  return out;
+}
+
+std::size_t SinglePassDivision::IdTable::Home(core::Value value) const {
+  // Fibonacci hashing: the product's top bits depend on every bit of the
+  // value, and consecutive values land far apart.
+  return (static_cast<std::uint64_t>(value) * 0x9e3779b97f4a7c15ULL) >> shift_;
+}
+
+std::size_t SinglePassDivision::IdTable::Probe(core::Value value) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = Home(value);; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id == 0 || slot.value == value) return i;
+  }
+}
+
+std::uint32_t SinglePassDivision::IdTable::Find(core::Value value) const {
+  if (size_ == 0) return kAbsent;
+  const Slot& slot = slots_[Probe(value)];
+  return slot.id == 0 ? kAbsent : slot.id - 1;
+}
+
+std::uint32_t SinglePassDivision::IdTable::Insert(core::Value value) {
+  if ((size_ + 1) * slots_per_value_ > slots_.size()) Grow();
+  Slot& slot = slots_[Probe(value)];
+  if (slot.id != 0) return slot.id - 1;
+  // Slots hold 1 + a 32-bit id; fail loudly rather than wrap.
+  SETALG_CHECK(size_ < kAbsent);
+  slot = {value, static_cast<std::uint32_t>(++size_)};
+  return slot.id - 1;
+}
+
+void SinglePassDivision::IdTable::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::max<std::size_t>(16, 2 * old.size()), Slot{});
+  shift_ = 64 - std::countr_zero(slots_.size());
+  for (const Slot& slot : old) {
+    if (slot.id != 0) slots_[Probe(slot.value)] = slot;
+  }
 }
 
 ra::ExprPtr ClassicDivisionExpr(const std::string& r_name, const std::string& s_name) {

@@ -5,11 +5,15 @@
 // Implemented algorithms, following Graefe's taxonomy ("Relational
 // division: four algorithms and their performance", the paper's [11,12]):
 //   - nested-loop division: per candidate, probe every divisor element;
-//   - sort-merge division: merge each sorted group against the sorted divisor;
-//   - hash-division: divisor hash table + per-candidate bitmaps;
+//   - sort-merge division: walk R's sorted groups over its flat storage,
+//     skip every group whose size rules it out (fewer than |S| rows for
+//     containment, not exactly |S| for equality) and merge the rest
+//     against the sorted divisor;
+//   - hash-division: a divisor table numbering S 0..|S|-1 plus one bitmap
+//     per candidate (SinglePassDivision);
 //   - aggregate (counting) division: count divisor hits per candidate —
 //     the O(n log n) strategy the paper's Section 5 expresses with
-//     grouping and count aggregation;
+//     grouping and count aggregation (SinglePassDivision);
 //   - classic-RA division: evaluates the textbook expression
 //     π_A(R) − π_A((π_A(R) × S) − R) through the instrumented RA
 //     evaluator. Proposition 26 proves any such RA expression must
@@ -17,7 +21,8 @@
 #ifndef SETALG_SETJOIN_DIVISION_H_
 #define SETALG_SETJOIN_DIVISION_H_
 
-#include <functional>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,14 +56,89 @@ core::Relation DivideEqual(const core::Relation& r, const core::Relation& s,
                            DivisionAlgorithm algorithm,
                            ra::EvalStats* stats = nullptr);
 
-/// Streaming (row-source) division: `next` yields the dividend's distinct
-/// (a, b) tuples one at a time, returning false when exhausted — e.g. the
-/// engine's batched probe side. Exactly the Divide/DivideEqual semantics
-/// (one shared kernel implementation); `algorithm` must be kHashDivision
-/// or kAggregate, the single-pass strategies with O(#groups) state.
-core::Relation DivideStream(const std::function<bool(core::TupleView*)>& next,
-                            const core::Relation& s, DivisionAlgorithm algorithm,
-                            bool equality);
+/// The single-pass kernel behind hash-division and aggregate division:
+/// Divide/DivideEqual feed it the whole dividend as one chunk, the
+/// engine's division operator one batch at a time.
+///
+/// Contract: the rows fed across all Consume() calls are the dividend's
+/// distinct (a, b) pairs, in any order (a group's size is the number of
+/// its rows). Finish() emits the qualifying keys in the order their first
+/// row arrived, so a sorted dividend yields a sorted result.
+///
+/// State, all flat: Graefe's divisor table (each b of S to an id
+/// 0..|S|-1), a candidate table (each key to a dense id), per-candidate
+/// row counters in a plain vector, and per candidate either a divisor-hit
+/// counter (aggregate) or ⌈|S|/64⌉ bitmap words in one contiguous block
+/// (hash-division). A memo of
+/// the previous row's key skips the candidate lookup within a run of
+/// equal keys. Ids are 32-bit; inserting a 2^32-th distinct value aborts.
+class SinglePassDivision {
+ public:
+  /// `s` is the unary divisor; `algorithm` must be kHashDivision or
+  /// kAggregate.
+  SinglePassDivision(const core::Relation& s, DivisionAlgorithm algorithm,
+                     bool equality);
+
+  /// Feeds `rows` dividend rows stored row-major, (a, b) pairs, at `values`.
+  void Consume(const core::Value* values, std::size_t rows);
+
+  /// The qualifying keys (unary), in first-seen order.
+  core::Relation Finish() const;
+
+ private:
+  // Open addressing from a value to its dense id in insertion order:
+  // linear probing, at most 1/slots_per_value full, each slot holding its
+  // value beside 1 + its id (0 marks an empty slot, so every value is a
+  // valid key).
+  class IdTable {
+   public:
+    static constexpr std::uint32_t kAbsent = 0xFFFFFFFFu;
+
+    explicit IdTable(std::size_t slots_per_value) : slots_per_value_(slots_per_value) {}
+
+    std::uint32_t Find(core::Value value) const;
+    /// The value's id, adding it with id size() when absent.
+    std::uint32_t Insert(core::Value value);
+    std::size_t size() const { return size_; }
+
+   private:
+    struct Slot {
+      core::Value value = 0;
+      std::uint32_t id = 0;  // 1 + the value's id; 0 marks empty.
+    };
+
+    /// The value's home slot.
+    std::size_t Home(core::Value value) const;
+    /// The slot holding `value`, or the empty slot ending its probe run.
+    std::size_t Probe(core::Value value) const;
+    /// Doubles the table (16 slots at first) and re-inserts every value.
+    void Grow();
+
+    std::size_t slots_per_value_;
+    std::size_t size_ = 0;
+    int shift_ = 64;           // 64 - log2(slots_.size()).
+    std::vector<Slot> slots_;  // Power-of-two size.
+  };
+
+  // The divisor table is probed once per row, so it is kept sparse: few
+  // probes run past the home slot. The candidate table is probed once per
+  // run of equal keys.
+  static constexpr std::size_t kDivisorSlotsPerValue = 4;
+  static constexpr std::size_t kCandidateSlotsPerValue = 2;
+
+  /// The key's candidate id, adding the candidate when it is new.
+  std::uint32_t CandidateId(core::Value key);
+
+  bool bitmaps_;  // kHashDivision; kAggregate counts hits instead.
+  bool equality_;
+  IdTable divisor_;
+  IdTable candidates_;
+  std::size_t words_per_candidate_;
+  std::vector<core::Value> keys_;     // By candidate id.
+  std::vector<std::size_t> sizes_;    // Rows per candidate.
+  std::vector<std::size_t> hits_;     // Divisor rows per candidate (aggregate).
+  std::vector<std::uint64_t> words_;  // Bitmaps by candidate id (hash-division).
+};
 
 /// The textbook RA expression π_A(R) − π_A((π_A(R) × S) − R) over relation
 /// names `r_name` (binary) and `s_name` (unary).

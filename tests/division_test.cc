@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
 
 #include "engine/engine.h"
 #include "ra/eval.h"
@@ -315,6 +318,210 @@ TEST(DivisionPartitionEdges, DivisorDisjointFromGroupsAtMatchingSizes) {
   ExpectPartitionedDivisionAgrees(
       MakeRel(2, {{1, 7}, {1, 8}, {2, 8}, {2, 20}, {3, 20}, {3, 21}}),
       MakeRel(1, {{7}, {21}}), "divisor disjoint at matching sizes");
+}
+
+// ---------------------------------------------------------------------------
+// Dividends whose rows are not grouped by key. Stored relations are
+// sorted, so every test above feeds each group's rows as one run; these
+// plans feed the division operator keys that recur throughout the stream
+// (a column swap) or restart mid-stream with duplicates (a union), which
+// the key memo of the single-pass kernel must survive and sort-merge must
+// sort on materialization.
+// ---------------------------------------------------------------------------
+
+// Runs `dividend` ÷ S (both variants, every algorithm) through the
+// engine's division operator at batch sizes {1, 2, 7, 1024} and
+// (partitions, threads) ∈ {(1, 1), (7, 4)}, and through the materializing
+// reference, expecting ReferenceDivide of the materialized dividend.
+void ExpectPlannedDivisionAgrees(const engine::PhysicalOpPtr& dividend,
+                                 const core::Database& db, const char* what) {
+  engine::PhysicalPlan dividend_plan;
+  dividend_plan.root = dividend;
+  const Relation r = engine::RunMaterialized(dividend_plan, db).relation;
+  const Relation& s = db.relation("S");
+  for (auto algorithm : AllDivisionAlgorithms()) {
+    for (const bool equality : {false, true}) {
+      const Relation expected = ReferenceDivide(r, s, equality);
+      const std::string label = std::string(what) + " algorithm " +
+                                DivisionAlgorithmToString(algorithm) +
+                                (equality ? " equality" : " containment");
+      for (const auto& [partitions, threads] :
+           {std::pair<std::size_t, std::size_t>{1, 1}, {7, 4}}) {
+        engine::PhysicalPlan plan;
+        plan.root = engine::MakeDivision(dividend, engine::MakeScan("S", 1), algorithm,
+                                         equality, nullptr, partitions);
+        for (std::size_t batch_size : {1u, 2u, 7u, 1024u}) {
+          engine::EngineOptions options;
+          options.threads = threads;
+          options.batch_size = batch_size;
+          auto run = engine::Engine(options).Run(plan, db);
+          ASSERT_TRUE(run.ok()) << label << ": " << run.error();
+          EXPECT_EQ(run->relation, expected)
+              << label << " partitions " << partitions << " threads " << threads
+              << " batch size " << batch_size;
+        }
+        EXPECT_EQ(engine::RunMaterialized(plan, db).relation, expected)
+            << label << " materialized, partitions " << partitions;
+      }
+    }
+  }
+}
+
+// A dividend over keys 1..24 and elements 1..12 with S = {3, 5, 8, 11}:
+// groups equal to S, S plus an extra, S minus one element, and random
+// subsets.
+Relation UngroupedTestDividend() {
+  Relation r(2);
+  const std::vector<Value> divisor = {3, 5, 8, 11};
+  for (const Value b : divisor) {
+    r.Add({1, b});   // = S
+    r.Add({2, b});   // S + {4}
+    r.Add({17, b});  // = S
+    if (b != 8) r.Add({3, b});  // S − {8}
+  }
+  r.Add({2, 4});
+  util::Rng rng(7);
+  for (Value a = 4; a <= 24; ++a) {
+    if (a == 17) continue;
+    for (Value b = 1; b <= 12; ++b) {
+      if (rng.NextBounded(3) != 0) r.Add({a, b});
+    }
+  }
+  return r;
+}
+
+core::Database UngroupedTestDb() {
+  const Relation d = UngroupedTestDividend();
+  // T holds the dividend with its columns swapped, so π_{2,1}(T) streams
+  // it sorted by element: every key recurs throughout the stream. U and V
+  // split it with overlap: their keys interleave, and the union repeats
+  // the rows they share.
+  Relation t(2), u(2), v(2);
+  util::Rng rng(11);
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    const core::TupleView row = d.tuple(i);
+    t.Add({row[1], row[0]});
+    const std::uint64_t side = rng.NextBounded(3);
+    if (side != 1) u.Add(row);
+    if (side != 0) v.Add(row);
+  }
+  core::Schema schema;
+  for (const char* name : {"T", "U", "V"}) schema.AddRelation(name, 2);
+  schema.AddRelation("S", 1);
+  core::Database db(schema);
+  db.SetRelation("T", std::move(t));
+  db.SetRelation("U", std::move(u));
+  db.SetRelation("V", std::move(v));
+  db.SetRelation("S", MakeRel(1, {{3}, {5}, {8}, {11}}));
+  return db;
+}
+
+TEST(DivisionUngroupedDividend, KeysRecurThroughoutTheStream) {
+  const core::Database db = UngroupedTestDb();
+  ExpectPlannedDivisionAgrees(engine::MakeProject(engine::MakeScan("T", 2), {2, 1}),
+                              db, "swapped columns");
+}
+
+TEST(DivisionUngroupedDividend, UnionOfInterleavedOverlappingRelations) {
+  const core::Database db = UngroupedTestDb();
+  const Relation& u = db.relation("U");
+  const Relation& v = db.relation("V");
+  const std::size_t shared = u.size() + v.size() - core::Union(u, v).size();
+  ASSERT_GT(shared, 0u);
+  ASSERT_LT(shared, std::min(u.size(), v.size()));
+  ExpectPlannedDivisionAgrees(
+      engine::MakeUnion(engine::MakeScan("U", 2), engine::MakeScan("V", 2)), db,
+      "union");
+}
+
+// ---------------------------------------------------------------------------
+// Bitmap word boundaries and extreme values. Divisor ids are ranks in S,
+// so S minus its largest element leaves the last bitmap word's top bit
+// clear and S minus its smallest the first word's bit 0; keys and
+// elements include the int64 extremes, 0 and −1 (no value may act as an
+// empty-slot sentinel) and values that differ only above bit 32 (the
+// tables must hash every bit).
+// ---------------------------------------------------------------------------
+
+constexpr Value kHigh = Value{1} << 32;
+const std::vector<Value> kExtremes = {INT64_MIN, INT64_MIN + 1, -1, 0, 1,
+                                      kHigh, kHigh + 1, INT64_MAX};
+
+TEST(DivisionBitmapBoundaries, WordEdgesAndExtremeValues) {
+  // S is a prefix of this pool: the extremes but INT64_MAX, then values
+  // whose low 32 bits are all 5. 2 sorts between S's elements once
+  // |S| > 5; INT64_MAX sorts beyond all of them.
+  std::vector<Value> pool = kExtremes;
+  pool.pop_back();
+  for (Value j = 2; j <= 200; ++j) pool.push_back(5 + j * kHigh);
+  std::sort(pool.begin(), pool.end());
+  // Keys: the extremes plus keys that differ only above bit 32.
+  std::vector<Value> keys = kExtremes;
+  for (Value j = 1; j <= 8; ++j) keys.push_back(7 + (j << 40));
+  for (std::size_t m : {1u, 63u, 64u, 65u, 128u, 129u}) {
+    const std::vector<Value> divisor(pool.begin(), pool.begin() + m);
+    Relation s(1);
+    for (const Value b : divisor) s.Add({b});
+    const auto shaped_dividend = [&](std::size_t rotation, Relation* contains,
+                              Relation* equals) {
+      Relation r(2);
+      for (std::size_t k = 0; k < keys.size(); ++k) {
+        const Value a = keys[k];
+        std::vector<Value> group = divisor;
+        switch ((k + rotation) % 5) {
+          case 0:  // = S
+            contains->Add({a});
+            equals->Add({a});
+            break;
+          case 1:  // S + an extra between S's elements.
+            group.push_back(2);
+            contains->Add({a});
+            break;
+          case 2:  // S + an extra beyond all of them.
+            group.push_back(INT64_MAX);
+            contains->Add({a});
+            break;
+          case 3:  // S − its largest element: the last word's top bit.
+            group.pop_back();
+            break;
+          case 4:  // S − its smallest element: bit 0.
+            group.erase(group.begin());
+            break;
+        }
+        if (group.empty()) group.push_back(2);  // |S| = 1: a non-member.
+        for (const Value b : group) r.Add({a, b});
+      }
+      return r;
+    };
+    // Across the rotations every key takes every group shape.
+    for (std::size_t rotation = 0; rotation < 5; ++rotation) {
+      Relation contains(1), equals(1);
+      const Relation r = shaped_dividend(rotation, &contains, &equals);
+      const std::string where =
+          "|S| = " + std::to_string(m) + " rotation " + std::to_string(rotation);
+      ASSERT_EQ(ReferenceDivide(r, s, false), contains) << where;
+      ASSERT_EQ(ReferenceDivide(r, s, true), equals) << where;
+      const auto db = setalg::testing::DivisionDb(r, s);
+      for (auto algorithm : AllDivisionAlgorithms()) {
+        const std::string label =
+            std::string(DivisionAlgorithmToString(algorithm)) + " " + where;
+        EXPECT_EQ(Divide(r, s, algorithm), contains) << label;
+        EXPECT_EQ(DivideEqual(r, s, algorithm), equals) << label;
+        for (const bool equality : {false, true}) {
+          engine::PhysicalPlan plan;
+          plan.root = engine::MakeDivision(engine::MakeScan("R", 2),
+                                           engine::MakeScan("S", 1), algorithm,
+                                           equality, nullptr, 1);
+          engine::EngineOptions options;
+          options.batch_size = 7;
+          auto run = engine::Engine(options).Run(plan, db);
+          ASSERT_TRUE(run.ok()) << label << ": " << run.error();
+          EXPECT_EQ(run->relation, equality ? equals : contains)
+              << label << (equality ? " equality" : " containment") << " engine";
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
