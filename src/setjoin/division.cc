@@ -1,7 +1,7 @@
 #include "setjoin/division.h"
 
-#include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "core/database.h"
 #include "core/index.h"
@@ -168,10 +168,7 @@ core::Relation DivideEqual(const core::Relation& r, const core::Relation& s,
 
 SinglePassDivision::SinglePassDivision(const core::Relation& s,
                                        DivisionAlgorithm algorithm, bool equality)
-    : bitmaps_(algorithm == DivisionAlgorithm::kHashDivision),
-      equality_(equality),
-      divisor_(kDivisorSlotsPerValue),
-      candidates_(kCandidateSlotsPerValue) {
+    : bitmaps_(algorithm == DivisionAlgorithm::kHashDivision), equality_(equality) {
   SETALG_CHECK_EQ(s.arity(), 1u);
   SETALG_CHECK_STREAM(algorithm == DivisionAlgorithm::kHashDivision ||
                       algorithm == DivisionAlgorithm::kAggregate)
@@ -269,24 +266,26 @@ std::size_t SinglePassDivision::IdTable::Probe(core::Value value) const {
 }
 
 std::uint32_t SinglePassDivision::IdTable::Find(core::Value value) const {
-  if (size_ == 0) return kAbsent;
   const Slot& slot = slots_[Probe(value)];
   return slot.id == 0 ? kAbsent : slot.id - 1;
 }
 
 std::uint32_t SinglePassDivision::IdTable::Insert(core::Value value) {
-  if ((size_ + 1) * slots_per_value_ > slots_.size()) Grow();
-  Slot& slot = slots_[Probe(value)];
-  if (slot.id != 0) return slot.id - 1;
+  std::size_t i = Probe(value);
+  if (slots_[i].id != 0) return slots_[i].id - 1;
   // Slots hold 1 + a 32-bit id; fail loudly rather than wrap.
   SETALG_CHECK(size_ < kAbsent);
-  slot = {value, static_cast<std::uint32_t>(++size_)};
-  return slot.id - 1;
+  if (4 * (size_ + 1) > slots_.size()) {
+    Grow();
+    i = Probe(value);
+  }
+  slots_[i] = {value, static_cast<std::uint32_t>(++size_)};
+  return slots_[i].id - 1;
 }
 
 void SinglePassDivision::IdTable::Grow() {
   std::vector<Slot> old = std::move(slots_);
-  slots_.assign(std::max<std::size_t>(16, 2 * old.size()), Slot{});
+  slots_.assign(2 * old.size(), Slot{});
   shift_ = 64 - std::countr_zero(slots_.size());
   for (const Slot& slot : old) {
     if (slot.id != 0) slots_[Probe(slot.value)] = slot;

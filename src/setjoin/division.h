@@ -69,9 +69,11 @@ core::Relation DivideEqual(const core::Relation& r, const core::Relation& s,
 /// 0..|S|-1), a candidate table (each key to a dense id), per-candidate
 /// row counters in a plain vector, and per candidate either a divisor-hit
 /// counter (aggregate) or ⌈|S|/64⌉ bitmap words in one contiguous block
-/// (hash-division). A memo of
-/// the previous row's key skips the candidate lookup within a run of
-/// equal keys. Ids are 32-bit; inserting a 2^32-th distinct value aborts.
+/// (hash-division). A memo of the previous row's key skips the candidate
+/// lookup within a run of equal keys, so a dividend grouped by key (as
+/// sorted storage is) costs one candidate lookup per group and any other
+/// order up to one per row. Ids are 32-bit; inserting a 2^32-th distinct
+/// value aborts.
 class SinglePassDivision {
  public:
   /// `s` is the unary divisor; `algorithm` must be kHashDivision or
@@ -87,14 +89,14 @@ class SinglePassDivision {
 
  private:
   // Open addressing from a value to its dense id in insertion order:
-  // linear probing, at most 1/slots_per_value full, each slot holding its
-  // value beside 1 + its id (0 marks an empty slot, so every value is a
-  // valid key).
+  // linear probing, at most a quarter full, each slot holding its value
+  // beside 1 + its id (0 marks an empty slot, so every value is a valid
+  // key). The divisor table is probed once per dividend row, mostly for
+  // values outside S; at a quarter full most such probes end at the home
+  // slot or the next.
   class IdTable {
    public:
     static constexpr std::uint32_t kAbsent = 0xFFFFFFFFu;
-
-    explicit IdTable(std::size_t slots_per_value) : slots_per_value_(slots_per_value) {}
 
     std::uint32_t Find(core::Value value) const;
     /// The value's id, adding it with id size() when absent.
@@ -111,20 +113,14 @@ class SinglePassDivision {
     std::size_t Home(core::Value value) const;
     /// The slot holding `value`, or the empty slot ending its probe run.
     std::size_t Probe(core::Value value) const;
-    /// Doubles the table (16 slots at first) and re-inserts every value.
+    /// Doubles the table and re-inserts every value.
     void Grow();
 
-    std::size_t slots_per_value_;
     std::size_t size_ = 0;
-    int shift_ = 64;           // 64 - log2(slots_.size()).
-    std::vector<Slot> slots_;  // Power-of-two size.
+    int shift_ = 60;  // 64 - log2(slots_.size()).
+    // Power-of-two size, 16 slots at first.
+    std::vector<Slot> slots_ = std::vector<Slot>(16);
   };
-
-  // The divisor table is probed once per row, so it is kept sparse: few
-  // probes run past the home slot. The candidate table is probed once per
-  // run of equal keys.
-  static constexpr std::size_t kDivisorSlotsPerValue = 4;
-  static constexpr std::size_t kCandidateSlotsPerValue = 2;
 
   /// The key's candidate id, adding the candidate when it is new.
   std::uint32_t CandidateId(core::Value key);
