@@ -201,13 +201,13 @@ std::vector<RuntimeRow> PrintRuntimeTable() {
     }
     {
       // The prepared-statement hot path: the same expression Prepare'd
-      // once on a plan-cache-enabled engine, then executed through the
+      // once on an engine with a plan cache, then executed through the
       // handle — the planning path (lowering, pattern match, costing,
       // statistics) is paid once instead of per call. The CI gate holds
       // this at <= 1.0x engine-planned; the JSON also records the cache
       // outcome so a silent regression to re-lowering would show up.
       engine::EngineOptions options;
-      options.plan_cache_entries = 8;
+      options.shared_plan_cache = std::make_shared<engine::SharedPlanCache>(8, 0);
       const engine::Engine engine(options);
       auto handle = engine.Prepare(expr, db);
       if (!handle.ok()) {
@@ -257,7 +257,6 @@ std::vector<RuntimeRow> PrintRuntimeTable() {
       // run; the recorded outcome ("result-hit") makes a silent
       // regression to re-execution visible.
       engine::EngineOptions options;
-      options.plan_cache_entries = 0;
       options.shared_plan_cache = std::make_shared<engine::SharedPlanCache>(8, 0);
       options.result_cache = std::make_shared<engine::ResultCache>(8, 0);
       const engine::Engine engine(options);
@@ -530,7 +529,7 @@ void BM_PreparedDivision(benchmark::State& state) {
   const auto db = InstanceDb(instance);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
   engine::EngineOptions options;
-  options.plan_cache_entries = 8;
+  options.shared_plan_cache = std::make_shared<engine::SharedPlanCache>(8, 0);
   const engine::Engine engine(options);
   const auto handle = engine.Prepare(expr, db);
   for (auto _ : state) {

@@ -23,10 +23,11 @@
 // operators, --batch-size N sets the pipeline's batch granularity, and
 // --multiway lets the planner collect equality-join chains and route them
 // to the worst-case-optimal multiway operator when they beat the binary
-// plan; --plan-cache [N] enables the engine's plan cache (N entries, default
-// 64) and runs the expression twice — the second run is served from the
-// cache, and -v reports the outcome (miss then hit) plus cache tallies,
-// so the prepared-statement hot path is observable from the CLI.
+// plan; --plan-cache [N] attaches a plan cache (engine::SharedPlanCache of N
+// entries, default 64) and runs the expression twice — the second run is
+// served from the cache, and -v reports the outcome (miss then hit) plus
+// cache tallies, so the prepared-statement hot path is observable from the
+// CLI.
 //
 // Concurrent serving: several statements may follow `--`, and
 // --sessions N runs that query list from N threads against one shared
@@ -275,13 +276,14 @@ int main(int argc, char** argv) {
   // Statements run in order through one engine, so later statements plan
   // with whatever the earlier ones taught the store.
   if (calibrate) options = options.WithCalibration();
-  options = options.WithPlanCache(static_cast<std::size_t>(plan_cache_entries));
+  if (plan_cache_entries > 0) {
+    options.shared_plan_cache = std::make_shared<engine::SharedPlanCache>(
+        static_cast<std::size_t>(plan_cache_entries), 0);
+  }
 
   if (sessions > 0) {
     // Concurrent serving: N session threads share one engine and one
-    // snapshot of a versioned head, through the process-wide caches. The
-    // engine-local plan cache stays off (it is single-threaded).
-    options.plan_cache_entries = 0;
+    // snapshot of a versioned head, through the process-wide caches.
     options.shared_plan_cache = std::make_shared<engine::SharedPlanCache>(256, 0);
     options.result_cache =
         std::make_shared<engine::ResultCache>(256, std::size_t{64} << 20);
@@ -401,22 +403,14 @@ int main(int argc, char** argv) {
                      run->stats.threads_used, run->stats.partitions,
                      run->stats.partition_passes_skipped);
       }
-      if (run->stats.cache != engine::CacheOutcome::kUncached) {
-        // The engine-local cache may be absent when the outcome came from
-        // the shared caches (e.g. result-hit) — never dereference it then.
-        const auto* cache = engine.plan_cache();
-        if (cache != nullptr) {
-          std::fprintf(stderr,
-                       "-- plan-cache: %s (%zu entr%s, ~%zu bytes; %zu hit(s), "
-                       "%zu miss(es), %zu revalidation(s), %zu repick(s))\n",
-                       engine::CacheOutcomeToString(run->stats.cache), cache->size(),
-                       cache->size() == 1 ? "y" : "ies", cache->bytes(),
-                       cache->stats().hits, cache->stats().misses,
-                       cache->stats().revalidations, cache->stats().repicks);
-        } else {
-          std::fprintf(stderr, "-- cache: %s\n",
-                       engine::CacheOutcomeToString(run->stats.cache));
-        }
+      if (const auto* cache = engine.plan_cache()) {
+        const auto tallies = cache->stats();
+        std::fprintf(stderr,
+                     "-- plan-cache: %s (%zu entr%s, ~%zu bytes; %zu hit(s), "
+                     "%zu miss(es), %zu revalidation(s), %zu repick(s))\n",
+                     engine::CacheOutcomeToString(run->stats.cache), cache->size(),
+                     cache->size() == 1 ? "y" : "ies", cache->bytes(), tallies.hits,
+                     tallies.misses, tallies.revalidations, tallies.repicks);
       }
       for (const auto& op : run->stats.ops) {
         if (op.has_estimate) {

@@ -389,38 +389,12 @@ const stats::StatsProvider* Engine::StatsFor(const core::DatabaseView& db) const
   return db_stats_.get();
 }
 
-PlanCache* Engine::EnsureCache() const {
-  if (options_.plan_cache_entries == 0) return nullptr;
-  if (plan_cache_ == nullptr) {
-    plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache_entries,
-                                              options_.plan_cache_bytes);
-  }
-  return plan_cache_.get();
-}
-
-void Engine::ClearPlanCache() const {
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
-}
-
-util::Result<RunResult> Engine::RunCached(const CachedPlanPtr& entry,
-                                          const core::DatabaseView& db) const {
-  const CacheOutcome outcome =
-      RevalidateCachedPlan(*entry, db, StatsFor(db), options_);
-  // No-op for entries the cache is not holding (detached hand-built
-  // handles, evicted entries): the tallies only count runs it served.
-  if (plan_cache_ != nullptr) plan_cache_->NoteUse(entry, outcome);
-  ++entry->uses;
-  auto run = RunImpl(entry->plan, db);
-  if (run.ok()) run->stats.cache = outcome;
-  return run;
-}
-
 util::Result<RunResult> Engine::Run(const ra::ExprPtr& expr,
                                     const core::DatabaseView& db) const {
   const ResultCache* results = options_.result_cache.get();
   if (results == nullptr) {
     PhysicalOpPtr pin;
-    return RunWithPlanCaches(expr, db, &pin);
+    return RunWithPlanCache(expr, db, &pin);
   }
   const std::uint64_t fp = OptionsFingerprint(options_);
   if (auto hit = results->Lookup(expr, db, fp)) {
@@ -430,7 +404,7 @@ util::Result<RunResult> Engine::Run(const ra::ExprPtr& expr,
     return util::Result<RunResult>(std::move(out));
   }
   PhysicalOpPtr pin;
-  auto run = RunWithPlanCaches(expr, db, &pin);
+  auto run = RunWithPlanCache(expr, db, &pin);
   if (run.ok()) {
     // Key the stored result on the versions of exactly the relations the
     // expression reads. Consistent with the data the run saw: a
@@ -443,72 +417,56 @@ util::Result<RunResult> Engine::Run(const ra::ExprPtr& expr,
   return run;
 }
 
-util::Result<RunResult> Engine::RunWithPlanCaches(const ra::ExprPtr& expr,
-                                                  const core::DatabaseView& db,
-                                                  PhysicalOpPtr* pin) const {
-  if (const SharedPlanCache* shared = options_.shared_plan_cache.get()) {
-    // The process-wide cache takes precedence over the engine-local one:
-    // entries are immutable and revalidated by replacement, so this path
-    // is safe from any number of threads.
-    auto acquired = shared->Acquire(expr, db, StatsFor(db), options_);
-    SharedPlanPtr entry = std::move(acquired.entry);
-    if (entry == nullptr) {
-      auto plan = Plan(expr, db);
-      if (!plan.ok()) return util::Result<RunResult>::Error(plan.error());
-      entry = shared->Insert(MakeCachedPlan(expr, db, std::move(*plan)), options_);
-    }
-    auto run = RunImpl(entry->plan, db);
-    if (run.ok()) run->stats.cache = acquired.outcome;
-    *pin = entry->plan.root;
-    return run;
+util::Result<SharedPlanCache::Acquired> Engine::AcquirePlan(
+    const SharedPlanCache& cache, const ra::ExprPtr& expr,
+    const core::DatabaseView& db) const {
+  auto acquired = cache.Acquire(expr, db, StatsFor(db), options_);
+  if (acquired.entry == nullptr) {
+    auto plan = Plan(expr, db);
+    if (!plan.ok()) return util::Result<SharedPlanCache::Acquired>::Error(plan.error());
+    acquired.entry = cache.Insert(MakeCachedPlan(expr, db, std::move(*plan)), options_);
   }
-  PlanCache* cache = EnsureCache();
-  if (cache != nullptr) {
-    if (CachedPlanPtr entry = cache->Lookup(expr, db.id())) {
-      auto run = RunCached(entry, db);
-      *pin = entry->plan.root;  // After the run: revalidation may swap it.
-      return run;
-    }
+  return acquired;
+}
+
+util::Result<RunResult> Engine::RunAcquired(const SharedPlanCache::Acquired& acquired,
+                                            const core::DatabaseView& db) const {
+  auto run = RunImpl(acquired.entry->plan, db);
+  if (run.ok()) run->stats.cache = acquired.outcome;
+  return run;
+}
+
+util::Result<RunResult> Engine::RunWithPlanCache(const ra::ExprPtr& expr,
+                                                 const core::DatabaseView& db,
+                                                 PhysicalOpPtr* pin) const {
+  const SharedPlanCache* cache = plan_cache();
+  if (cache == nullptr) {
     auto plan = Plan(expr, db);
     if (!plan.ok()) return util::Result<RunResult>::Error(plan.error());
-    const CachedPlanPtr entry =
-        cache->Insert(MakeCachedPlan(expr, db, std::move(*plan)));
-    cache->RecordOutcome(CacheOutcome::kMiss);
-    ++entry->uses;
-    auto run = RunImpl(entry->plan, db);
-    if (run.ok()) run->stats.cache = CacheOutcome::kMiss;
-    *pin = entry->plan.root;
+    auto run = RunImpl(*plan, db);
+    *pin = plan->root;
     return run;
   }
-  auto plan = Plan(expr, db);
-  if (!plan.ok()) return util::Result<RunResult>::Error(plan.error());
-  auto run = RunImpl(*plan, db);
-  *pin = plan->root;
-  return run;
+  // Entries are immutable and revalidated by replacement, so this path is
+  // safe from any number of threads.
+  auto acquired = AcquirePlan(*cache, expr, db);
+  if (!acquired.ok()) return util::Result<RunResult>::Error(acquired.error());
+  *pin = acquired->entry->plan.root;
+  return RunAcquired(*acquired, db);
 }
 
 util::Result<PreparedQuery> Engine::Prepare(const ra::ExprPtr& expr,
                                             const core::DatabaseView& db) const {
   SETALG_CHECK(expr != nullptr);
-  PlanCache* cache = EnsureCache();
-  if (cache != nullptr) {
-    if (CachedPlanPtr entry = cache->Lookup(expr, db.id())) {
-      // Reuse the transparently cached plan: the handle and the cache
-      // share one entry, so each keeps the other's revalidations warm.
-      const CacheOutcome outcome =
-          RevalidateCachedPlan(*entry, db, StatsFor(db), options_);
-      cache->NoteUse(entry, outcome);
-      return util::Result<PreparedQuery>(PreparedQuery(std::move(entry)));
-    }
+  if (const SharedPlanCache* cache = plan_cache()) {
+    auto acquired = AcquirePlan(*cache, expr, db);
+    if (!acquired.ok()) return util::Result<PreparedQuery>::Error(acquired.error());
+    return util::Result<PreparedQuery>(PreparedQuery(std::move(acquired->entry)));
   }
   auto plan = Plan(expr, db);
   if (!plan.ok()) return util::Result<PreparedQuery>::Error(plan.error());
-  CachedPlanPtr entry = MakeCachedPlan(expr, db, std::move(*plan));
-  if (cache != nullptr) {
-    cache->Insert(entry);
-    cache->RecordOutcome(CacheOutcome::kMiss);
-  }
-  return util::Result<PreparedQuery>(PreparedQuery(std::move(entry)));
+  return util::Result<PreparedQuery>(
+      PreparedQuery(MakeCachedPlan(expr, db, std::move(*plan))));
 }
 
 util::Result<PreparedQuery> Engine::Prepare(PhysicalPlan plan,
@@ -525,17 +483,28 @@ util::Result<PreparedQuery> Engine::Prepare(PhysicalPlan plan,
 util::Result<RunResult> Engine::Run(const PreparedQuery& prepared,
                                     const core::DatabaseView& db) const {
   SETALG_CHECK(prepared.valid());
-  const CachedPlanPtr& entry = prepared.entry_;
-  if (entry->db_id != db.id()) {
+  const SharedPlanPtr& held = prepared.entry_;
+  if (held->db_id != db.id()) {
     // Prepared against a different database instance. Same-named
     // relations on another database are different data — never reuse the
     // handle's costs for them. With a logical key the transparent path
     // plans (or cache-fetches) for *this* database; a hand-built plan
     // has no key, so it runs uncached with its plan-time annotations.
-    if (entry->expr != nullptr) return Run(entry->expr, db);
-    return RunImpl(entry->plan, db);
+    if (held->expr != nullptr) return Run(held->expr, db);
+    return RunImpl(held->plan, db);
   }
-  return RunCached(entry, db);
+  SharedPlanCache::Acquired acquired;
+  const SharedPlanCache* cache = plan_cache();
+  if (cache != nullptr && held->expr != nullptr) {
+    acquired = cache->AcquireResident(*held, db, StatsFor(db), options_);
+  }
+  if (acquired.entry == nullptr) {
+    // Nothing resident under the handle's key (or no key, or no cache):
+    // run the handle's own entry, uncounted and unpublished.
+    acquired.entry = RevalidatedCopy(held, db, StatsFor(db), options_, &acquired.outcome);
+  }
+  prepared.entry_ = acquired.entry;
+  return RunAcquired(acquired, db);
 }
 
 util::Result<PhysicalPlan> Engine::Plan(const ra::ExprPtr& expr,

@@ -27,6 +27,7 @@
 #include "engine/physical.h"
 #include "engine/plan_cache.h"
 #include "engine/planner.h"
+#include "engine/shared_cache.h"
 #include "ra/eval.h"
 #include "ra/expr.h"
 #include "stats/stats.h"
@@ -40,14 +41,17 @@ struct RunResult {
   PlanStats stats;
 };
 
-/// A prepared statement: a handle owning one lowered physical plan, its
+/// A prepared statement: a handle on one lowered physical plan, its
 /// canonical cache key (structural expression hash), and the per-relation
 /// version vector it was last costed against. Obtained from
 /// Engine::Prepare and executed with Engine::Run(prepared, db); cheap to
-/// copy (shared ownership of the underlying entry). The handle keeps its
-/// plan alive across cache eviction and Engine::ClearPlanCache — and
-/// stays correct across database mutation: every execution revalidates
-/// the version vector first and re-costs (never re-lowers) on mismatch.
+/// copy (shared ownership of an immutable entry, which the plan cache may
+/// share with other sessions). The handle keeps its plan alive across
+/// cache eviction and SharedPlanCache::Clear — and stays correct across
+/// database mutation: every execution revalidates the version vector
+/// first and re-costs (never re-lowers) on mismatch. Each execution
+/// re-points the handle at the entry that ran, so run a handle from one
+/// thread at a time; copies are independent.
 class PreparedQuery {
  public:
   PreparedQuery() = default;
@@ -64,22 +68,19 @@ class PreparedQuery {
   /// Id of the database instance the handle was prepared against.
   std::uint64_t database_id() const { return entry().db_id; }
 
-  /// The version vector the plan was last costed against (mutates on
-  /// revalidation).
+  /// The version vector the plan was last costed against (advances when
+  /// a run revalidates).
   const stats::VersionVector& versions() const { return entry().versions; }
 
   const PhysicalPlan& plan() const { return entry().plan; }
 
-  /// Runs served from this handle's entry so far.
-  std::size_t uses() const { return entry().uses; }
-
-  /// Approximate resident footprint of the owned plan (what the cache's
-  /// byte budget charges; revalidation may resize it in place).
+  /// Approximate resident footprint of the plan (what the cache's byte
+  /// budget charges; a revalidated plan may be larger or smaller).
   std::size_t approx_bytes() const { return entry().approx_bytes; }
 
  private:
   friend class Engine;
-  explicit PreparedQuery(CachedPlanPtr entry) : entry_(std::move(entry)) {}
+  explicit PreparedQuery(SharedPlanPtr entry) : entry_(std::move(entry)) {}
 
   /// Every accessor funnels through here so an empty (default-constructed
   /// or moved-from) handle fails the valid() check loudly instead of
@@ -91,7 +92,9 @@ class PreparedQuery {
     return *entry_;
   }
 
-  CachedPlanPtr entry_;
+  /// The entry the last execution ran (Engine::Run swaps in a
+  /// revalidated one; entries themselves are never mutated).
+  mutable SharedPlanPtr entry_;
 };
 
 /// Every entry point takes a core::DatabaseView — a live core::Database
@@ -99,13 +102,12 @@ class PreparedQuery {
 /// evaluation and MVCC snapshot serving.
 ///
 /// Thread-safety: an Engine is safe for concurrent Run(expr, view) calls
-/// iff (a) every view passed is its own thread-safe statistics provider
+/// iff every view passed is its own thread-safe statistics provider
 /// (txn::Snapshot is; a live Database routes through the engine's
-/// memoized, single-threaded stats::DatabaseStats) and (b) the
-/// engine-local plan cache is disabled (plan_cache_entries == 0) — use
-/// the process-wide EngineOptions::shared_plan_cache / result_cache
-/// instead, which are striped/locked and shareable across engines and
-/// threads. Prepared handles remain session-scoped (single-threaded).
+/// memoized, single-threaded stats::DatabaseStats). The plan and result
+/// caches (EngineOptions::shared_plan_cache / result_cache) are
+/// striped/locked and shareable across engines and threads. A prepared
+/// handle is run from one thread at a time (see PreparedQuery).
 /// Each run builds its own executor state (and, for
 /// EngineOptions::threads > 1, its own worker pool), so the parallelism
 /// *inside* a run is unaffected by any of this. The one state a run
@@ -121,7 +123,7 @@ class Engine {
 
   /// Plans and executes `expr` on `db`. Schema mismatches and budget
   /// violations come back as Result errors, never aborts. With
-  /// EngineOptions::plan_cache_entries > 0 the lowered plan is cached
+  /// EngineOptions::shared_plan_cache set the lowered plan is cached
   /// transparently, keyed on the expression's structure and db.id():
   /// repeated runs of the same shape skip lowering entirely (hit) or
   /// re-cost the cached plan from fresh statistics after a mutation
@@ -130,11 +132,13 @@ class Engine {
   util::Result<RunResult> Run(const ra::ExprPtr& expr, const core::DatabaseView& db) const;
 
   /// Prepares `expr` against `db`: lowers it once (statistics-annotated)
-  /// and returns a handle that owns the plan, its structural cache key,
-  /// and the version vector it was costed against. When the plan cache
-  /// is enabled the entry is shared with it (a later Run(expr, db) of a
-  /// structurally equal expression hits the same entry); otherwise the
-  /// handle is detached and self-contained.
+  /// and returns a handle on the plan, its structural cache key, and the
+  /// version vector it was costed against. With a plan cache attached
+  /// this is Run's lookup without the run — a cached plan is reused (and
+  /// revalidated if stale), a miss lowers and inserts — so the handle
+  /// shares its entry with every Run(expr, db) and Prepare of a
+  /// structurally equal expression, from any engine on the cache;
+  /// otherwise the handle is detached and self-contained.
   util::Result<PreparedQuery> Prepare(const ra::ExprPtr& expr,
                                       const core::DatabaseView& db) const;
 
@@ -145,24 +149,23 @@ class Engine {
   util::Result<PreparedQuery> Prepare(PhysicalPlan plan,
                                       const core::DatabaseView& db) const;
 
-  /// Executes a prepared statement: revalidates the handle's version
-  /// vector against `db` (hit → run as-is; mismatch → re-cost the cached
-  /// plan, swapping algorithm choices in place when a decision flips) and
-  /// runs the plan. Handed a database other than the one the handle was
-  /// prepared against (by id), falls back to the transparent Run(expr,
-  /// db) path — plans never leak across database identities. Results are
-  /// always identical to a fresh un-cached Run.
+  /// Executes a prepared statement. With a plan cache attached it runs
+  /// the entry resident under the handle's key, exactly as Run(expr, db)
+  /// would (hit, or revalidated on a private copy and published). When
+  /// nothing is resident there (evicted, cleared, or a hand-built plan)
+  /// it runs the handle's own entry, revalidated on a private copy if
+  /// stale, and the cache neither counts nor publishes the run. Either
+  /// way the handle then holds the entry that ran. Handed a database
+  /// other than the one the handle was prepared against (by id), falls
+  /// back to the transparent Run(expr, db) path — plans never leak across
+  /// database identities. Results are always identical to a fresh
+  /// un-cached Run.
   util::Result<RunResult> Run(const PreparedQuery& prepared,
                               const core::DatabaseView& db) const;
 
-  /// The transparent plan cache (created on first access), or nullptr
-  /// when options().plan_cache_entries == 0. Observable state only
-  /// (sizes, hit/miss/revalidated/repicked tallies).
-  const PlanCache* plan_cache() const { return EnsureCache(); }
-
-  /// Drops every cached plan (prepared handles keep theirs and stay
-  /// runnable; the next Run re-lowers and re-inserts).
-  void ClearPlanCache() const;
+  /// The plan cache (options().shared_plan_cache), or nullptr when none
+  /// is attached.
+  const SharedPlanCache* plan_cache() const { return options_.shared_plan_cache.get(); }
 
   /// Lowers without executing. Without a database there are no statistics:
   /// the plan carries no cost estimates and cost_based options fall back
@@ -213,24 +216,26 @@ class Engine {
   /// per-relation stats within it refresh via the mutation counters.
   const stats::StatsProvider* StatsFor(const core::DatabaseView& db) const;
 
-  /// The plan cache, created on first use (null when disabled).
-  PlanCache* EnsureCache() const;
+  /// The plan cache's answer for `expr`: Acquire, then lower and Insert
+  /// on a miss.
+  util::Result<SharedPlanCache::Acquired> AcquirePlan(const SharedPlanCache& cache,
+                                                      const ra::ExprPtr& expr,
+                                                      const core::DatabaseView& db) const;
 
-  /// Shared tail of the cached execution paths: revalidate, tally, run.
-  util::Result<RunResult> RunCached(const CachedPlanPtr& entry,
-                                    const core::DatabaseView& db) const;
+  /// Runs an acquired plan, reporting its outcome in PlanStats::cache.
+  util::Result<RunResult> RunAcquired(const SharedPlanCache::Acquired& acquired,
+                                      const core::DatabaseView& db) const;
 
-  /// Run through the plan caches (shared first, then engine-local, then
-  /// uncached), leaving PlanStats::cache set. `*pin` receives the root
-  /// of the plan that actually ran (for result-cache provenance).
-  util::Result<RunResult> RunWithPlanCaches(const ra::ExprPtr& expr,
-                                            const core::DatabaseView& db,
-                                            PhysicalOpPtr* pin) const;
+  /// Run through the plan cache (or uncached without one), leaving
+  /// PlanStats::cache set. `*pin` receives the root of the plan that
+  /// actually ran (for result-cache provenance).
+  util::Result<RunResult> RunWithPlanCache(const ra::ExprPtr& expr,
+                                           const core::DatabaseView& db,
+                                           PhysicalOpPtr* pin) const;
 
   EngineOptions options_;
   mutable std::unique_ptr<stats::DatabaseStats> db_stats_;
   mutable std::uint64_t db_stats_id_ = 0;
-  mutable std::unique_ptr<PlanCache> plan_cache_;
 };
 
 /// Executes `plan` the reference way: serial, at kDefaultBatchSize,

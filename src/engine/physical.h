@@ -87,7 +87,7 @@ enum class CacheOutcome {
   kMiss,         // Lowered fresh (and inserted when the cache is enabled).
   kHit,          // Version vector matched: the cached plan ran as-is.
   kRevalidated,  // Versions moved; re-costed, every algorithm choice held.
-  kRepicked,     // Versions moved; re-costing flipped >= 1 choice in place.
+  kRepicked,     // Versions moved; re-costing flipped >= 1 choice.
   kResultHit,    // Served from the result cache (engine/result_cache.h):
                  // no plan ran at all — the stored relation and the
                  // producing run's stats were replayed verbatim.
@@ -238,8 +238,9 @@ class PhysicalOp {
   /// A copy of this operator over different children (same kind, payload
   /// and source; `children` must match the original count and arities).
   /// The structural substitution primitive behind plan-cache revalidation:
-  /// a cached plan swaps a re-picked operator in place by rebuilding only
-  /// the spine above it, never re-lowering the logical expression.
+  /// a revalidated copy of a cached plan swaps in a re-picked operator by
+  /// rebuilding only the spine above it, never re-lowering the logical
+  /// expression.
   virtual PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const = 0;
 
   /// The stored relation this operator scans, or nullptr for every

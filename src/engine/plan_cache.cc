@@ -8,8 +8,6 @@
 
 #include "engine/cost.h"
 #include "engine/multiway.h"
-#include "util/check.h"
-#include "util/hash.h"
 
 namespace setalg::engine {
 namespace {
@@ -350,98 +348,19 @@ CacheOutcome RevalidateCachedPlan(CachedPlan& entry, const core::DatabaseView& d
   return flips.empty() ? CacheOutcome::kRevalidated : CacheOutcome::kRepicked;
 }
 
-// ---------------------------------------------------------------------------
-// PlanCache.
-// ---------------------------------------------------------------------------
-
-std::size_t PlanCache::KeyHash::operator()(const Key& key) const {
-  return static_cast<std::size_t>(util::HashCombine(key.db_id, key.hash));
-}
-
-bool PlanCache::KeyEqual::operator()(const Key& a, const Key& b) const {
-  return a.db_id == b.db_id && a.hash == b.hash && ra::ExprEqual{}(a.expr, b.expr);
-}
-
-PlanCache::PlanCache(std::size_t max_entries, std::size_t max_bytes)
-    : max_entries_(std::max<std::size_t>(1, max_entries)), max_bytes_(max_bytes) {}
-
-CachedPlanPtr PlanCache::Lookup(const ra::ExprPtr& expr, std::uint64_t db_id) {
-  SETALG_CHECK(expr != nullptr);
-  const auto it = map_.find(Key{db_id, ra::StructuralHash(*expr), expr});
-  if (it == map_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru);
-  return it->second.entry;
-}
-
-CachedPlanPtr PlanCache::Insert(CachedPlanPtr entry) {
-  SETALG_CHECK(entry != nullptr);
-  Key key{entry->db_id, entry->expr_hash, entry->expr};
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    bytes_ -= it->second.charged_bytes;
-    bytes_ += entry->approx_bytes;
-    it->second.entry = entry;
-    it->second.charged_bytes = entry->approx_bytes;
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-  } else {
-    lru_.push_front(key);
-    bytes_ += entry->approx_bytes;
-    map_.emplace(std::move(key), Node{entry, lru_.begin(), entry->approx_bytes});
+SharedPlanPtr RevalidatedCopy(const SharedPlanPtr& entry, const core::DatabaseView& db,
+                              const stats::StatsProvider* stats,
+                              const EngineOptions& options, CacheOutcome* outcome) {
+  if (stats::VersionsMatch(db, entry->versions)) {
+    *outcome = CacheOutcome::kHit;
+    return entry;
   }
-  EvictPastBudget();
-  return entry;
-}
-
-void PlanCache::NoteUse(const CachedPlanPtr& entry, CacheOutcome outcome) {
-  if (entry == nullptr || entry->expr == nullptr) return;  // Never keyed.
-  const auto it = map_.find(Key{entry->db_id, entry->expr_hash, entry->expr});
-  if (it == map_.end() || it->second.entry != entry) return;  // Not resident.
-  bytes_ += entry->approx_bytes;
-  bytes_ -= it->second.charged_bytes;
-  it->second.charged_bytes = entry->approx_bytes;
-  lru_.splice(lru_.begin(), lru_, it->second.lru);
-  RecordOutcome(outcome);
-  EvictPastBudget();
-}
-
-void PlanCache::EvictPastBudget() {
-  while (!lru_.empty() &&
-         (map_.size() > max_entries_ || (max_bytes_ != 0 && bytes_ > max_bytes_))) {
-    const auto it = map_.find(lru_.back());
-    SETALG_CHECK(it != map_.end());
-    bytes_ -= it->second.charged_bytes;
-    map_.erase(it);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-}
-
-void PlanCache::RecordOutcome(CacheOutcome outcome) {
-  switch (outcome) {
-    case CacheOutcome::kHit:
-      ++stats_.hits;
-      break;
-    case CacheOutcome::kMiss:
-      ++stats_.misses;
-      break;
-    case CacheOutcome::kRevalidated:
-      ++stats_.revalidations;
-      break;
-    case CacheOutcome::kRepicked:
-      ++stats_.revalidations;
-      ++stats_.repicks;
-      break;
-    case CacheOutcome::kUncached:
-    case CacheOutcome::kResultHit:
-      // Result-cache hits never touch the plan cache (no plan ran).
-      break;
-  }
-}
-
-void PlanCache::Clear() {
-  map_.clear();
-  lru_.clear();
-  bytes_ = 0;
+  // Re-pricing and operator swaps only allocate fresh nodes (PhysicalOps
+  // are immutable; RebuildOp copies the spine), so whoever still runs the
+  // old plan is untouched.
+  auto copy = std::make_shared<CachedPlan>(*entry);
+  *outcome = RevalidateCachedPlan(*copy, db, stats, options);
+  return copy;
 }
 
 }  // namespace setalg::engine

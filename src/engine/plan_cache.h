@@ -1,32 +1,31 @@
-// The engine's plan cache: lowered physical plans shared across runs on
-// changing databases.
+// Cached lowered plans and their revalidation: the entries the engine's
+// plan cache (engine/shared_cache.h) stores and prepared handles hold.
 //
-// PRs 1–4 made *planning* — lowering, pattern routing, cost-based
-// algorithm choice, partition pricing — a per-call cost on every
-// Engine::Run. At serving traffic that path is the hot path: the same
-// handful of query shapes arrive millions of times while the data slowly
-// mutates underneath. The cache closes that gap with the invalidation
-// signal the statistics cache already relies on
+// *Planning* — lowering, pattern routing, cost-based algorithm choice,
+// partition pricing — is a per-call cost on every uncached Engine::Run.
+// At serving traffic that path is the hot path: the same handful of query
+// shapes arrive millions of times while the data slowly mutates
+// underneath. The plan cache closes that gap with the invalidation signal
+// the statistics cache already relies on
 // (core::Database::relation_version()):
 //
 //   - Entries are keyed on the *structure* of the logical expression
 //     (ra::ExprHash / ra::ExprEqual — never on pointers, so α-identical
 //     trees from different parses share one plan) plus the database's
 //     process-unique id (two databases with colliding relation names can
-//     never exchange plans).
+//     never exchange plans) and the engine's OptionsFingerprint.
 //   - Each entry snapshots the per-relation version vector its costs were
 //     computed against. A matching vector is a *hit*: the plan runs
 //     untouched. A moved vector is *revalidated*: the recorded choice
 //     points (PhysicalPlan::choice_points) are re-priced from fresh
 //     statistics — never re-lowered — and when a decision flips (e.g.
 //     hash-division → sort-merge after a bulk load) the operator is
-//     swapped in place by rebuilding only the spine above it
+//     swapped by rebuilding only the spine above it
 //     (PhysicalOp::WithChildren); the run reports *repicked*.
-//   - Capacity is LRU-bounded by entry count (EngineOptions::
-//     plan_cache_entries) and by an approximate byte budget
-//     (plan_cache_bytes). Entries are shared_ptr-owned: evicting the
-//     entry a PreparedQuery holds — or the one currently executing —
-//     only forgets it; the plan stays alive until its last user is done.
+//   - Entries are immutable once shared (SharedPlanPtr). Revalidation
+//     always works on a private copy (RevalidatedCopy), which the cache
+//     then publishes; a run or a PreparedQuery still holding the old
+//     entry keeps it alive and untouched.
 //
 // Whatever the outcome, results and per-operator PlanStats row counts are
 // bit-identical to a fresh un-cached run — the cache-differential harness
@@ -36,9 +35,7 @@
 #define SETALG_ENGINE_PLAN_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 
 #include "core/database.h"
 #include "engine/planner.h"
@@ -63,11 +60,11 @@ struct CachedPlan {
   /// Approximate resident footprint (operators, key expression, estimate
   /// tables) charged against the cache's byte budget.
   std::size_t approx_bytes = 0;
-  /// Runs served from this entry (any outcome), for observability.
-  std::size_t uses = 0;
 };
 
 using CachedPlanPtr = std::shared_ptr<CachedPlan>;
+/// An entry as the cache and prepared handles share it: never mutated.
+using SharedPlanPtr = std::shared_ptr<const CachedPlan>;
 
 /// Builds a cache entry (detached — not registered anywhere) for `plan`
 /// as lowered for `db`. `expr` may be null for hand-built plans; the
@@ -85,96 +82,24 @@ std::size_t ApproxPlanBytes(const CachedPlan& entry);
 ///                  refreshed from fresh statistics, every algorithm
 ///                  decision held;
 ///   kRepicked    — versions moved and >= 1 decision flipped; the
-///                  affected operators were swapped in place (only the
+///                  affected operators were swapped in `entry` (only the
 ///                  spine above each rebuilt — the expression is never
 ///                  re-lowered) and the choice/rewrite notes updated.
-/// `options` must be the options the plan was lowered under (the Engine
-/// guarantees this: one cache per engine, one options set per engine).
-/// `db` must be the instance the entry is keyed on (same id).
+/// Mutates `entry`, so it must be private to the caller (RevalidatedCopy
+/// makes the copy). `options` must be the options the plan was lowered
+/// under (the plan cache keys entries on OptionsFingerprint to guarantee
+/// this). `db` must be the instance the entry is keyed on (same id).
 CacheOutcome RevalidateCachedPlan(CachedPlan& entry, const core::DatabaseView& db,
                                   const stats::StatsProvider* stats,
                                   const EngineOptions& options);
 
-/// LRU map from (expression structure, database id) to cached plans.
-/// Not thread-safe — it lives inside an Engine, which is documented
-/// single-threaded (the worker pool parallelism is *inside* a run).
-class PlanCache {
- public:
-  /// Observable behavior for tests, raq -v and ops dashboards.
-  struct Stats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t revalidations = 0;  // Includes repicks.
-    std::size_t repicks = 0;
-    std::size_t evictions = 0;
-  };
-
-  /// `max_entries` >= 1; `max_bytes` 0 = unbounded bytes.
-  PlanCache(std::size_t max_entries, std::size_t max_bytes);
-
-  /// The entry for (expr, db_id), refreshed to most-recently-used, or
-  /// null. Does not record an outcome — the caller knows whether the
-  /// lookup ends as a hit, a revalidation or a miss.
-  CachedPlanPtr Lookup(const ra::ExprPtr& expr, std::uint64_t db_id);
-
-  /// Inserts (replacing any previous entry under the same key) and
-  /// evicts least-recently-used entries past either budget. The returned
-  /// entry stays valid even if immediately evicted.
-  CachedPlanPtr Insert(CachedPlanPtr entry);
-
-  /// Tallies one run's outcome into stats().
-  void RecordOutcome(CacheOutcome outcome);
-
-  /// Records one use of `entry` — outcome tally, LRU refresh, and byte
-  /// re-charge (revalidation may resize an entry in place) — iff it is
-  /// the resident entry under its key. Detached handles (hand-built
-  /// plans) and evicted entries leave the cache's observable state
-  /// untouched: the cache only accounts for runs it actually served.
-  void NoteUse(const CachedPlanPtr& entry, CacheOutcome outcome);
-
-  /// Drops every entry (outstanding PreparedQuery handles keep theirs).
-  void Clear();
-
-  std::size_t size() const { return map_.size(); }
-  std::size_t bytes() const { return bytes_; }
-  std::size_t max_entries() const { return max_entries_; }
-  std::size_t max_bytes() const { return max_bytes_; }
-  const Stats& stats() const { return stats_; }
-
- private:
-  struct Key {
-    std::uint64_t db_id = 0;
-    /// ra::StructuralHash(*expr), carried in the key so the hot path
-    /// hashes each expression tree once per operation (Lookup) or not at
-    /// all (Insert/NoteUse reuse CachedPlan::expr_hash) instead of
-    /// re-walking the tree inside every map probe.
-    std::uint64_t hash = 0;
-    ra::ExprPtr expr;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const;
-  };
-  struct KeyEqual {
-    bool operator()(const Key& a, const Key& b) const;
-  };
-  struct Node {
-    CachedPlanPtr entry;
-    std::list<Key>::iterator lru;  // Position in lru_ (front = hottest).
-    /// What bytes_ was charged for this entry. Revalidation resizes
-    /// entries in place (NoteUse re-charges), so eviction must subtract
-    /// the charged value, never the entry's current approx_bytes.
-    std::size_t charged_bytes = 0;
-  };
-
-  void EvictPastBudget();
-
-  std::size_t max_entries_;
-  std::size_t max_bytes_;
-  std::unordered_map<Key, Node, KeyHash, KeyEqual> map_;
-  std::list<Key> lru_;
-  std::size_t bytes_ = 0;
-  Stats stats_;
-};
+/// `entry` costed against `db`'s current versions, without touching
+/// `entry`: `entry` itself when its version vector still matches (*outcome
+/// = kHit), otherwise a private copy run through RevalidateCachedPlan
+/// (kRevalidated / kRepicked).
+SharedPlanPtr RevalidatedCopy(const SharedPlanPtr& entry, const core::DatabaseView& db,
+                              const stats::StatsProvider* stats,
+                              const EngineOptions& options, CacheOutcome* outcome);
 
 }  // namespace setalg::engine
 

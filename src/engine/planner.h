@@ -93,33 +93,22 @@ struct EngineOptions {
   /// PlanStats::choices. Values < 1 are treated as 1.
   std::size_t threads = 1;
 
-  /// Plan-cache capacity of the Engine facade, in entries (raq
-  /// --plan-cache). 0 (the default) disables the transparent cache:
-  /// Engine::Run lowers fresh every call and Engine::Prepare returns
-  /// detached handles. N > 0 keeps the N most recently used lowered
-  /// plans, keyed on the expression's structure (ra::ExprHash) and the
-  /// database's id; a version-vector mismatch re-costs the cached plan
-  /// from fresh statistics instead of re-lowering it (PlanStats::cache
-  /// reports hit/miss/revalidated/repicked). Like `batch_size`/`threads`
-  /// this is an execution-path knob, never a semantics change: cached
-  /// results and per-operator PlanStats row counts are bit-identical to
-  /// an uncached run (tests/plan_cache_test.cc enforces it).
-  std::size_t plan_cache_entries = 0;
-
-  /// Byte budget for the plan cache's approximate footprint (operators +
-  /// key expressions + estimate tables). 0 = bounded by entry count only.
-  /// Exceeding it evicts least-recently-used entries; an entry being
-  /// executed or held by a PreparedQuery survives its eviction (shared
-  /// ownership) — eviction only forgets, it never invalidates.
-  std::size_t plan_cache_bytes = 0;
-
-  /// Process-wide striped plan cache shared between engines and threads
-  /// (engine/shared_cache.h). When set it takes precedence over the
-  /// engine-local cache above for Engine::Run — entries are immutable
-  /// and revalidated by replacement, so any number of engines on any
-  /// number of threads may share one instance. Prepared handles keep
-  /// using the engine-local path (a handle is a session-scoped object).
-  /// Excluded from OptionsFingerprint (cache wiring, not semantics).
+  /// The plan cache (engine/shared_cache.h; raq --plan-cache). Null (the
+  /// default) disables plan caching: Engine::Run lowers fresh every call
+  /// and Engine::Prepare returns detached handles. When set, Engine::Run,
+  /// Engine::Prepare and prepared handles keep lowered plans keyed on the
+  /// expression's structure (ra::ExprHash), the database's id and
+  /// OptionsFingerprint; a version-vector mismatch re-costs the cached
+  /// plan from fresh statistics instead of re-lowering it
+  /// (PlanStats::cache reports hit/miss/revalidated/repicked). Entries
+  /// are immutable and revalidated by replacement, so any number of
+  /// engines on any number of threads may share one instance; an entry
+  /// being executed or held by a PreparedQuery survives its eviction.
+  /// Like `batch_size`/`threads` this is an execution-path knob, never a
+  /// semantics change: cached results and per-operator PlanStats row
+  /// counts are bit-identical to an uncached run
+  /// (tests/plan_cache_test.cc enforces it). Excluded from
+  /// OptionsFingerprint (cache wiring, not semantics).
   std::shared_ptr<SharedPlanCache> shared_plan_cache;
 
   /// Invalidation-aware result cache (engine/result_cache.h): whole query
@@ -180,13 +169,6 @@ struct EngineOptions {
     return o;
   }
 
-  EngineOptions WithPlanCache(std::size_t entries, std::size_t bytes = 0) const {
-    EngineOptions o = *this;
-    o.plan_cache_entries = entries;
-    o.plan_cache_bytes = bytes;
-    return o;
-  }
-
   EngineOptions WithSharedCaches(std::shared_ptr<SharedPlanCache> plans,
                                  std::shared_ptr<ResultCache> results) const {
     EngineOptions o = *this;
@@ -205,17 +187,17 @@ struct EngineOptions {
 /// lowered plan looks like or what a run produces (rewrites, algorithm
 /// defaults, cost_based, batch size and threads, budgets, stats
 /// collection).
-/// Cache-wiring fields (plan_cache_*, shared_plan_cache, result_cache)
-/// are excluded: they select *where* plans/results are stored, never what
-/// they are. The process-wide caches mix this into their keys so engines
-/// configured differently can share one cache without exchanging plans.
+/// Cache-wiring fields (shared_plan_cache, result_cache) are excluded:
+/// they select *where* plans/results are stored, never what they are.
+/// The caches mix this into their keys so engines configured differently
+/// can share one cache without exchanging plans.
 std::uint64_t OptionsFingerprint(const EngineOptions& options);
 
 /// One re-costable algorithm decision baked into a lowered plan: the call
 /// site kind, the logical inputs its cost formulas price, and the operator
 /// the decision produced. A cached plan keeps these alive so a
 /// version-vector mismatch re-prices the recorded alternatives from fresh
-/// statistics — and swaps the operator in place when the decision flips —
+/// statistics — and swaps the operator when the decision flips —
 /// without ever re-lowering the expression (engine/plan_cache.h).
 struct ChoicePoint {
   enum class Kind { kDivision, kSemijoin, kMultiway };

@@ -1,26 +1,18 @@
 #include "engine/result_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
-#include "util/hash.h"
 
 namespace setalg::engine {
-namespace {
 
-constexpr std::size_t kStripes = 8;
-
-}  // namespace
-
-std::size_t ResultCache::KeyHash::operator()(const Key& key) const {
-  return static_cast<std::size_t>(
-      util::HashCombine(util::HashCombine(key.db_id, key.options_fp), key.hash));
-}
-
-bool ResultCache::KeyEqual::operator()(const Key& a, const Key& b) const {
-  return a.db_id == b.db_id && a.options_fp == b.options_fp && a.hash == b.hash &&
-         ra::ExprEqual{}(a.expr, b.expr);
+ResultCache::Stats& ResultCache::Stats::operator+=(const Stats& other) {
+  hits += other.hits;
+  misses += other.misses;
+  invalidations += other.invalidations;
+  insertions += other.insertions;
+  evictions += other.evictions;
+  return *this;
 }
 
 std::size_t ResultCache::ApproxEntryBytes(const Entry& entry) {
@@ -42,52 +34,30 @@ std::size_t ResultCache::ApproxEntryBytes(const Entry& entry) {
 }
 
 ResultCache::ResultCache(std::size_t max_entries, std::size_t max_bytes)
-    : max_entries_(std::max<std::size_t>(1, max_entries)),
-      max_bytes_(max_bytes),
-      num_stripes_(kStripes),
-      stripes_(std::make_unique<Stripe[]>(kStripes)) {
-  stripe_max_entries_ =
-      std::max<std::size_t>(1, (max_entries_ + kStripes - 1) / kStripes);
-  stripe_max_bytes_ =
-      max_bytes_ == 0 ? 0
-                      : std::max<std::size_t>(1, (max_bytes_ + kStripes - 1) / kStripes);
-}
-
-ResultCache::Stripe& ResultCache::StripeFor(const Key& key) const {
-  return stripes_[KeyHash{}(key) & (num_stripes_ - 1)];
-}
+    : lru_(max_entries, max_bytes) {}
 
 std::optional<ResultCache::Hit> ResultCache::Lookup(
     const ra::ExprPtr& expr, const core::DatabaseView& db,
     std::uint64_t options_fp) const {
   SETALG_CHECK(expr != nullptr);
-  Key key{db.id(), options_fp, ra::StructuralHash(*expr), expr};
-  Stripe& stripe = StripeFor(key);
-
-  std::shared_ptr<const Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    const auto it = stripe.map.find(key);
-    if (it == stripe.map.end()) {
-      ++stripe.stats.misses;
-      return std::nullopt;
-    }
-    entry = it->second.entry;
-    // Invalidation check under the lock: the view's counters are either
-    // frozen (txn::Snapshot) or owned by this thread (a live Database is
-    // single-threaded by contract), so the check itself is race-free;
-    // the lock makes the erase-on-stale atomic with the lookup.
-    if (!stats::VersionsMatch(db, entry->versions)) {
-      stripe.bytes -= it->second.charged_bytes;
-      stripe.lru.erase(it->second.lru);
-      stripe.map.erase(it);
-      ++stripe.stats.invalidations;
-      ++stripe.stats.misses;
-      return std::nullopt;
-    }
-    stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru);
-    ++stripe.stats.hits;
-  }
+  const CacheKey key{db.id(), options_fp, ra::StructuralHash(*expr), expr};
+  const std::shared_ptr<const Entry> entry =
+      lru_.With(key, [&](StripedLru<Entry, Stats>::Stripe& stripe) {
+        std::shared_ptr<const Entry> found = stripe.Find(key);
+        // Invalidation check under the lock: the view's counters are
+        // either frozen (txn::Snapshot) or owned by this thread (a live
+        // Database is single-threaded by contract), so the check itself
+        // is race-free; the lock makes the erase-on-stale atomic with the
+        // lookup.
+        if (found != nullptr && !stats::VersionsMatch(db, found->versions)) {
+          stripe.Erase(key);
+          ++stripe.stats().invalidations;
+          found = nullptr;
+        }
+        ++(found == nullptr ? stripe.stats().misses : stripe.stats().hits);
+        return found;
+      });
+  if (entry == nullptr) return std::nullopt;
 
   Hit hit;
   hit.relation = entry->relation;
@@ -109,81 +79,11 @@ void ResultCache::Insert(const ra::ExprPtr& expr, std::uint64_t db_id,
   entry->expr = expr;
   entry->approx_bytes = ApproxEntryBytes(*entry);
 
-  Key key{db_id, options_fp, ra::StructuralHash(*expr), expr};
-  Stripe& stripe = StripeFor(key);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto it = stripe.map.find(key);
-  if (it != stripe.map.end()) {
-    stripe.bytes -= it->second.charged_bytes;
-    stripe.bytes += entry->approx_bytes;
-    it->second.charged_bytes = entry->approx_bytes;
-    it->second.entry = std::move(entry);
-    stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru);
-  } else {
-    stripe.lru.push_front(key);
-    stripe.bytes += entry->approx_bytes;
-    const std::size_t charged = entry->approx_bytes;
-    stripe.map.emplace(std::move(key),
-                       Node{std::move(entry), stripe.lru.begin(), charged});
-  }
-  ++stripe.stats.insertions;
-  EvictPastBudgetLocked(stripe, stripe_max_entries_, stripe_max_bytes_);
-}
-
-void ResultCache::EvictPastBudgetLocked(Stripe& stripe, std::size_t max_entries,
-                                        std::size_t max_bytes) {
-  while (!stripe.lru.empty() &&
-         (stripe.map.size() > max_entries ||
-          (max_bytes != 0 && stripe.bytes > max_bytes))) {
-    const auto it = stripe.map.find(stripe.lru.back());
-    SETALG_CHECK(it != stripe.map.end());
-    stripe.bytes -= it->second.charged_bytes;
-    stripe.map.erase(it);
-    stripe.lru.pop_back();
-    ++stripe.stats.evictions;
-  }
-}
-
-void ResultCache::Clear() const {
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    Stripe& stripe = stripes_[i];
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.map.clear();
-    stripe.lru.clear();
-    stripe.bytes = 0;
-  }
-}
-
-std::size_t ResultCache::size() const {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    std::lock_guard<std::mutex> lock(stripes_[i].mu);
-    total += stripes_[i].map.size();
-  }
-  return total;
-}
-
-std::size_t ResultCache::bytes() const {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    std::lock_guard<std::mutex> lock(stripes_[i].mu);
-    total += stripes_[i].bytes;
-  }
-  return total;
-}
-
-ResultCache::Stats ResultCache::stats() const {
-  Stats total;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    std::lock_guard<std::mutex> lock(stripes_[i].mu);
-    const Stats& s = stripes_[i].stats;
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.invalidations += s.invalidations;
-    total.insertions += s.insertions;
-    total.evictions += s.evictions;
-  }
-  return total;
+  const CacheKey key{db_id, options_fp, ra::StructuralHash(*expr), expr};
+  lru_.With(key, [&](StripedLru<Entry, Stats>::Stripe& stripe) {
+    stripe.Put(key, std::move(entry));
+    ++stripe.stats().insertions;
+  });
 }
 
 }  // namespace setalg::engine

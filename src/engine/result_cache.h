@@ -17,25 +17,24 @@
 // a hit can never survive a version-vector change — and the follow-up
 // insert re-keys the fresh result in its place.
 //
-// Storage is striped/locked like the shared plan cache, LRU-bounded by
-// entry count and by an approximate byte budget dominated by the stored
-// relations' flat payloads. Each entry pins the producing plan's root
-// operator and canonical expression so the provenance pointers inside
-// the replayed OpStats (`op`, `source`) stay valid for entry lifetime —
-// they are labels for inspection, never dereferenced by the engine.
+// Storage is the striped LRU the plan cache uses too
+// (engine/striped_lru.h), bounded by entry count and by an approximate
+// byte budget dominated by the stored relations' flat payloads. Each
+// entry pins the producing plan's root operator and canonical expression
+// so the provenance pointers inside the replayed OpStats (`op`, `source`)
+// stay valid for entry lifetime — they are labels for inspection, never
+// dereferenced by the engine.
 #ifndef SETALG_ENGINE_RESULT_CACHE_H_
 #define SETALG_ENGINE_RESULT_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "core/database.h"
 #include "core/relation.h"
 #include "engine/physical.h"
+#include "engine/striped_lru.h"
 #include "ra/expr.h"
 #include "stats/stats.h"
 
@@ -53,6 +52,8 @@ class ResultCache {
     std::size_t invalidations = 0;
     std::size_t insertions = 0;
     std::size_t evictions = 0;
+
+    Stats& operator+=(const Stats& other);
   };
 
   /// A replayable hit: the stored relation plus the producing run's
@@ -62,9 +63,10 @@ class ResultCache {
     PlanStats stats;
   };
 
-  /// `max_entries` >= 1 (whole-cache, split evenly over stripes);
-  /// `max_bytes` 0 = unbounded. The byte charge per entry is dominated
-  /// by the stored relation's flat payload.
+  /// `max_entries` >= 1 and `max_bytes` (0 = unbounded) bound the whole
+  /// cache; the stripe count follows `max_entries`
+  /// (engine/striped_lru.h). The byte charge per entry is dominated by
+  /// the stored relation's flat payload.
   ResultCache(std::size_t max_entries, std::size_t max_bytes);
 
   /// The cached result of `expr` on the view, iff the stored version
@@ -83,27 +85,15 @@ class ResultCache {
               PhysicalOpPtr plan_root) const;
 
   /// Drops every entry.
-  void Clear() const;
+  void Clear() const { lru_.Clear(); }
 
-  std::size_t size() const;
-  std::size_t bytes() const;
-  std::size_t max_entries() const { return max_entries_; }
-  std::size_t max_bytes() const { return max_bytes_; }
-  Stats stats() const;
+  std::size_t size() const { return lru_.size(); }
+  std::size_t bytes() const { return lru_.bytes(); }
+  std::size_t max_entries() const { return lru_.max_entries(); }
+  std::size_t max_bytes() const { return lru_.max_bytes(); }
+  Stats stats() const { return lru_.stats(); }
 
  private:
-  struct Key {
-    std::uint64_t db_id = 0;
-    std::uint64_t options_fp = 0;
-    std::uint64_t hash = 0;  // ra::StructuralHash(*expr), precomputed.
-    ra::ExprPtr expr;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const;
-  };
-  struct KeyEqual {
-    bool operator()(const Key& a, const Key& b) const;
-  };
   struct Entry {
     stats::VersionVector versions;
     core::Relation relation{0};
@@ -114,30 +104,10 @@ class ResultCache {
     ra::ExprPtr expr;
     std::size_t approx_bytes = 0;
   };
-  struct Node {
-    std::shared_ptr<const Entry> entry;
-    std::list<Key>::iterator lru;
-    std::size_t charged_bytes = 0;
-  };
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<Key, Node, KeyHash, KeyEqual> map;
-    std::list<Key> lru;  // Front = hottest.
-    std::size_t bytes = 0;
-    Stats stats;
-  };
 
   static std::size_t ApproxEntryBytes(const Entry& entry);
-  Stripe& StripeFor(const Key& key) const;
-  static void EvictPastBudgetLocked(Stripe& stripe, std::size_t max_entries,
-                                    std::size_t max_bytes);
 
-  std::size_t max_entries_;
-  std::size_t max_bytes_;
-  std::size_t stripe_max_entries_;
-  std::size_t stripe_max_bytes_;
-  std::size_t num_stripes_;
-  mutable std::unique_ptr<Stripe[]> stripes_;
+  StripedLru<Entry, Stats> lru_;
 };
 
 }  // namespace setalg::engine

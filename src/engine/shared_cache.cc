@@ -1,174 +1,84 @@
 #include "engine/shared_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
-#include "util/hash.h"
 
 namespace setalg::engine {
-namespace {
 
-// Enough stripes that a handful of serving threads rarely share one;
-// small enough that aggregating stats() stays trivial.
-constexpr std::size_t kStripes = 8;
-
-}  // namespace
-
-std::size_t SharedPlanCache::KeyHash::operator()(const Key& key) const {
-  return static_cast<std::size_t>(
-      util::HashCombine(util::HashCombine(key.db_id, key.options_fp), key.hash));
-}
-
-bool SharedPlanCache::KeyEqual::operator()(const Key& a, const Key& b) const {
-  return a.db_id == b.db_id && a.options_fp == b.options_fp && a.hash == b.hash &&
-         ra::ExprEqual{}(a.expr, b.expr);
+SharedPlanCache::Stats& SharedPlanCache::Stats::operator+=(const Stats& other) {
+  hits += other.hits;
+  misses += other.misses;
+  revalidations += other.revalidations;
+  repicks += other.repicks;
+  evictions += other.evictions;
+  return *this;
 }
 
 SharedPlanCache::SharedPlanCache(std::size_t max_entries, std::size_t max_bytes)
-    : max_entries_(std::max<std::size_t>(1, max_entries)),
-      max_bytes_(max_bytes),
-      num_stripes_(kStripes),
-      stripes_(std::make_unique<Stripe[]>(kStripes)) {
-  // Each stripe gets an even slice of both budgets (rounded up, so the
-  // whole-cache budget is a soft bound within num_stripes entries).
-  stripe_max_entries_ = std::max<std::size_t>(1, (max_entries_ + kStripes - 1) / kStripes);
-  stripe_max_bytes_ = max_bytes_ == 0 ? 0 : std::max<std::size_t>(1, (max_bytes_ + kStripes - 1) / kStripes);
-}
-
-SharedPlanCache::Stripe& SharedPlanCache::StripeFor(const Key& key) const {
-  return stripes_[KeyHash{}(key) & (num_stripes_ - 1)];
-}
+    : lru_(max_entries, max_bytes) {}
 
 SharedPlanCache::Acquired SharedPlanCache::Acquire(
     const ra::ExprPtr& expr, const core::DatabaseView& db,
     const stats::StatsProvider* stats, const EngineOptions& options) const {
   SETALG_CHECK(expr != nullptr);
-  Key key{db.id(), OptionsFingerprint(options), ra::StructuralHash(*expr), expr};
-  Stripe& stripe = StripeFor(key);
+  return Resolve({db.id(), OptionsFingerprint(options), ra::StructuralHash(*expr), expr},
+                 db, stats, options, /*count_miss=*/true);
+}
 
-  SharedPlanPtr resident;
-  {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    const auto it = stripe.map.find(key);
-    if (it == stripe.map.end()) {
-      ++stripe.stats.misses;
-      return {nullptr, CacheOutcome::kMiss};
+SharedPlanCache::Acquired SharedPlanCache::AcquireResident(
+    const CachedPlan& entry, const core::DatabaseView& db,
+    const stats::StatsProvider* stats, const EngineOptions& options) const {
+  SETALG_CHECK(entry.expr != nullptr);
+  return Resolve({entry.db_id, OptionsFingerprint(options), entry.expr_hash, entry.expr},
+                 db, stats, options, /*count_miss=*/false);
+}
+
+SharedPlanCache::Acquired SharedPlanCache::Resolve(
+    const CacheKey& key, const core::DatabaseView& db,
+    const stats::StatsProvider* stats, const EngineOptions& options,
+    bool count_miss) const {
+  using Stripe = StripedLru<CachedPlan, Stats>::Stripe;
+  const SharedPlanPtr resident = lru_.With(key, [&](Stripe& stripe) {
+    SharedPlanPtr found = stripe.Find(key);
+    if (found == nullptr && count_miss) ++stripe.stats().misses;
+    return found;
+  });
+  if (resident == nullptr) return {nullptr, CacheOutcome::kMiss};
+
+  // Version check (and any revalidation) outside the lock: the resident
+  // entry is immutable, and the view's counters are either frozen
+  // (txn::Snapshot) or owned by this thread (a live Database is
+  // single-threaded by contract).
+  Acquired out;
+  out.entry = RevalidatedCopy(resident, db, stats, options, &out.outcome);
+  lru_.With(key, [&](Stripe& stripe) {
+    Stats& tally = stripe.stats();
+    if (out.outcome == CacheOutcome::kHit) {
+      ++tally.hits;
+      return;
     }
-    stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru);
-    resident = it->second.entry;
-  }
-
-  // Version check outside the lock: the resident entry is immutable, and
-  // the view's counters are either frozen (txn::Snapshot) or owned by
-  // this thread (a live Database is single-threaded by contract).
-  if (stats::VersionsMatch(db, resident->versions)) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    ++stripe.stats.hits;
-    return {std::move(resident), CacheOutcome::kHit};
-  }
-
-  // Stale: revalidate a private copy. Re-pricing and operator swaps only
-  // allocate fresh nodes (PhysicalOps are immutable; RebuildOp copies the
-  // spine), so readers still executing the old plan are untouched.
-  auto copy = std::make_shared<CachedPlan>(*resident);
-  const CacheOutcome outcome = RevalidateCachedPlan(*copy, db, stats, options);
-  {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    ++stripe.stats.revalidations;
-    if (outcome == CacheOutcome::kRepicked) ++stripe.stats.repicks;
-    // Publish the refreshed entry unless someone replaced it first (then
-    // last writer wins — both copies are correct for their versions, and
-    // ours is the freshest we know).
-    PublishLocked(stripe, std::move(key), copy);
-  }
-  return {std::move(copy), outcome};
+    ++tally.revalidations;
+    if (out.outcome == CacheOutcome::kRepicked) ++tally.repicks;
+    // Publish the refreshed copy even if someone replaced the entry first
+    // (last writer wins — both are correct for their versions, and ours
+    // is the freshest we know).
+    stripe.Put(key, out.entry);
+  });
+  return out;
 }
 
 SharedPlanPtr SharedPlanCache::Insert(CachedPlanPtr entry,
                                       const EngineOptions& options) const {
   SETALG_CHECK(entry != nullptr);
   SETALG_CHECK(entry->expr != nullptr);
-  Key key{entry->db_id, OptionsFingerprint(options), entry->expr_hash, entry->expr};
-  Stripe& stripe = StripeFor(key);
+  const CacheKey key{entry->db_id, OptionsFingerprint(options), entry->expr_hash,
+                     entry->expr};
   SharedPlanPtr shared = std::move(entry);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  return PublishLocked(stripe, std::move(key), std::move(shared));
-}
-
-SharedPlanPtr SharedPlanCache::PublishLocked(Stripe& stripe, Key key,
-                                             SharedPlanPtr entry) const {
-  const auto it = stripe.map.find(key);
-  if (it != stripe.map.end()) {
-    stripe.bytes -= it->second.charged_bytes;
-    stripe.bytes += entry->approx_bytes;
-    it->second.entry = entry;
-    it->second.charged_bytes = entry->approx_bytes;
-    stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru);
-  } else {
-    stripe.lru.push_front(key);
-    stripe.bytes += entry->approx_bytes;
-    stripe.map.emplace(std::move(key),
-                       Node{entry, stripe.lru.begin(), entry->approx_bytes});
-  }
-  EvictPastBudgetLocked(stripe, stripe_max_entries_, stripe_max_bytes_);
-  return entry;
-}
-
-void SharedPlanCache::EvictPastBudgetLocked(Stripe& stripe, std::size_t max_entries,
-                                            std::size_t max_bytes) {
-  while (!stripe.lru.empty() &&
-         (stripe.map.size() > max_entries ||
-          (max_bytes != 0 && stripe.bytes > max_bytes))) {
-    const auto it = stripe.map.find(stripe.lru.back());
-    SETALG_CHECK(it != stripe.map.end());
-    stripe.bytes -= it->second.charged_bytes;
-    stripe.map.erase(it);
-    stripe.lru.pop_back();
-    ++stripe.stats.evictions;
-  }
-}
-
-void SharedPlanCache::Clear() const {
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    Stripe& stripe = stripes_[i];
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.map.clear();
-    stripe.lru.clear();
-    stripe.bytes = 0;
-  }
-}
-
-std::size_t SharedPlanCache::size() const {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    std::lock_guard<std::mutex> lock(stripes_[i].mu);
-    total += stripes_[i].map.size();
-  }
-  return total;
-}
-
-std::size_t SharedPlanCache::bytes() const {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    std::lock_guard<std::mutex> lock(stripes_[i].mu);
-    total += stripes_[i].bytes;
-  }
-  return total;
-}
-
-SharedPlanCache::Stats SharedPlanCache::stats() const {
-  Stats total;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    std::lock_guard<std::mutex> lock(stripes_[i].mu);
-    const Stats& s = stripes_[i].stats;
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.revalidations += s.revalidations;
-    total.repicks += s.repicks;
-    total.evictions += s.evictions;
-  }
-  return total;
+  lru_.With(key, [&](StripedLru<CachedPlan, Stats>::Stripe& stripe) {
+    stripe.Put(key, shared);
+  });
+  return shared;
 }
 
 }  // namespace setalg::engine

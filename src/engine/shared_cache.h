@@ -1,46 +1,36 @@
-// A process-wide, thread-safe plan cache shared between engines.
+// The engine's plan cache: process-wide and thread-safe, shared between
+// engines, sessions and threads. Engine::Run, Engine::Prepare and
+// prepared handles all go through it (EngineOptions::shared_plan_cache).
 //
-// The engine-local PlanCache (engine/plan_cache.h) revalidates entries
-// *in place* — fine inside one single-threaded Engine, a data race the
-// moment two threads share a cache. This cache keeps the same hit /
-// revalidated / repicked semantics but makes every resident entry
-// immutable (`shared_ptr<const CachedPlan>`): a version-vector mismatch
-// revalidates a private *copy* of the entry (re-pricing and operator
-// swaps touch only freshly allocated nodes — PhysicalOps themselves are
+// Every resident entry is immutable (`shared_ptr<const CachedPlan>`): a
+// version-vector mismatch revalidates a private *copy* of the entry
+// (RevalidatedCopy in engine/plan_cache.h — re-pricing and operator swaps
+// touch only freshly allocated nodes; PhysicalOps themselves are
 // immutable and safely shared between the old and new plan) and then
 // publishes the copy as the new resident entry. Readers still executing
 // the old plan keep it alive through their shared_ptr; last writer wins
 // on concurrent revalidations of the same key, which costs a duplicated
 // re-cost, never correctness.
 //
-// Keys add an EngineOptions fingerprint to the (expression structure,
-// database id) key of the local cache: the shared cache outlives any one
-// engine, so two engines configured with different rewrite/algorithm/
-// execution options must never exchange plans.
-//
-// Locking is striped: the key hash selects one of a fixed number of
-// stripes, each a mutex + hash map + LRU list with its own slice of the
-// entry/byte budgets. Two sessions running different query shapes
-// typically hit different stripes and never contend.
+// Keys add an EngineOptions fingerprint to (expression structure,
+// database id): the cache outlives any one engine, so two engines
+// configured with different rewrite/algorithm/execution options must
+// never exchange plans. Storage is the striped LRU of
+// engine/striped_lru.h, shared with the result cache.
 #ifndef SETALG_ENGINE_SHARED_CACHE_H_
 #define SETALG_ENGINE_SHARED_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "core/database.h"
 #include "engine/plan_cache.h"
 #include "engine/planner.h"
+#include "engine/striped_lru.h"
 #include "ra/expr.h"
 #include "stats/stats.h"
 
 namespace setalg::engine {
-
-/// An immutable resident entry of the shared cache.
-using SharedPlanPtr = std::shared_ptr<const CachedPlan>;
 
 class SharedPlanCache {
  public:
@@ -51,6 +41,8 @@ class SharedPlanCache {
     std::size_t revalidations = 0;  // Includes repicks.
     std::size_t repicks = 0;
     std::size_t evictions = 0;
+
+    Stats& operator+=(const Stats& other);
   };
 
   /// What Acquire resolved: `entry` is null for a miss (the caller lowers
@@ -63,8 +55,9 @@ class SharedPlanCache {
     CacheOutcome outcome = CacheOutcome::kMiss;
   };
 
-  /// `max_entries` >= 1 (whole-cache budget, split evenly over stripes);
-  /// `max_bytes` 0 = unbounded bytes.
+  /// `max_entries` >= 1 and `max_bytes` (0 = unbounded bytes) bound the
+  /// whole cache; the stripe count follows `max_entries`
+  /// (engine/striped_lru.h).
   SharedPlanCache(std::size_t max_entries, std::size_t max_bytes);
 
   /// Looks up (expr, db.id(), options fingerprint) and ensures the
@@ -76,62 +69,41 @@ class SharedPlanCache {
                    const stats::StatsProvider* stats,
                    const EngineOptions& options) const;
 
+  /// Acquire for a prepared handle's `entry` (which has a key
+  /// expression): resolves the entry resident under the handle's key
+  /// exactly as Acquire does. When none is resident (evicted or cleared)
+  /// it returns a null entry and counts nothing — the cache only counts
+  /// runs it serves.
+  Acquired AcquireResident(const CachedPlan& entry, const core::DatabaseView& db,
+                           const stats::StatsProvider* stats,
+                           const EngineOptions& options) const;
+
   /// Publishes a freshly lowered entry (the miss path), replacing any
-  /// entry that raced in under the same key. Returns the resident entry.
+  /// entry that raced in under the same key. Returns the entry, which
+  /// stays valid even if immediately evicted.
   SharedPlanPtr Insert(CachedPlanPtr entry, const EngineOptions& options) const;
 
-  /// Drops every entry (plans being executed stay alive via shared_ptr).
-  void Clear() const;
+  /// Drops every entry (plans being executed and prepared handles keep
+  /// theirs alive via shared_ptr).
+  void Clear() const { lru_.Clear(); }
 
-  std::size_t size() const;
-  std::size_t bytes() const;
-  std::size_t max_entries() const { return max_entries_; }
-  std::size_t max_bytes() const { return max_bytes_; }
-  Stats stats() const;
+  std::size_t size() const { return lru_.size(); }
+  std::size_t bytes() const { return lru_.bytes(); }
+  std::size_t max_entries() const { return lru_.max_entries(); }
+  std::size_t max_bytes() const { return lru_.max_bytes(); }
+  Stats stats() const { return lru_.stats(); }
 
   /// Stripe count (a power of two, fixed at construction).
-  std::size_t stripes() const { return num_stripes_; }
+  std::size_t stripes() const { return lru_.stripes(); }
 
  private:
-  struct Key {
-    std::uint64_t db_id = 0;
-    std::uint64_t options_fp = 0;
-    std::uint64_t hash = 0;  // ra::StructuralHash(*expr), precomputed.
-    ra::ExprPtr expr;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const;
-  };
-  struct KeyEqual {
-    bool operator()(const Key& a, const Key& b) const;
-  };
-  struct Node {
-    SharedPlanPtr entry;
-    std::list<Key>::iterator lru;
-    std::size_t charged_bytes = 0;
-  };
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<Key, Node, KeyHash, KeyEqual> map;
-    std::list<Key> lru;  // Front = hottest.
-    std::size_t bytes = 0;
-    Stats stats;
-  };
+  /// Acquire's body: a miss returns a null entry, tallied iff
+  /// `count_miss`.
+  Acquired Resolve(const CacheKey& key, const core::DatabaseView& db,
+                   const stats::StatsProvider* stats, const EngineOptions& options,
+                   bool count_miss) const;
 
-  Stripe& StripeFor(const Key& key) const;
-  /// Publishes `entry` under `key` in `stripe` (lock held), evicting past
-  /// the stripe budgets. Returns the published entry.
-  SharedPlanPtr PublishLocked(Stripe& stripe, Key key, SharedPlanPtr entry) const;
-  static void EvictPastBudgetLocked(Stripe& stripe, std::size_t max_entries,
-                                    std::size_t max_bytes);
-
-  std::size_t max_entries_;
-  std::size_t max_bytes_;
-  std::size_t stripe_max_entries_;
-  std::size_t stripe_max_bytes_;
-  std::size_t num_stripes_;
-  // A fixed array (stripes hold a mutex, so they never move).
-  std::unique_ptr<Stripe[]> stripes_;
+  StripedLru<CachedPlan, Stats> lru_;
 };
 
 }  // namespace setalg::engine

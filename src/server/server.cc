@@ -89,10 +89,6 @@ Server::Server(std::shared_ptr<txn::VersionedDatabase> head,
                engine::EngineOptions options,
                std::shared_ptr<const core::NameMap> names)
     : head_(std::move(head)), options_(std::move(options)), names_(std::move(names)) {
-  // Per the engine's thread-safety contract: the engine-local plan cache
-  // is single-threaded, so concurrent serving goes through the shared
-  // caches instead.
-  options_.plan_cache_entries = 0;
   if (options_.shared_plan_cache == nullptr) {
     options_.shared_plan_cache = std::make_shared<engine::SharedPlanCache>(256, 0);
   }

@@ -4,11 +4,12 @@
 // Concurrency model, matching the engine's documented contract
 // (engine/engine.h): every connection gets its own session thread and
 // its own engine::Engine (prepared handles are session-scoped and
-// single-threaded), the engine-local plan cache is forced off, and all
-// sessions share the process-wide SharedPlanCache / ResultCache supplied
-// through EngineOptions. Each statement runs against a fresh
-// head->snapshot(), so sessions never block writers and a response's
-// `version` field pins exactly which published state it saw.
+// single-threaded), and all sessions share the process-wide
+// SharedPlanCache / ResultCache supplied through EngineOptions — so one
+// session's PREPARE lowers a plan another session's QUERY can hit. Each
+// statement runs against a fresh head->snapshot(), so sessions never
+// block writers and a response's `version` field pins exactly which
+// published state it saw.
 //
 // Lifecycle: Start() binds (port 0 picks a free port — the bound port is
 // returned and reported by port()), spawns the accept loop, and returns.
@@ -36,9 +37,8 @@ namespace setalg::server {
 class Server {
  public:
   /// `head` is the versioned database every session serves from;
-  /// `options` configures the per-session engines (shared caches are
-  /// created when absent; the engine-local plan cache is forced off —
-  /// it is single-threaded by contract). `names` renders interned
+  /// `options` configures the per-session engines (the shared plan and
+  /// result caches are created when absent). `names` renders interned
   /// string values in CSV rows; may be null.
   Server(std::shared_ptr<txn::VersionedDatabase> head,
          engine::EngineOptions options,

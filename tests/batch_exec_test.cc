@@ -79,7 +79,7 @@ void ExpectCachedRunsMatch(const EngineOptions& options, const ra::ExprPtr& expr
                            const PlanStats& expected_stats,
                            const std::string& context) {
   EngineOptions cached_options = options;
-  cached_options.plan_cache_entries = 4;
+  cached_options.shared_plan_cache = std::make_shared<SharedPlanCache>(4, 0);
   const Engine cached(cached_options);
   auto miss = cached.Run(expr, db);
   ASSERT_TRUE(miss.ok()) << context << ": " << miss.error();

@@ -436,7 +436,8 @@ TEST(Engine, PreparedHandleSurvivesCacheEvictionMidSequence) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}, {3, 10}}), MakeRel(1, {{10}}));
   EngineOptions options;
-  options.plan_cache_entries = 1;  // Any other query evicts the handle's entry.
+  // Any other query evicts the handle's entry.
+  options.shared_plan_cache = std::make_shared<SharedPlanCache>(1, 0);
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -459,13 +460,13 @@ TEST(Engine, ClearPlanCacheThenRePrepareIsAFreshStart) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}}), MakeRel(1, {{10}}));
   EngineOptions options;
-  options.plan_cache_entries = 4;
+  options.shared_plan_cache = std::make_shared<SharedPlanCache>(4, 0);
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
   ASSERT_TRUE(engine.Prepare(expr, db).ok());
   ASSERT_TRUE(engine.Run(expr, db).ok());
-  engine.ClearPlanCache();
+  engine.plan_cache()->Clear();
   EXPECT_EQ(engine.plan_cache()->size(), 0u);
 
   auto handle = engine.Prepare(expr, db);

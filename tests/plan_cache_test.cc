@@ -1,5 +1,5 @@
 // Cache-differential & invalidation harness for the plan cache and the
-// PreparedQuery surface (engine/plan_cache.h).
+// PreparedQuery surface (engine/plan_cache.h, engine/shared_cache.h).
 //
 // The property under test: the plan cache is *pure provenance*. However a
 // plan reaches the executor — lowered fresh, served as a cache hit,
@@ -181,7 +181,7 @@ TEST(PlanCache, CacheDifferentialUnderRandomizedMutations) {
       for (std::size_t threads : kThreadCounts) {
         const EngineOptions options = mode.options.WithBatchSize(7).WithThreads(threads);
         EngineOptions cached_options = options;
-        cached_options.plan_cache_entries = 8;
+        cached_options.shared_plan_cache = std::make_shared<SharedPlanCache>(8, 0);
         const Engine cached(cached_options);
         const Engine fresh(options);  // Replans on every Run.
         const std::string what = mode.name + " threads=" + std::to_string(threads) +
@@ -242,7 +242,7 @@ TEST(PlanCache, CacheDifferentialUnderRandomizedMutations) {
           }
         }
         // Every run after the warm-up Prepares was served by the cache.
-        const PlanCache* cache = cached.plan_cache();
+        const SharedPlanCache* cache = cached.plan_cache();
         ASSERT_NE(cache, nullptr) << what;
         EXPECT_EQ(cache->stats().misses, exprs.size()) << what;
         EXPECT_GT(cache->stats().hits, 0u) << what;
@@ -259,7 +259,7 @@ TEST(PlanCache, OutcomeTransitionsAcrossMutations) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}, {3, 20}}), MakeRel(1, {{10}, {20}}));
   EngineOptions options = EngineOptions::CostBased();
-  options.plan_cache_entries = 4;
+  options.shared_plan_cache = std::make_shared<SharedPlanCache>(4, 0);
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -288,7 +288,7 @@ TEST(PlanCache, OutcomeTransitionsAcrossMutations) {
   ASSERT_TRUE(fourth.ok());
   EXPECT_EQ(fourth->stats.cache, CacheOutcome::kHit);
 
-  const PlanCache::Stats& stats = engine.plan_cache()->stats();
+  const SharedPlanCache::Stats& stats = engine.plan_cache()->stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 3u);
   EXPECT_EQ(stats.revalidations, 1u);
@@ -303,7 +303,7 @@ TEST(PlanCache, RevalidationWithoutFlipKeepsTheSamePlanObjects) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}, {3, 10}}), MakeRel(1, {{10}}));
   EngineOptions options;  // Fixed algorithm: nothing can flip.
-  options.plan_cache_entries = 2;
+  options.shared_plan_cache = std::make_shared<SharedPlanCache>(2, 0);
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -332,7 +332,7 @@ TEST(PlanCache, BulkLoadRepicksTheDivisionAlgorithmInPlace) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
   EngineOptions options = EngineOptions::CostBased();
-  options.plan_cache_entries = 4;
+  options.shared_plan_cache = std::make_shared<SharedPlanCache>(4, 0);
   const Engine engine(options);
   const Engine fresh(EngineOptions::CostBased());
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
@@ -391,7 +391,7 @@ TEST(PlanCache, RepickRechargesTheByteAccounting) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
   EngineOptions options = EngineOptions::CostBased();
-  options.plan_cache_entries = 1;
+  options.shared_plan_cache = std::make_shared<SharedPlanCache>(1, 0);
   const Engine engine(options);
   const auto division = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -430,7 +430,7 @@ TEST(PlanCache, DetachedHandBuiltHandlesDoNotPolluteCacheTallies) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}}), MakeRel(1, {{10}}));
   EngineOptions options;
-  options.plan_cache_entries = 4;
+  options.shared_plan_cache = std::make_shared<SharedPlanCache>(4, 0);
   const Engine engine(options);
 
   PhysicalPlan plan;
@@ -447,7 +447,7 @@ TEST(PlanCache, DetachedHandBuiltHandlesDoNotPolluteCacheTallies) {
   db.mutable_relation("R")->Add({5, 10});
   ASSERT_TRUE(engine.Run(*handle, db).ok());
 
-  const PlanCache::Stats& stats = engine.plan_cache()->stats();
+  const SharedPlanCache::Stats& stats = engine.plan_cache()->stats();
   EXPECT_EQ(engine.plan_cache()->size(), 0u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
@@ -463,7 +463,7 @@ TEST(PlanCache, LruEvictsPastEntryBudget) {
   const auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}}), MakeRel(1, {{10}}));
   EngineOptions options;
-  options.plan_cache_entries = 2;
+  options.shared_plan_cache = std::make_shared<SharedPlanCache>(2, 0);
   const Engine engine(options);
 
   const std::vector<ra::ExprPtr> exprs = {
@@ -474,7 +474,7 @@ TEST(PlanCache, LruEvictsPastEntryBudget) {
   for (const auto& expr : exprs) {
     ASSERT_TRUE(engine.Run(expr, db).ok());
   }
-  const PlanCache* cache = engine.plan_cache();
+  const SharedPlanCache* cache = engine.plan_cache();
   EXPECT_EQ(cache->size(), 2u);
   EXPECT_EQ(cache->stats().evictions, 1u);
 
@@ -492,8 +492,8 @@ TEST(PlanCache, ByteBudgetEvictionLeavesExecutingEntryAlive) {
   const auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}, {3, 10}}), MakeRel(1, {{10}, {20}}));
   EngineOptions options;
-  options.plan_cache_entries = 8;
-  options.plan_cache_bytes = 1;  // Every entry exceeds this: insert-then-evict.
+  // Every entry exceeds the 1-byte budget: insert-then-evict.
+  options.shared_plan_cache = std::make_shared<SharedPlanCache>(8, 1);
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -521,7 +521,7 @@ TEST(PlanCache, ClearForgetsEntriesButHandlesSurvive) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}}), MakeRel(1, {{10}}));
   EngineOptions options;
-  options.plan_cache_entries = 4;
+  options.shared_plan_cache = std::make_shared<SharedPlanCache>(4, 0);
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -530,7 +530,7 @@ TEST(PlanCache, ClearForgetsEntriesButHandlesSurvive) {
   ASSERT_TRUE(engine.Run(expr, db).ok());
   EXPECT_EQ(engine.plan_cache()->size(), 1u);
 
-  engine.ClearPlanCache();
+  engine.plan_cache()->Clear();
   EXPECT_EQ(engine.plan_cache()->size(), 0u);
 
   // The cleared cache misses and re-prepares...
@@ -609,7 +609,7 @@ TEST(PlanCache, CollidingRelationNamesOnDifferentDatabasesNeverShareEntries) {
   ASSERT_NE(db1.id(), db2.id());
 
   EngineOptions options;
-  options.plan_cache_entries = 8;
+  options.shared_plan_cache = std::make_shared<SharedPlanCache>(8, 0);
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -665,7 +665,6 @@ TEST(ResultCacheTest, DifferentialUnderRandomizedMutations) {
     for (const Mode& mode : AllModes()) {
       const EngineOptions options = mode.options.WithBatchSize(7);
       EngineOptions cached_options = options;
-      cached_options.plan_cache_entries = 0;  // The concurrent wiring.
       cached_options.shared_plan_cache =
           std::make_shared<SharedPlanCache>(16, 0);
       const auto results = std::make_shared<ResultCache>(16, 1u << 20);
@@ -722,7 +721,6 @@ TEST(ResultCacheTest, HitNeverSurvivesVersionVectorChange) {
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}, {3, 20}}), MakeRel(1, {{10}, {20}}));
   const auto results = std::make_shared<ResultCache>(8, 0);
   EngineOptions options;
-  options.plan_cache_entries = 0;
   options.result_cache = results;
   const Engine engine(options);
 
@@ -782,15 +780,14 @@ TEST(ResultCacheTest, HitNeverSurvivesVersionVectorChange) {
   EXPECT_EQ(cross->relation.flat(), plain->relation.flat());
 }
 
-// The shared plan cache carries the same provenance contract as the
-// engine-local one — across engines: a plan lowered by one engine serves
-// hits/revalidations to every engine wired to the cache.
+// The plan cache's provenance contract holds across engines: a plan
+// lowered by one engine serves hits/revalidations to every engine wired
+// to the cache.
 TEST(SharedPlanCacheTest, SharedAcrossEnginesWithProvenance) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
   const auto shared = std::make_shared<SharedPlanCache>(8, 0);
   EngineOptions options = EngineOptions::CostBased();
-  options.plan_cache_entries = 0;
   options.shared_plan_cache = shared;
   const Engine a(options);
   const Engine b(options);
@@ -826,6 +823,29 @@ TEST(SharedPlanCacheTest, SharedAcrossEnginesWithProvenance) {
   auto warm = a.Run(division, db);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->stats.cache, CacheOutcome::kHit);
+}
+
+// Budgets bound the whole cache, however its keys spread over stripes:
+// neither process-wide cache ever holds more entries than it was given.
+// Each run below is on a copy of the database, so each uses a new key.
+TEST(SharedPlanCacheTest, NeverHoldsMoreEntriesThanItsBudget) {
+  const auto original = setalg::testing::DivisionDb(
+      MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
+  const auto division = setjoin::ClassicDivisionExpr("R", "S");
+  // 100 and 257 split over 2 and 8 stripes.
+  for (const std::size_t cap : {1u, 2u, 3u, 5u, 9u, 40u, 100u, 257u}) {
+    const auto plans = std::make_shared<SharedPlanCache>(cap, 0);
+    const auto results = std::make_shared<ResultCache>(cap, 0);
+    const Engine engine(EngineOptions{}.WithSharedCaches(plans, results));
+    for (std::size_t i = 0; i < 2 * cap + 16; ++i) {
+      const core::Database copy = original;  // Fresh id: a new key.
+      ASSERT_TRUE(engine.Run(division, copy).ok());
+      ASSERT_LE(plans->size(), cap) << "cap=" << cap << " run " << i;
+      ASSERT_LE(results->size(), cap) << "cap=" << cap << " run " << i;
+    }
+  }
+  // The serving caches (setalgd, raq --sessions) keep 8 stripes.
+  EXPECT_EQ(SharedPlanCache(256, 0).stripes(), 8u);
 }
 
 }  // namespace

@@ -183,6 +183,55 @@ TEST(ServerTest, PrepareExecuteAndRevalidationAcrossCommits) {
   client->Close();
 }
 
+// Sessions share one plan cache, prepared handles included: session A's
+// PREPARE lowers the plan session B's QUERY then hits. After a commit,
+// A's EXECUTE revalidates the shared entry and publishes the copy, so B's
+// next QUERY hits again — with the answer a fresh local run gives on the
+// published snapshot.
+TEST(ServerTest, PreparedPlanIsSharedAcrossSessions) {
+  const std::uint64_t seed = BaseSeed();
+  ServerFixture fixture(engine::EngineOptions::CostBased(), seed);
+  auto a = server::Client::Connect("127.0.0.1", fixture.port);
+  auto b = server::Client::Connect("127.0.0.1", fixture.port);
+  ASSERT_TRUE(a.ok()) << a.error();
+  ASSERT_TRUE(b.ok()) << b.error();
+
+  const std::string statement = SoakStatements()[2];  // NOT EXISTS division.
+  auto prepared = a->Roundtrip("PREPARE div " + statement);
+  ASSERT_TRUE(prepared.ok()) << prepared.error();
+  ASSERT_TRUE(prepared->header.ok) << prepared->header.error;
+
+  auto first = b->Roundtrip("QUERY " + statement);
+  ASSERT_TRUE(first.ok()) << first.error();
+  ASSERT_TRUE(first->header.ok) << first->header.error;
+  EXPECT_EQ(first->header.cache, "hit");
+
+  const auto published = fixture.head->SetRelation(
+      "R", workload::UniformBinaryRelation(200, 24, seed * 31 + 7));
+  auto executed = a->Roundtrip("EXECUTE div");
+  ASSERT_TRUE(executed.ok()) << executed.error();
+  ASSERT_TRUE(executed->header.ok) << executed->header.error;
+  EXPECT_EQ(executed->header.version, published->version());
+  EXPECT_TRUE(executed->header.cache == "revalidated" ||
+              executed->header.cache == "repicked")
+      << executed->header.cache;
+
+  auto second = b->Roundtrip("QUERY " + statement);
+  ASSERT_TRUE(second.ok()) << second.error();
+  ASSERT_TRUE(second->header.ok) << second->header.error;
+  EXPECT_EQ(second->header.version, published->version());
+  EXPECT_EQ(second->header.cache, "hit");
+  EXPECT_EQ(second->header.digest, executed->header.digest);
+
+  const engine::Engine local{engine::EngineOptions::CostBased()};
+  auto replay = local.Run(MustCompile(statement, published->schema()), *published);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(second->header.digest,
+            server::DigestToHex(server::RelationDigest(replay->relation)));
+  a->Close();
+  b->Close();
+}
+
 TEST(ServerTest, ErrorsAreLocatedAndSessionSurvives) {
   ServerFixture fixture(engine::EngineOptions{}, BaseSeed());
   auto client = server::Client::Connect("127.0.0.1", fixture.port);

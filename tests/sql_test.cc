@@ -119,8 +119,11 @@ TEST(SqlDifferential, FuzzAgainstHandBuiltLowerings) {
 
   for (const auto& [mode, options] : Modes()) {
     for (const std::size_t cache_entries : {std::size_t{0}, std::size_t{8}}) {
-      const engine::Engine engine(
-          options.WithPlanCache(cache_entries));
+      const engine::Engine engine(options.WithSharedCaches(
+          cache_entries == 0
+              ? nullptr
+              : std::make_shared<engine::SharedPlanCache>(cache_entries, 0),
+          nullptr));
       for (std::size_t i = 0; i < pairs.size(); ++i) {
         const auto& pair = pairs[i];
         const std::string context = "pair " + std::to_string(i) + " [" +

@@ -410,10 +410,9 @@ void RunReaderWriterStress(const StressMode& mode, std::uint64_t seed) {
   std::map<std::uint64_t, core::Database> log;
   log.emplace(0, mirror);
 
-  // The shared engine every session thread uses: engine-local plan cache
-  // off (the single-threaded path), process-wide striped caches on.
+  // The shared engine every session thread uses: process-wide striped
+  // caches on.
   engine::EngineOptions options = mode.options;
-  options.plan_cache_entries = 0;
   options.shared_plan_cache = std::make_shared<engine::SharedPlanCache>(64, 0);
   options.result_cache =
       std::make_shared<engine::ResultCache>(64, 8u << 20);
@@ -473,7 +472,6 @@ void RunReaderWriterStress(const StressMode& mode, std::uint64_t seed) {
   // Serial replay: a fresh, cache-free engine per mode over the logged
   // database of each read's version. Bit-identical or bust.
   engine::EngineOptions replay_options = mode.options;
-  replay_options.plan_cache_entries = 0;
   const engine::Engine replay_engine(replay_options);
   for (int t = 0; t < kReaders; ++t) {
     for (const ReadRecord& record : records[static_cast<std::size_t>(t)]) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <set>
 
-#include "util/bitset.h"
 #include "util/hash.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -136,79 +135,6 @@ TEST(Zipf, ZeroSkewIsUniformish) {
     EXPECT_GT(counts[v], 700);
     EXPECT_LT(counts[v], 1300);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Bitset.
-// ---------------------------------------------------------------------------
-
-TEST(Bitset, SetTestReset) {
-  Bitset b(130);
-  EXPECT_FALSE(b.Test(0));
-  b.Set(0);
-  b.Set(64);
-  b.Set(129);
-  EXPECT_TRUE(b.Test(0));
-  EXPECT_TRUE(b.Test(64));
-  EXPECT_TRUE(b.Test(129));
-  EXPECT_FALSE(b.Test(1));
-  b.Reset(64);
-  EXPECT_FALSE(b.Test(64));
-}
-
-TEST(Bitset, CountAndAllSet) {
-  Bitset b(70, true);
-  EXPECT_EQ(b.Count(), 70u);
-  EXPECT_TRUE(b.AllSet());
-  b.Reset(69);
-  EXPECT_EQ(b.Count(), 69u);
-  EXPECT_FALSE(b.AllSet());
-}
-
-TEST(Bitset, FillTrueClearsTrailingBits) {
-  Bitset b(65, true);
-  EXPECT_EQ(b.Count(), 65u);
-  b.Fill(false);
-  EXPECT_TRUE(b.NoneSet());
-  b.Fill(true);
-  EXPECT_EQ(b.Count(), 65u);
-}
-
-TEST(Bitset, SubsetAndIntersect) {
-  Bitset a(100), b(100);
-  a.Set(3);
-  a.Set(64);
-  b.Set(3);
-  b.Set(64);
-  b.Set(99);
-  EXPECT_TRUE(a.IsSubsetOf(b));
-  EXPECT_FALSE(b.IsSubsetOf(a));
-  EXPECT_TRUE(a.Intersects(b));
-  Bitset c(100);
-  c.Set(50);
-  EXPECT_FALSE(a.Intersects(c));
-}
-
-TEST(Bitset, AndOrOperators) {
-  Bitset a(10), b(10);
-  a.Set(1);
-  a.Set(2);
-  b.Set(2);
-  b.Set(3);
-  Bitset and_result = a;
-  and_result &= b;
-  EXPECT_EQ(and_result.Count(), 1u);
-  EXPECT_TRUE(and_result.Test(2));
-  Bitset or_result = a;
-  or_result |= b;
-  EXPECT_EQ(or_result.Count(), 3u);
-}
-
-TEST(Bitset, EmptyBitset) {
-  Bitset b;
-  EXPECT_TRUE(b.empty());
-  EXPECT_EQ(b.Count(), 0u);
-  EXPECT_TRUE(b.NoneSet());
 }
 
 // ---------------------------------------------------------------------------
