@@ -41,7 +41,8 @@
 // sends every statement to a running setalgd (examples/setalgd.cc) as
 // QUERY requests — one connection per session — printing the same
 // per-session digest lines from the server's OK headers, so local and
-// served runs diff directly.
+// served runs diff directly. A response whose row count differs from its
+// header's rows= is reported as an error (exit 1).
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -193,6 +194,14 @@ int main(int argc, char** argv) {
           if (!response->header.ok) {
             reports[s].push_back(util::StrCat("session ", s + 1, " Q", q + 1,
                                               ": error: ", response->header.error));
+            failed.store(true);
+            return;
+          }
+          if (response->rows.size() != response->header.rows) {
+            reports[s].push_back(util::StrCat(
+                "session ", s + 1, " Q", q + 1, ": error: header says rows=",
+                response->header.rows, " but ", response->rows.size(),
+                " rows arrived"));
             failed.store(true);
             return;
           }

@@ -39,9 +39,13 @@ Value NameMap::Code(const std::string& name) const {
 }
 
 std::string NameMap::Name(Value code) const {
+  const std::string* name = Find(code);
+  return name != nullptr ? *name : std::to_string(code);
+}
+
+const std::string* NameMap::Find(Value code) const {
   auto it = names_.find(code);
-  if (it == names_.end()) return std::to_string(code);
-  return it->second;
+  return it != names_.end() ? &it->second : nullptr;
 }
 
 }  // namespace setalg::core

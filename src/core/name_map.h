@@ -37,6 +37,10 @@ class NameMap {
   /// codes that were never interned.
   std::string Name(Value code) const;
 
+  /// The interned name of `code`, or null when `code` was never interned.
+  /// The pointer stays valid as long as the map does.
+  const std::string* Find(Value code) const;
+
   std::size_t size() const { return codes_.size(); }
 
  private:

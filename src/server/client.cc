@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <utility>
 
@@ -17,13 +18,14 @@ Client::~Client() {
 }
 
 Client::Client(Client&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), buffer_(std::move(other.buffer_)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      reader_(std::exchange(other.reader_, LineReader())) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
-    buffer_ = std::move(other.buffer_);
+    reader_ = std::exchange(other.reader_, LineReader());
   }
   return *this;
 }
@@ -54,21 +56,12 @@ util::Result<Client> Client::Connect(const std::string& host, int port) {
   return client;
 }
 
-bool Client::ReadLine(std::string* line) {
-  line->clear();
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      *line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!line->empty() && line->back() == '\r') line->pop_back();
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) return false;
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+util::Result<Client::Response> Client::ReadFailure(const char* where) const {
+  if (reader_.overflowed()) {
+    return util::Result<Response>::Error(util::StrCat(
+        "response line longer than ", kMaxLineBytes, " bytes ", where));
   }
+  return util::Result<Response>::Error(util::StrCat("connection closed ", where));
 }
 
 util::Result<Client::Response> Client::Roundtrip(const std::string& request_line) {
@@ -78,6 +71,7 @@ util::Result<Client::Response> Client::Roundtrip(const std::string& request_line
   std::size_t sent = 0;
   while (sent < out.size()) {
     const ssize_t n = ::send(fd_, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       return util::Result<Response>::Error(
           util::StrCat("send: ", std::strerror(errno)));
@@ -86,20 +80,17 @@ util::Result<Client::Response> Client::Roundtrip(const std::string& request_line
   }
 
   std::string line;
-  if (!ReadLine(&line)) {
-    return util::Result<Response>::Error("connection closed before response");
-  }
+  if (!reader_.ReadLine(fd_, &line)) return ReadFailure("before response");
   auto header = ParseResponseHeader(line);
   if (!header.ok()) return util::Result<Response>::Error(header.error());
   Response response;
   response.header = std::move(*header);
   for (;;) {
-    if (!ReadLine(&line)) {
-      return util::Result<Response>::Error("connection closed mid-response");
-    }
-    if (line == kTerminator) break;
-    response.rows.push_back(line);
+    std::string& row = response.rows.emplace_back();
+    if (!reader_.ReadLine(fd_, &row)) return ReadFailure("mid-response");
+    if (row == kTerminator) break;
   }
+  response.rows.pop_back();
   return response;
 }
 

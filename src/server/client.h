@@ -1,12 +1,15 @@
 // A minimal blocking client for the setalgd wire protocol — the
 // counterpart raq --connect and the server tests use. One request line
-// out, one framed response (header + data rows + ".") back.
+// out, one framed response (header + data rows + ".") back. Response
+// lines are read with the server's own LineReader, under the same
+// kMaxLineBytes cap.
 #ifndef SETALG_SERVER_CLIENT_H_
 #define SETALG_SERVER_CLIENT_H_
 
 #include <string>
 #include <vector>
 
+#include "server/line_reader.h"
 #include "server/protocol.h"
 #include "util/result.h"
 
@@ -34,18 +37,20 @@ class Client {
   bool connected() const { return fd_ >= 0; }
 
   /// Sends one request line and reads the full framed response.
-  /// Transport failures (send/recv) come back as errors; protocol-level
-  /// failures come back as an ok Result with header.ok == false.
+  /// Transport failures (send/recv, or a response line longer than
+  /// kMaxLineBytes) come back as errors; protocol-level failures come
+  /// back as an ok Result with header.ok == false.
   util::Result<Response> Roundtrip(const std::string& request_line);
 
   /// Sends CLOSE (ignoring the BYE) and closes the socket.
   void Close();
 
  private:
-  int fd_ = -1;
-  std::string buffer_;  // recv carry-over between lines.
+  /// The error for a failed response read; `where` names the read.
+  util::Result<Response> ReadFailure(const char* where) const;
 
-  bool ReadLine(std::string* line);
+  int fd_ = -1;
+  LineReader reader_;  // recv carry-over between lines and responses.
 };
 
 }  // namespace setalg::server

@@ -16,6 +16,12 @@
 //   BYE
 //   ERR <line>:<column>: <message>
 //
+// Framing is by lines alone: a response is complete at its "." line,
+// however the bytes were cut into TCP segments. setalgd streams a large
+// OK answer in 64 KiB pieces, so one response may arrive in many
+// segments and a reader must buffer until each '\n' (server/line_reader.h
+// does, under a 1 MiB line cap).
+//
 // Statements are dispatched on sql::LooksLikeSql: SELECT-led text goes
 // through the SQL frontend (sql/analyzer.h), anything else through the
 // RA expression grammar (ra/parse.h). `version` is the MVCC snapshot the

@@ -2,9 +2,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -16,6 +18,7 @@
 #include "engine/result_cache.h"
 #include "engine/shared_cache.h"
 #include "ra/parse.h"
+#include "server/line_reader.h"
 #include "server/protocol.h"
 #include "sql/analyzer.h"
 #include "sql/parser.h"
@@ -24,10 +27,14 @@
 namespace setalg::server {
 namespace {
 
-/// Longest accepted request line. A client that streams more than this
-/// without a newline gets "ERR line too long" and is disconnected — the
-/// per-session read buffer stays bounded no matter what arrives.
-constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;  // 1 MiB
+/// An OK response leaves the session's output buffer each time the
+/// buffer reaches this size, and at its end: answers smaller than this
+/// leave in one send.
+constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
+
+/// Rows go into the output buffer in steps whose decimal text is at most
+/// this long, so a flush passes kFlushBytes by at most one step.
+constexpr std::size_t kRowStepBytes = std::size_t{4} << 10;
 
 /// Writes the whole buffer, swallowing EPIPE (a client that hung up
 /// mid-response just ends the session). Retries on EINTR.
@@ -43,45 +50,32 @@ bool WriteAll(int fd, const std::string& data) {
   return true;
 }
 
-/// Buffered line reader over a socket; lines are '\n'-terminated,
-/// carriage returns stripped. Lines are capped at kMaxLineBytes:
-/// ReadLine then fails with overflowed() set and the caller drops the
-/// connection.
-class LineReader {
- public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  bool ReadLine(std::string* line) {
-    line->clear();
-    for (;;) {
-      const std::size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        *line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        if (!line->empty() && line->back() == '\r') line->pop_back();
-        return true;
-      }
-      if (buffer_.size() > kMaxLineBytes) {
-        overflowed_ = true;
-        return false;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      buffer_.append(chunk, static_cast<std::size_t>(n));
+/// Streams one OK response through `out`, the session's reused output
+/// buffer: the header line, `result` as CSV rows, the terminator. The
+/// buffer is sent whenever it reaches kFlushBytes, so a large answer is
+/// never held as one string. False when a write fails.
+bool WriteOkResponse(int fd, const std::string& header,
+                     const core::Relation& result, const core::NameMap* names,
+                     std::string* out) {
+  out->assign(header);
+  out->push_back('\n');
+  const std::size_t rows = result.size();
+  const std::size_t step = std::max<std::size_t>(
+      1, kRowStepBytes /
+             (core::kMaxCsvValueBytes * std::max<std::size_t>(1, result.arity())));
+  for (std::size_t row = 0; row < rows;) {
+    const std::size_t stop = std::min(rows, row + step);
+    core::AppendRelationCsv(result, row, stop, names, out);
+    row = stop;
+    if (out->size() >= kFlushBytes) {
+      if (!WriteAll(fd, *out)) return false;
+      out->clear();
     }
   }
-
-  /// True when the last ReadLine failed because the line-length cap was
-  /// exceeded (rather than EOF or a socket error).
-  bool overflowed() const { return overflowed_; }
-
- private:
-  int fd_;
-  std::string buffer_;
-  bool overflowed_ = false;
-};
+  out->append(kTerminator);
+  out->push_back('\n');
+  return WriteAll(fd, *out);
+}
 
 }  // namespace
 
@@ -195,6 +189,11 @@ void Server::AcceptLoop() {
       if (!running_.load()) break;
       continue;
     }
+    // Without Nagle's algorithm the last, short segment of a streamed
+    // response leaves at once instead of waiting for the client to
+    // acknowledge the full segments before it (often a delayed ACK).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     // Sweep finished sessions on every accept so the session list tracks
     // live connections instead of total connections served.
     ReapFinishedSessions();
@@ -228,8 +227,9 @@ void Server::ServeSession(int fd) {
   // shared caches (copied into options_) do the cross-session sharing.
   const engine::Engine engine(options_);
   std::unordered_map<std::string, engine::PreparedQuery> prepared;
-  LineReader reader(fd);
+  LineReader reader;
   std::string line;
+  std::string out;  // The output buffer, reused by every OK response.
 
   const auto respond_error = [&](const std::string& message) {
     return WriteAll(fd, util::StrCat(FormatErrHeader(message), "\n",
@@ -241,7 +241,7 @@ void Server::ServeSession(int fd) {
                                         : ra::Parse(statement, schema);
   };
 
-  while (reader.ReadLine(&line)) {
+  while (reader.ReadLine(fd, &line)) {
     if (line.empty()) continue;
     auto request = ParseRequest(line);
     if (!request.ok()) {
@@ -301,15 +301,13 @@ void Server::ServeSession(int fd) {
           if (!respond_error(run.error())) return;
           continue;
         }
-        std::string response = FormatOkHeader(
+        const std::string header = FormatOkHeader(
             run->relation.size(), snapshot->version(),
             RelationDigest(run->relation),
             engine::CacheOutcomeToString(run->stats.cache));
-        response += "\n";
-        response += core::WriteRelationCsv(run->relation, names_.get());
-        response += kTerminator;
-        response += "\n";
-        if (!WriteAll(fd, response)) return;
+        if (!WriteOkResponse(fd, header, run->relation, names_.get(), &out)) {
+          return;
+        }
         continue;
       }
     }

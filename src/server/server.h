@@ -11,6 +11,12 @@
 // block writers and a response's `version` field pins exactly which
 // published state it saw.
 //
+// Responses: an OK answer streams through the session's one output
+// buffer, sent every 64 KiB (core::AppendRelationCsv writes the rows), so
+// a session holds about 64 KiB of response text however large the
+// answer. Accepted sockets set TCP_NODELAY, so the last short segment of
+// a streamed answer is not held back waiting for an ACK.
+//
 // Lifecycle: Start() binds (port 0 picks a free port — the bound port is
 // returned and reported by port()), spawns the accept loop, and returns.
 // Stop() is graceful and idempotent: it shuts down the listener and

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -406,6 +409,79 @@ TEST(Csv, InternsStringsWithNameMap) {
   const std::string text = WriteRelationCsv(*parsed, &names);
   EXPECT_NE(text.find("alice,red"), std::string::npos);
   EXPECT_NE(text.find("bob,blue"), std::string::npos);
+}
+
+/// The CSV writer as it was before it wrote with std::to_chars: one
+/// std::to_string or NameMap::Name string per value. The wire format is
+/// defined by this text.
+std::string ToStringCsvOracle(const Relation& relation, const NameMap* names) {
+  std::string out;
+  for (std::size_t i = 0; i < relation.size(); ++i) {
+    TupleView t = relation.tuple(i);
+    for (std::size_t j = 0; j < t.size(); ++j) {
+      if (j > 0) out += ",";
+      out += names != nullptr ? names->Name(t[j]) : std::to_string(t[j]);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(Csv, WriteMatchesToStringOracle) {
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  const std::vector<Value> edges = {kMin, kMin + 1, -1, 0, 9, 10, 99, 100, kMax};
+  // Codes -2..2 are interned (one name longer than the writer's stack
+  // block); every other value is never interned.
+  NameMap names;
+  names.InternSorted({"a", "bob", "carol,with comma", std::string(5000, 'z'), "e"},
+                     -2);
+  const NameMap empty_names;
+  util::Rng rng(20260518);
+  const auto draw = [&]() -> Value {
+    switch (rng.NextBounded(4)) {
+      case 0: return edges[rng.NextBounded(edges.size())];
+      case 1: return static_cast<Value>(rng.Next());
+      case 2: return static_cast<Value>(rng.NextBounded(2000)) - 1000;
+      default: return static_cast<Value>(rng.NextBounded(5)) - 2;
+    }
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t arity = static_cast<std::size_t>(trial % 7);
+    Relation relation(arity);
+    if (arity == 0) {
+      if (trial % 2 == 0) relation.Add(Tuple{});
+    } else {
+      const std::size_t rows = rng.NextBounded(400);
+      Tuple row(arity);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (auto& value : row) value = draw();
+        relation.Add(row);
+      }
+      // Every edge value at least once, in every column.
+      for (const Value value : edges) {
+        std::fill(row.begin(), row.end(), value);
+        relation.Add(row);
+      }
+    }
+    for (const NameMap* map : {static_cast<const NameMap*>(nullptr), &empty_names,
+                               static_cast<const NameMap*>(&names)}) {
+      const std::string expected = ToStringCsvOracle(relation, map);
+      ASSERT_EQ(WriteRelationCsv(relation, map), expected)
+          << "arity " << arity << " rows " << relation.size();
+      // Row ranges appended one after another give the same text.
+      std::string appended = "prefix";
+      std::size_t row = 0;
+      while (row < relation.size()) {
+        const std::size_t stop =
+            std::min(relation.size(), row + rng.NextBounded(70));
+        AppendRelationCsv(relation, row, stop, map, &appended);
+        row = stop;
+      }
+      ASSERT_EQ(appended, "prefix" + expected)
+          << "arity " << arity << " rows " << relation.size();
+    }
+  }
 }
 
 TEST(Csv, EmptyInputIsError) {

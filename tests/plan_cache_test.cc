@@ -384,10 +384,11 @@ TEST(PlanCache, BulkLoadRepicksTheDivisionAlgorithmInPlace) {
 }
 
 TEST(PlanCache, RepickRechargesTheByteAccounting) {
-  // A repick rewrites choice/rewrite strings, resizing the resident
-  // entry in place; the cache must re-charge its byte total, or the
-  // stale charge drifts on eviction and eventually underflows bytes_
-  // (after which a byte-budgeted cache evicts everything forever).
+  // A repick rewrites choice/rewrite strings on a revalidated private
+  // copy of the entry and publishes that copy in the old one's place; the
+  // cache must charge the copy's bytes, or the stale charge drifts on
+  // eviction and eventually underflows bytes_ (after which a
+  // byte-budgeted cache evicts everything forever).
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
   EngineOptions options = EngineOptions::CostBased();
@@ -410,11 +411,11 @@ TEST(PlanCache, RepickRechargesTheByteAccounting) {
   auto repicked = engine.Run(*handle, db);
   ASSERT_TRUE(repicked.ok());
   ASSERT_EQ(repicked->stats.cache, CacheOutcome::kRepicked);
-  // The resident entry was resized in place; the cache's total must
-  // track it exactly.
+  // The published copy replaced the resident entry at its new size; the
+  // cache's total must track it exactly.
   EXPECT_EQ(engine.plan_cache()->bytes(), handle->approx_bytes());
 
-  // Evicting the resized entry (capacity 1) must leave the total equal
+  // Evicting the republished entry (capacity 1) must leave the total equal
   // to the surviving entry's charge — any drift (or a size_t wrap)
   // breaks this equality.
   auto other = engine.Prepare(ra::Project(ra::Rel("R", 2), {1}), db);

@@ -14,8 +14,10 @@
 //
 // Functional coverage rides along: ad-hoc parity with a local engine
 // run, PREPARE/EXECUTE (including revalidation across commits), ERR
-// responses that keep the session usable, PING/CLOSE, and graceful
-// Stop() mid-traffic.
+// responses that keep the session usable, PING/CLOSE, graceful Stop()
+// mid-traffic, large answers streamed byte-identical through the
+// session's output buffer, a client that hangs up mid-answer, and the
+// client's line reader against a raw peer (line cap, one byte per send).
 //
 // Reads SETALG_BATCH_SEED (default 1); CI runs the seed matrix under
 // ASan/UBSan and TSan — TSan is the point for the soak.
@@ -23,12 +25,15 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/csv.h"
 #include "core/database.h"
 #include "core/relation.h"
 #include "engine/engine.h"
@@ -97,15 +103,127 @@ struct ServerFixture {
   int port = 0;
 
   explicit ServerFixture(const engine::EngineOptions& options,
-                         std::uint64_t seed) {
-    head = std::make_shared<txn::VersionedDatabase>(
-        workload::SqlWorkloadDatabase(seed));
+                         std::uint64_t seed)
+      : ServerFixture(options, workload::SqlWorkloadDatabase(seed)) {}
+
+  ServerFixture(const engine::EngineOptions& options, const core::Database& db) {
+    head = std::make_shared<txn::VersionedDatabase>(db);
     server = std::make_unique<server::Server>(head, options, nullptr);
     auto bound = server->Start(0);
     SETALG_CHECK_STREAM(bound.ok()) << bound.error();
     port = *bound;
   }
 };
+
+/// {W/6, S/1}: W holds 20,000 rows of wide values, so `SELECT * FROM W`
+/// answers with well over ten 64 KiB flushes of CSV text; S is small.
+core::Database LargeResultDatabase(std::uint64_t seed) {
+  core::Schema schema;
+  schema.AddRelation("W", 6);
+  schema.AddRelation("S", 1);
+  core::Database db(schema);
+  util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 5);
+  core::Relation w(6);
+  core::Tuple row(6);
+  for (std::size_t i = 0; i < 20000; ++i) {
+    row[0] = static_cast<core::Value>(i);
+    for (std::size_t j = 1; j < row.size(); ++j) {
+      row[j] = static_cast<core::Value>(rng.NextBounded(20000000)) - 10000000;
+    }
+    w.Add(row);
+  }
+  db.SetRelation("W", std::move(w));
+  db.SetRelation("S", core::Relation::FromRows(1, {{3}, {1}, {2}}));
+  return db;
+}
+
+/// Connects a plain TCP socket to 127.0.0.1:`port`; -1 on failure.
+int ConnectRaw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool SendAll(int fd, const std::string& data) {
+  std::size_t sent = 0;
+  while (sent < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Reads one '\n'-terminated request line, byte by byte.
+std::string RecvLine(int fd) {
+  std::string line;
+  char c = 0;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line += c;
+  return line;
+}
+
+/// A one-connection listener on 127.0.0.1 that runs `serve` on the
+/// accepted socket in its own thread. It stands in for setalgd where a
+/// test needs responses the server never sends.
+class RawPeer {
+ public:
+  explicit RawPeer(std::function<void(int fd)> serve) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    SETALG_CHECK(listen_fd_ >= 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    SETALG_CHECK(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)) == 0);
+    SETALG_CHECK(::listen(listen_fd_, 1) == 0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, serve = std::move(serve)] {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      serve(fd);
+      ::close(fd);
+    });
+  }
+
+  /// Joins the peer; a peer still waiting in accept is woken first.
+  ~RawPeer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+  int port() const { return port_; }
+
+ private:
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::thread thread_;
+};
+
+/// Blocks until the other end closes `fd`, or 10 s pass.
+void AwaitPeerClose(int fd) {
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  char chunk[4096];
+  while (::recv(fd, chunk, sizeof(chunk), 0) > 0) {
+  }
+}
 
 TEST(ServerTest, AdHocParityWithLocalEngine) {
   const std::uint64_t seed = BaseSeed();
@@ -489,22 +607,9 @@ TEST(ServerTest, ConnectionChurnKeepsSessionListBounded) {
 // ahead of the error response).
 TEST(ServerTest, OversizedLineGetsErrorAndDisconnect) {
   ServerFixture fixture(engine::EngineOptions{}, BaseSeed());
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ConnectRaw(fixture.port);
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(fixture.port));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-
-  const std::string payload((std::size_t{1} << 20) + 1, 'x');
-  std::size_t sent = 0;
-  while (sent < payload.size()) {
-    const ssize_t n = ::send(fd, payload.data() + sent, payload.size() - sent,
-                             MSG_NOSIGNAL);
-    ASSERT_GT(n, 0) << "send failed after " << sent << " bytes";
-    sent += static_cast<std::size_t>(n);
-  }
+  ASSERT_TRUE(SendAll(fd, std::string(server::kMaxLineBytes + 1, 'x')));
   std::string received;
   char chunk[4096];
   for (;;) {
@@ -515,6 +620,142 @@ TEST(ServerTest, OversizedLineGetsErrorAndDisconnect) {
   ::close(fd);
   EXPECT_NE(received.find("ERR"), std::string::npos) << received;
   EXPECT_NE(received.find("line too long"), std::string::npos) << received;
+}
+
+// An OK answer far larger than the server's 64 KiB output buffer
+// arrives whole and byte-identical to the local CSV text, and the
+// connection frames the next statements correctly.
+TEST(ServerTest, LargeResponseStreamsByteIdentical) {
+  ServerFixture fixture(engine::EngineOptions{}, LargeResultDatabase(BaseSeed()));
+  auto client = server::Client::Connect("127.0.0.1", fixture.port);
+  ASSERT_TRUE(client.ok()) << client.error();
+
+  const std::string statement = "SELECT * FROM W";
+  const auto snapshot = fixture.head->snapshot();
+  const engine::Engine local{engine::EngineOptions{}};
+  auto run = local.Run(MustCompile(statement, snapshot->schema()), *snapshot);
+  ASSERT_TRUE(run.ok());
+  const std::string text = core::WriteRelationCsv(run->relation, nullptr);
+  ASSERT_GE(run->relation.size(), 20000u);
+  ASSERT_GE(text.size(), std::size_t{10} * (std::size_t{64} << 10));
+
+  auto response = client->Roundtrip("QUERY " + statement);
+  ASSERT_TRUE(response.ok()) << response.error();
+  ASSERT_TRUE(response->header.ok) << response->header.error;
+  EXPECT_EQ(response->header.rows, run->relation.size());
+  EXPECT_EQ(response->rows.size(), response->header.rows);
+  EXPECT_EQ(response->header.digest,
+            server::DigestToHex(server::RelationDigest(run->relation)));
+  std::string joined;
+  joined.reserve(text.size());
+  for (const auto& row : response->rows) {
+    joined += row;
+    joined += '\n';
+  }
+  ASSERT_EQ(joined.size(), text.size());
+  EXPECT_TRUE(joined == text) << "streamed rows differ from WriteRelationCsv";
+
+  auto small = client->Roundtrip("QUERY SELECT c1 FROM S");
+  ASSERT_TRUE(small.ok()) << small.error();
+  ASSERT_TRUE(small->header.ok) << small->header.error;
+  EXPECT_EQ(small->header.rows, 3u);
+  EXPECT_EQ(small->rows, (std::vector<std::string>{"1", "2", "3"}));
+  auto ping = client->Roundtrip("PING");
+  ASSERT_TRUE(ping.ok()) << ping.error();
+  EXPECT_EQ(ping->header.verb, "PONG");
+  EXPECT_TRUE(ping->rows.empty());
+  client->Close();
+}
+
+// A client that sends a large QUERY, reads a few bytes and hangs up ends
+// its own session only: the next client gets the whole answer, and the
+// session list still drains to the live connections.
+TEST(ServerTest, ClientVanishingMidResponseEndsOnlyItsSession) {
+  ServerFixture fixture(engine::EngineOptions{}, LargeResultDatabase(BaseSeed()));
+  const int fd = ConnectRaw(fixture.port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, "QUERY SELECT * FROM W\n"));
+  char head[16];
+  ASSERT_GT(::recv(fd, head, sizeof(head), 0), 0);
+  ::close(fd);
+
+  auto client = server::Client::Connect("127.0.0.1", fixture.port);
+  ASSERT_TRUE(client.ok()) << client.error();
+  auto response = client->Roundtrip("QUERY SELECT * FROM W");
+  ASSERT_TRUE(response.ok()) << response.error();
+  ASSERT_TRUE(response->header.ok) << response->header.error;
+  EXPECT_EQ(response->header.rows, 20000u);
+  EXPECT_EQ(response->rows.size(), response->header.rows);
+  const auto snapshot = fixture.head->snapshot();
+  EXPECT_EQ(response->header.digest,
+            server::DigestToHex(server::RelationDigest(snapshot->relation("W"))));
+  client->Close();
+
+  // As in ConnectionChurnKeepsSessionListBounded: each probe's accept
+  // reaps finished sessions, until at most the probe's own is left.
+  std::size_t live = fixture.server->live_sessions();
+  for (int attempt = 0; attempt < 200 && live > 1; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    auto probe = server::Client::Connect("127.0.0.1", fixture.port);
+    ASSERT_TRUE(probe.ok()) << probe.error();
+    auto ping = probe->Roundtrip("PING");
+    ASSERT_TRUE(ping.ok()) << ping.error();
+    probe->Close();
+    live = fixture.server->live_sessions();
+  }
+  EXPECT_LE(live, 1u);
+  EXPECT_GE(fixture.server->sessions_accepted(), 2u);
+}
+
+// The client reads with the server's line cap: a peer that sends a
+// header and then 1 MiB + 1 bytes without a newline gets an error back
+// from Roundtrip while it keeps the connection open, rather than a client
+// buffer that grows for as long as the bytes keep coming.
+TEST(ServerTest, ClientCapsResponseLines) {
+  RawPeer peer([](int fd) {
+    RecvLine(fd);
+    const std::string header = server::FormatOkHeader(1, 1, 0, "miss") + "\n";
+    if (!SendAll(fd, header + std::string(server::kMaxLineBytes + 1, 'x'))) return;
+    AwaitPeerClose(fd);
+  });
+  auto client = server::Client::Connect("127.0.0.1", peer.port());
+  ASSERT_TRUE(client.ok()) << client.error();
+  auto response = client->Roundtrip("QUERY SELECT * FROM R");
+  ASSERT_FALSE(response.ok());
+  EXPECT_NE(response.error().find("longer than"), std::string::npos)
+      << response.error();
+}
+
+// Framing does not depend on how the bytes are cut into segments: a
+// response sent one byte per send (CR LF line ends included) parses
+// exactly, and bytes that arrive ahead of the next request (here the
+// whole PONG response) wait in the reader for the next Roundtrip.
+TEST(ServerTest, ClientParsesResponseSentOneBytePerSend) {
+  const std::string header = server::FormatOkHeader(2, 7, 0x0123456789abcdefULL, "miss");
+  RawPeer peer([&](int fd) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    RecvLine(fd);
+    const std::string bytes = header + "\r\n1,2\r\n-3,40\n.\nPONG\n.\n";
+    for (const char c : bytes) {
+      if (!SendAll(fd, std::string(1, c))) return;
+    }
+    AwaitPeerClose(fd);
+  });
+  auto client = server::Client::Connect("127.0.0.1", peer.port());
+  ASSERT_TRUE(client.ok()) << client.error();
+  auto response = client->Roundtrip("QUERY SELECT * FROM R");
+  ASSERT_TRUE(response.ok()) << response.error();
+  ASSERT_TRUE(response->header.ok);
+  EXPECT_EQ(response->header.rows, 2u);
+  EXPECT_EQ(response->header.version, 7u);
+  EXPECT_EQ(response->header.digest, "0123456789abcdef");
+  EXPECT_EQ(response->header.cache, "miss");
+  EXPECT_EQ(response->rows, (std::vector<std::string>{"1,2", "-3,40"}));
+  auto pong = client->Roundtrip("PING");
+  ASSERT_TRUE(pong.ok()) << pong.error();
+  EXPECT_EQ(pong->header.verb, "PONG");
+  EXPECT_TRUE(pong->rows.empty());
 }
 
 TEST(ServerTest, GracefulStopMidTraffic) {
