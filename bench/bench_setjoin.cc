@@ -24,8 +24,6 @@
 #include "ra/expr.h"
 #include "setjoin/setjoin.h"
 #include "stats/stats.h"
-#include "txn/sharded.h"
-#include "txn/snapshot.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -137,13 +135,13 @@ struct ContainmentRow {
   double chosen_ms = 0.0;
   double batched_ms = 0.0;   // Engine plan through the batch surface.
   double parallel_ms = 0.0;  // Same plan with a worker pool.
-  double sharded_ms = 0.0;   // Parallel plan over a pre-sharded snapshot.
   double prepared_ms = 0.0;  // Same plan through a prepared handle.
   std::size_t threads = 0;
   std::size_t partitions = 0;
-  // Partition passes the sharded run skipped; the regression gate
-  // requires > 0 (the aligned scan must feed shards straight to workers).
-  std::size_t sharded_skipped_passes = 0;
+  // Partition passes the parallel run skipped; the regression gate
+  // requires > 0 (the scanned left side must be cut into key ranges in
+  // place, not drained).
+  std::size_t parallel_skipped_passes = 0;
 };
 
 struct EqualityRow {
@@ -167,8 +165,8 @@ std::vector<ContainmentRow> PrintContainmentTable() {
   for (auto algorithm : setjoin::AllContainmentAlgorithms()) {
     std::printf("  %-22s", setjoin::ContainmentAlgorithmToString(algorithm));
   }
-  std::printf("  %-22s  %-22s  %-22s  %-22s  %-22s  matches\n", "cost-based",
-              "batched", "parallel", "sharded", "prepared");
+  std::printf("  %-22s  %-22s  %-22s  %-22s  matches\n", "cost-based",
+              "batched", "parallel", "prepared");
   for (std::size_t groups : {250u, 500u, 1000u, 2000u}) {
     const auto instance = Instance(groups, 8, 0.05);
     const auto db = workload::SetJoinDatabase(instance);
@@ -210,21 +208,8 @@ std::vector<ContainmentRow> PrintContainmentTable() {
                          &parallel_stats);
     row.threads = parallel_stats.threads_used;
     row.partitions = parallel_stats.partitions;
+    row.parallel_skipped_passes = parallel_stats.partition_passes_skipped;
     std::printf("  %-22.3f", row.parallel_ms);
-    // The same parallel plan over a snapshot whose relations are already
-    // sharded on the partitioning column: the executor must feed shards
-    // straight to workers and record the skipped partition pass.
-    {
-      txn::ShardedDatabase sharded(db, ParallelThreads());
-      const txn::SnapshotPtr snapshot = sharded.snapshot();
-      engine::PlanStats sharded_stats;
-      row.sharded_ms =
-          EnginePlanMillis(*snapshot, make_root(), "containment-sharded",
-                           engine::EngineOptions{}.WithThreads(ParallelThreads()),
-                           &sharded_stats);
-      row.sharded_skipped_passes = sharded_stats.partition_passes_skipped;
-    }
-    std::printf("  %-22.3f", row.sharded_ms);
     row.prepared_ms = PreparedPlanMillis(db, make_root(), "containment-prepared",
                                          engine::EngineOptions{});
     std::printf("  %-22.3f", row.prepared_ms);
@@ -524,8 +509,7 @@ void WriteJson(const std::vector<ContainmentRow>& containment,
     json.Key("cost-based").Value(row.chosen_ms);
     json.Key("batched").Value(row.batched_ms);
     json.Key("parallel").Value(row.parallel_ms);
-    json.Key("sharded").Value(row.sharded_ms);
-    json.Key("sharded_skipped_passes").Value(row.sharded_skipped_passes);
+    json.Key("parallel_skipped_passes").Value(row.parallel_skipped_passes);
     json.Key("prepared").Value(row.prepared_ms);
     json.Key("chosen_containment").Value(row.chosen);
     json.Key("threads").Value(row.threads);

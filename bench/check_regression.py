@@ -61,11 +61,12 @@ bench/baseline/ and fails (exit 1) when:
      at most MULTIWAY_INTERMEDIATE_FRACTION (0.5x) of the binary plan's
      max intermediate — the operator's whole point is refusing to
      materialize the blown-up binary intermediate.
-  11. The sharded-scan fast path stops engaging: the `sharded` cell in
-     `containment_ms` (the parallel plan over a snapshot pre-sharded on
-     the partitioning column) must record `sharded_skipped_passes >= 1`
-     at the largest group count — shard-aligned scans exist to skip the
-     partition pass, so zero skips means the alignment detection broke.
+  11. The in-place key-range path stops engaging: the `parallel` cell
+     in `containment_ms` (the containment plan with a worker pool, its
+     left side a scan of stored R) must record
+     `parallel_skipped_passes >= 1` at the largest group count — a
+     stored relation is sorted on column 1, so it is cut into key ranges
+     in place, and zero skips means the scan is drained and re-sorted.
   12. The write path goes superlinear again: in the `write_path_ms`
      table of BENCH_division.json (the n=16000 dividend R), computing R's
      statistics (`stats`) or normalizing R after an 8-row edit
@@ -143,7 +144,7 @@ TRACKED = {
         "groups",
         "inverted-index",
         ["signature-nested-loop", "partitioned", "cost-based", "batched",
-         "parallel", "sharded", "prepared"],
+         "parallel", "prepared"],
     ),
     "equality_ms": ("groups", "canonical-hash",
                     ["cost-based", "batched", "parallel", "prepared"]),
@@ -154,7 +155,7 @@ TRACKED = {
 # Columns whose timings are only meaningful on multi-core runners: their
 # baseline drift comparison arms itself from the baseline snapshot's own
 # hardware_threads field (see check_against_baseline).
-MULTICORE_COLUMNS = {"parallel", "sharded"}
+MULTICORE_COLUMNS = {"parallel"}
 
 EXPECTED_CHOICES = {
     "runtime_ms": ("chosen_division", "hash-division"),
@@ -428,15 +429,15 @@ def check_calibrated_ratio(errors, data):
         )
 
 
-def check_sharded_skip(errors, data):
-    """Gate 11: the sharded run must actually skip the partition pass.
+def check_parallel_skip(errors, data):
+    """Gate 11: the parallel run must read its stored scan in place.
 
-    The `sharded` cell executes the parallel containment plan over a
-    snapshot pre-sharded on the plan's partitioning column; the executor
-    must consume the shards directly, and it records how many partition
-    passes it skipped. Zero means the alignment fast path silently
-    stopped engaging — a plan-shape property, so this gate is
-    machine-independent and always armed.
+    The `parallel` cell executes the containment plan with a worker pool;
+    its left side scans stored R, which is sorted on column 1, so the
+    executor cuts it into key ranges in place and records the skipped
+    partition pass. Zero means the key-range path silently stopped
+    engaging — a plan-shape property, so this gate is machine-independent
+    and always armed.
     """
     rows = data.get("containment_ms", [])
     if not rows:
@@ -444,24 +445,23 @@ def check_sharded_skip(errors, data):
         return
     row = max_row(rows, "groups")
     groups = row["groups"]
-    skipped = row.get("sharded_skipped_passes")
+    skipped = row.get("parallel_skipped_passes")
     if skipped is None:
         errors.append(
-            f"'sharded_skipped_passes' missing from containment_ms at "
+            f"'parallel_skipped_passes' missing from containment_ms at "
             f"groups={groups}"
         )
         return
     if skipped < 1:
         errors.append(
-            f"sharded containment at groups={groups} skipped {skipped} "
-            f"partition passes, expected >= 1 — the shard-aligned scan fast "
-            f"path no longer engages"
+            f"parallel containment at groups={groups} skipped {skipped} "
+            f"partition passes, expected >= 1 — the stored scan is no longer "
+            f"cut into key ranges in place"
         )
     else:
         print(
-            f"  ok: sharded containment skipped {skipped} partition pass(es) "
-            f"at groups={groups} (sharded={row.get('sharded')}ms, "
-            f"parallel={row.get('parallel')}ms)"
+            f"  ok: parallel containment skipped {skipped} partition pass(es) "
+            f"at groups={groups} (parallel={row.get('parallel')}ms)"
         )
 
 
@@ -706,7 +706,7 @@ def main():
         if name == "BENCH_setjoin.json":
             check_calibrated_ratio(errors, current)
             check_multiway_bound(errors, current)
-            check_sharded_skip(errors, current)
+            check_parallel_skip(errors, current)
         for table in tables:
             check_choices(errors, current, table)
             check_against_baseline(errors, current, baseline, table)

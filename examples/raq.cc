@@ -61,7 +61,6 @@
 #include "server/protocol.h"
 #include "sql/analyzer.h"
 #include "sql/parser.h"
-#include "txn/sharded.h"
 #include "txn/snapshot.h"
 #include "util/str.h"
 
@@ -80,7 +79,6 @@ int main(int argc, char** argv) {
   long long threads = 1;
   long long plan_cache_entries = 0;
   long long sessions = 0;
-  long long shards = 1;
   bool after_separator = false;
   const std::size_t nargs = args.size();
   for (std::size_t i = 0; i < nargs; ++i) {
@@ -134,12 +132,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       ++i;
-    } else if (arg == "--shards") {
-      if (i + 1 >= nargs || !util::ParseInt64(args[i + 1], &shards) || shards < 1) {
-        std::fprintf(stderr, "--shards needs a positive integer\n");
-        return 2;
-      }
-      ++i;
     } else if (after_separator) {
       expressions.push_back(arg);
     } else {
@@ -150,7 +142,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: raq NAME=ARITY:PATH [NAME=ARITY:PATH ...] [-v] "
                  "[--mode reference|planned|cost] [--multiway] "
-                 "[--calibrate] [--threads N] [--shards K] [--batch-size N] "
+                 "[--calibrate] [--threads N] [--batch-size N] "
                  "[--plan-cache [N]] "
                  "[--sessions N] [--connect HOST:PORT] -- STMT [STMT ...]\n"
                  "example: raq R=2:r.csv S=1:s.csv -- 'pi[1](join[2=1](R, S))'\n");
@@ -297,14 +289,8 @@ int main(int argc, char** argv) {
     options.result_cache =
         std::make_shared<engine::ResultCache>(256, std::size_t{64} << 20);
     const engine::Engine engine(options);
-    std::shared_ptr<txn::VersionedDatabase> head;
-    if (shards > 1) {
-      head = std::make_shared<txn::ShardedDatabase>(
-          db, static_cast<std::size_t>(shards));
-    } else {
-      head = std::make_shared<txn::VersionedDatabase>(db);
-    }
-    const txn::SnapshotPtr snapshot = head->snapshot();
+    const txn::VersionedDatabase head(db);
+    const txn::SnapshotPtr snapshot = head.snapshot();
 
     const std::size_t n = static_cast<std::size_t>(sessions);
     std::vector<std::vector<std::string>> reports(n);
@@ -355,27 +341,13 @@ int main(int argc, char** argv) {
   }
 
   const engine::Engine engine(options);
-  // --shards K evaluates against a sharded head's snapshot: relations are
-  // stored hash-routed on column 1 into K shards and the parallel
-  // operators take the pre-partitioned fast path where aligned (the
-  // results are bit-identical either way).
-  std::shared_ptr<txn::VersionedDatabase> shard_head;
-  txn::SnapshotPtr shard_snapshot;
-  if (shards > 1) {
-    shard_head = std::make_shared<txn::ShardedDatabase>(
-        db, static_cast<std::size_t>(shards));
-    shard_snapshot = shard_head->snapshot();
-  }
-  const core::DatabaseView& view =
-      shard_snapshot != nullptr ? static_cast<const core::DatabaseView&>(*shard_snapshot)
-                                : db;
   int exit_code = 0;
   for (const auto& parsed : parsed_list) {
-    auto run = engine.Run(parsed, view);
+    auto run = engine.Run(parsed, db);
     if (run.ok() && plan_cache_entries > 0) {
       // Second execution: served from the cache (a hit on the unchanged
       // database), so the CLI demonstrates the prepared hot path end to end.
-      run = engine.Run(parsed, view);
+      run = engine.Run(parsed, db);
     }
     if (!run.ok()) {
       std::fprintf(stderr, "eval error: %s\n", run.error().c_str());

@@ -25,7 +25,6 @@
 #include "core/database.h"
 #include "engine/engine.h"
 #include "server/server.h"
-#include "txn/sharded.h"
 #include "txn/snapshot.h"
 #include "util/str.h"
 
@@ -37,7 +36,6 @@ int main(int argc, char** argv) {
   bool multiway = false;
   bool calibrate = false;
   long long threads = 1;
-  long long shards = 1;
   long long port = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -64,12 +62,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       ++i;
-    } else if (arg == "--shards") {
-      if (i + 1 >= argc || !util::ParseInt64(argv[i + 1], &shards) || shards < 1) {
-        std::fprintf(stderr, "--shards needs a positive integer\n");
-        return 2;
-      }
-      ++i;
     } else {
       relation_specs.push_back(arg);
     }
@@ -78,7 +70,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: setalgd NAME=ARITY:PATH [NAME=ARITY:PATH ...] "
                  "[--port N] [--mode reference|planned|cost] "
-                 "[--multiway] [--threads N] [--shards K] [--calibrate]\n");
+                 "[--multiway] [--threads N] [--calibrate]\n");
     return 2;
   }
 
@@ -133,17 +125,7 @@ int main(int argc, char** argv) {
 
   core::Database db(schema);
   for (auto& [name, relation] : loaded) db.SetRelation(name, std::move(relation));
-  // --shards K serves from a sharded head: every relation's rows are
-  // hash-routed into K per-relation shards on column 1, and the parallel
-  // operators skip their partition pass when their partitioning column
-  // matches (see README "Sharded storage"). K=1 keeps the plain head.
-  std::shared_ptr<txn::VersionedDatabase> head;
-  if (shards > 1) {
-    head = std::make_shared<txn::ShardedDatabase>(
-        db, static_cast<std::size_t>(shards));
-  } else {
-    head = std::make_shared<txn::VersionedDatabase>(db);
-  }
+  auto head = std::make_shared<txn::VersionedDatabase>(db);
 
   // Block the termination signals before any thread spawns, so the accept
   // and session threads inherit the mask and sigwait below is the only

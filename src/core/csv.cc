@@ -53,6 +53,11 @@ util::Result<Relation> ReadRelationCsv(const std::string& text, NameMap* names) 
       const auto field = util::StripWhitespace(raw_field);
       long long value = 0;
       if (util::ParseInt64(field, &value)) {
+        if (names != nullptr && IsNameCode(static_cast<Value>(value))) {
+          return util::Result<Relation>::Error(util::StrCat(
+              "line ", line_number, ": integer field '", std::string(field),
+              "' lies in the range reserved for interned names (below -2^63 + 2^32)"));
+        }
         row.push_back(static_cast<Value>(value));
       } else if (names != nullptr) {
         row.push_back(names->Intern(std::string(field)));

@@ -1,7 +1,8 @@
 // CSV import/export for relations, used by the raq CLI example and tests.
 //
 // Fields that parse as integers become those integer values; other fields
-// are interned through a caller-supplied NameMap (arrival order).
+// are interned through a caller-supplied NameMap (arrival order, codes in
+// NameMap's reserved range, which integer fields may then not use).
 #ifndef SETALG_CORE_CSV_H_
 #define SETALG_CORE_CSV_H_
 
@@ -22,6 +23,9 @@ inline constexpr std::size_t kMaxCsvValueBytes = 21;
 /// Parses CSV text (one tuple per line, comma-separated, no header) into a
 /// relation. All rows must have the same width. Empty lines are skipped.
 /// `names` may be nullptr, in which case non-integer fields are an error.
+/// With a name map, an integer field inside the range reserved for name
+/// codes (core::IsNameCode) is an error, so names and integers never
+/// share a value.
 util::Result<Relation> ReadRelationCsv(const std::string& text, NameMap* names);
 
 /// Reads a relation from a file; see ReadRelationCsv.

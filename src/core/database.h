@@ -49,33 +49,6 @@ class DatabaseView {
   virtual std::uint64_t relation_version(const std::string& name) const = 0;
 };
 
-/// Optional capability interface of a DatabaseView whose relations are
-/// stored pre-partitioned into K disjoint shards. The contract: shard s
-/// of a sharded relation holds exactly the rows whose declared key-column
-/// value routes to s under `setjoin::PartitionOfKey(value, shard_count())`
-/// — the same routing function the parallel executor uses — and each
-/// shard is normalized (sorted, duplicate-free). A partitioned operator
-/// whose partitioning column equals the relation's shard key can
-/// therefore consume the shards directly and skip its partition pass.
-/// Consumers discover the capability by dynamic_cast from DatabaseView.
-class ShardedView {
- public:
-  virtual ~ShardedView() = default;
-
-  /// Number of shards every sharded relation is split into (>= 1).
-  virtual std::size_t shard_count() const = 0;
-
-  /// The 1-based key column `name` is sharded on, or 0 when the relation
-  /// is not sharded (consumers must then fall back to the full relation).
-  virtual std::size_t shard_key_column(const std::string& name) const = 0;
-
-  /// Shard `s` (in [0, shard_count())) of a sharded relation. Must only
-  /// be called when shard_key_column(name) != 0. The reference stays
-  /// valid for the lifetime of the view.
-  virtual const Relation& shard(const std::string& name,
-                                std::size_t s) const = 0;
-};
-
 /// An assignment of a finite relation to each relation name of a schema.
 ///
 /// Every database carries a process-unique `id()` and a per-relation

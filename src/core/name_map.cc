@@ -16,13 +16,14 @@ void NameMap::InternSorted(std::vector<std::string> names, Value base) {
     codes_[std::move(name)] = code;
     ++code;
   }
-  next_code_ = code;
 }
 
 Value NameMap::Intern(const std::string& name) {
   auto it = codes_.find(name);
   if (it != codes_.end()) return it->second;
-  const Value code = next_code_++;
+  SETALG_CHECK_STREAM(codes_.size() < kNameCodeCount) << "more than 2^32 interned names";
+  const Value code = kFirstNameCode + static_cast<Value>(codes_.size());
+  SETALG_CHECK_STREAM(names_.find(code) == names_.end()) << "Intern after InternSorted";
   codes_[name] = code;
   names_[code] = name;
   return code;

@@ -6,6 +6,8 @@
 #ifndef SETALG_CORE_NAME_MAP_H_
 #define SETALG_CORE_NAME_MAP_H_
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -13,6 +15,20 @@
 #include "core/value.h"
 
 namespace setalg::core {
+
+/// The codes Intern hands out: the lowest 2^32 values of int64,
+/// [kFirstNameCode, kFirstNameCode + kNameCodeCount), in arrival order
+/// from kFirstNameCode. A reader that interns names beside integers
+/// (core::ReadRelationCsv) rejects integers inside this range, so a name
+/// and an integer never share a Value.
+inline constexpr Value kFirstNameCode = std::numeric_limits<Value>::min();
+inline constexpr std::uint64_t kNameCodeCount = std::uint64_t{1} << 32;
+
+/// True iff `value` lies in Intern's reserved code range.
+inline bool IsNameCode(Value value) {
+  return static_cast<std::uint64_t>(value) - static_cast<std::uint64_t>(kFirstNameCode) <
+         kNameCodeCount;
+}
 
 /// Bidirectional string <-> Value mapping.
 class NameMap {
@@ -23,8 +39,10 @@ class NameMap {
   /// at most once.
   void InternSorted(std::vector<std::string> names, Value base = 0);
 
-  /// Interns one string incrementally (codes in arrival order — the code
-  /// order then has no relation to lexicographic order). Returns the code.
+  /// Interns one string incrementally: codes count up from
+  /// kFirstNameCode in arrival order (the code order then has no relation
+  /// to lexicographic order). Returns the code. Does not mix with
+  /// InternSorted on one map.
   Value Intern(const std::string& name);
 
   /// True iff the string has been interned.
@@ -46,7 +64,6 @@ class NameMap {
  private:
   std::unordered_map<std::string, Value> codes_;
   std::unordered_map<Value, std::string> names_;
-  Value next_code_ = 0;
 };
 
 }  // namespace setalg::core

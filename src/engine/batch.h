@@ -109,10 +109,10 @@ class BatchIterator {
   /// True when no tuple is emitted twice across the stream's lifetime.
   virtual bool distinct() const { return false; }
 
-  /// Declares that the consumer read this scan stream's relation from
-  /// pre-sharded storage instead of draining it (the shard-aligned fast
-  /// path, engine/parallel.h): `rows` is the stored relation's size —
-  /// exactly what a full drain would have produced. Called between
+  /// Declares that the consumer read this scan stream's stored relation
+  /// in place instead of draining it (a key-range partitioned operator,
+  /// engine/parallel.h ReadSortedInput): `rows` is the stored relation's
+  /// size — exactly what a full drain would have produced. Called between
   /// Open() and Close() in place of any NextBatch() calls. Default no-op;
   /// instrumented pipeline edges account the rows so per-operator
   /// PlanStats stay identical whether or not the stream was bypassed.
@@ -155,6 +155,13 @@ class MaterializedInput {
   /// `input` must outlive the view when borrowing applies.
   static MaterializedInput From(BatchIterator* input, std::size_t arity,
                                 std::size_t batch_size);
+
+  /// A view of `relation`, which must outlive it.
+  static MaterializedInput Borrow(const core::Relation& relation) {
+    MaterializedInput view;
+    view.borrowed_ = &relation;
+    return view;
+  }
 
   const core::Relation& get() const {
     return borrowed_ != nullptr ? *borrowed_ : owned_;

@@ -165,6 +165,10 @@ double EstimateColumnDistinct(const ExprEstimate& e, std::size_t column,
   return ColumnDistinct(e, column, arity);
 }
 
+bool ReadsStoredScanInPlace(const ra::ExprPtr& input) {
+  return input != nullptr && input->kind() == ra::OpKind::kRelation;
+}
+
 ExprEstimate CostModel::Estimate(const ra::ExprPtr& expr) const {
   SETALG_CHECK(expr != nullptr);
   auto it = memo_.find(expr.get());
@@ -513,8 +517,8 @@ CostEstimate CostModel::EstimatePartitioned(const CostEstimate& serial,
   // Partition slices replace the serial kernel's working set; the merge
   // buffers the same output once more.
   est.max_intermediate = serial.max_intermediate + serial.output_size;
-  // A shard-aligned input needs no partitioning pass: the stored shards
-  // are the partitions (engine::ShardAlignedSlices).
+  // A stored scan read in place needs no partitioning pass: its key
+  // ranges are cut from storage.
   const double split = aligned ? 0.0 : kPartitionTuple * NonZero(input_cardinality);
   est.cost = split                                         // Serial split.
              + serial.cost * waves / p                     // Kernel, in waves.

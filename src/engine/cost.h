@@ -75,6 +75,13 @@ ExprEstimate FromStats(const stats::RelationStats& stats);
 double EstimateColumnDistinct(const ExprEstimate& e, std::size_t column,
                               std::size_t arity);
 
+/// True when a key-range partitioned operator reads `input` in place: a
+/// stored relation leaf is sorted on column 1 already, so it is cut into
+/// key ranges with no partition pass (engine/parallel.h). The `aligned`
+/// argument of EstimatePartitioned for a division's dividend; semijoins
+/// always pay their hash partition pass.
+bool ReadsStoredScanInPlace(const ra::ExprPtr& input);
+
 // -- AGM output bounds (Atserias–Grohe–Marx) ---------------------------------
 
 /// A join hypergraph: one vertex per join variable, one edge per input
@@ -182,15 +189,14 @@ class CostModel {
 
   // -- Partitioned (parallel) execution --------------------------------------
 
-  /// Prices running a serial alternative hash-partitioned by group key
-  /// into `partitions` parts on `threads` workers (per ROADMAP: the cost
+  /// Prices running a serial alternative partitioned by group key into
+  /// `partitions` parts on `threads` workers (per ROADMAP: the cost
   /// model prices partition counts): a serial partitioning pass over the
   /// `input_cardinality` tuples, the kernel work spread over
   /// ceil(partitions / threads) waves, a per-partition dispatch overhead,
   /// and a serial merge of the per-partition outputs. `aligned` declares
-  /// the input pre-partitioned in storage (a scan of a relation sharded
-  /// on the partitioning column — engine::ShardAlignedSlices): the
-  /// partitioning-pass term drops to zero.
+  /// that the partitioned input is a stored scan read in place
+  /// (ReadsStoredScanInPlace): the partitioning-pass term drops to zero.
   CostEstimate EstimatePartitioned(const CostEstimate& serial,
                                    double input_cardinality,
                                    std::size_t partitions,

@@ -153,7 +153,7 @@ class InstrumentedIterator final : public BatchIterator {
   bool NextBatch(Batch& out) override;
 
   // A bypassed scan stream still produces its operator's stats entry —
-  // the rows the consumer read from sharded storage are exactly what a
+  // the rows the consumer read in place from storage are exactly what a
   // full drain would have counted, so per-op PlanStats (and the budget
   // check) are the same either way.
   void AccountBypassedScan(std::size_t rows) override;

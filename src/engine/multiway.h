@@ -14,7 +14,7 @@
 // and set-join kernels), so the pipelined executor, its parallel runs and
 // the materializing reference all run it unchanged. Parallel runs hash-partition every
 // input containing join variable 0 by that variable's column
-// (setjoin::PartitionOfKey, the engine-wide key-partitioning contract),
+// (engine::PartitionByColumn, so every input routes a value alike),
 // share the rest read-only, and merge the per-partition outputs in
 // partition-index order — results and PlanStats row counts are
 // bit-identical to the serial kernel.

@@ -3,11 +3,30 @@
 #include <algorithm>
 #include <utility>
 
-#include "setjoin/grouped.h"
-#include "stats/stats.h"
 #include "util/check.h"
+#include "util/hash.h"
 
 namespace setalg::engine {
+namespace {
+
+// The partition PartitionByColumn routes a key to (Mix64 of the key, so
+// consecutive keys spread).
+std::size_t PartitionOfKey(core::Value key, std::size_t partitions) {
+  return static_cast<std::size_t>(util::Mix64(static_cast<std::uint64_t>(key)) %
+                                  partitions);
+}
+
+// Marks a scan stream whose relation the caller read in place as
+// consumed: opens it, accounts its `rows` (see
+// BatchIterator::AccountBypassedScan) and closes it, so per-operator
+// instrumentation and the iterator contract hold without a drain.
+void ConsumeBypassedScan(BatchIterator* stream, std::size_t rows) {
+  stream->Open();
+  stream->AccountBypassedScan(rows);
+  stream->Close();
+}
+
+}  // namespace
 
 WorkerPool::WorkerPool(std::size_t threads) {
   const std::size_t workers = threads <= 1 ? 0 : threads - 1;
@@ -83,7 +102,7 @@ std::vector<core::Relation> PartitionByColumn(const core::Relation& relation,
   for (std::size_t p = 0; p < partitions; ++p) out.emplace_back(relation.arity());
   for (std::size_t i = 0; i < relation.size(); ++i) {
     const core::TupleView row = relation.tuple(i);
-    out[setjoin::PartitionOfKey(row[column - 1], partitions)].Add(row);
+    out[PartitionOfKey(row[column - 1], partitions)].Add(row);
   }
   // Rows were routed in sorted input order, so each partition is already
   // sorted and duplicate-free: normalization is the no-op fast path.
@@ -91,70 +110,41 @@ std::vector<core::Relation> PartitionByColumn(const core::Relation& relation,
   return out;
 }
 
-std::optional<std::vector<ShardSlice>> ShardAlignedSlices(
-    const core::DatabaseView& db, const std::string& source, std::size_t column,
-    std::size_t target_tasks, bool allow_split) {
-  const auto* sharded = dynamic_cast<const core::ShardedView*>(&db);
-  if (sharded == nullptr || column == 0 ||
-      sharded->shard_key_column(source) != column) {
-    return std::nullopt;
+std::vector<RowRange> KeyRanges(const core::Relation& sorted, std::size_t parts) {
+  SETALG_CHECK(parts >= 1);
+  SETALG_CHECK(sorted.arity() >= 1);
+  const std::size_t arity = sorted.arity();
+  const std::size_t n = sorted.size();
+  const core::Value* rows = sorted.flat().data();
+  const std::size_t target = (n + parts - 1) / parts;
+  std::vector<RowRange> ranges;
+  ranges.reserve(parts);
+  std::size_t begin = 0;
+  for (std::size_t p = 0; p < parts; ++p) {
+    std::size_t end = p + 1 == parts ? n : std::min(n, begin + target);
+    // Move the cut to the next key boundary, so no key spans two ranges.
+    while (end < n && rows[end * arity] == rows[(end - 1) * arity]) ++end;
+    ranges.push_back({begin, end});
+    begin = end;
   }
-  const std::size_t shard_count = sharded->shard_count();
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    total += sharded->shard(source, s).size();
-  }
-  // Rows per slice above which a shard is subdivided. Splitting is only
-  // sound on column 1: normalized storage sorts by it, so each key's run
-  // is contiguous and a cut at a key boundary keeps groups whole. The
-  // group-size histogram gives the split floor — no slice can be smaller
-  // than the largest single group.
-  std::size_t target = 0;
-  if (allow_split && column == 1 && target_tasks > 0 && total > 0) {
-    target = (total + target_tasks - 1) / target_tasks;
-    if (const auto* provider = dynamic_cast<const stats::StatsProvider*>(&db)) {
-      if (const auto* stats = provider->Get(source);
-          stats != nullptr && stats->arity == 2 && stats->groups.num_groups > 0) {
-        target = std::max(target, stats->groups.max_group_size);
-      }
-    }
-  }
-  std::vector<ShardSlice> slices;
-  slices.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    const core::Relation& shard = sharded->shard(source, s);
-    if (target == 0 || shard.size() <= 2 * target || shard.arity() == 0) {
-      slices.emplace_back();
-      slices.back().borrowed = &shard;
-      continue;
-    }
-    const std::size_t arity = shard.arity();
-    std::size_t begin = 0;
-    while (begin < shard.size()) {
-      std::size_t end = std::min(begin + target, shard.size());
-      // Advance the cut to the next key boundary so no group spans slices.
-      while (end < shard.size() &&
-             shard.tuple(end)[0] == shard.tuple(end - 1)[0]) {
-        ++end;
-      }
-      ShardSlice slice;
-      slice.owned = core::Relation(arity);
-      slice.owned.Reserve(end - begin);
-      slice.owned.AddRows(shard.flat().data() + begin * arity, end - begin);
-      // A key-contiguous range of a normalized relation is itself
-      // normalized, so this is the no-op fast path.
-      slice.owned.Normalize();
-      slices.push_back(std::move(slice));
-      begin = end;
-    }
-  }
-  return slices;
+  return ranges;
 }
 
-void ConsumeBypassedScan(BatchIterator* stream, std::size_t rows) {
-  stream->Open();
-  stream->AccountBypassedScan(rows);
-  stream->Close();
+std::shared_ptr<const MaterializedInput> ReadSortedInput(ExecContext& ctx,
+                                                         const std::string* scan,
+                                                         BatchIterator* stream,
+                                                         std::size_t arity) {
+  if (scan != nullptr) {
+    const core::Relation& stored = ctx.db().relation(*scan);
+    stored.Normalize();
+    ConsumeBypassedScan(stream, stored.size());
+    ctx.CountSkippedPartitionPass();
+    return std::make_shared<MaterializedInput>(MaterializedInput::Borrow(stored));
+  }
+  auto input = std::make_shared<MaterializedInput>(
+      MaterializedInput::From(stream, arity, ctx.batch_size()));
+  input->get().Normalize();
+  return input;
 }
 
 void PartitionedIterator::Open() {

@@ -1,20 +1,27 @@
 // Parallel partitioned execution on the batch seam.
 //
 // The paper's fast division and set-join algorithms are embarrassingly
-// partitionable by group key: hash-partition the grouped side so every
-// group lands wholly in one partition, run the unchanged serial kernel on
-// each partition, and concatenate the per-partition outputs — which are
+// partitionable by group key: split the grouped side so every group lands
+// wholly in one partition, run the unchanged serial kernel on each
+// partition, and concatenate the per-partition outputs — which are
 // disjoint by construction, so the merged, normalized result (and hence
 // every per-operator PlanStats row count) is bit-identical to the serial
-// run. This header provides the three pieces that make that a reusable
+// run. This header provides the pieces that make that a reusable
 // execution strategy rather than per-operator thread code:
 //
 //   - WorkerPool: a fixed pool of worker threads (EngineOptions::threads,
 //     raq --threads) that runs one batch of independent tasks at a time;
 //     the calling thread participates, so `threads` is total parallelism.
+//   - KeyRanges and ReadSortedInput: the one partition path of division
+//     and the set joins. Their grouped input is sorted on column 1 —
+//     normalized storage always is — so a cut between two keys is already
+//     a valid partition: the stored relation a scan names is read in
+//     place, any other input is drained and normalized, and the sorted
+//     rows are cut into contiguous key ranges. No routing function, no
+//     scatter, and the range outputs concatenate in key order.
 //   - PartitionByColumn: deterministic hash routing of a relation's rows
-//     by one column (setjoin::PartitionOfKey, shared with the grouped
-//     builders so row- and group-level partitioning always agree).
+//     by one column, for the semijoin and the multiway join, whose
+//     partitioning columns do not lead in general.
 //   - PartitionedIterator: the fan-out/fan-in BatchIterator. It is a
 //     blocking operator under the ordinary Open/NextBatch/Close contract:
 //     Open() consumes the input streams into per-partition work units
@@ -25,11 +32,12 @@
 //     operator; the differential harness in tests/batch_exec_test.cc
 //     enforces exactly that.
 //
-// Threading discipline: partitioning happens on the calling thread before
-// the fan-out, tasks touch only their own partition's state (plus shared
-// read-only inputs), and the merge happens on the calling thread after
-// every task has completed — so no PlanStats field, ExecContext, or
-// core::Relation is ever touched concurrently. Tasks must not throw.
+// Threading discipline: inputs are consumed (and stored relations
+// normalized) on the calling thread before the fan-out, tasks touch only
+// their own partition's state plus shared read-only inputs, and the merge
+// happens on the calling thread after every task has completed — so no
+// PlanStats field, ExecContext, or core::Relation is ever written
+// concurrently. Tasks must not throw.
 #ifndef SETALG_ENGINE_PARALLEL_H_
 #define SETALG_ENGINE_PARALLEL_H_
 
@@ -37,13 +45,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/database.h"
 #include "core/relation.h"
 #include "engine/batch.h"
 #include "engine/physical.h"
@@ -88,49 +95,43 @@ class WorkerPool {
 };
 
 /// Hash-partitions the rows of a normalized relation by `column`
-/// (1-based) into `partitions` relations via setjoin::PartitionOfKey.
-/// Every row with a given column value lands in exactly one partition,
-/// partitions preserve the input's sorted order (so they normalize for
-/// free), and the multiset union of the partitions is the input.
+/// (1-based) into `partitions` relations. Every row with a given column
+/// value lands in exactly one partition, partitions preserve the input's
+/// sorted order (so they normalize for free), and the multiset union of
+/// the partitions is the input. Co-partitions the semijoin's two sides and
+/// the multiway join's inputs.
 std::vector<core::Relation> PartitionByColumn(const core::Relation& relation,
                                               std::size_t column,
                                               std::size_t partitions);
 
-/// One shard-aligned partition input (ShardAlignedSlices): a borrowed
-/// whole stored shard, or an owned key-contiguous sub-range of a heavy
-/// shard. The borrowed relation must outlive the slice (stored shards
-/// are owned by the run's snapshot, which does).
-struct ShardSlice {
-  const core::Relation* borrowed = nullptr;
-  core::Relation owned{0};
+/// Rows [begin, end) of a relation.
+struct RowRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
 
-  const core::Relation& get() const {
-    return borrowed != nullptr ? *borrowed : owned;
-  }
+  std::size_t size() const { return end - begin; }
 };
 
-/// The storage-aligned fast path of the partitioned operators: when the
-/// run's database stores `source` pre-sharded on `column`
-/// (core::ShardedView — txn::ShardedDatabase snapshots), returns the
-/// shards as ready-made partition inputs so the operator can skip its
-/// partition pass. With `allow_split` (effective only for column 1,
-/// whose key runs are contiguous in sorted storage), heavy-hitter
-/// shards are subdivided at key boundaries toward `target_tasks` total
-/// slices — the split floor is the largest group size from the view's
-/// statistics, since a single key's rows can never span tasks — so one
-/// hot shard does not serialize the fan-out. Pass allow_split=false
-/// when slices must pair index-for-index with a co-partitioned side
-/// (semijoin). Returns nullopt when the database is not sharded on
-/// (source, column).
-std::optional<std::vector<ShardSlice>> ShardAlignedSlices(
-    const core::DatabaseView& db, const std::string& source, std::size_t column,
-    std::size_t target_tasks, bool allow_split);
+/// Cuts a relation sorted on column 1 (arity >= 1) into exactly `parts`
+/// (>= 1) contiguous row ranges, in order, covering [0, size()). Each
+/// range aims at ceil(size() / parts) rows, and each cut moves forward to
+/// the next key boundary, so no key is ever on both sides of a cut.
+/// Trailing ranges may be empty (a heavy key, or fewer keys than parts).
+std::vector<RowRange> KeyRanges(const core::Relation& sorted, std::size_t parts);
 
-/// Marks a scan stream whose relation the caller read straight from
-/// sharded storage as consumed: opens it, accounts its `rows` (see
-/// BatchIterator::AccountBypassedScan) and closes it, so per-operator
-/// instrumentation and the iterator contract hold without a drain.
-void ConsumeBypassedScan(BatchIterator* stream, std::size_t rows);
+/// The input of a key-range partitioned operator, sorted on column 1, as
+/// its tasks share it. `scan` is the input child's stored relation name
+/// (PhysicalOp::scan_relation()), or null. A stored relation is read in
+/// place: it is normalized here, because lazy normalization writes
+/// storage; `stream` is only opened, accounted with the stored row count
+/// (BatchIterator::AccountBypassedScan) and closed, and the skipped
+/// partition pass is counted. Any other input is drained and
+/// normalized. Driving thread only; a borrowed relation is owned by the
+/// run's database, which outlives the tasks.
+std::shared_ptr<const MaterializedInput> ReadSortedInput(ExecContext& ctx,
+                                                         const std::string* scan,
+                                                         BatchIterator* stream,
+                                                         std::size_t arity);
 
 /// One partition's work: computes that partition's share of the
 /// operator's output. Runs on a worker thread; must only touch state
@@ -140,8 +141,8 @@ using PartitionTask = std::function<core::Relation()>;
 
 /// Builds the partition tasks from the operator's input streams. Runs on
 /// the calling thread during Open(): consume every input here (drain /
-/// borrow via MaterializedInput or setjoin::GroupedBuilder), partition,
-/// and capture per-partition state into the returned tasks.
+/// borrow via MaterializedInput or ReadSortedInput), partition, and
+/// capture per-partition state into the returned tasks.
 using PartitionPlanFn =
     std::function<std::vector<PartitionTask>(std::vector<std::unique_ptr<BatchIterator>>&)>;
 

@@ -752,86 +752,6 @@ class SemiJoinOp final : public PhysicalOp {
         const std::size_t right_arity = child(1)->arity();
         const bool fast = strategy_ == SemijoinStrategy::kFastKernel;
         const auto* atoms = &atoms_;
-        // Shard-aligned fast path: a side scanned straight from storage
-        // sharded on its co-partitioning column is already routed exactly
-        // the way PartitionByColumn routes (both use
-        // setjoin::PartitionOfKey), so its partition pass can be skipped
-        // and the shards paired index-for-index with the other side's
-        // partitions. Partition count is pinned to the shard count so the
-        // pairing stays aligned; no shard splitting (a split slice would
-        // break the index pairing).
-        if (const auto* sharded =
-                dynamic_cast<const core::ShardedView*>(&ctx.db());
-            sharded != nullptr && sharded->shard_count() > 1) {
-          const std::size_t shard_parts = sharded->shard_count();
-          const auto slice_side =
-              [&](const PhysicalOp* side,
-                  std::size_t column) -> std::shared_ptr<std::vector<ShardSlice>> {
-            const std::string* name = side->scan_relation();
-            if (name == nullptr) return nullptr;
-            auto slices =
-                ShardAlignedSlices(ctx.db(), *name, column, shard_parts, false);
-            if (!slices.has_value()) return nullptr;
-            return std::make_shared<std::vector<ShardSlice>>(std::move(*slices));
-          };
-          auto left_slices = slice_side(child(0).get(), eq->left);
-          auto right_slices = slice_side(child(1).get(), eq->right);
-          if (left_slices != nullptr || right_slices != nullptr) {
-            const std::size_t left_rows =
-                left_slices ? ctx.db().relation(*child(0)->scan_relation()).size()
-                            : 0;
-            const std::size_t right_rows =
-                right_slices
-                    ? ctx.db().relation(*child(1)->scan_relation()).size()
-                    : 0;
-            const std::size_t eq_left = eq->left;
-            const std::size_t eq_right = eq->right;
-            ExecContext* ctx_ptr = &ctx;
-            return std::make_unique<PartitionedIterator>(
-                ctx, arity(), std::move(inputs),
-                [shard_parts, batch_size, left_arity, right_arity, fast, atoms,
-                 left_slices, right_slices, left_rows, right_rows, eq_left,
-                 eq_right,
-                 ctx_ptr](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-                  auto left_parts = std::make_shared<std::vector<Relation>>();
-                  auto right_parts = std::make_shared<std::vector<Relation>>();
-                  if (left_slices != nullptr) {
-                    ctx_ptr->CountSkippedPartitionPass();
-                    ConsumeBypassedScan(streams[0].get(), left_rows);
-                  } else {
-                    const MaterializedInput left = MaterializedInput::From(
-                        streams[0].get(), left_arity, batch_size);
-                    *left_parts =
-                        PartitionByColumn(left.get(), eq_left, shard_parts);
-                  }
-                  if (right_slices != nullptr) {
-                    ctx_ptr->CountSkippedPartitionPass();
-                    ConsumeBypassedScan(streams[1].get(), right_rows);
-                  } else {
-                    const MaterializedInput right = MaterializedInput::From(
-                        streams[1].get(), right_arity, batch_size);
-                    *right_parts =
-                        PartitionByColumn(right.get(), eq_right, shard_parts);
-                  }
-                  std::vector<PartitionTask> tasks;
-                  tasks.reserve(shard_parts);
-                  for (std::size_t p = 0; p < shard_parts; ++p) {
-                    tasks.push_back([left_slices, right_slices, left_parts,
-                                     right_parts, p, fast, atoms] {
-                      const Relation& l = left_slices != nullptr
-                                              ? (*left_slices)[p].get()
-                                              : (*left_parts)[p];
-                      const Relation& r = right_slices != nullptr
-                                              ? (*right_slices)[p].get()
-                                              : (*right_parts)[p];
-                      return fast ? sa::Semijoin(l, r, *atoms)
-                                  : GenericSemijoinRelation(l, r, *atoms);
-                    });
-                  }
-                  return tasks;
-                });
-          }
-        }
         return std::make_unique<PartitionedIterator>(
             ctx, arity(), std::move(inputs),
             [parts, batch_size, left_arity, right_arity, fast, eq,
@@ -978,67 +898,41 @@ class DivisionOp final : public PhysicalOp {
       ExecContext& ctx,
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
     const std::size_t parts = ResolvePartitions(partitions_, ctx);
-    // Every group lies wholly in its key's partition, so dividing each
-    // partition against the shared divisor yields key-disjoint slices of
-    // the serial result — for every direct algorithm. kClassicRa stays
-    // serial: it evaluates one RA expression over the whole dividend.
+    // Every group lies wholly in one key range, so dividing each range
+    // against the shared divisor yields key-disjoint slices of the serial
+    // result — for every direct algorithm. kClassicRa stays serial: it
+    // evaluates one RA expression over the whole dividend.
     if (parts > 1 && algorithm_ != setjoin::DivisionAlgorithm::kClassicRa) {
-      const std::size_t batch_size = ctx.batch_size();
       const auto algorithm = algorithm_;
       const bool equality = equality_;
-      // Shard-aligned fast path: a dividend scanned straight from storage
-      // that is sharded on the group-key column is already partitioned
-      // exactly the way PartitionByColumn would — feed the stored shards
-      // (heavy ones subdivided at key boundaries) to the workers and skip
-      // the partition pass.
-      if (const std::string* name = child(0)->scan_relation()) {
-        if (auto aligned = ShardAlignedSlices(ctx.db(), *name, 1, parts, true)) {
-          auto slices =
-              std::make_shared<std::vector<ShardSlice>>(std::move(*aligned));
-          const std::size_t rows = ctx.db().relation(*name).size();
-          ExecContext* ctx_ptr = &ctx;
-          return std::make_unique<PartitionedIterator>(
-              ctx, arity(), std::move(inputs),
-              [slices, rows, batch_size, algorithm, equality,
-               ctx_ptr](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-                ctx_ptr->CountSkippedPartitionPass();
-                ConsumeBypassedScan(streams[0].get(), rows);
-                auto divisor = std::make_shared<MaterializedInput>(
-                    MaterializedInput::From(streams[1].get(), 1, batch_size));
-                divisor->get().Normalize();
-                std::vector<PartitionTask> tasks;
-                tasks.reserve(slices->size());
-                for (std::size_t p = 0; p < slices->size(); ++p) {
-                  tasks.push_back([slices, divisor, p, algorithm, equality] {
-                    const Relation& slice = (*slices)[p].get();
-                    return equality ? setjoin::DivideEqual(slice, divisor->get(),
-                                                           algorithm)
-                                    : setjoin::Divide(slice, divisor->get(),
-                                                      algorithm);
-                  });
-                }
-                return tasks;
-              });
-        }
-      }
+      const std::string* scan = child(0)->scan_relation();
       return std::make_unique<PartitionedIterator>(
           ctx, arity(), std::move(inputs),
-          [parts, batch_size, algorithm,
+          [&ctx, scan, parts, algorithm,
            equality](std::vector<std::unique_ptr<BatchIterator>>& streams) {
             // Both inputs are consumed on the driving thread; the divisor
             // is normalized here so workers only ever read it.
             auto divisor = std::make_shared<MaterializedInput>(
-                MaterializedInput::From(streams[1].get(), 1, batch_size));
+                MaterializedInput::From(streams[1].get(), 1, ctx.batch_size()));
             divisor->get().Normalize();
-            const MaterializedInput dividend =
-                MaterializedInput::From(streams[0].get(), 2, batch_size);
-            auto slices = std::make_shared<std::vector<Relation>>(
-                PartitionByColumn(dividend.get(), 1, parts));
+            auto dividend = ReadSortedInput(ctx, scan, streams[0].get(), 2);
+            const bool single_pass =
+                algorithm == setjoin::DivisionAlgorithm::kHashDivision ||
+                algorithm == setjoin::DivisionAlgorithm::kAggregate;
             std::vector<PartitionTask> tasks;
             tasks.reserve(parts);
-            for (std::size_t p = 0; p < parts; ++p) {
-              tasks.push_back([slices, divisor, p, algorithm, equality] {
-                const Relation& slice = (*slices)[p];
+            for (const RowRange range : KeyRanges(dividend->get(), parts)) {
+              tasks.push_back([dividend, divisor, range, single_pass, algorithm,
+                               equality] {
+                const Value* rows = dividend->get().flat().data() + 2 * range.begin;
+                if (single_pass) {
+                  setjoin::SinglePassDivision kernel(divisor->get(), algorithm,
+                                                     equality);
+                  kernel.Consume(rows, range.size());
+                  return kernel.Finish();
+                }
+                Relation slice(2);
+                slice.AddRows(rows, range.size());
                 return equality
                            ? setjoin::DivideEqual(slice, divisor->get(), algorithm)
                            : setjoin::Divide(slice, divisor->get(), algorithm);
@@ -1068,75 +962,40 @@ class DivisionOp final : public PhysicalOp {
 // the whole stream), so these consume their inputs through the shared
 // GroupedBuilder adapter and emit the kernel's result in batches.
 //
-// Partitioned execution splits the left side's groups by key
-// (setjoin::PartitionByKey) and shares the right side read-only: the
-// output is keyed on the left group in column 1, so per-partition kernel
-// outputs are disjoint and the fan-in reproduces the serial result.
+// Partitioned execution cuts the left side into key ranges (KeyRanges)
+// and shares the right side read-only: the output is keyed on the left
+// group in column 1, so per-range kernel outputs are disjoint and the
+// fan-in reproduces the serial result.
 // ---------------------------------------------------------------------------
 
+using SetJoinKernel = std::function<Relation(const setjoin::GroupedRelation&,
+                                             const setjoin::GroupedRelation&)>;
+
 // The shared fan-out plan of the partitioned set joins: `kernel` is the
-// serial per-partition kernel (left partition × whole right side).
-// `left_child` (may be null) lets the shard-aligned fast path recognize a
-// left side scanned straight from storage sharded on the set-key column:
-// the stored shards already respect group boundaries (shard routing and
-// PartitionByKey share setjoin::PartitionOfKey), so the drain-and-
-// partition pass is skipped and each task groups its own slice.
+// serial per-range kernel (left range × whole right side). `scan` names
+// the left child's stored relation, or is null (see ReadSortedInput).
+// Each task groups its own range, so grouping runs in parallel too.
 std::unique_ptr<BatchIterator> MakePartitionedSetJoin(
     ExecContext& ctx, std::vector<std::unique_ptr<BatchIterator>> inputs,
-    std::size_t parts,
-    std::function<Relation(const setjoin::GroupedRelation&,
-                           const setjoin::GroupedRelation&)>
-        kernel,
-    const PhysicalOp* left_child) {
-  const std::size_t batch_size = ctx.batch_size();
-  auto shared_kernel = std::make_shared<
-      std::function<Relation(const setjoin::GroupedRelation&,
-                             const setjoin::GroupedRelation&)>>(std::move(kernel));
-  if (left_child != nullptr) {
-    if (const std::string* name = left_child->scan_relation()) {
-      if (auto aligned = ShardAlignedSlices(ctx.db(), *name, 1, parts, true)) {
-        auto slices =
-            std::make_shared<std::vector<ShardSlice>>(std::move(*aligned));
-        const std::size_t rows = ctx.db().relation(*name).size();
-        ExecContext* ctx_ptr = &ctx;
-        return std::make_unique<PartitionedIterator>(
-            ctx, 2, std::move(inputs),
-            [slices, rows, batch_size, shared_kernel,
-             ctx_ptr](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-              ctx_ptr->CountSkippedPartitionPass();
-              ConsumeBypassedScan(streams[0].get(), rows);
-              auto right = std::make_shared<setjoin::GroupedRelation>(
-                  DrainGrouped(streams[1].get(), batch_size));
-              std::vector<PartitionTask> tasks;
-              tasks.reserve(slices->size());
-              for (std::size_t p = 0; p < slices->size(); ++p) {
-                tasks.push_back([slices, right, p, shared_kernel] {
-                  // Grouping the slice happens on the worker, so the
-                  // serial partition pass's grouping cost is parallelized
-                  // too, not just skipped.
-                  return (*shared_kernel)(
-                      setjoin::AsGrouped((*slices)[p].get()), *right);
-                });
-              }
-              return tasks;
-            });
-      }
-    }
-  }
+    std::size_t parts, SetJoinKernel kernel, const std::string* scan) {
   return std::make_unique<PartitionedIterator>(
       ctx, 2, std::move(inputs),
-      [parts, batch_size,
-       shared_kernel](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-        auto left = std::make_shared<std::vector<setjoin::GroupedRelation>>(
-            setjoin::PartitionByKey(DrainGrouped(streams[0].get(), batch_size),
-                                    parts));
-        auto right = std::make_shared<setjoin::GroupedRelation>(
-            DrainGrouped(streams[1].get(), batch_size));
+      [&ctx, scan, parts,
+       kernel](std::vector<std::unique_ptr<BatchIterator>>& streams) {
+        auto left = ReadSortedInput(ctx, scan, streams[0].get(), 2);
+        auto right = std::make_shared<const setjoin::GroupedRelation>(
+            DrainGrouped(streams[1].get(), ctx.batch_size()));
         std::vector<PartitionTask> tasks;
         tasks.reserve(parts);
-        for (std::size_t p = 0; p < parts; ++p) {
-          tasks.push_back([left, right, p, shared_kernel] {
-            return (*shared_kernel)((*left)[p], *right);
+        for (const RowRange range : KeyRanges(left->get(), parts)) {
+          tasks.push_back([left, right, range, kernel] {
+            const Value* rows = left->get().flat().data() + 2 * range.begin;
+            setjoin::GroupedBuilder builder;
+            builder.Reserve(range.size());
+            for (std::size_t i = 0; i < range.size(); ++i) {
+              builder.Add(rows[2 * i], rows[2 * i + 1]);
+            }
+            return kernel(std::move(builder).Build(), *right);
           });
         }
         return tasks;
@@ -1170,7 +1029,7 @@ class SetContainmentJoinOp final : public PhysicalOp {
                       const setjoin::GroupedRelation& r) {
             return setjoin::SetContainmentJoin(l, r, algorithm);
           },
-          child(0).get());
+          child(0)->scan_relation());
     }
     return std::make_unique<BlockingIterator>(
         std::move(inputs),
@@ -1220,7 +1079,7 @@ class SetEqualityJoinOp final : public PhysicalOp {
                       const setjoin::GroupedRelation& r) {
             return setjoin::SetEqualityJoin(l, r, algorithm);
           },
-          child(0).get());
+          child(0)->scan_relation());
     }
     return std::make_unique<BlockingIterator>(
         std::move(inputs),
@@ -1263,7 +1122,7 @@ class SetOverlapJoinOp final : public PhysicalOp {
           [](const setjoin::GroupedRelation& l, const setjoin::GroupedRelation& r) {
             return setjoin::SetOverlapJoin(l, r);
           },
-          child(0).get());
+          child(0)->scan_relation());
     }
     return std::make_unique<BlockingIterator>(
         std::move(inputs),

@@ -129,11 +129,12 @@ struct PlanStats {
   /// run (0 when every operator ran serial). Deterministic for fixed
   /// options: partition counts are resolved per operator, never from load.
   std::size_t partitions = 0;
-  /// Partition passes partitioned operators skipped because the scanned
-  /// source was stored pre-sharded on the operator's partitioning column
-  /// (the core::ShardedView alignment fast path, one count per bypassed
-  /// input side). Like `partitions`, purely an execution-strategy
-  /// counter: results and per-operator row counts are unchanged.
+  /// Partition passes partitioned operators skipped because they read a
+  /// stored relation in place: a division or set join whose grouped
+  /// input is a scan cuts the stored relation, sorted on column 1, into
+  /// key ranges without draining or partitioning it (one count per such
+  /// input). Like `partitions`, purely an execution-strategy counter:
+  /// results and per-operator row counts are unchanged.
   std::size_t partition_passes_skipped = 0;
   /// The AGM (fractional edge cover) output bound of the first join chain
   /// the planner collected into a hypergraph, in tuples — the provable
@@ -191,8 +192,8 @@ class ExecContext {
     if (stats_ != nullptr) stats_->partitions += partitions;
   }
 
-  /// Records one input side a partitioned operator fed from pre-sharded
-  /// storage instead of running its partition pass. Driving thread only.
+  /// Records one input a partitioned operator read in place from storage
+  /// instead of running its partition pass. Driving thread only.
   void CountSkippedPartitionPass() {
     if (stats_ != nullptr) ++stats_->partition_passes_skipped;
   }

@@ -132,15 +132,6 @@ CacheOutcome RevalidateCachedPlan(CachedPlan& entry, const core::DatabaseView& d
   PhysicalPlan& plan = entry.plan;
   const CostModel model(stats, options.calibration.get());
   const bool cost_based = options.cost_based && stats != nullptr;
-  // Mirrors Lowering::ShardAligned: a scan of a relation stored sharded
-  // on the partitioning column executes without a partition pass, so the
-  // re-pricing drops the split term exactly like the fresh lowering.
-  const auto* sharded = dynamic_cast<const core::ShardedView*>(&db);
-  const auto shard_aligned = [sharded](const ra::ExprPtr& e, std::size_t column) {
-    return sharded != nullptr && sharded->shard_count() > 1 && column != 0 &&
-           e != nullptr && e->kind() == ra::OpKind::kRelation &&
-           sharded->shard_key_column(e->relation_name()) == column;
-  };
   std::unordered_map<const PhysicalOp*, NewDecision> flips;
   // Fresh dedicated estimates for routed multiway points, applied after
   // the structural swap remaps point.op.
@@ -166,7 +157,7 @@ CacheOutcome RevalidateCachedPlan(CachedPlan& entry, const core::DatabaseView& d
         const auto parallel = model.ChooseParallelism(
             model.EstimateDivision(algorithm, r_est, s_est, point.equality),
             r_est.cardinality + s_est.cardinality, r_est.key_distinct,
-            options.threads, shard_aligned(point.left, 1));
+            options.threads, ReadsStoredScanInPlace(point.left));
         entries.push_back({point.equality ? "equality-division-execution"
                                           : "division-execution",
                            ParallelChoiceLabel(parallel.partitions),
@@ -273,9 +264,7 @@ CacheOutcome RevalidateCachedPlan(CachedPlan& entry, const core::DatabaseView& d
           const auto parallel = model.ChooseParallelism(
               estimate, l.cardinality + r.cardinality,
               EstimateColumnDistinct(l, eq->left, point.left->arity()),
-              options.threads,
-              shard_aligned(point.left, eq->left) ||
-                  shard_aligned(point.right, eq->right));
+              options.threads);
           entries.push_back({"semijoin-execution",
                              ParallelChoiceLabel(parallel.partitions),
                              parallel.estimate});

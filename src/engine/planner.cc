@@ -132,8 +132,8 @@ class Lowering {
   /// cost_based planning with a worker pool configured, consult the
   /// partition pricing and pin the operator (1 = serial, N = N-way);
   /// otherwise defer to the execution context (0 = pool width).
-  /// `aligned` declares the partitioned input pre-sharded in storage
-  /// (the executor skips the partition pass — see ShardAligned below).
+  /// `aligned` declares the partitioned input a stored scan read in place
+  /// (ReadsStoredScanInPlace: the executor skips the partition pass).
   std::size_t PartitionsFor(const char* site, const CostEstimate& serial,
                             double input_cardinality, double key_distinct,
                             bool aligned = false) {
@@ -143,19 +143,6 @@ class Lowering {
     choices_.push_back({site, ParallelChoiceLabel(choice.partitions),
                         choice.estimate});
     return choice.partitions;
-  }
-
-  /// True when `e` is a scan of a relation the run's database stores
-  /// sharded on `column`: the executor's shard-aligned fast path will
-  /// skip the partition pass there (engine::ShardAlignedSlices), so the
-  /// pricing drops its split term. Detected through the statistics
-  /// provider — a sharded snapshot is its own StatsProvider and
-  /// ShardedView at once.
-  bool ShardAligned(const ExprPtr& e, std::size_t column) const {
-    if (column == 0 || e->kind() != OpKind::kRelation) return false;
-    const auto* sharded = dynamic_cast<const core::ShardedView*>(stats_);
-    return sharded != nullptr && sharded->shard_count() > 1 &&
-           sharded->shard_key_column(e->relation_name()) == column;
   }
 
   struct SemijoinPlan {
@@ -194,8 +181,7 @@ class Lowering {
     if (eq == nullptr) return {strategy, 1, first_choice, choices_.size() - first_choice};
     const std::size_t partitions = PartitionsFor(
         "semijoin-execution", estimate, l.cardinality + r.cardinality,
-        EstimateColumnDistinct(l, eq->left, left->arity()),
-        ShardAligned(left, eq->left) || ShardAligned(right, eq->right));
+        EstimateColumnDistinct(l, eq->left, left->arity()));
     return {strategy, partitions, first_choice, choices_.size() - first_choice};
   }
 
@@ -240,7 +226,7 @@ class Lowering {
         equality ? "equality-division-execution" : "division-execution",
         model_.EstimateDivision(algorithm, r_est, s_est, equality),
         r_est.cardinality + s_est.cardinality, r_est.key_distinct,
-        ShardAligned(m.r, 1));
+        ReadsStoredScanInPlace(m.r));
     const std::size_t num_choices = choices_.size() - first_choice;
     PhysicalOpPtr op = MakeDivision(Lower(m.r), Lower(m.s), algorithm, equality, source,
                                     partitions);

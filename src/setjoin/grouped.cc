@@ -37,44 +37,8 @@ GroupedRelation GroupedRelation::FromBinary(const core::Relation& relation,
   return std::move(builder).Build();
 }
 
-GroupedRelation GroupedRelation::FromGroups(std::vector<Group> groups) {
-#ifndef NDEBUG
-  for (std::size_t i = 0; i + 1 < groups.size(); ++i) {
-    SETALG_DCHECK(groups[i].key < groups[i + 1].key);
-  }
-  for (const auto& g : groups) {
-    SETALG_DCHECK(std::is_sorted(g.elements.begin(), g.elements.end()));
-  }
-#endif
-  GroupedRelation grouped;
-  grouped.groups_ = std::move(groups);
-  return grouped;
-}
-
 GroupedRelation AsGrouped(const core::Relation& relation, std::size_t key_column) {
   return GroupedRelation::FromBinary(relation, key_column);
-}
-
-std::size_t PartitionOfKey(core::Value key, std::size_t partitions) {
-  SETALG_DCHECK(partitions >= 1);
-  return static_cast<std::size_t>(util::Mix64(static_cast<std::uint64_t>(key)) %
-                                  partitions);
-}
-
-std::vector<GroupedRelation> PartitionByKey(GroupedRelation grouped,
-                                            std::size_t partitions) {
-  SETALG_CHECK(partitions >= 1);
-  std::vector<std::vector<Group>> routed(partitions);
-  for (auto& group : std::move(grouped).TakeGroups()) {
-    routed[PartitionOfKey(group.key, partitions)].push_back(std::move(group));
-  }
-  std::vector<GroupedRelation> out;
-  out.reserve(partitions);
-  for (auto& groups : routed) {
-    // Groups arrived in ascending key order, so each partition is ordered.
-    out.push_back(GroupedRelation::FromGroups(std::move(groups)));
-  }
-  return out;
 }
 
 const Group* GroupedRelation::Find(core::Value key) const {

@@ -29,11 +29,6 @@ class GroupedRelation {
   static GroupedRelation FromBinary(const core::Relation& relation,
                                     std::size_t key_column = 1);
 
-  /// Wraps groups that are already ordered by key with sorted, unique
-  /// element sets — the partition-aware builders' output. Invariants are
-  /// the caller's responsibility (checked in debug builds only).
-  static GroupedRelation FromGroups(std::vector<Group> groups);
-
   std::size_t NumGroups() const { return groups_.size(); }
   const Group& group(std::size_t i) const { return groups_[i]; }
   const std::vector<Group>& groups() const { return groups_; }
@@ -46,10 +41,6 @@ class GroupedRelation {
 
   /// The largest element set size.
   std::size_t MaxGroupSize() const;
-
-  /// Consumes the view, returning its groups (still ordered by key) —
-  /// the moving counterpart of groups() for the partitioners.
-  std::vector<Group> TakeGroups() && { return std::move(groups_); }
 
  private:
   friend class GroupedBuilder;
@@ -83,22 +74,6 @@ class GroupedBuilder {
 /// kernels and the engine's set-join operators. Forwards to
 /// GroupedRelation::FromBinary, which remains the implementation.
 GroupedRelation AsGrouped(const core::Relation& relation, std::size_t key_column = 1);
-
-/// The partition a key is routed to under `partitions`-way hash
-/// partitioning (Mix64 of the key, so consecutive keys spread). The one
-/// shared routing function: row-level partitioning (engine/parallel.h)
-/// and the group-level partitioner below must agree, or a group could be
-/// split across partitions and parallel kernels would lose rows.
-std::size_t PartitionOfKey(core::Value key, std::size_t partitions);
-
-/// Partition-aware grouped builder: splits a grouped view into
-/// `partitions` grouped views, routing each group (whole — a group never
-/// spans partitions) to PartitionOfKey(group.key). Groups keep their key
-/// order inside each partition, and the partitioning is deterministic, so
-/// per-partition kernel outputs merge identically across runs and thread
-/// counts. Consumes the input (groups are moved, not copied).
-std::vector<GroupedRelation> PartitionByKey(GroupedRelation grouped,
-                                            std::size_t partitions);
 
 /// True iff sorted vector `sub` ⊆ sorted vector `super`.
 bool SortedSubset(const std::vector<core::Value>& sub,

@@ -224,117 +224,6 @@ RelationStats ComputeRelationStats(const core::Relation& relation) {
   return stats;
 }
 
-Histogram MergeHistograms(const std::vector<const Histogram*>& parts,
-                          std::size_t max_buckets) {
-  // Gather every part bucket as one (upper, count, distinct) triple.
-  struct Bucket {
-    core::Value upper;
-    std::uint64_t count;
-    std::uint64_t distinct;
-  };
-  std::vector<Bucket> buckets;
-  Histogram merged;
-  bool first = true;
-  for (const Histogram* part : parts) {
-    if (part == nullptr || part->empty()) continue;
-    if (first || part->min_value < merged.min_value) {
-      merged.min_value = part->min_value;
-      first = false;
-    }
-    merged.total += part->total;
-    for (std::size_t b = 0; b < part->buckets(); ++b) {
-      buckets.push_back({part->upper[b], part->counts[b], part->distincts[b]});
-    }
-  }
-  if (buckets.empty() || max_buckets == 0) return Histogram{};
-  std::sort(buckets.begin(), buckets.end(),
-            [](const Bucket& a, const Bucket& b) { return a.upper < b.upper; });
-  // Coalesce in upper-bound order down to the bucket budget, keeping each
-  // output bucket near the equi-depth target.
-  const std::uint64_t depth = (merged.total + max_buckets - 1) / max_buckets;
-  std::uint64_t count = 0;
-  std::uint64_t distinct = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    count += buckets[i].count;
-    distinct += buckets[i].distinct;
-    const bool boundary = i + 1 == buckets.size() ||
-                          (count >= depth && buckets[i + 1].upper != buckets[i].upper);
-    if (boundary) {
-      merged.upper.push_back(buckets[i].upper);
-      merged.counts.push_back(count);
-      merged.distincts.push_back(distinct);
-      count = 0;
-      distinct = 0;
-    }
-  }
-  return merged;
-}
-
-RelationStats MergeShardStats(const std::vector<const RelationStats*>& shards,
-                              std::size_t key_column) {
-  RelationStats out;
-  std::vector<const RelationStats*> live;
-  for (const RelationStats* shard : shards) {
-    if (shard == nullptr) continue;
-    live.push_back(shard);
-    out.arity = shard->arity;
-    out.cardinality += shard->cardinality;
-  }
-  out.columns.resize(out.arity);
-  for (std::size_t c = 0; c < out.arity; ++c) {
-    ColumnStats& col = out.columns[c];
-    std::vector<const Histogram*> histograms;
-    std::size_t distinct_sum = 0;
-    bool any = false;
-    for (const RelationStats* shard : live) {
-      if (c >= shard->columns.size()) continue;
-      const ColumnStats& part = shard->columns[c];
-      if (part.distinct == 0) continue;  // Empty shard column.
-      distinct_sum += part.distinct;
-      if (!any) {
-        col.min_value = part.min_value;
-        col.max_value = part.max_value;
-        any = true;
-      } else {
-        col.min_value = std::min(col.min_value, part.min_value);
-        col.max_value = std::max(col.max_value, part.max_value);
-      }
-      histograms.push_back(&part.histogram);
-    }
-    if (!any) continue;
-    // The key column's values are disjoint across shards, so the sum is
-    // exact; elsewhere it is an upper bound, capped by the range width.
-    col.distinct = distinct_sum;
-    if (c + 1 != key_column) {
-      const std::uint64_t width = RangeWidth(col.min_value, col.max_value);
-      if (width != 0 && static_cast<std::uint64_t>(col.distinct) > width) {
-        col.distinct = static_cast<std::size_t>(width);
-      }
-    }
-    col.histogram = MergeHistograms(histograms);
-  }
-  if (out.arity == 2 && key_column == 1) {
-    GroupStats& g = out.groups;
-    std::vector<const Histogram*> size_histograms;
-    for (const RelationStats* shard : live) {
-      const GroupStats& part = shard->groups;
-      if (part.num_groups == 0) continue;
-      g.min_group_size = g.num_groups == 0
-                             ? part.min_group_size
-                             : std::min(g.min_group_size, part.min_group_size);
-      g.max_group_size = std::max(g.max_group_size, part.max_group_size);
-      g.num_groups += part.num_groups;
-      size_histograms.push_back(&part.size_histogram);
-    }
-    if (g.num_groups > 0) {
-      g.avg_group_size = static_cast<double>(out.cardinality) /
-                         static_cast<double>(g.num_groups);
-      g.size_histogram = MergeHistograms(size_histograms);
-    }
-  }
-  return out;
-}
-
 std::string RelationStats::ToString() const {
   std::ostringstream out;
   out << "card=" << cardinality;

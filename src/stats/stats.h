@@ -122,27 +122,6 @@ struct RelationStats {
 /// O(n log n) sort.
 RelationStats ComputeRelationStats(const core::Relation& relation);
 
-/// Merges equi-depth histograms over disjoint row sets whose value ranges
-/// may interleave (hash shards of one relation): bucket rows/distincts
-/// are concatenated in upper-bound order and coalesced back down to
-/// `max_buckets`. Totals stay exact; because shard bucket ranges overlap,
-/// the merged buckets are no longer strictly disjoint, so the
-/// interpolating readers (SelectivityLeq, DistinctLeq) become
-/// approximations — ExpectedFrequency, which only reads count/distinct
-/// ratios, keeps its meaning.
-Histogram MergeHistograms(const std::vector<const Histogram*>& parts,
-                          std::size_t max_buckets = kHistogramBuckets);
-
-/// Aggregates per-shard statistics of one relation hash-sharded on
-/// `key_column` (1-based) into full-relation statistics. Exact where the
-/// sharding contract makes the shards key-disjoint — cardinality, the key
-/// column's distinct count, min/max ranges, and (for binary relations
-/// sharded on column 1, whose groups never span shards) the whole group
-/// profile. Non-key distinct counts sum capped at the merged range width
-/// (an upper bound), and histograms merge via MergeHistograms.
-RelationStats MergeShardStats(const std::vector<const RelationStats*>& shards,
-                              std::size_t key_column);
-
 /// Read access to statistics of stored relations by name. Implementations
 /// return nullptr for names they know nothing about; cost formulas then
 /// fall back to coarse defaults.

@@ -106,20 +106,6 @@ SnapshotPtr VersionedDatabase::Commit(WriteBatch batch) {
   return PublishLocked(std::move(batch.writes_));
 }
 
-SnapshotPtr VersionedDatabase::MakeSnapshot(
-    Snapshot::RelationMap relations,
-    std::unordered_map<std::string, std::uint64_t> versions,
-    std::uint64_t version, const Snapshot* /*prev*/) const {
-  return SnapshotPtr(new Snapshot(schema_, std::move(relations),
-                                  std::move(versions), id_, version));
-}
-
-void VersionedDatabase::RepublishHead() {
-  std::lock_guard<std::mutex> lock(mu_);
-  head_ = MakeSnapshot(head_->relations_, head_->versions_, head_->version(),
-                       nullptr);
-}
-
 SnapshotPtr VersionedDatabase::PublishLocked(
     std::vector<std::pair<std::string, core::Relation>> writes) {
   // Copy-on-write: shallow-copy the published maps (shared_ptr per
@@ -136,8 +122,8 @@ SnapshotPtr VersionedDatabase::PublishLocked(
         name, std::make_shared<core::Relation>(std::move(relation)));
     ++versions[name];
   }
-  head_ = MakeSnapshot(std::move(relations), std::move(versions),
-                       head_->version() + 1, head_.get());
+  head_ = SnapshotPtr(new Snapshot(schema_, std::move(relations),
+                                   std::move(versions), id_, head_->version() + 1));
   return head_;
 }
 

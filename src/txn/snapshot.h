@@ -77,9 +77,9 @@ class Snapshot : public core::DatabaseView, public stats::StatsProvider {
   /// the underlying relation can not change).
   const stats::RelationStats* Get(const std::string& name) const override;
 
- protected:
-  /// Derived snapshot kinds (txn::ShardedSnapshot) construct through here;
-  /// plain snapshots are built by VersionedDatabase (a friend).
+ private:
+  friend class VersionedDatabase;  // The only publisher.
+
   Snapshot(core::Schema schema, RelationMap relations,
            std::unordered_map<std::string, std::uint64_t> versions,
            std::uint64_t id, std::uint64_t version)
@@ -88,10 +88,6 @@ class Snapshot : public core::DatabaseView, public stats::StatsProvider {
         versions_(std::move(versions)),
         id_(id),
         version_(version) {}
-
- private:
-  friend class VersionedDatabase;
-  friend class ShardedDatabase;  // Reads relations_/versions_ to re-slice.
 
   core::Schema schema_;
   RelationMap relations_;
@@ -125,11 +121,6 @@ class WriteBatch {
 /// The mutable head: accepts writes, publishes snapshots. All members
 /// are thread-safe; writers serialize on an internal mutex, readers only
 /// take it for the duration of a pointer copy.
-///
-/// Derived heads (txn::ShardedDatabase) publish richer snapshot kinds by
-/// overriding MakeSnapshot; everything else — commit serialization, the
-/// copy-on-write relation maps, ids and version vectors — is shared, so
-/// every consumer keyed on (id, version vector) works unchanged.
 class VersionedDatabase {
  public:
   explicit VersionedDatabase(core::Schema schema);
@@ -138,8 +129,6 @@ class VersionedDatabase {
   /// copied; the head gets a fresh lineage id and version counters
   /// starting at 0).
   explicit VersionedDatabase(const core::Database& db);
-
-  virtual ~VersionedDatabase() = default;
 
   /// The lineage id shared by all snapshots of this head.
   std::uint64_t id() const { return id_; }
@@ -161,22 +150,6 @@ class VersionedDatabase {
 
   /// Applies every write of `batch` and publishes exactly one snapshot.
   SnapshotPtr Commit(WriteBatch batch);
-
- protected:
-  /// Builds the snapshot object a commit publishes. `prev` is the
-  /// snapshot being superseded (nullptr when rebuilding the head in
-  /// place), so derived kinds can reuse derived state of untouched
-  /// relations. Called under the head mutex; must not touch head state.
-  virtual SnapshotPtr MakeSnapshot(
-      Snapshot::RelationMap relations,
-      std::unordered_map<std::string, std::uint64_t> versions,
-      std::uint64_t version, const Snapshot* prev) const;
-
-  /// Re-publishes the current head through MakeSnapshot at the same
-  /// version. Derived-class constructors call this once: the base
-  /// constructor publishes a plain Snapshot (virtual dispatch is
-  /// unavailable there), and this swaps in the derived representation.
-  void RepublishHead();
 
  private:
   SnapshotPtr PublishLocked(

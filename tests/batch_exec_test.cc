@@ -18,6 +18,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
@@ -383,6 +384,32 @@ void ExpectPlanBatchedMatches(const PhysicalPlan& plan, const core::Database& db
   }
 }
 
+// `db` plus RT, the stored transpose of R: π_{2,1}(RT) streams R again,
+// but as a computed input that is neither a scan nor sorted on column 1 —
+// the input a key-range partitioned operator must drain and sort.
+core::Database WithTransposeOfR(const core::Database& db) {
+  core::Schema schema = db.schema();
+  schema.AddRelation("RT", 2);
+  core::Database out(schema);
+  for (const auto& name : db.schema().Names()) {
+    out.SetRelation(name, db.relation(name));
+  }
+  const Relation& r = db.relation("R");
+  Relation transpose(2);
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    transpose.Add({r.tuple(i)[1], r.tuple(i)[0]});
+  }
+  out.SetRelation("RT", std::move(transpose));
+  return out;
+}
+
+// The two spellings of the grouped left input R: the stored scan (read in
+// place when partitioned) and π_{2,1}(RT) (drained and sorted).
+std::vector<std::pair<std::string, PhysicalOpPtr>> LeftInputsOfR() {
+  return {{"scan R", MakeScan("R", 2)},
+          {"pi[2,1](RT)", MakeProject(MakeScan("RT", 2), {2, 1})}};
+}
+
 TEST(BatchExec, DifferentialOnHandBuiltSetJoinPlans) {
   workload::SetJoinConfig config;
   config.r_groups = 30;
@@ -393,31 +420,67 @@ TEST(BatchExec, DifferentialOnHandBuiltSetJoinPlans) {
   config.containment_fraction = 0.3;
   config.seed = BaseSeed();
   const auto instance = workload::MakeSetJoinInstance(config);
-  const auto db = workload::SetJoinDatabase(instance);
+  const auto db = WithTransposeOfR(workload::SetJoinDatabase(instance));
 
-  for (auto algorithm : setjoin::AllContainmentAlgorithms()) {
-    PhysicalPlan plan;
-    plan.root = MakeSetContainmentJoin(MakeScan("R", 2), MakeScan("S", 2), algorithm);
-    ExpectPlanBatchedMatches(
-        plan, db, setjoin::SetContainmentJoin(instance.r, instance.s, algorithm),
-        std::string("containment ") +
-            setjoin::ContainmentAlgorithmToString(algorithm));
+  for (const auto& [left_name, left] : LeftInputsOfR()) {
+    for (auto algorithm : setjoin::AllContainmentAlgorithms()) {
+      PhysicalPlan plan;
+      plan.root = MakeSetContainmentJoin(left, MakeScan("S", 2), algorithm);
+      ExpectPlanBatchedMatches(
+          plan, db, setjoin::SetContainmentJoin(instance.r, instance.s, algorithm),
+          std::string("containment ") +
+              setjoin::ContainmentAlgorithmToString(algorithm) + " over " +
+              left_name);
+    }
+    for (auto algorithm : {setjoin::EqualityJoinAlgorithm::kNestedLoop,
+                           setjoin::EqualityJoinAlgorithm::kCanonicalHash}) {
+      PhysicalPlan plan;
+      plan.root = MakeSetEqualityJoin(left, MakeScan("S", 2), algorithm);
+      ExpectPlanBatchedMatches(
+          plan, db, setjoin::SetEqualityJoin(instance.r, instance.s, algorithm),
+          std::string("equality ") +
+              setjoin::EqualityJoinAlgorithmToString(algorithm) + " over " +
+              left_name);
+    }
+    {
+      PhysicalPlan plan;
+      plan.root = MakeSetOverlapJoin(left, MakeScan("S", 2));
+      ExpectPlanBatchedMatches(plan, db,
+                               setjoin::SetOverlapJoin(instance.r, instance.s),
+                               "overlap over " + left_name);
+    }
   }
-  for (auto algorithm : {setjoin::EqualityJoinAlgorithm::kNestedLoop,
-                         setjoin::EqualityJoinAlgorithm::kCanonicalHash}) {
-    PhysicalPlan plan;
-    plan.root = MakeSetEqualityJoin(MakeScan("R", 2), MakeScan("S", 2), algorithm);
-    ExpectPlanBatchedMatches(
-        plan, db, setjoin::SetEqualityJoin(instance.r, instance.s, algorithm),
-        std::string("equality ") +
-            setjoin::EqualityJoinAlgorithmToString(algorithm));
-  }
-  {
-    PhysicalPlan plan;
-    plan.root = MakeSetOverlapJoin(MakeScan("R", 2), MakeScan("S", 2));
-    ExpectPlanBatchedMatches(plan, db,
-                             setjoin::SetOverlapJoin(instance.r, instance.s),
-                             "overlap");
+}
+
+// Hand-built division plans over both spellings of the dividend, for every
+// algorithm and both division variants.
+TEST(BatchExec, DifferentialOnHandBuiltDivisionPlans) {
+  workload::DivisionConfig config;
+  config.num_groups = 30;
+  config.group_size = 4;
+  config.domain_size = 18;
+  config.divisor_size = 3;
+  config.match_fraction = 0.35;
+  config.seed = BaseSeed();
+  const auto instance = workload::MakeDivisionInstance(config);
+  const auto db =
+      WithTransposeOfR(setalg::testing::DivisionDb(instance.r, instance.s));
+
+  for (const auto& [left_name, left] : LeftInputsOfR()) {
+    for (auto algorithm : setjoin::AllDivisionAlgorithms()) {
+      for (const bool equality : {false, true}) {
+        PhysicalPlan plan;
+        plan.root = MakeDivision(left, MakeScan("S", 1), algorithm, equality);
+        const Relation expected =
+            equality ? setjoin::DivideEqual(instance.r, instance.s, algorithm)
+                     : setjoin::Divide(instance.r, instance.s, algorithm);
+        ExpectPlanBatchedMatches(
+            plan, db, expected,
+            std::string(equality ? "equality division " : "division ") +
+                setjoin::DivisionAlgorithmToString(algorithm) + " over " +
+                left_name);
+      }
+    }
   }
 }
 

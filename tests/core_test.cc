@@ -316,6 +316,17 @@ TEST(NameMap, IncrementalInternReturnsStableCodes) {
   EXPECT_EQ(names.Intern("a"), a);
 }
 
+TEST(NameMap, InternCountsUpThroughTheReservedCodeRange) {
+  NameMap names;
+  EXPECT_EQ(names.Intern("a"), kFirstNameCode);
+  EXPECT_EQ(names.Intern("b"), kFirstNameCode + 1);
+  EXPECT_TRUE(IsNameCode(kFirstNameCode));
+  EXPECT_TRUE(IsNameCode(kFirstNameCode + static_cast<Value>(kNameCodeCount - 1)));
+  EXPECT_FALSE(IsNameCode(kFirstNameCode + static_cast<Value>(kNameCodeCount)));
+  EXPECT_FALSE(IsNameCode(0));
+  EXPECT_FALSE(IsNameCode(std::numeric_limits<Value>::max()));
+}
+
 TEST(NameMap, NameFallsBackToNumber) {
   NameMap names;
   names.Intern("x");
@@ -409,6 +420,49 @@ TEST(Csv, InternsStringsWithNameMap) {
   const std::string text = WriteRelationCsv(*parsed, &names);
   EXPECT_NE(text.find("alice,red"), std::string::npos);
   EXPECT_NE(text.find("bob,blue"), std::string::npos);
+}
+
+// A file mixing names and small integers reads back byte for byte: the
+// names' codes never coincide with the integers beside them. Files of
+// integers alone read and write as they always did.
+TEST(Csv, NamesAndIntegersRoundTripDistinctly) {
+  NameMap names;
+  const std::string mixed = "0,alice\n1,bob\n7,carol\n";
+  auto parsed = ReadRelationCsv(mixed, &names);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_EQ(WriteRelationCsv(*parsed, &names), mixed);
+  const std::string integers =
+      "-5,3\n0,0\n1,-9223372032559808512\n9223372036854775807,2\n";
+  for (NameMap* map : {static_cast<NameMap*>(nullptr), &names}) {
+    auto read = ReadRelationCsv(integers, map);
+    ASSERT_TRUE(read.ok()) << read.error();
+    EXPECT_EQ(WriteRelationCsv(*read, map), integers);
+  }
+}
+
+// Through one shared name map, file A's integer 0 and file B's name
+// "alice" are different values, so joining A and B on their only column
+// (their intersection) finds nothing.
+TEST(Csv, NamesNeverJoinIntegersAcrossFiles) {
+  NameMap names;
+  auto a = ReadRelationCsv("0\n1\n2\n", &names);
+  auto b = ReadRelationCsv("alice\nbob\n", &names);
+  ASSERT_TRUE(a.ok()) << a.error();
+  ASSERT_TRUE(b.ok()) << b.error();
+  EXPECT_TRUE(Intersect(*a, *b).empty()) << Intersect(*a, *b).ToString();
+}
+
+// With a name map, an integer inside the name-code range (the lowest 2^32
+// values of int64) is rejected with its line number; the first value
+// above the range is accepted, and so is any integer without a map.
+TEST(Csv, RejectsIntegersInTheNameCodeRange) {
+  NameMap names;
+  auto parsed = ReadRelationCsv("1,2\n3,-9223372036854775808\n", &names);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error().find("line 2"), std::string::npos) << parsed.error();
+  EXPECT_FALSE(ReadRelationCsv("-9223372032559808513\n", &names).ok());
+  EXPECT_TRUE(ReadRelationCsv("-9223372032559808512\n", &names).ok());
+  EXPECT_TRUE(ReadRelationCsv("-9223372036854775808\n", nullptr).ok());
 }
 
 /// The CSV writer as it was before it wrote with std::to_chars: one

@@ -1,20 +1,24 @@
 // Unit tests for the parallel partitioned-execution building blocks
-// (engine/parallel.h, setjoin/grouped.h partitioners): the WorkerPool
-// runs every task exactly once, partitioning is deterministic and
-// lossless, and the fan-out/fan-in iterator reproduces serial results.
+// (engine/parallel.h): the WorkerPool runs every task exactly once, hash
+// partitioning is deterministic and lossless, key ranges cut only at key
+// boundaries, and the fan-out/fan-in iterator reproduces serial results.
 // The end-to-end thread-differential harness lives in batch_exec_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/relation.h"
 #include "engine/engine.h"
 #include "engine/parallel.h"
-#include "setjoin/grouped.h"
 #include "test_util.h"
+#include "util/rng.h"
 #include "workload/generators.h"
 
 namespace setalg::engine {
@@ -73,13 +77,16 @@ TEST(Partitioning, ByColumnIsLosslessDisjointAndDeterministic) {
     ASSERT_EQ(a.size(), parts);
     std::size_t total = 0;
     Relation merged(2);
+    std::map<Value, std::size_t> partition_of_key;
     for (std::size_t p = 0; p < parts; ++p) {
       EXPECT_EQ(a[p], b[p]) << "partitioning must be deterministic";
       total += a[p].size();
       for (std::size_t i = 0; i < a[p].size(); ++i) {
         merged.Add(a[p].tuple(i));
-        // Every row is routed by its column-1 value.
-        EXPECT_EQ(setjoin::PartitionOfKey(a[p].tuple(i)[0], parts), p);
+        // Every row is routed by its column-1 value: a key lives in
+        // exactly one partition.
+        const Value key = a[p].tuple(i)[0];
+        EXPECT_EQ(partition_of_key.emplace(key, p).first->second, p) << "key " << key;
       }
     }
     EXPECT_EQ(total, r.size()) << "no row may be dropped or duplicated";
@@ -87,27 +94,69 @@ TEST(Partitioning, ByColumnIsLosslessDisjointAndDeterministic) {
   }
 }
 
-TEST(Partitioning, ByKeyRoutesWholeGroupsConsistentlyWithByColumn) {
-  const Relation r =
-      MakeRel(2, {{1, 5}, {1, 6}, {2, 5}, {3, 7}, {3, 8}, {3, 9}, {4, 5}});
-  constexpr std::size_t kParts = 3;
-  const auto grouped_parts = setjoin::PartitionByKey(setjoin::AsGrouped(r), kParts);
-  const auto row_parts = PartitionByColumn(r, 1, kParts);
-  ASSERT_EQ(grouped_parts.size(), kParts);
-  std::size_t groups_seen = 0;
-  for (std::size_t p = 0; p < kParts; ++p) {
-    // The grouped view of the row partition equals the partitioned
-    // grouped view: groups never split across partitions, and both
-    // routing paths agree on where each key lives.
-    const auto from_rows = setjoin::AsGrouped(row_parts[p]);
-    ASSERT_EQ(grouped_parts[p].NumGroups(), from_rows.NumGroups()) << "part " << p;
-    for (std::size_t g = 0; g < from_rows.NumGroups(); ++g) {
-      EXPECT_EQ(grouped_parts[p].group(g).key, from_rows.group(g).key);
-      EXPECT_EQ(grouped_parts[p].group(g).elements, from_rows.group(g).elements);
+// Oracle test of the key-range cutter: random relations sorted on
+// column 1 (arity 2 and 3), int64 extremes among the keys, one key
+// holding most rows, and fewer keys than parts. Every cut must give
+// exactly `parts` ranges that cover [0, n) in order, with no key on both
+// sides of a cut, and none larger than its aim unless a key forced it.
+TEST(Partitioning, KeyRangesCutAtKeyBoundaries) {
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  util::Rng rng(0x5eed);
+  struct Shape {
+    std::size_t arity;
+    std::size_t rows;
+    std::size_t keys;   // Distinct keys drawn from (extremes included).
+    double heavy;       // Share of rows on one key.
+  };
+  const std::vector<Shape> shapes = {
+      {2, 0, 1, 0.0},    {2, 1, 1, 0.0},    {2, 300, 40, 0.0},
+      {3, 300, 40, 0.0}, {2, 400, 25, 0.8}, {3, 400, 25, 0.8},
+      {2, 200, 2, 0.0},  {3, 150, 3, 0.5},  {2, 500, 500, 0.0},
+  };
+  for (const Shape& shape : shapes) {
+    std::vector<Value> keys = {kMin, kMax, 0, -1};
+    while (keys.size() < shape.keys + 4) keys.push_back(static_cast<Value>(rng.Next()));
+    keys.resize(std::max<std::size_t>(shape.keys, 1));
+    const Value heavy_key = keys[keys.size() / 2];
+    Relation r(shape.arity);
+    core::Tuple row(shape.arity);
+    for (std::size_t i = 0; i < shape.rows; ++i) {
+      row[0] = rng.NextDouble() < shape.heavy ? heavy_key
+                                              : keys[rng.NextBounded(keys.size())];
+      for (std::size_t c = 1; c < shape.arity; ++c) {
+        row[c] = static_cast<Value>(rng.Next());
+      }
+      r.Add(row);
     }
-    groups_seen += grouped_parts[p].NumGroups();
+    const std::size_t n = r.size();
+    for (std::size_t parts : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{7}, std::size_t{64}}) {
+      const std::string context = "arity " + std::to_string(shape.arity) + " rows " +
+                                  std::to_string(n) + " keys " +
+                                  std::to_string(keys.size()) + " parts " +
+                                  std::to_string(parts);
+      const std::size_t aim = (n + parts - 1) / parts;
+      const std::vector<RowRange> ranges = KeyRanges(r, parts);
+      ASSERT_EQ(ranges.size(), parts) << context;
+      std::size_t next = 0;
+      for (const RowRange& range : ranges) {
+        ASSERT_EQ(range.begin, next) << context;
+        ASSERT_LE(range.begin, range.end) << context;
+        next = range.end;
+        if (range.begin > 0 && range.begin < n) {
+          EXPECT_NE(r.tuple(range.begin - 1)[0], r.tuple(range.begin)[0])
+              << context << ": a key spans the cut at row " << range.begin;
+        }
+        if (range.size() > aim) {
+          // Only one key's run may carry a range past its aim.
+          EXPECT_EQ(r.tuple(range.begin + aim - 1)[0], r.tuple(range.end - 1)[0])
+              << context << ": range [" << range.begin << ", " << range.end << ")";
+        }
+      }
+      EXPECT_EQ(next, n) << context;
+    }
   }
-  EXPECT_EQ(groups_seen, setjoin::AsGrouped(r).NumGroups());
 }
 
 TEST(Partitioning, MorePartitionsThanKeysLeavesSomeEmpty) {

@@ -38,9 +38,7 @@
 #include "gf/translate.h"
 #include "ra/expr.h"
 #include "setjoin/division.h"
-#include "setjoin/grouped.h"
 #include "test_util.h"
-#include "txn/sharded.h"
 #include "txn/snapshot.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -505,85 +503,13 @@ TEST(TxnStressTest, ConcurrentReadsMatchSerialReplay) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded storage (txn/sharded.h).
+// Key-range partitions over snapshot storage (engine/parallel.h).
 
-TEST(ShardedTest, ShardsPartitionTheRelationByKeyHash) {
-  const std::uint64_t seed = BaseSeed();
-  const core::Database db = setalg::testing::RandomDatabase(
-      DivisionSchema(), 150, 12, seed * 61 + 13);
-  constexpr std::size_t kShards = 4;
-  ShardedDatabase head(db, kShards);
-  const SnapshotPtr snap = head.snapshot();
-
-  const auto* sharded = dynamic_cast<const core::ShardedView*>(snap.get());
-  ASSERT_NE(sharded, nullptr);
-  EXPECT_EQ(sharded->shard_count(), kShards);
-  EXPECT_EQ(sharded->shard_key_column("R"), 1u);
-  EXPECT_EQ(sharded->shard_key_column("S"), 1u);
-
-  for (const char* name : {"R", "S"}) {
-    Relation merged(db.relation(name).arity());
-    for (std::size_t s = 0; s < kShards; ++s) {
-      const Relation& shard = sharded->shard(name, s);
-      for (std::size_t i = 0; i < shard.size(); ++i) {
-        const core::TupleView row = shard.tuple(i);
-        EXPECT_EQ(setjoin::PartitionOfKey(row[0], kShards), s)
-            << name << " shard " << s << " row " << i;
-        merged.Add(row);
-      }
-    }
-    merged.Normalize();
-    EXPECT_EQ(merged.flat(), db.relation(name).flat()) << name;
-  }
-}
-
-TEST(ShardedTest, CommitReusesUntouchedShardSlices) {
-  const core::Database db = setalg::testing::RandomDatabase(
-      DivisionSchema(), 80, 8, BaseSeed() * 67 + 1);
-  ShardedDatabase head(db, 3);
-  const SnapshotPtr v0 = head.snapshot();
-  const auto* sharded0 = dynamic_cast<const core::ShardedView*>(v0.get());
-  ASSERT_NE(sharded0, nullptr);
-  const Relation* r_shard0 = &sharded0->shard("R", 0);
-
-  head.SetRelation("S", MakeRel(1, {{1}, {2}}));
-  const SnapshotPtr v1 = head.snapshot();
-  const auto* sharded1 = dynamic_cast<const core::ShardedView*>(v1.get());
-  ASSERT_NE(sharded1, nullptr);
-  // The commit only touched S: R's slices are shared with the previous
-  // snapshot, not recomputed.
-  EXPECT_EQ(&sharded1->shard("R", 0), r_shard0);
-  // And S was re-sliced from the new contents.
-  Relation s_merged(1);
-  for (std::size_t s = 0; s < 3; ++s) {
-    const Relation& shard = sharded1->shard("S", s);
-    for (std::size_t i = 0; i < shard.size(); ++i) s_merged.Add(shard.tuple(i));
-  }
-  s_merged.Normalize();
-  EXPECT_EQ(s_merged.flat(), MakeRel(1, {{1}, {2}}).flat());
-}
-
-TEST(ShardedTest, MergedStatsMatchDirectComputation) {
-  const core::Database db = setalg::testing::RandomDatabase(
-      DivisionSchema(), 200, 15, BaseSeed() * 71 + 5);
-  ShardedDatabase head(db, 5);
-  const SnapshotPtr snap = head.snapshot();
-  const stats::RelationStats direct = stats::ComputeRelationStats(db.relation("R"));
-  const stats::RelationStats* merged = snap->Get("R");
-  ASSERT_NE(merged, nullptr);
-  // Key-disjoint shards merge these fields exactly.
-  EXPECT_EQ(merged->cardinality, direct.cardinality);
-  EXPECT_EQ(merged->columns[0].distinct, direct.columns[0].distinct);
-  EXPECT_EQ(merged->groups.num_groups, direct.groups.num_groups);
-  EXPECT_EQ(merged->groups.max_group_size, direct.groups.max_group_size);
-  EXPECT_EQ(merged->groups.min_group_size, direct.groups.min_group_size);
-}
-
-// The tentpole differential: every query family member over a sharded
-// snapshot — serial, 2 and 7 threads — must be bit-identical to the
-// serial run over the plain unsharded database, and shard-aligned
-// parallel runs must actually skip partition passes.
-TEST(ShardedTest, ShardedRunsMatchUnshardedSerialAcrossThreads) {
+// The differential over snapshots: every query family member over a plain
+// snapshot — serial, 2 and 7 threads — must be bit-identical to the serial
+// run over the core::Database it was seeded from, and serial runs never
+// skip a partition pass.
+TEST(KeyRangeTest, SnapshotRunsMatchSerialAcrossThreads) {
   const std::uint64_t seed = BaseSeed();
   const core::Schema schema = DivisionSchema();
   const core::Database db =
@@ -591,65 +517,86 @@ TEST(ShardedTest, ShardedRunsMatchUnshardedSerialAcrossThreads) {
   const std::vector<ra::ExprPtr> exprs = QueryFamily(schema, seed);
 
   const engine::Engine reference{engine::EngineOptions{}};
-  for (const int shards : {2, 5}) {
-    ShardedDatabase head(db, static_cast<std::size_t>(shards));
-    const SnapshotPtr snap = head.snapshot();
-    for (const int threads : {1, 2, 7}) {
-      engine::EngineOptions options;
-      options = options.WithThreads(static_cast<std::size_t>(threads));
-      const engine::Engine engine(options);
-      for (std::size_t q = 0; q < exprs.size(); ++q) {
-        auto want = reference.Run(exprs[q], db);
-        auto got = engine.Run(exprs[q], *snap);
-        ASSERT_TRUE(want.ok()) << want.error();
-        ASSERT_TRUE(got.ok()) << got.error();
-        const std::string context = "shards=" + std::to_string(shards) +
-                                    " threads=" + std::to_string(threads) +
-                                    " expr=" + std::to_string(q);
-        EXPECT_EQ(got->relation.arity(), want->relation.arity()) << context;
-        EXPECT_EQ(got->relation.flat(), want->relation.flat()) << context;
-        if (threads == 1) {
-          EXPECT_EQ(got->stats.partition_passes_skipped, 0u) << context;
-        }
+  const VersionedDatabase head(db);
+  const SnapshotPtr snap = head.snapshot();
+  for (const int threads : {1, 2, 7}) {
+    engine::EngineOptions options;
+    options = options.WithThreads(static_cast<std::size_t>(threads));
+    const engine::Engine engine(options);
+    for (std::size_t q = 0; q < exprs.size(); ++q) {
+      auto want = reference.Run(exprs[q], db);
+      auto got = engine.Run(exprs[q], *snap);
+      ASSERT_TRUE(want.ok()) << want.error();
+      ASSERT_TRUE(got.ok()) << got.error();
+      const std::string context =
+          "threads=" + std::to_string(threads) + " expr=" + std::to_string(q);
+      EXPECT_EQ(got->relation.arity(), want->relation.arity()) << context;
+      EXPECT_EQ(got->relation.flat(), want->relation.flat()) << context;
+      if (threads == 1) {
+        EXPECT_EQ(got->stats.partition_passes_skipped, 0u) << context;
       }
     }
   }
 }
 
-TEST(ShardedTest, AlignedDivisionSkipsThePartitionPass) {
+// The textbook containment division over `r`: the planner rewrites it to
+// one division operator whose dividend is `r`.
+ra::ExprPtr ClassicDivisionOver(const ra::ExprPtr& r, const ra::ExprPtr& s) {
+  const ra::ExprPtr candidates = ra::Project(r, {1});
+  return ra::Diff(candidates,
+                  ra::Project(ra::Diff(ra::Product(candidates, s), r), {1}));
+}
+
+// A dividend scanned from storage is cut into key ranges in place — on a
+// core::Database and on a snapshot alike — and the skipped partition pass
+// is counted. A computed dividend (the projection π_{2,1} of a stored
+// transpose) is drained and sorted instead, and skips nothing.
+TEST(KeyRangeTest, StoredScanDivisionSkipsThePartitionPass) {
   const std::uint64_t seed = BaseSeed();
-  const core::Schema schema = DivisionSchema();
-  const core::Database db =
-      setalg::testing::RandomDatabase(schema, 300, 12, seed * 43 + 3);
-  const ra::ExprPtr division = setjoin::ClassicDivisionExpr("R", "S");
+  const core::Database plain =
+      setalg::testing::RandomDatabase(DivisionSchema(), 300, 12, seed * 43 + 3);
+  core::Schema schema = DivisionSchema();
+  schema.AddRelation("RT", 2);
+  core::Database db(schema);
+  db.SetRelation("R", plain.relation("R"));
+  db.SetRelation("S", plain.relation("S"));
+  Relation transpose(2);
+  for (std::size_t i = 0; i < plain.relation("R").size(); ++i) {
+    const core::TupleView row = plain.relation("R").tuple(i);
+    transpose.Add({row[1], row[0]});
+  }
+  db.SetRelation("RT", std::move(transpose));
+  const ra::ExprPtr stored = ClassicDivisionOver(ra::Rel("R", 2), ra::Rel("S", 1));
+  const ra::ExprPtr computed = ClassicDivisionOver(
+      ra::Project(ra::Rel("RT", 2), {2, 1}), ra::Rel("S", 1));
 
   const engine::Engine serial{engine::EngineOptions{}};
-  auto want = serial.Run(division, db);
+  auto want = serial.Run(stored, db);
   ASSERT_TRUE(want.ok()) << want.error();
-
-  ShardedDatabase sharded_head(db, 4);
-  VersionedDatabase plain_head(db);
-  const SnapshotPtr sharded_snap = sharded_head.snapshot();
-  const SnapshotPtr plain_snap = plain_head.snapshot();
+  const VersionedDatabase head(db);
+  const SnapshotPtr snap = head.snapshot();
   for (const int threads : {2, 7}) {
     engine::EngineOptions options;
     options = options.WithThreads(static_cast<std::size_t>(threads));
     const engine::Engine engine(options);
+    const std::string context = "threads=" + std::to_string(threads);
+    for (const core::DatabaseView* view :
+         {static_cast<const core::DatabaseView*>(&db),
+          static_cast<const core::DatabaseView*>(snap.get())}) {
+      auto in_place = engine.Run(stored, *view);
+      ASSERT_TRUE(in_place.ok()) << in_place.error();
+      EXPECT_EQ(in_place->relation.flat(), want->relation.flat()) << context;
+      EXPECT_GT(in_place->stats.partition_passes_skipped, 0u) << context;
+      EXPECT_EQ(in_place->stats.partitions, static_cast<std::size_t>(threads))
+          << context;
 
-    // Sharded on the dividend's group-key column: the partition pass is
-    // skipped and the result is still bit-identical to the serial run.
-    auto sharded_run = engine.Run(division, *sharded_snap);
-    ASSERT_TRUE(sharded_run.ok()) << sharded_run.error();
-    EXPECT_EQ(sharded_run->relation.flat(), want->relation.flat());
-    EXPECT_GT(sharded_run->stats.partition_passes_skipped, 0u)
-        << "threads=" << threads;
-
-    // A plain (unsharded) snapshot keeps partitioning the classic way.
-    auto plain_run = engine.Run(division, *plain_snap);
-    ASSERT_TRUE(plain_run.ok()) << plain_run.error();
-    EXPECT_EQ(plain_run->relation.flat(), want->relation.flat());
-    EXPECT_EQ(plain_run->stats.partition_passes_skipped, 0u)
-        << "threads=" << threads;
+      auto drained = engine.Run(computed, *view);
+      ASSERT_TRUE(drained.ok()) << drained.error();
+      EXPECT_EQ(drained->relation.flat(), want->relation.flat()) << context;
+      EXPECT_EQ(drained->stats.partition_passes_skipped, 0u) << context;
+      EXPECT_EQ(drained->stats.partitions, static_cast<std::size_t>(threads))
+          << context;
+    }
   }
 }
 
