@@ -69,11 +69,8 @@ core::Relation DrainToRelation(BatchIterator* input, std::size_t arity,
 
 MaterializedInput MaterializedInput::From(BatchIterator* input, std::size_t arity,
                                           std::size_t batch_size) {
+  if (const core::Relation* whole = input->TakeRelation()) return Borrow(*whole);
   MaterializedInput view;
-  if (auto* direct = dynamic_cast<RelationBatchIterator*>(input)) {
-    view.borrowed_ = &direct->relation();
-    return view;
-  }
   view.owned_ = DrainToRelation(input, arity, batch_size);
   return view;
 }

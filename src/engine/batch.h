@@ -25,6 +25,9 @@
 //   - Close() is called exactly once after the last NextBatch().
 //   - distinct() advertises that no tuple is emitted twice across the whole
 //     stream; consumers use it to skip redundant dedup work.
+//   - TakeRelation(), asked instead of Open(), may hand a consumer that
+//     needs the whole input anyway the relation behind the stream; the
+//     stream is then consumed without any of the calls above.
 #ifndef SETALG_ENGINE_BATCH_H_
 #define SETALG_ENGINE_BATCH_H_
 
@@ -109,22 +112,27 @@ class BatchIterator {
   /// True when no tuple is emitted twice across the stream's lifetime.
   virtual bool distinct() const { return false; }
 
-  /// Declares that the consumer read this scan stream's stored relation
-  /// in place instead of draining it (a key-range partitioned operator,
-  /// engine/parallel.h ReadSortedInput): `rows` is the stored relation's
-  /// size — exactly what a full drain would have produced. Called between
-  /// Open() and Close() in place of any NextBatch() calls. Default no-op;
-  /// instrumented pipeline edges account the rows so per-operator
-  /// PlanStats stay identical whether or not the stream was bypassed.
-  virtual void AccountBypassedScan(std::size_t rows) { (void)rows; }
+  /// Hands the consumer the whole relation behind this stream — normalized,
+  /// exactly the rows a full drain would produce — to read in place, or
+  /// returns null and leaves the stream untouched. Asked instead of
+  /// Open(), on the driving thread: on success the stream counts as
+  /// consumed, no Open(), NextBatch() or Close() follows, and the relation
+  /// stays valid and unchanged for the rest of the run. Stored scans and
+  /// relation streamers hand theirs over; instrumented pipeline edges
+  /// forward the call and account the rows, so per-operator PlanStats are
+  /// the same whether the consumer read in place or drained. Default null.
+  virtual const core::Relation* TakeRelation() { return nullptr; }
 };
 
 /// Opens `input`, drains it fully into a relation, and closes it.
 core::Relation DrainToRelation(BatchIterator* input, std::size_t arity,
                                std::size_t batch_size);
 
-/// Streams a materialized (hence normalized) relation in batches. The
-/// relation must outlive and not mutate under the iterator.
+/// Streams a materialized (hence normalized) relation in batches — a
+/// re-streamed shared subplan, or an input of the materializing reference.
+/// The relation must outlive and not mutate under the iterator; a
+/// consumer that needs it whole takes it (TakeRelation) instead of
+/// re-copying it batch by batch.
 class RelationBatchIterator final : public BatchIterator {
  public:
   explicit RelationBatchIterator(const core::Relation* relation)
@@ -135,24 +143,24 @@ class RelationBatchIterator final : public BatchIterator {
   void Close() override {}
   bool distinct() const override { return true; }  // Normalized storage.
 
-  /// The relation behind the stream — lets consumers that need the whole
-  /// input anyway (build sides) borrow it instead of re-copying it
-  /// batch-by-batch (see MaterializedInput).
-  const core::Relation& relation() const { return *relation_; }
+  const core::Relation* TakeRelation() override {
+    relation_->Normalize();
+    return relation_;
+  }
 
  private:
   const core::Relation* relation_;
   std::size_t pos_ = 0;
 };
 
-/// A materialized view of an input stream: borrows the relation behind a
-/// plain relation streamer (a re-streamed shared subplan, or the
-/// materializing reference's inputs — no copy) or drains the stream into
-/// an owned copy (pipelined edges). Either way the stream counts as
-/// consumed.
+/// A materialized view of an input stream: borrows the relation the
+/// stream hands over (BatchIterator::TakeRelation — a stored scan, a
+/// re-streamed shared subplan, an input of the materializing reference;
+/// no copy) or drains the stream into an owned copy (every other
+/// pipelined edge). Either way the stream counts as consumed.
 class MaterializedInput {
  public:
-  /// `input` must outlive the view when borrowing applies.
+  /// A borrowed relation stays valid for the run.
   static MaterializedInput From(BatchIterator* input, std::size_t arity,
                                 std::size_t batch_size);
 

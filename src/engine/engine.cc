@@ -152,11 +152,11 @@ class InstrumentedIterator final : public BatchIterator {
 
   bool NextBatch(Batch& out) override;
 
-  // A bypassed scan stream still produces its operator's stats entry —
-  // the rows the consumer read in place from storage are exactly what a
-  // full drain would have counted, so per-op PlanStats (and the budget
-  // check) are the same either way.
-  void AccountBypassedScan(std::size_t rows) override;
+  // Forwards to the operator's iterator. A relation handed over still
+  // produces the operator's stats entry: its rows are exactly what a full
+  // drain would have counted (it is normalized, hence distinct), so
+  // per-op PlanStats and the budget check are the same either way.
+  const core::Relation* TakeRelation() override;
 
  private:
   bool NextDeduped(Batch& out);
@@ -360,10 +360,13 @@ bool InstrumentedIterator::NextDeduped(Batch& out) {
   return true;
 }
 
-void InstrumentedIterator::AccountBypassedScan(std::size_t rows) {
-  rows_ += rows;
+const core::Relation* InstrumentedIterator::TakeRelation() {
+  const core::Relation* whole = inner_->TakeRelation();
+  if (whole == nullptr) return nullptr;
+  rows_ += whole->size();
   executor_->CheckBudget(op_, rows_);
   FinalizeOnce();
+  return whole;
 }
 
 void InstrumentedIterator::FinalizeOnce() {
@@ -376,7 +379,7 @@ void InstrumentedIterator::FinalizeOnce() {
 
 const stats::StatsProvider* Engine::StatsFor(const core::DatabaseView& db) const {
   // Views that double as their own statistics provider — txn::Snapshot
-  // computes per-relation stats lazily behind its own mutex — bypass the
+  // computes each relation version's stats lazily, once — bypass the
   // engine's memoized provider entirely. This keeps concurrent
   // Run(expr, snapshot) calls off the engine's mutable state.
   if (const auto* provider = dynamic_cast<const stats::StatsProvider*>(&db)) {

@@ -319,7 +319,6 @@ void MultiwayIterator::Open() {
   std::vector<MaterializedInput> materialized;
   materialized.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    inputs_[i]->Open();
     materialized.push_back(MaterializedInput::From(
         inputs_[i].get(), op_->column_vars()[i].size(), ctx_.batch_size()));
   }
@@ -328,7 +327,6 @@ void MultiwayIterator::Open() {
   for (std::size_t i = 0; i < k; ++i) {
     prepared.push_back(PrepareInput(materialized[i].get(), op_->column_vars()[i]));
   }
-  for (std::size_t i = 0; i < k; ++i) inputs_[i]->Close();
 
   const std::size_t num_vars = op_->num_vars();
   const std::size_t parts = ResolvePartitions(op_->partitions(), ctx_);

@@ -16,16 +16,6 @@ std::size_t PartitionOfKey(core::Value key, std::size_t partitions) {
                                   partitions);
 }
 
-// Marks a scan stream whose relation the caller read in place as
-// consumed: opens it, accounts its `rows` (see
-// BatchIterator::AccountBypassedScan) and closes it, so per-operator
-// instrumentation and the iterator contract hold without a drain.
-void ConsumeBypassedScan(BatchIterator* stream, std::size_t rows) {
-  stream->Open();
-  stream->AccountBypassedScan(rows);
-  stream->Close();
-}
-
 }  // namespace
 
 WorkerPool::WorkerPool(std::size_t threads) {
@@ -131,15 +121,11 @@ std::vector<RowRange> KeyRanges(const core::Relation& sorted, std::size_t parts)
 }
 
 std::shared_ptr<const MaterializedInput> ReadSortedInput(ExecContext& ctx,
-                                                         const std::string* scan,
                                                          BatchIterator* stream,
-                                                         std::size_t arity) {
-  if (scan != nullptr) {
-    const core::Relation& stored = ctx.db().relation(*scan);
-    stored.Normalize();
-    ConsumeBypassedScan(stream, stored.size());
-    ctx.CountSkippedPartitionPass();
-    return std::make_shared<MaterializedInput>(MaterializedInput::Borrow(stored));
+                                                         std::size_t arity, bool scan) {
+  if (const core::Relation* whole = stream->TakeRelation()) {
+    if (scan) ctx.CountSkippedPartitionPass();
+    return std::make_shared<MaterializedInput>(MaterializedInput::Borrow(*whole));
   }
   auto input = std::make_shared<MaterializedInput>(
       MaterializedInput::From(stream, arity, ctx.batch_size()));

@@ -15,10 +15,11 @@
 //   - KeyRanges and ReadSortedInput: the one partition path of division
 //     and the set joins. Their grouped input is sorted on column 1 —
 //     normalized storage always is — so a cut between two keys is already
-//     a valid partition: the stored relation a scan names is read in
-//     place, any other input is drained and normalized, and the sorted
-//     rows are cut into contiguous key ranges. No routing function, no
-//     scatter, and the range outputs concatenate in key order.
+//     a valid partition: a relation the input stream hands over (a stored
+//     scan) is read in place, any other input is drained and normalized,
+//     and the sorted rows are cut into contiguous key ranges. No routing
+//     function, no scatter, and the range outputs concatenate in key
+//     order.
 //   - PartitionByColumn: deterministic hash routing of a relation's rows
 //     by one column, for the semijoin and the multiway join, whose
 //     partitioning columns do not lead in general.
@@ -120,18 +121,16 @@ struct RowRange {
 std::vector<RowRange> KeyRanges(const core::Relation& sorted, std::size_t parts);
 
 /// The input of a key-range partitioned operator, sorted on column 1, as
-/// its tasks share it. `scan` is the input child's stored relation name
-/// (PhysicalOp::scan_relation()), or null. A stored relation is read in
-/// place: it is normalized here, because lazy normalization writes
-/// storage; `stream` is only opened, accounted with the stored row count
-/// (BatchIterator::AccountBypassedScan) and closed, and the skipped
-/// partition pass is counted. Any other input is drained and
-/// normalized. Driving thread only; a borrowed relation is owned by the
-/// run's database, which outlives the tasks.
+/// its tasks share it. A relation `stream` hands over
+/// (BatchIterator::TakeRelation, which normalizes it on this thread) is
+/// read in place; when `scan` says the input child is a scan
+/// (PhysicalOp::scan_relation()), the skipped partition pass is counted.
+/// Any other input is drained and normalized. Driving thread only; a
+/// borrowed relation is owned by the run's database or executor, which
+/// outlive the tasks.
 std::shared_ptr<const MaterializedInput> ReadSortedInput(ExecContext& ctx,
-                                                         const std::string* scan,
                                                          BatchIterator* stream,
-                                                         std::size_t arity);
+                                                         std::size_t arity, bool scan);
 
 /// One partition's work: computes that partition's share of the
 /// operator's output. Runs on a worker thread; must only touch state

@@ -77,12 +77,10 @@ std::string ColumnsToString(const std::vector<std::size_t>& columns) {
 }
 
 // Consumes a binary batch stream into the shared grouping adapter — the
-// batched spelling of setjoin::AsGrouped (to which it short-circuits when
-// the stream is a plain relation streamer).
+// batched spelling of setjoin::AsGrouped, to which it short-circuits when
+// the stream hands over its whole relation (BatchIterator::TakeRelation).
 setjoin::GroupedRelation DrainGrouped(BatchIterator* input, std::size_t batch_size) {
-  if (auto* direct = dynamic_cast<RelationBatchIterator*>(input)) {
-    return setjoin::AsGrouped(direct->relation());
-  }
+  if (const Relation* whole = input->TakeRelation()) return setjoin::AsGrouped(*whole);
   setjoin::GroupedBuilder builder;
   RowCursor cursor(input, 2, batch_size);
   cursor.Open();
@@ -193,10 +191,7 @@ class ScanIterator final : public BatchIterator {
       : ctx_(ctx), name_(name), arity_(arity) {}
 
   void Open() override {
-    SETALG_CHECK_STREAM(ctx_.db().schema().HasRelation(*name_))
-        << "plan references unknown relation " << *name_;
-    relation_ = &ctx_.db().relation(*name_);
-    SETALG_CHECK_EQ(relation_->arity(), arity_);
+    Resolve();
     pos_ = 0;
   }
 
@@ -208,7 +203,22 @@ class ScanIterator final : public BatchIterator {
   void Close() override {}
   bool distinct() const override { return true; }  // Stored sets are normalized.
 
+  // The stored relation itself. Normalized here, on the driving thread,
+  // because lazy normalization writes storage.
+  const Relation* TakeRelation() override {
+    Resolve();
+    relation_->Normalize();
+    return relation_;
+  }
+
  private:
+  void Resolve() {
+    SETALG_CHECK_STREAM(ctx_.db().schema().HasRelation(*name_))
+        << "plan references unknown relation " << *name_;
+    relation_ = &ctx_.db().relation(*name_);
+    SETALG_CHECK_EQ(relation_->arity(), arity_);
+  }
+
   ExecContext& ctx_;
   const std::string* name_;
   std::size_t arity_;
@@ -815,17 +825,16 @@ class SemiJoinOp final : public PhysicalOp {
 // Division.
 // ---------------------------------------------------------------------------
 
-// Division: the divisor (build side) is always consumed first. On a live
-// dividend stream, hash and aggregate division hand each batch's flat
-// values to setjoin::SinglePassDivision, whose state grows with the
-// number of groups and |S|, not with the dividend; the stream is
-// duplicate-free by the batch-surface contract, in any order. Otherwise
-// — a borrowed relation (a re-streamed shared subplan, or the
-// materializing reference), or an algorithm that needs the whole
-// dividend (sort-merge sorted runs, nested-loop an index, classic-ra a
-// database) — the dividend is materialized and the setjoin:: kernel
-// called, which passes a hash/aggregate dividend in one chunk. Blocking,
-// but still batch-in/batch-out.
+// Division: the divisor (build side) is always consumed first. Hash and
+// aggregate division feed setjoin::SinglePassDivision, whose state grows
+// with the number of groups and |S|, not with the dividend: a dividend
+// stream that hands over its whole relation (a stored scan, a re-streamed
+// shared subplan, the materializing reference's input) in one call, any
+// other stream batch by batch — duplicate-free by the batch-surface
+// contract, in any order. The algorithms that need the whole dividend
+// (sort-merge sorted runs, nested-loop an index, classic-ra a database)
+// borrow or materialize it and call the setjoin:: kernel. Blocking, but
+// still batch-in/batch-out.
 class DivisionIterator final : public BatchIterator {
  public:
   DivisionIterator(ExecContext& ctx, std::vector<std::unique_ptr<BatchIterator>> inputs,
@@ -842,14 +851,18 @@ class DivisionIterator final : public BatchIterator {
     BatchIterator* stream = inputs_[0].get();
     const bool single_pass = algorithm_ == setjoin::DivisionAlgorithm::kHashDivision ||
                              algorithm_ == setjoin::DivisionAlgorithm::kAggregate;
-    if (single_pass && dynamic_cast<RelationBatchIterator*>(stream) == nullptr) {
+    if (single_pass) {
       setjoin::SinglePassDivision kernel(divisor.get(), algorithm_, equality_);
-      Batch batch(2, batch_size);
-      stream->Open();
-      while (stream->NextBatch(batch)) {
-        kernel.Consume(batch.values().data(), batch.size());
+      if (const Relation* whole = stream->TakeRelation()) {
+        kernel.Consume(whole->flat().data(), whole->size());
+      } else {
+        Batch batch(2, batch_size);
+        stream->Open();
+        while (stream->NextBatch(batch)) {
+          kernel.Consume(batch.values().data(), batch.size());
+        }
+        stream->Close();
       }
-      stream->Close();
       result_ = kernel.Finish();
     } else {
       const MaterializedInput dividend = MaterializedInput::From(stream, 2, batch_size);
@@ -905,7 +918,7 @@ class DivisionOp final : public PhysicalOp {
     if (parts > 1 && algorithm_ != setjoin::DivisionAlgorithm::kClassicRa) {
       const auto algorithm = algorithm_;
       const bool equality = equality_;
-      const std::string* scan = child(0)->scan_relation();
+      const bool scan = child(0)->scan_relation() != nullptr;
       return std::make_unique<PartitionedIterator>(
           ctx, arity(), std::move(inputs),
           [&ctx, scan, parts, algorithm,
@@ -915,7 +928,7 @@ class DivisionOp final : public PhysicalOp {
             auto divisor = std::make_shared<MaterializedInput>(
                 MaterializedInput::From(streams[1].get(), 1, ctx.batch_size()));
             divisor->get().Normalize();
-            auto dividend = ReadSortedInput(ctx, scan, streams[0].get(), 2);
+            auto dividend = ReadSortedInput(ctx, streams[0].get(), 2, scan);
             const bool single_pass =
                 algorithm == setjoin::DivisionAlgorithm::kHashDivision ||
                 algorithm == setjoin::DivisionAlgorithm::kAggregate;
@@ -972,17 +985,17 @@ using SetJoinKernel = std::function<Relation(const setjoin::GroupedRelation&,
                                              const setjoin::GroupedRelation&)>;
 
 // The shared fan-out plan of the partitioned set joins: `kernel` is the
-// serial per-range kernel (left range × whole right side). `scan` names
-// the left child's stored relation, or is null (see ReadSortedInput).
-// Each task groups its own range, so grouping runs in parallel too.
+// serial per-range kernel (left range × whole right side). `scan` says
+// whether the left child is a scan (see ReadSortedInput). Each task
+// groups its own range, so grouping runs in parallel too.
 std::unique_ptr<BatchIterator> MakePartitionedSetJoin(
     ExecContext& ctx, std::vector<std::unique_ptr<BatchIterator>> inputs,
-    std::size_t parts, SetJoinKernel kernel, const std::string* scan) {
+    std::size_t parts, SetJoinKernel kernel, bool scan) {
   return std::make_unique<PartitionedIterator>(
       ctx, 2, std::move(inputs),
       [&ctx, scan, parts,
        kernel](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-        auto left = ReadSortedInput(ctx, scan, streams[0].get(), 2);
+        auto left = ReadSortedInput(ctx, streams[0].get(), 2, scan);
         auto right = std::make_shared<const setjoin::GroupedRelation>(
             DrainGrouped(streams[1].get(), ctx.batch_size()));
         std::vector<PartitionTask> tasks;
@@ -1029,7 +1042,7 @@ class SetContainmentJoinOp final : public PhysicalOp {
                       const setjoin::GroupedRelation& r) {
             return setjoin::SetContainmentJoin(l, r, algorithm);
           },
-          child(0)->scan_relation());
+          child(0)->scan_relation() != nullptr);
     }
     return std::make_unique<BlockingIterator>(
         std::move(inputs),
@@ -1079,7 +1092,7 @@ class SetEqualityJoinOp final : public PhysicalOp {
                       const setjoin::GroupedRelation& r) {
             return setjoin::SetEqualityJoin(l, r, algorithm);
           },
-          child(0)->scan_relation());
+          child(0)->scan_relation() != nullptr);
     }
     return std::make_unique<BlockingIterator>(
         std::move(inputs),
@@ -1122,7 +1135,7 @@ class SetOverlapJoinOp final : public PhysicalOp {
           [](const setjoin::GroupedRelation& l, const setjoin::GroupedRelation& r) {
             return setjoin::SetOverlapJoin(l, r);
           },
-          child(0)->scan_relation());
+          child(0)->scan_relation() != nullptr);
     }
     return std::make_unique<BlockingIterator>(
         std::move(inputs),

@@ -138,17 +138,12 @@ std::string Histogram::ToString() const {
 namespace {
 
 // Range, distinct count and histogram of the `n` (> 0) values read at
-// values[0], values[stride], ... in no particular order. After one
-// min/max pass the values are counted into a dense array when their
-// range is at most 2n wide, and sorted once otherwise.
+// values[0], values[stride], ... in no particular order, whose least and
+// greatest are `lo` and `hi`. The values are counted into a dense array
+// when their range is at most 2n wide, and sorted once otherwise.
 void SummarizeUnordered(const core::Value* values, std::size_t n,
-                        std::size_t stride, ColumnStats* column) {
-  core::Value lo = values[0];
-  core::Value hi = values[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    lo = std::min(lo, values[i * stride]);
-    hi = std::max(hi, values[i * stride]);
-  }
+                        std::size_t stride, core::Value lo, core::Value hi,
+                        ColumnStats* column) {
   column->min_value = lo;
   column->max_value = hi;
   const std::uint64_t width = RangeWidth(lo, hi);
@@ -192,28 +187,52 @@ RelationStats ComputeRelationStats(const core::Relation& relation) {
 
   // The storage is sorted lexicographically, so column 1 ascends: its
   // distinct values, and the groups of a binary relation, are its runs.
+  // The same pass finds the least and greatest value of every other
+  // column, and of the group sizes. Within a run column 2 ascends too, so
+  // its extremes there are the run's first and last rows; columns 3 and
+  // up are read row by row.
   ColumnStats& first = stats.columns[0];
   first.min_value = data[0];
   first.max_value = data[(n - 1) * arity];
   HistogramBuilder first_histogram(n);
+  std::vector<core::Value> lo(data, data + arity);
+  std::vector<core::Value> hi = lo;
   std::vector<core::Value> group_sizes;
+  core::Value min_size = static_cast<core::Value>(n);
+  core::Value max_size = 0;
   for (std::size_t i = 0; i < n;) {
     const core::Value key = data[i * arity];
     std::size_t j = i + 1;
     while (j < n && data[j * arity] == key) ++j;
     ++first.distinct;
     first_histogram.AddRun(key, j - i);
-    if (binary) group_sizes.push_back(static_cast<core::Value>(j - i));
+    if (arity >= 2) {
+      lo[1] = std::min(lo[1], data[i * arity + 1]);
+      hi[1] = std::max(hi[1], data[(j - 1) * arity + 1]);
+    }
+    for (std::size_t c = 2; c < arity; ++c) {
+      for (std::size_t row = i; row < j; ++row) {
+        lo[c] = std::min(lo[c], data[row * arity + c]);
+        hi[c] = std::max(hi[c], data[row * arity + c]);
+      }
+    }
+    if (binary) {
+      const auto size = static_cast<core::Value>(j - i);
+      group_sizes.push_back(size);
+      min_size = std::min(min_size, size);
+      max_size = std::max(max_size, size);
+    }
     i = j;
   }
   first.histogram = first_histogram.Finish();
 
   for (std::size_t c = 1; c < arity; ++c) {
-    SummarizeUnordered(data + c, n, arity, &stats.columns[c]);
+    SummarizeUnordered(data + c, n, arity, lo[c], hi[c], &stats.columns[c]);
   }
   if (binary) {
     ColumnStats sizes;
-    SummarizeUnordered(group_sizes.data(), group_sizes.size(), 1, &sizes);
+    SummarizeUnordered(group_sizes.data(), group_sizes.size(), 1, min_size, max_size,
+                       &sizes);
     GroupStats& g = stats.groups;
     g.num_groups = group_sizes.size();
     g.min_group_size = static_cast<std::size_t>(sizes.min_value);

@@ -9,7 +9,7 @@ namespace setalg::txn {
 const core::Relation& Snapshot::relation(const std::string& name) const {
   auto it = relations_.find(name);
   SETALG_CHECK_STREAM(it != relations_.end()) << "unknown relation: " << name;
-  return *it->second;
+  return it->second->relation();
 }
 
 std::uint64_t Snapshot::relation_version(const std::string& name) const {
@@ -23,14 +23,9 @@ stats::VersionVector Snapshot::Versions() const {
 }
 
 const stats::RelationStats* Snapshot::Get(const std::string& name) const {
-  if (!schema_.HasRelation(name)) return nullptr;
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  auto it = stats_.find(name);
-  if (it == stats_.end()) {
-    it = stats_.emplace(name, stats::ComputeRelationStats(relation(name)))
-             .first;
-  }
-  return &it->second;
+  auto it = relations_.find(name);
+  if (it == relations_.end()) return nullptr;
+  return &it->second->stats();
 }
 
 void WriteBatch::Set(std::string name, core::Relation relation) {
@@ -54,8 +49,8 @@ VersionedDatabase::VersionedDatabase(core::Schema schema)
   Snapshot::RelationMap relations;
   std::unordered_map<std::string, std::uint64_t> versions;
   for (const auto& name : schema_.Names()) {
-    relations.emplace(name,
-                      std::make_shared<core::Relation>(schema_.Arity(name)));
+    relations.emplace(name, std::make_shared<const Snapshot::RelationVersion>(
+                                core::Relation(schema_.Arity(name))));
     versions.emplace(name, 0);
   }
   head_ = SnapshotPtr(new Snapshot(schema_, std::move(relations),
@@ -67,9 +62,10 @@ VersionedDatabase::VersionedDatabase(const core::Database& db)
   Snapshot::RelationMap relations;
   std::unordered_map<std::string, std::uint64_t> versions;
   for (const auto& name : schema_.Names()) {
-    auto relation = std::make_shared<core::Relation>(db.relation(name));
-    relation->Normalize();
-    relations.emplace(name, std::move(relation));
+    core::Relation relation = db.relation(name);
+    relation.Normalize();
+    relations.emplace(
+        name, std::make_shared<const Snapshot::RelationVersion>(std::move(relation)));
     versions.emplace(name, 0);
   }
   head_ = SnapshotPtr(new Snapshot(schema_, std::move(relations),
@@ -77,7 +73,7 @@ VersionedDatabase::VersionedDatabase(const core::Database& db)
 }
 
 SnapshotPtr VersionedDatabase::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(head_mu_);
   return head_;
 }
 
@@ -86,13 +82,13 @@ SnapshotPtr VersionedDatabase::SetRelation(const std::string& name,
   relation.Normalize();
   std::vector<std::pair<std::string, core::Relation>> writes;
   writes.emplace_back(name, std::move(relation));
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(write_mu_);
   return PublishLocked(std::move(writes));
 }
 
 SnapshotPtr VersionedDatabase::Mutate(
     const std::string& name, const std::function<void(core::Relation&)>& fn) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(write_mu_);
   core::Relation copy = head_->relation(name);
   fn(copy);
   copy.Normalize();
@@ -102,16 +98,17 @@ SnapshotPtr VersionedDatabase::Mutate(
 }
 
 SnapshotPtr VersionedDatabase::Commit(WriteBatch batch) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(write_mu_);
   return PublishLocked(std::move(batch.writes_));
 }
 
 SnapshotPtr VersionedDatabase::PublishLocked(
     std::vector<std::pair<std::string, core::Relation>> writes) {
   // Copy-on-write: shallow-copy the published maps (shared_ptr per
-  // relation), then replace only the touched entries. Readers holding
-  // the old snapshot keep the old relation objects alive; nothing they
-  // can reach is ever modified.
+  // relation version), then replace only the touched entries. Readers
+  // holding the old snapshot keep the old versions alive; nothing they
+  // can reach is ever modified. Untouched versions carry their statistics
+  // over.
   Snapshot::RelationMap relations = head_->relations_;
   std::unordered_map<std::string, std::uint64_t> versions = head_->versions_;
   for (auto& [name, relation] : writes) {
@@ -119,12 +116,20 @@ SnapshotPtr VersionedDatabase::PublishLocked(
         << "unknown relation: " << name;
     SETALG_CHECK_EQ(schema_.Arity(name), relation.arity());
     relations.insert_or_assign(
-        name, std::make_shared<core::Relation>(std::move(relation)));
+        name, std::make_shared<const Snapshot::RelationVersion>(std::move(relation)));
     ++versions[name];
   }
-  head_ = SnapshotPtr(new Snapshot(schema_, std::move(relations),
-                                   std::move(versions), id_, head_->version() + 1));
-  return head_;
+  const SnapshotPtr published(new Snapshot(schema_, std::move(relations),
+                                           std::move(versions), id_,
+                                           head_->version() + 1));
+  SnapshotPtr previous = published;
+  {
+    std::lock_guard<std::mutex> lock(head_mu_);
+    head_.swap(previous);
+  }
+  // If no reader holds the previous head, it is freed here, outside
+  // head_mu_.
+  return published;
 }
 
 }  // namespace setalg::txn

@@ -2,18 +2,26 @@
 // immutable snapshots (`Snapshot`) by copy-on-write.
 //
 // The concurrency contract, in one paragraph: writers serialize on the
-// head's mutex; each commit shallow-copies the head's relation map
-// (shared_ptr per relation), replaces only the touched relations with
-// freshly allocated copies, bumps their mutation counters, and publishes
-// a new `Snapshot` under the same mutex. Readers call `snapshot()` —
-// also under the mutex, a handful of instructions — and from then on
-// never synchronize with anyone: a snapshot is deeply immutable, its
-// relation pointers are frozen at commit time, and the shared_ptr keeps
-// every relation alive for as long as any reader holds the snapshot.
-// Any number of threads may therefore execute queries against the same
-// (or different) snapshots while writers keep committing. Every write
-// path normalizes a relation before publishing it, so no reader ever
-// runs core::Relation's lazy, unsynchronized normalization.
+// head's writer mutex; each commit shallow-copies the head's relation map
+// (shared_ptr per relation version), replaces only the touched relations
+// with freshly allocated versions, bumps their mutation counters, and
+// swaps the new `Snapshot` in under the head mutex. That mutex guards
+// only the head pointer: readers call `snapshot()` — a pointer copy under
+// it, a handful of instructions, never behind a writer's copy, callback
+// or normalization — and from then on never synchronize with anyone: a
+// snapshot is deeply immutable, its relation pointers are frozen at
+// commit time, and the shared_ptr keeps every relation alive for as long
+// as any reader holds the snapshot. Any number of threads may therefore
+// execute queries against the same (or different) snapshots while
+// writers keep committing. Every write path normalizes a relation before
+// publishing it, so no reader ever runs core::Relation's lazy,
+// unsynchronized normalization.
+//
+// Statistics belong to a relation version, not to a snapshot: each
+// published version computes its stats::RelationStats once, on the first
+// request from any snapshot that carries it. A commit hands untouched
+// versions — statistics included — to the next snapshot through the
+// same pointer copy, so a relation nobody writes is summarized once.
 //
 // Identity: the head allocates its id from the same process-wide counter
 // as core::Database (`core::NextDatabaseId`), and every snapshot reports
@@ -47,13 +55,11 @@ using SnapshotPtr = std::shared_ptr<const Snapshot>;
 /// One immutable published version of a versioned database. Implements
 /// the engine's read interface (core::DatabaseView) and the planner's
 /// statistics interface (stats::StatsProvider); the statistics are
-/// computed lazily, once per relation per snapshot, behind a mutex — so
-/// a snapshot is safe to share between any number of query threads.
+/// computed lazily, once per relation version and shared by every
+/// snapshot that carries it — so a snapshot is safe to share between any
+/// number of query threads.
 class Snapshot : public core::DatabaseView, public stats::StatsProvider {
  public:
-  using RelationMap =
-      std::unordered_map<std::string, std::shared_ptr<const core::Relation>>;
-
   const core::Schema& schema() const override { return schema_; }
   const core::Relation& relation(const std::string& name) const override;
 
@@ -71,14 +77,39 @@ class Snapshot : public core::DatabaseView, public stats::StatsProvider {
   /// name) — the replay key used by the differential harnesses.
   stats::VersionVector Versions() const;
 
-  /// stats::StatsProvider: lazily computed per-relation statistics,
-  /// safe to call from multiple threads concurrently. Pointers stay
-  /// valid for the snapshot's lifetime (entries are never replaced:
-  /// the underlying relation can not change).
+  /// stats::StatsProvider: the statistics of the relation version this
+  /// snapshot carries, computed on first request, safe to call from
+  /// multiple threads concurrently. The pointer stays valid for the
+  /// snapshot's lifetime, and snapshots carrying the same version of a
+  /// relation return the same pointer. Null outside the schema.
   const stats::RelationStats* Get(const std::string& name) const override;
 
  private:
   friend class VersionedDatabase;  // The only publisher.
+
+  // One published version of a relation: its normalized rows and their
+  // statistics, computed at most once. Shared by every snapshot from the
+  // commit that wrote it to the next commit that replaces it.
+  class RelationVersion {
+   public:
+    explicit RelationVersion(core::Relation relation) : relation_(std::move(relation)) {}
+
+    const core::Relation& relation() const { return relation_; }
+
+    const stats::RelationStats& stats() const {
+      std::call_once(stats_once_,
+                     [this] { stats_ = stats::ComputeRelationStats(relation_); });
+      return stats_;
+    }
+
+   private:
+    core::Relation relation_;
+    mutable std::once_flag stats_once_;
+    mutable stats::RelationStats stats_;
+  };
+
+  using RelationMap =
+      std::unordered_map<std::string, std::shared_ptr<const RelationVersion>>;
 
   Snapshot(core::Schema schema, RelationMap relations,
            std::unordered_map<std::string, std::uint64_t> versions,
@@ -94,13 +125,6 @@ class Snapshot : public core::DatabaseView, public stats::StatsProvider {
   std::unordered_map<std::string, std::uint64_t> versions_;
   std::uint64_t id_ = 0;
   std::uint64_t version_ = 0;
-
-  // Lazy statistics. unordered_map node storage keeps value references
-  // stable across rehashes, and entries are inserted once and never
-  // replaced, so a pointer returned under the mutex stays valid without
-  // further locking.
-  mutable std::mutex stats_mu_;
-  mutable std::unordered_map<std::string, stats::RelationStats> stats_;
 };
 
 /// A set of relation replacements applied (and published) atomically:
@@ -119,8 +143,9 @@ class WriteBatch {
 };
 
 /// The mutable head: accepts writes, publishes snapshots. All members
-/// are thread-safe; writers serialize on an internal mutex, readers only
-/// take it for the duration of a pointer copy.
+/// are thread-safe; writers serialize on their own mutex, and readers
+/// take the head mutex only for the duration of a pointer copy, which no
+/// writer holds for longer than the pointer swap.
 class VersionedDatabase {
  public:
   explicit VersionedDatabase(core::Schema schema);
@@ -144,7 +169,8 @@ class VersionedDatabase {
 
   /// Copies the named relation, lets `fn` mutate the copy, publishes the
   /// result as a replacement. The copy-modify-publish is atomic with
-  /// respect to other writers and invisible to readers until published.
+  /// respect to other writers and invisible to readers until published;
+  /// readers keep obtaining the current snapshot while `fn` runs.
   SnapshotPtr Mutate(const std::string& name,
                      const std::function<void(core::Relation&)>& fn);
 
@@ -152,14 +178,22 @@ class VersionedDatabase {
   SnapshotPtr Commit(WriteBatch batch);
 
  private:
+  // Builds the next snapshot from head_ and `writes`, then swaps it in.
+  // The caller holds write_mu_.
   SnapshotPtr PublishLocked(
       std::vector<std::pair<std::string, core::Relation>> writes);
 
   core::Schema schema_;
   std::uint64_t id_ = 0;
 
-  mutable std::mutex mu_;
-  SnapshotPtr head_;  // Guarded by mu_; never null after construction.
+  // Serializes writers: held across a whole copy-modify-publish. Only
+  // writers change head_, so a writer holding it may read head_ without
+  // head_mu_.
+  std::mutex write_mu_;
+  // Guards head_ against the concurrent reads of snapshot(); held only for
+  // a pointer copy or swap.
+  mutable std::mutex head_mu_;
+  SnapshotPtr head_;  // Never null after construction.
 };
 
 }  // namespace setalg::txn

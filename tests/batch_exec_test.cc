@@ -484,6 +484,97 @@ TEST(BatchExec, DifferentialOnHandBuiltDivisionPlans) {
   }
 }
 
+// At one thread, blocking operators read their stored-scan inputs in
+// place (BatchIterator::TakeRelation) instead of copying them batch by
+// batch: results and per-operator row counts equal the materializing
+// reference, nothing is partitioned, no partition pass counts as skipped
+// (that counter is for key-range partitioned runs only), and the scans
+// emit no batches — so a division's batch count does not grow with |R|.
+void ExpectSerialRunMatches(const PhysicalPlan& plan, const core::Database& db,
+                            const std::string& context) {
+  const RunResult reference = RunMaterialized(plan, db);
+  for (std::size_t batch_size : kBatchSizes) {
+    const Engine serial(EngineOptions{}.WithBatchSize(batch_size));
+    auto run = serial.Run(plan, db);
+    const std::string what = context + " batch_size=" + std::to_string(batch_size);
+    ASSERT_TRUE(run.ok()) << what << ": " << run.error();
+    EXPECT_EQ(run->relation, reference.relation) << what;
+    ExpectSameStats(reference.stats, run->stats, what);
+    EXPECT_EQ(run->stats.partitions, 0u) << what;
+    EXPECT_EQ(run->stats.partition_passes_skipped, 0u) << what;
+  }
+}
+
+TEST(BatchExec, SerialBlockingOperatorsReadStoredScansInPlace) {
+  workload::SetJoinConfig config;
+  config.r_groups = 30;
+  config.s_groups = 25;
+  config.r_group_size = 6;
+  config.s_group_size = 3;
+  config.domain_size = 15;
+  config.containment_fraction = 0.3;
+  config.seed = BaseSeed();
+  const auto db = workload::SetJoinDatabase(workload::MakeSetJoinInstance(config));
+  const auto r = [] { return MakeScan("R", 2); };
+  const auto s = [] { return MakeScan("S", 2); };
+  std::vector<std::pair<std::string, PhysicalOpPtr>> roots;
+  for (auto algorithm : setjoin::AllContainmentAlgorithms()) {
+    roots.emplace_back(std::string("containment ") +
+                           setjoin::ContainmentAlgorithmToString(algorithm),
+                       MakeSetContainmentJoin(r(), s(), algorithm));
+  }
+  for (auto algorithm : {setjoin::EqualityJoinAlgorithm::kNestedLoop,
+                         setjoin::EqualityJoinAlgorithm::kCanonicalHash}) {
+    roots.emplace_back(std::string("equality ") +
+                           setjoin::EqualityJoinAlgorithmToString(algorithm),
+                       MakeSetEqualityJoin(r(), s(), algorithm));
+  }
+  roots.emplace_back("overlap", MakeSetOverlapJoin(r(), s()));
+  const std::vector<ra::JoinAtom> on_elements = {{2, ra::Cmp::kEq, 2}};
+  roots.emplace_back("hash join build side", MakeJoin(r(), s(), on_elements));
+  roots.emplace_back("fast semijoin",
+                     MakeSemiJoin(r(), s(), on_elements, SemijoinStrategy::kFastKernel));
+  roots.emplace_back("generic semijoin",
+                     MakeSemiJoin(r(), s(), on_elements, SemijoinStrategy::kGeneric));
+  for (const auto& [name, root] : roots) {
+    PhysicalPlan plan;
+    plan.root = root;
+    ExpectSerialRunMatches(plan, db, name);
+  }
+
+  // Division: four keys, each holding every element 1..m, over S = {1, 2}.
+  // The quotient is the same four keys at every m.
+  const auto dividend = [](core::Value m) {
+    Relation out(2);
+    for (core::Value key = 1; key <= 4; ++key) {
+      for (core::Value element = 1; element <= m; ++element) out.Add({key, element});
+    }
+    return out;
+  };
+  const Relation divisor = MakeRel(1, {{1}, {2}});
+  const core::Database small = setalg::testing::DivisionDb(dividend(300), divisor);
+  const core::Database large = setalg::testing::DivisionDb(dividend(3000), divisor);
+  for (auto algorithm : setjoin::AllDivisionAlgorithms()) {
+    for (const bool equality : {false, true}) {
+      PhysicalPlan plan;
+      plan.root = MakeDivision(MakeScan("R", 2), MakeScan("S", 1), algorithm, equality);
+      const std::string name =
+          std::string(equality ? "equality division " : "division ") +
+          setjoin::DivisionAlgorithmToString(algorithm);
+      ExpectSerialRunMatches(plan, small, name + " small");
+      ExpectSerialRunMatches(plan, large, name + " large");
+      const Engine serial{EngineOptions{}};
+      auto small_run = serial.Run(plan, small);
+      auto large_run = serial.Run(plan, large);
+      ASSERT_TRUE(small_run.ok()) << small_run.error();
+      ASSERT_TRUE(large_run.ok()) << large_run.error();
+      EXPECT_EQ(large_run->relation, small_run->relation) << name;
+      EXPECT_EQ(large_run->stats.batches_emitted, small_run->stats.batches_emitted)
+          << name;
+    }
+  }
+}
+
 // setjoin::AsGrouped consumers vs the reference nested-loop path, on the
 // adversarial shapes the batched adapters must also handle. The
 // differential harness exposed no semantic divergence between the grouped

@@ -20,6 +20,7 @@
 namespace setalg::stats {
 namespace {
 
+using setalg::testing::ExpectSameRelationStats;
 using setalg::testing::MakeRel;
 
 // Brute-force reference for ComputeRelationStats: distinct counts from
@@ -71,34 +72,6 @@ RelationStats BruteForceStats(const core::Relation& r) {
   return stats;
 }
 
-void ExpectSameHistogram(const Histogram& got, const Histogram& want,
-                         const std::string& what) {
-  EXPECT_EQ(got.total, want.total) << what;
-  EXPECT_EQ(got.min_value, want.min_value) << what;
-  EXPECT_EQ(got.upper, want.upper) << what;
-  EXPECT_EQ(got.counts, want.counts) << what;
-  EXPECT_EQ(got.distincts, want.distincts) << what;
-}
-
-void ExpectSameStats(const RelationStats& got, const RelationStats& want) {
-  EXPECT_EQ(got.cardinality, want.cardinality);
-  EXPECT_EQ(got.arity, want.arity);
-  ASSERT_EQ(got.columns.size(), want.columns.size());
-  for (std::size_t c = 0; c < got.columns.size(); ++c) {
-    EXPECT_EQ(got.columns[c].distinct, want.columns[c].distinct) << "col " << c;
-    EXPECT_EQ(got.columns[c].min_value, want.columns[c].min_value) << "col " << c;
-    EXPECT_EQ(got.columns[c].max_value, want.columns[c].max_value) << "col " << c;
-    ExpectSameHistogram(got.columns[c].histogram, want.columns[c].histogram,
-                        "col " + std::to_string(c) + " histogram");
-  }
-  EXPECT_EQ(got.groups.num_groups, want.groups.num_groups);
-  EXPECT_EQ(got.groups.min_group_size, want.groups.min_group_size);
-  EXPECT_EQ(got.groups.max_group_size, want.groups.max_group_size);
-  EXPECT_DOUBLE_EQ(got.groups.avg_group_size, want.groups.avg_group_size);
-  ExpectSameHistogram(got.groups.size_histogram, want.groups.size_histogram,
-                      "group-size histogram");
-}
-
 TEST(RelationStats, SmallBinaryRelationByHand) {
   const auto r = MakeRel(2, {{1, 10}, {1, 20}, {1, 30}, {2, 10}, {5, 7}});
   const RelationStats stats = ComputeRelationStats(r);
@@ -140,7 +113,7 @@ TEST(RelationStats, MatchesBruteForceOnRandomRelations) {
       }
       r.Add(t);
     }
-    ExpectSameStats(ComputeRelationStats(r), BruteForceStats(r));
+    ExpectSameRelationStats(ComputeRelationStats(r), BruteForceStats(r));
   }
 }
 
@@ -152,8 +125,10 @@ TEST(RelationStats, MatchesBruteForceOnWorkloadInstances) {
     config.domain_size = 40;
     config.seed = seed;
     const auto instance = workload::MakeDivisionInstance(config);
-    ExpectSameStats(ComputeRelationStats(instance.r), BruteForceStats(instance.r));
-    ExpectSameStats(ComputeRelationStats(instance.s), BruteForceStats(instance.s));
+    ExpectSameRelationStats(ComputeRelationStats(instance.r),
+                            BruteForceStats(instance.r));
+    ExpectSameRelationStats(ComputeRelationStats(instance.s),
+                            BruteForceStats(instance.s));
   }
 }
 
@@ -195,7 +170,7 @@ TEST(RelationStats, MatchesBruteForceOnWideAndExtremeRanges) {
       r.Add(t);
     }
     SCOPED_TRACE("trial " + std::to_string(trial));
-    ExpectSameStats(ComputeRelationStats(r), BruteForceStats(r));
+    ExpectSameRelationStats(ComputeRelationStats(r), BruteForceStats(r));
   }
 }
 
@@ -213,7 +188,7 @@ TEST(RelationStats, DenseAndSortedPathsMeetAtTwiceTheCardinality) {
       }
       SCOPED_TRACE("n=" + std::to_string(n) + " span=" + std::to_string(span));
       const RelationStats stats = ComputeRelationStats(r);
-      ExpectSameStats(stats, BruteForceStats(r));
+      ExpectSameRelationStats(stats, BruteForceStats(r));
       if (n > 1) {
         EXPECT_EQ(stats.columns[1].Width(), static_cast<std::uint64_t>(span));
       }

@@ -2,11 +2,15 @@
 #ifndef SETALG_TESTS_TEST_UTIL_H_
 #define SETALG_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <string>
 #include <vector>
 
 #include "core/database.h"
 #include "core/relation.h"
 #include "ra/expr.h"
+#include "stats/stats.h"
 #include "util/rng.h"
 
 namespace setalg::testing {
@@ -152,6 +156,39 @@ class RandomSaEqGenerator {
   std::vector<core::Value> constants_;
   util::Rng rng_;
 };
+
+/// Field-by-field equality of two histograms.
+inline void ExpectSameHistogram(const stats::Histogram& got, const stats::Histogram& want,
+                                const std::string& context) {
+  EXPECT_EQ(got.total, want.total) << context;
+  EXPECT_EQ(got.min_value, want.min_value) << context;
+  EXPECT_EQ(got.upper, want.upper) << context;
+  EXPECT_EQ(got.counts, want.counts) << context;
+  EXPECT_EQ(got.distincts, want.distincts) << context;
+}
+
+/// Field-by-field equality of two relations' statistics.
+inline void ExpectSameRelationStats(const stats::RelationStats& got,
+                                    const stats::RelationStats& want,
+                                    const std::string& context = "") {
+  EXPECT_EQ(got.cardinality, want.cardinality) << context;
+  EXPECT_EQ(got.arity, want.arity) << context;
+  ASSERT_EQ(got.columns.size(), want.columns.size()) << context;
+  for (std::size_t c = 0; c < got.columns.size(); ++c) {
+    const std::string column = context + " col " + std::to_string(c);
+    EXPECT_EQ(got.columns[c].distinct, want.columns[c].distinct) << column;
+    EXPECT_EQ(got.columns[c].min_value, want.columns[c].min_value) << column;
+    EXPECT_EQ(got.columns[c].max_value, want.columns[c].max_value) << column;
+    ExpectSameHistogram(got.columns[c].histogram, want.columns[c].histogram,
+                        column + " histogram");
+  }
+  EXPECT_EQ(got.groups.num_groups, want.groups.num_groups) << context;
+  EXPECT_EQ(got.groups.min_group_size, want.groups.min_group_size) << context;
+  EXPECT_EQ(got.groups.max_group_size, want.groups.max_group_size) << context;
+  EXPECT_DOUBLE_EQ(got.groups.avg_group_size, want.groups.avg_group_size) << context;
+  ExpectSameHistogram(got.groups.size_histogram, want.groups.size_histogram,
+                      context + " group-size histogram");
+}
 
 }  // namespace setalg::testing
 

@@ -19,7 +19,10 @@
 // lock anything after `snapshot()` returns.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <latch>
 #include <map>
 #include <memory>
@@ -38,6 +41,7 @@
 #include "gf/translate.h"
 #include "ra/expr.h"
 #include "setjoin/division.h"
+#include "stats/stats.h"
 #include "test_util.h"
 #include "txn/snapshot.h"
 #include "util/rng.h"
@@ -47,6 +51,7 @@ namespace setalg::txn {
 namespace {
 
 using core::Relation;
+using setalg::testing::ExpectSameRelationStats;
 using setalg::testing::MakeRel;
 
 std::uint64_t BaseSeed() {
@@ -373,6 +378,145 @@ TEST(SnapshotTest, CommitsPublishNormalizedRelations) {
     start.count_down();
     for (auto& reader : readers) reader.join();
   }
+}
+
+// A reader never waits on a writer's copy-modify-publish: a reader thread
+// started inside the Mutate callback obtains the current snapshot while
+// the callback is still running. Bounded by a timeout, so a reader
+// blocked behind the writer fails the test instead of hanging it.
+TEST(SnapshotTest, ReadersDoNotWaitOnMutate) {
+  VersionedDatabase head(DivisionSchema());
+  const SnapshotPtr before = head.SetRelation("R", MakeRel(2, {{1, 2}}));
+  std::promise<SnapshotPtr> read;
+  std::future<SnapshotPtr> result = read.get_future();
+  std::thread reader;
+  bool read_during_mutate = false;
+  const SnapshotPtr after = head.Mutate("R", [&](Relation& r) {
+    reader = std::thread([&] { read.set_value(head.snapshot()); });
+    read_during_mutate =
+        result.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    r.Add({3, 4});
+  });
+  reader.join();
+  EXPECT_TRUE(read_during_mutate) << "snapshot() blocked behind Mutate";
+  // The reader saw the head as it was before the commit.
+  EXPECT_EQ(result.get().get(), before.get());
+  EXPECT_EQ(after->version(), before->version() + 1);
+  EXPECT_EQ(after->relation("R").size(), 2u);
+}
+
+// Statistics belong to a relation version: a commit that leaves R alone
+// hands the next snapshot R's statistics by pointer, and a commit that
+// writes R gives it fresh statistics of the new contents.
+TEST(SnapshotTest, UntouchedRelationsCarryTheirStatistics) {
+  const std::uint64_t seed = BaseSeed();
+  VersionedDatabase head(DivisionSchema());
+  {
+    WriteBatch init;
+    init.Set("R", workload::UniformBinaryRelation(200, 12, seed * 7 + 1));
+    init.Set("S", MakeRel(1, {{1}, {2}, {3}}));
+    head.Commit(std::move(init));
+  }
+  const SnapshotPtr v1 = head.snapshot();
+  const stats::RelationStats* r1 = v1->Get("R");
+  const stats::RelationStats* s1 = v1->Get("S");
+  ASSERT_NE(r1, nullptr);
+  ASSERT_NE(s1, nullptr);
+  EXPECT_EQ(v1->Get("T"), nullptr);  // Outside the schema.
+  EXPECT_EQ(v1->Get("R"), r1);       // Computed once.
+
+  // S-only commit: R's statistics carry over by pointer.
+  const SnapshotPtr v2 = head.SetRelation("S", MakeRel(1, {{2}, {5}}));
+  EXPECT_EQ(v2->Get("R"), r1);
+  const stats::RelationStats* s2 = v2->Get("S");
+  ASSERT_NE(s2, nullptr);
+  EXPECT_NE(s2, s1);
+  ExpectSameRelationStats(*s2, stats::ComputeRelationStats(v2->relation("S")),
+                          "S after an S commit");
+  // The old snapshot keeps its own S statistics.
+  EXPECT_EQ(v1->Get("S"), s1);
+  ExpectSameRelationStats(*s1, stats::ComputeRelationStats(v1->relation("S")),
+                          "S before the S commit");
+
+  // R commit: fresh R statistics of the new contents; S carries over.
+  const SnapshotPtr v3 = head.Mutate("R", [](Relation& r) {
+    r.Add({100, 1});
+    r.Add({100, 2});
+  });
+  const stats::RelationStats* r3 = v3->Get("R");
+  ASSERT_NE(r3, nullptr);
+  EXPECT_NE(r3, r1);
+  ExpectSameRelationStats(*r3, stats::ComputeRelationStats(v3->relation("R")),
+                          "R after an R commit");
+  EXPECT_EQ(r3->cardinality, r1->cardinality + 2);
+  EXPECT_EQ(v3->Get("S"), s2);
+  EXPECT_EQ(v2->Get("R"), r1);
+}
+
+// Readers ask successive snapshots for statistics while a writer
+// alternates R and S commits: every answer equals the statistics of that
+// snapshot's relation, and snapshots that carry the same version of a
+// relation answer with the same pointer. Under TSan this checks the
+// once-per-version computation shared across threads and snapshots.
+TEST(SnapshotTest, ConcurrentStatisticsReadsAcrossCommits) {
+  const std::uint64_t seed = BaseSeed();
+  VersionedDatabase head(DivisionSchema());
+  {
+    WriteBatch init;
+    init.Set("R", workload::UniformBinaryRelation(120, 10, seed * 3 + 1));
+    init.Set("S", MakeRel(1, {{1}, {2}}));
+    head.Commit(std::move(init));
+  }
+  constexpr int kCommits = 30;
+  constexpr int kReaders = 3;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&head, &done, t] {
+      std::map<std::pair<std::string, std::uint64_t>, const stats::RelationStats*>
+          seen;
+      // At least one pass after the writer finishes.
+      for (bool last = false; !last;) {
+        last = done.load();
+        const SnapshotPtr snap = head.snapshot();
+        for (const std::string name : {"R", "S"}) {
+          const stats::RelationStats* got = snap->Get(name);
+          ASSERT_NE(got, nullptr);
+          const std::string context = "reader " + std::to_string(t) + " " + name +
+                                      " at version " +
+                                      std::to_string(snap->version());
+          ASSERT_EQ(got->cardinality, snap->relation(name).size()) << context;
+          const auto key = std::make_pair(name, snap->relation_version(name));
+          const auto [it, inserted] = seen.emplace(key, got);
+          if (!inserted) {
+            ASSERT_EQ(it->second, got) << context;
+            continue;
+          }
+          ExpectSameRelationStats(
+              *got, stats::ComputeRelationStats(snap->relation(name)), context);
+        }
+      }
+    });
+  }
+  util::Rng rng(seed * 17 + 5);
+  for (int step = 0; step < kCommits; ++step) {
+    if (step % 2 == 0) {
+      head.SetRelation("R", workload::UniformBinaryRelation(
+                                60 + rng.NextBounded(120), 4 + rng.NextBounded(12),
+                                seed * 100 + static_cast<std::uint64_t>(step)));
+    } else {
+      Relation s(1);
+      const std::size_t size = 1 + rng.NextBounded(5);
+      for (std::size_t i = 0; i < size; ++i) {
+        s.Add({static_cast<core::Value>(rng.NextBounded(12) + 1)});
+      }
+      head.SetRelation("S", std::move(s));
+    }
+    std::this_thread::yield();
+  }
+  done.store(true);
+  for (auto& reader : readers) reader.join();
 }
 
 // ---------------------------------------------------------------------------
