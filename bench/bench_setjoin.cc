@@ -170,8 +170,8 @@ std::vector<ContainmentRow> PrintContainmentTable() {
   for (std::size_t groups : {250u, 500u, 1000u, 2000u}) {
     const auto instance = Instance(groups, 8, 0.05);
     const auto db = workload::SetJoinDatabase(instance);
-    const auto r = setjoin::AsGrouped(instance.r);
-    const auto s = setjoin::AsGrouped(instance.s);
+    const setjoin::GroupedRelation r(instance.r);
+    const setjoin::GroupedRelation s(instance.s);
     std::printf("%-8zu", groups);
     ContainmentRow row;
     row.groups = groups;
@@ -238,8 +238,8 @@ std::vector<EqualityRow> PrintEqualityTable() {
     config.domain_size = 12;  // Small domain: equal sets occur.
     config.seed = 29;
     const auto instance = workload::MakeSetJoinInstance(config);
-    const auto r = setjoin::AsGrouped(instance.r);
-    const auto s = setjoin::AsGrouped(instance.s);
+    const setjoin::GroupedRelation r(instance.r);
+    const setjoin::GroupedRelation s(instance.s);
     EqualityRow row;
     row.groups = groups;
     row.nested_ms = BestOfMillis([&] {
@@ -317,8 +317,8 @@ std::vector<CalibratedRow> PrintCalibratedTable() {
     config.zipf_skew = 1.5;
     config.seed = 41;
     const auto instance = workload::MakeSetJoinInstance(config);
-    const auto r = setjoin::AsGrouped(instance.r);
-    const auto s = setjoin::AsGrouped(instance.s);
+    const setjoin::GroupedRelation r(instance.r);
+    const setjoin::GroupedRelation s(instance.s);
     const auto r_est = EstimateOf(instance.r);
     const auto s_est = EstimateOf(instance.s);
 
@@ -574,8 +574,8 @@ void WriteJson(const std::vector<ContainmentRow>& containment,
 void BM_Containment(benchmark::State& state,
                     setjoin::ContainmentAlgorithm algorithm) {
   const auto instance = Instance(static_cast<std::size_t>(state.range(0)), 8, 0.05);
-  const auto r = setjoin::AsGrouped(instance.r);
-  const auto s = setjoin::AsGrouped(instance.s);
+  const setjoin::GroupedRelation r(instance.r);
+  const setjoin::GroupedRelation s(instance.s);
   for (auto _ : state) {
     benchmark::DoNotOptimize(setjoin::SetContainmentJoin(r, s, algorithm));
   }
@@ -609,8 +609,8 @@ void BM_SetEqualityCanonicalHash(benchmark::State& state) {
   config.s_group_size = 4;
   config.domain_size = 12;
   const auto instance = workload::MakeSetJoinInstance(config);
-  const auto r = setjoin::AsGrouped(instance.r);
-  const auto s = setjoin::AsGrouped(instance.s);
+  const setjoin::GroupedRelation r(instance.r);
+  const setjoin::GroupedRelation s(instance.s);
   for (auto _ : state) {
     benchmark::DoNotOptimize(setjoin::SetEqualityJoin(
         r, s, setjoin::EqualityJoinAlgorithm::kCanonicalHash));
@@ -623,8 +623,8 @@ BENCHMARK(BM_SetEqualityCanonicalHash)
 
 void BM_SetOverlapJoin(benchmark::State& state) {
   const auto instance = Instance(static_cast<std::size_t>(state.range(0)), 6, 0.0);
-  const auto r = setjoin::AsGrouped(instance.r);
-  const auto s = setjoin::AsGrouped(instance.s);
+  const setjoin::GroupedRelation r(instance.r);
+  const setjoin::GroupedRelation s(instance.s);
   for (auto _ : state) {
     benchmark::DoNotOptimize(setjoin::SetOverlapJoin(r, s));
   }

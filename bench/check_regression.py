@@ -73,6 +73,16 @@ bench/baseline/ and fails (exit 1) when:
      (`edit_normalize`) must take at most WRITE_PATH_RATIO_LIMIT (3x)
      the same run's `scan` (copy R and normalize it). Same-run ratios,
      so runner speed cancels out and no baseline is involved.
+  13. The engine overhead of the set joins grows: at the largest group
+     count, the `batched` cell (the hand-built set-join plan run by the
+     engine, scans and grouping included) must take at most
+     SETJOIN_OVERHEAD_LIMIT (1.5x) the same run's raw kernel cell on
+     pre-grouped input — `canonical-hash` in `equality_ms`,
+     `inverted-index` in `containment_ms` — with the sub-millisecond
+     slack of gates 4 and 5. The engine reads stored relations in place
+     and groups sorted rows in one pass, so a breach means a copy, a
+     sort or a regrouping crept back between storage and the kernel.
+     Same-run ratios, so no baseline is involved.
 
 Whenever a gate disarms (skips) instead of judging, the skip message
 prints the runner fingerprint — hardware_threads and git_sha — of the
@@ -125,6 +135,14 @@ MULTIWAY_INTERMEDIATE_FRACTION = 0.5
 # relation: all three are linear passes over sorted storage, so a breach
 # means a sort (or hash pass) crept back onto the write path.
 WRITE_PATH_RATIO_LIMIT = 3.0
+# Set-join engine run vs the raw kernel on pre-grouped input at max groups
+# (table -> kernel column). Grouping sorted storage is one pass, so the
+# engine should add little beyond the kernel itself.
+SETJOIN_OVERHEAD_LIMIT = 1.5
+SETJOIN_OVERHEAD_KERNELS = {
+    "equality_ms": "canonical-hash",
+    "containment_ms": "inverted-index",
+}
 
 FILES = {
     "BENCH_division.json": ("runtime_ms",),
@@ -465,6 +483,43 @@ def check_parallel_skip(errors, data):
         )
 
 
+def check_setjoin_overhead(errors, data):
+    """Gate 13: the engine's set-join run vs the raw kernel at max groups."""
+    for table, kernel in SETJOIN_OVERHEAD_KERNELS.items():
+        rows = data.get(table, [])
+        if not rows:
+            errors.append(f"{table} table missing from BENCH_setjoin.json")
+            continue
+        row = max_row(rows, "groups")
+        groups = row["groups"]
+        kernel_ms = row.get(kernel)
+        batched_ms = row.get("batched")
+        if kernel_ms is None or batched_ms is None:
+            errors.append(
+                f"column '{kernel}' or 'batched' missing from {table} at "
+                f"groups={groups}"
+            )
+            continue
+        # Absolute slack only shields jitter-dominated sub-millisecond cells.
+        limit = SETJOIN_OVERHEAD_LIMIT * kernel_ms
+        if kernel_ms < ABS_SLACK_MS:
+            limit = max(limit, kernel_ms + ABS_SLACK_MS)
+        ratio = batched_ms / kernel_ms if kernel_ms > 0 else float("inf")
+        if batched_ms > limit:
+            errors.append(
+                f"{table} batched at groups={groups} is {batched_ms:.3f}ms vs "
+                f"{kernel} {kernel_ms:.3f}ms ({ratio:.2f}x > "
+                f"{SETJOIN_OVERHEAD_LIMIT}x limit) — the engine adds more than "
+                f"the kernel between storage and the set join"
+            )
+        else:
+            print(
+                f"  ok: {table} batched {batched_ms:.3f}ms is {ratio:.2f}x "
+                f"{kernel} ({kernel_ms:.3f}ms) at groups={groups} "
+                f"(limit {SETJOIN_OVERHEAD_LIMIT}x)"
+            )
+
+
 def check_multiway_bound(errors, data):
     """Gate 10: worst-case-optimal invariants on the skewed triangle."""
     rows = data.get("multiway_ms", [])
@@ -707,6 +762,7 @@ def main():
             check_calibrated_ratio(errors, current)
             check_multiway_bound(errors, current)
             check_parallel_skip(errors, current)
+            check_setjoin_overhead(errors, current)
         for table in tables:
             check_choices(errors, current, table)
             check_against_baseline(errors, current, baseline, table)

@@ -332,13 +332,12 @@ void MultiwayIterator::Open() {
   const std::size_t parts = ResolvePartitions(op_->partitions(), ctx_);
   if (parts > 1 && num_vars > 0) {
     // Split every input containing variable 0 by its value (column 1 of
-    // the prepared relation — variables are stored ascending); share the
-    // rest read-only. Each binding's variable-0 value routes it to
+    // the prepared relation — variables are stored ascending, and
+    // MakeMultiwayJoin checks that some input covers variable 0); share
+    // the rest read-only. Each binding's variable-0 value routes it to
     // exactly one partition, so the per-partition outputs are disjoint
-    // and their ordered merge — in partition-index order — equals the
-    // serial result bit for bit.
+    // and their ordered merge equals the serial result bit for bit.
     std::vector<std::vector<PreparedInput>> splits(k);
-    bool any_split = false;
     for (std::size_t i = 0; i < k; ++i) {
       if (!prepared[i].vars.empty() && prepared[i].vars[0] == 0) {
         std::vector<core::Relation> pieces =
@@ -347,46 +346,29 @@ void MultiwayIterator::Open() {
         for (auto& piece : pieces) {
           splits[i].push_back(PreparedInput{std::move(piece), prepared[i].vars});
         }
-        any_split = true;
       }
     }
-    if (any_split) {
-      std::vector<core::Relation> outputs(parts, core::Relation(num_vars));
-      const auto run_partition = [&](std::size_t p) {
-        // Shared (unsplit) inputs are pre-normalized on this (driving)
+    std::vector<PartitionTask> tasks;
+    tasks.reserve(parts);
+    for (std::size_t p = 0; p < parts; ++p) {
+      tasks.push_back([&, p] {
+        // Shared (unsplit) inputs are pre-normalized on the driving
         // thread, so concurrent reads never race on lazy normalization.
         std::vector<const PreparedInput*> local;
         local.reserve(k);
         for (std::size_t i = 0; i < k; ++i) {
           local.push_back(splits[i].empty() ? &prepared[i] : &splits[i][p]);
         }
-        outputs[p] = RunGenericJoin(local, num_vars);
-      };
-      WorkerPool* pool = ctx_.pool();
-      if (pool != nullptr) {
-        pool->Run(parts, run_partition);
-      } else {
-        for (std::size_t p = 0; p < parts; ++p) run_partition(p);
-      }
-      core::Relation merged(num_vars);
-      std::size_t total = 0;
-      for (const auto& output : outputs) total += output.size();
-      merged.Reserve(total);
-      for (const auto& output : outputs) {
-        if (!output.empty()) merged.AddRows(output.flat().data(), output.size());
-      }
-      merged.Normalize();
-      result_ = std::move(merged);
-      ctx_.CountPartitions(parts);
-      ctx_.CountJoinRows(result_.size());
-      pos_ = 0;
-      return;
+        return RunGenericJoin(local, num_vars);
+      });
     }
+    result_ = RunPartitionTasks(ctx_, num_vars, tasks);
+  } else {
+    std::vector<const PreparedInput*> all;
+    all.reserve(k);
+    for (const PreparedInput& p : prepared) all.push_back(&p);
+    result_ = RunGenericJoin(all, num_vars);
   }
-  std::vector<const PreparedInput*> all;
-  all.reserve(k);
-  for (const PreparedInput& p : prepared) all.push_back(&p);
-  result_ = RunGenericJoin(all, num_vars);
   ctx_.CountJoinRows(result_.size());
   pos_ = 0;
 }

@@ -133,17 +133,20 @@ std::shared_ptr<const MaterializedInput> ReadSortedInput(ExecContext& ctx,
   return input;
 }
 
-void PartitionedIterator::Open() {
-  std::vector<PartitionTask> tasks = plan_(inputs_);
+core::Relation RunPartitionTasks(ExecContext& ctx, std::size_t arity,
+                                 const std::vector<PartitionTask>& tasks) {
+  if (tasks.size() == 1) {  // A serial run: nothing to fan out or merge.
+    core::Relation result = tasks[0]();
+    result.Normalize();
+    return result;
+  }
   std::vector<core::Relation> outputs;
   outputs.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) outputs.emplace_back(arity_);
-  WorkerPool* pool = ctx_.pool();
-  if (pool != nullptr && tasks.size() > 1) {
+  for (std::size_t i = 0; i < tasks.size(); ++i) outputs.emplace_back(arity);
+  if (WorkerPool* pool = ctx.pool(); pool != nullptr) {
     // Fan-out: each task writes only its own pre-sized slot, so the
     // output vector needs no synchronization beyond Run()'s completion.
-    pool->Run(tasks.size(),
-              [&](std::size_t i) { outputs[i] = tasks[i](); });
+    pool->Run(tasks.size(), [&](std::size_t i) { outputs[i] = tasks[i](); });
   } else {
     for (std::size_t i = 0; i < tasks.size(); ++i) outputs[i] = tasks[i]();
   }
@@ -152,17 +155,22 @@ void PartitionedIterator::Open() {
   // the normalized merge is identical across runs and thread counts.
   std::size_t total = 0;
   for (const auto& output : outputs) total += output.size();
-  result_ = core::Relation(arity_);
-  result_.Reserve(total);
+  core::Relation result(arity);
+  result.Reserve(total);
   for (const auto& output : outputs) {
-    if (!output.empty() && arity_ > 0) {
-      result_.AddRows(output.flat().data(), output.size());
+    if (!output.empty() && arity > 0) {
+      result.AddRows(output.flat().data(), output.size());
     } else if (!output.empty()) {
-      for (std::size_t i = 0; i < output.size(); ++i) result_.Add(output.tuple(i));
+      for (std::size_t i = 0; i < output.size(); ++i) result.Add(output.tuple(i));
     }
   }
-  result_.Normalize();
-  ctx_.CountPartitions(tasks.size());
+  result.Normalize();
+  ctx.CountPartitions(tasks.size());
+  return result;
+}
+
+void PartitionedIterator::Open() {
+  result_ = RunPartitionTasks(ctx_, arity_, plan_(inputs_));
   pos_ = 0;
 }
 

@@ -13,25 +13,31 @@
 //     raq --threads) that runs one batch of independent tasks at a time;
 //     the calling thread participates, so `threads` is total parallelism.
 //   - KeyRanges and ReadSortedInput: the one partition path of division
-//     and the set joins. Their grouped input is sorted on column 1 —
-//     normalized storage always is — so a cut between two keys is already
-//     a valid partition: a relation the input stream hands over (a stored
-//     scan) is read in place, any other input is drained and normalized,
-//     and the sorted rows are cut into contiguous key ranges. No routing
+//     and the one input path of the set joins, serial runs included.
+//     Their grouped input is sorted on column 1 — normalized storage
+//     always is — so a cut between two keys is already a valid
+//     partition: a relation the input stream hands over (a stored scan)
+//     is read in place, any other input is drained and normalized, and
+//     the sorted rows are cut into contiguous key ranges. No routing
 //     function, no scatter, and the range outputs concatenate in key
-//     order.
+//     order. A set join groups each range with one pass over its rows
+//     (setjoin::GroupedRelation).
 //   - PartitionByColumn: deterministic hash routing of a relation's rows
 //     by one column, for the semijoin and the multiway join, whose
 //     partitioning columns do not lead in general.
-//   - PartitionedIterator: the fan-out/fan-in BatchIterator. It is a
-//     blocking operator under the ordinary Open/NextBatch/Close contract:
-//     Open() consumes the input streams into per-partition work units
-//     (serial), fans the per-partition kernels out across the pool, fans
-//     the outputs back in — in partition-index order, so repeated runs
-//     merge identically — and streams the normalized result out in
-//     batches. Downstream consumers cannot tell it from the serial
-//     operator; the differential harness in tests/batch_exec_test.cc
-//     enforces exactly that.
+//   - RunPartitionTasks: the one fan-out/fan-in. It runs the tasks
+//     across the pool and merges their outputs in partition-index order,
+//     so repeated runs merge identically. One task is a serial run: it
+//     runs inline and its output is the result, with no merge and no
+//     partition counted.
+//   - PartitionedIterator: the blocking BatchIterator around it, under
+//     the ordinary Open/NextBatch/Close contract: Open() consumes the
+//     input streams into per-partition tasks (serial), runs them through
+//     RunPartitionTasks and streams the normalized result out in batches.
+//     The set joins and the fast semijoin return it at every width, so a
+//     serial run is the same plan with one task. Downstream consumers
+//     cannot tell it from a serial operator; the differential harness in
+//     tests/batch_exec_test.cc enforces exactly that.
 //
 // Threading discipline: inputs are consumed (and stored relations
 // normalized) on the calling thread before the fan-out, tasks touch only
@@ -123,8 +129,9 @@ std::vector<RowRange> KeyRanges(const core::Relation& sorted, std::size_t parts)
 /// The input of a key-range partitioned operator, sorted on column 1, as
 /// its tasks share it. A relation `stream` hands over
 /// (BatchIterator::TakeRelation, which normalizes it on this thread) is
-/// read in place; when `scan` says the input child is a scan
-/// (PhysicalOp::scan_relation()), the skipped partition pass is counted.
+/// read in place; when `scan` says the input child is a scan that the
+/// operator cuts into more than one key range (PhysicalOp::scan_relation()
+/// and a resolved width above 1), the skipped partition pass is counted.
 /// Any other input is drained and normalized. Driving thread only; a
 /// borrowed relation is owned by the run's database or executor, which
 /// outlive the tasks.
@@ -145,8 +152,16 @@ using PartitionTask = std::function<core::Relation()>;
 using PartitionPlanFn =
     std::function<std::vector<PartitionTask>(std::vector<std::unique_ptr<BatchIterator>>&)>;
 
-/// The fan-out/fan-in operator kernel (see the file comment). Output is
-/// normalized, hence distinct(); PlanStats::partitions counts the tasks.
+/// Runs `tasks` across ctx's worker pool (inline when the run has none)
+/// and returns their outputs concatenated in task order and normalized;
+/// counts the tasks in PlanStats::partitions. A single task is a serial
+/// run: it runs inline, its normalized output is the result, and no
+/// partition is counted. Driving thread only.
+core::Relation RunPartitionTasks(ExecContext& ctx, std::size_t arity,
+                                 const std::vector<PartitionTask>& tasks);
+
+/// The blocking operator around RunPartitionTasks (see the file comment).
+/// Output is normalized, hence distinct().
 class PartitionedIterator final : public BatchIterator {
  public:
   PartitionedIterator(ExecContext& ctx, std::size_t arity,

@@ -76,20 +76,6 @@ std::string ColumnsToString(const std::vector<std::size_t>& columns) {
   return out.str();
 }
 
-// Consumes a binary batch stream into the shared grouping adapter — the
-// batched spelling of setjoin::AsGrouped, to which it short-circuits when
-// the stream hands over its whole relation (BatchIterator::TakeRelation).
-setjoin::GroupedRelation DrainGrouped(BatchIterator* input, std::size_t batch_size) {
-  if (const Relation* whole = input->TakeRelation()) return setjoin::AsGrouped(*whole);
-  setjoin::GroupedBuilder builder;
-  RowCursor cursor(input, 2, batch_size);
-  cursor.Open();
-  TupleView row;
-  while (cursor.Next(&row)) builder.Add(row[0], row[1]);
-  cursor.Close();
-  return std::move(builder).Build();
-}
-
 // The generic semijoin as a whole-relation kernel — the partitioned
 // spelling of GenericSemiJoinIterator's probe (the streaming iterator
 // remains the serial path). Requires at least one equality atom (the
@@ -146,39 +132,6 @@ class StreamingUnaryIterator : public BatchIterator {
  private:
   std::unique_ptr<BatchIterator> input_;
   RowCursor cursor_;
-};
-
-// Blocking adapter: `compute` consumes every input stream during Open()
-// (each via DrainStream/DrainGrouped, which open and close it), then the
-// normalized result streams out in batches.
-class BlockingIterator final : public BatchIterator {
- public:
-  using ComputeFn =
-      std::function<Relation(std::vector<std::unique_ptr<BatchIterator>>&)>;
-
-  BlockingIterator(std::vector<std::unique_ptr<BatchIterator>> inputs,
-                   ComputeFn compute)
-      : inputs_(std::move(inputs)), compute_(std::move(compute)) {}
-
-  void Open() override {
-    result_ = compute_(inputs_);
-    result_.Normalize();
-    pos_ = 0;
-  }
-
-  bool NextBatch(Batch& out) override {
-    pos_ = StreamRelationRows(result_, pos_, &out);
-    return !out.empty();
-  }
-
-  void Close() override {}
-  bool distinct() const override { return true; }  // Normalized result.
-
- private:
-  std::vector<std::unique_ptr<BatchIterator>> inputs_;
-  ComputeFn compute_;
-  Relation result_{0};
-  std::size_t pos_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -743,70 +696,51 @@ class SemiJoinOp final : public PhysicalOp {
   std::unique_ptr<BatchIterator> MakeBatchIterator(
       ExecContext& ctx,
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
-    const std::size_t parts = ResolvePartitions(partitions_, ctx);
-    if (parts > 1) {
-      // Co-partition both sides by the first equality atom: rows that can
-      // match share that atom's value, hence a partition, so the disjoint
-      // (left is partitioned) per-partition semijoins union to the serial
-      // output. No equality atom → no co-partitioning key → stay serial.
-      const ra::JoinAtom* eq = nullptr;
-      for (const auto& atom : atoms_) {
-        if (atom.op == ra::Cmp::kEq) {
-          eq = &atom;
-          break;
-        }
-      }
-      if (eq != nullptr) {
-        const std::size_t batch_size = ctx.batch_size();
-        const std::size_t left_arity = child(0)->arity();
-        const std::size_t right_arity = child(1)->arity();
-        const bool fast = strategy_ == SemijoinStrategy::kFastKernel;
-        const auto* atoms = &atoms_;
-        return std::make_unique<PartitionedIterator>(
-            ctx, arity(), std::move(inputs),
-            [parts, batch_size, left_arity, right_arity, fast, eq,
-             atoms](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-              const MaterializedInput left =
-                  MaterializedInput::From(streams[0].get(), left_arity, batch_size);
-              const MaterializedInput right =
-                  MaterializedInput::From(streams[1].get(), right_arity, batch_size);
-              auto left_parts = std::make_shared<std::vector<Relation>>(
-                  PartitionByColumn(left.get(), eq->left, parts));
-              auto right_parts = std::make_shared<std::vector<Relation>>(
-                  PartitionByColumn(right.get(), eq->right, parts));
-              std::vector<PartitionTask> tasks;
-              tasks.reserve(parts);
-              for (std::size_t p = 0; p < parts; ++p) {
-                tasks.push_back([left_parts, right_parts, p, fast, atoms] {
-                  const Relation& l = (*left_parts)[p];
-                  const Relation& r = (*right_parts)[p];
-                  return fast ? sa::Semijoin(l, r, *atoms)
-                              : GenericSemijoinRelation(l, r, *atoms);
-                });
-              }
-              return tasks;
+    // Co-partition both sides by the first equality atom: rows that can
+    // match share that atom's value, hence a partition, so the disjoint
+    // (left is partitioned) per-partition semijoins union to the serial
+    // output. No equality atom → no co-partitioning key → one partition.
+    const ra::JoinAtom* eq = ra::FirstEqualityAtom(atoms_);
+    const std::size_t parts = eq == nullptr ? 1 : ResolvePartitions(partitions_, ctx);
+    const bool fast = strategy_ == SemijoinStrategy::kFastKernel;
+    if (parts == 1 && !fast) {
+      return std::make_unique<GenericSemiJoinIterator>(
+          ctx, std::move(inputs), &atoms_, child(0)->arity(), child(1)->arity());
+    }
+    // The sa:: kernels pick their own access paths over whole relations,
+    // so the fast strategy materializes both sides even when serial.
+    const std::size_t batch_size = ctx.batch_size();
+    const std::size_t left_arity = child(0)->arity();
+    const std::size_t right_arity = child(1)->arity();
+    const auto* atoms = &atoms_;
+    return std::make_unique<PartitionedIterator>(
+        ctx, arity(), std::move(inputs),
+        [parts, batch_size, left_arity, right_arity, fast, eq,
+         atoms](std::vector<std::unique_ptr<BatchIterator>>& streams) {
+          auto left = std::make_shared<const MaterializedInput>(
+              MaterializedInput::From(streams[0].get(), left_arity, batch_size));
+          auto right = std::make_shared<const MaterializedInput>(
+              MaterializedInput::From(streams[1].get(), right_arity, batch_size));
+          const auto kernel = [fast, atoms](const Relation& l, const Relation& r) {
+            return fast ? sa::Semijoin(l, r, *atoms) : GenericSemijoinRelation(l, r, *atoms);
+          };
+          if (parts == 1) {
+            return std::vector<PartitionTask>{
+                [left, right, kernel] { return kernel(left->get(), right->get()); }};
+          }
+          auto left_parts = std::make_shared<std::vector<Relation>>(
+              PartitionByColumn(left->get(), eq->left, parts));
+          auto right_parts = std::make_shared<std::vector<Relation>>(
+              PartitionByColumn(right->get(), eq->right, parts));
+          std::vector<PartitionTask> tasks;
+          tasks.reserve(parts);
+          for (std::size_t p = 0; p < parts; ++p) {
+            tasks.push_back([left_parts, right_parts, p, kernel] {
+              return kernel((*left_parts)[p], (*right_parts)[p]);
             });
-      }
-    }
-    if (strategy_ == SemijoinStrategy::kFastKernel) {
-      // The sa:: kernels pick their own access paths over whole relations;
-      // they consume batches and emit their result in batches.
-      const std::size_t left_arity = child(0)->arity();
-      const std::size_t right_arity = child(1)->arity();
-      const std::size_t batch_size = ctx.batch_size();
-      return std::make_unique<BlockingIterator>(
-          std::move(inputs),
-          [this, left_arity, right_arity,
-           batch_size](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-            const MaterializedInput left =
-                MaterializedInput::From(streams[0].get(), left_arity, batch_size);
-            const MaterializedInput right =
-                MaterializedInput::From(streams[1].get(), right_arity, batch_size);
-            return sa::Semijoin(left.get(), right.get(), atoms_);
-          });
-    }
-    return std::make_unique<GenericSemiJoinIterator>(
-        ctx, std::move(inputs), &atoms_, child(0)->arity(), child(1)->arity());
+          }
+          return tasks;
+        });
   }
 
   PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
@@ -972,187 +906,64 @@ class DivisionOp final : public PhysicalOp {
 
 // ---------------------------------------------------------------------------
 // Set joins. Grouping is inherently blocking (a group's elements may span
-// the whole stream), so these consume their inputs through the shared
-// GroupedBuilder adapter and emit the kernel's result in batches.
-//
-// Partitioned execution cuts the left side into key ranges (KeyRanges)
-// and shares the right side read-only: the output is keyed on the left
-// group in column 1, so per-range kernel outputs are disjoint and the
-// fan-in reproduces the serial result.
+// the whole stream), so the three set joins are one operator that differs
+// only in its label and kernel. Both inputs come through ReadSortedInput,
+// sorted on column 1: the right side is grouped once on the driving
+// thread and shared read-only, the left side is cut into key ranges
+// (KeyRanges) and each range's task groups its own rows in place. The
+// output is keyed on the left group in column 1, so per-range kernel
+// outputs are disjoint and the fan-in reproduces the serial result; a
+// serial run is the same plan with one range.
 // ---------------------------------------------------------------------------
 
 using SetJoinKernel = std::function<Relation(const setjoin::GroupedRelation&,
                                              const setjoin::GroupedRelation&)>;
 
-// The shared fan-out plan of the partitioned set joins: `kernel` is the
-// serial per-range kernel (left range × whole right side). `scan` says
-// whether the left child is a scan (see ReadSortedInput). Each task
-// groups its own range, so grouping runs in parallel too.
-std::unique_ptr<BatchIterator> MakePartitionedSetJoin(
-    ExecContext& ctx, std::vector<std::unique_ptr<BatchIterator>> inputs,
-    std::size_t parts, SetJoinKernel kernel, bool scan) {
-  return std::make_unique<PartitionedIterator>(
-      ctx, 2, std::move(inputs),
-      [&ctx, scan, parts,
-       kernel](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-        auto left = ReadSortedInput(ctx, streams[0].get(), 2, scan);
-        auto right = std::make_shared<const setjoin::GroupedRelation>(
-            DrainGrouped(streams[1].get(), ctx.batch_size()));
-        std::vector<PartitionTask> tasks;
-        tasks.reserve(parts);
-        for (const RowRange range : KeyRanges(left->get(), parts)) {
-          tasks.push_back([left, right, range, kernel] {
-            const Value* rows = left->get().flat().data() + 2 * range.begin;
-            setjoin::GroupedBuilder builder;
-            builder.Reserve(range.size());
-            for (std::size_t i = 0; i < range.size(); ++i) {
-              builder.Add(rows[2 * i], rows[2 * i + 1]);
-            }
-            return kernel(std::move(builder).Build(), *right);
-          });
-        }
-        return tasks;
-      });
-}
-
-class SetContainmentJoinOp final : public PhysicalOp {
+class SetJoinOp final : public PhysicalOp {
  public:
-  SetContainmentJoinOp(PhysicalOpPtr left, PhysicalOpPtr right,
-                       setjoin::ContainmentAlgorithm algorithm, const ra::Expr* source,
-                       std::size_t partitions)
+  SetJoinOp(PhysicalOpPtr left, PhysicalOpPtr right, std::string label,
+            SetJoinKernel kernel, const ra::Expr* source, std::size_t partitions)
       : PhysicalOp(2, {std::move(left), std::move(right)}, source),
-        algorithm_(algorithm),
+        label_(std::move(label)),
+        kernel_(std::move(kernel)),
         partitions_(partitions) {}
 
-  std::string label() const override {
-    return std::string("set-containment-join[") +
-           setjoin::ContainmentAlgorithmToString(algorithm_) + "]";
-  }
+  std::string label() const override { return label_; }
 
   std::unique_ptr<BatchIterator> MakeBatchIterator(
       ExecContext& ctx,
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
-    const std::size_t batch_size = ctx.batch_size();
     const std::size_t parts = ResolvePartitions(partitions_, ctx);
-    if (parts > 1) {
-      const auto algorithm = algorithm_;
-      return MakePartitionedSetJoin(
-          ctx, std::move(inputs), parts,
-          [algorithm](const setjoin::GroupedRelation& l,
-                      const setjoin::GroupedRelation& r) {
-            return setjoin::SetContainmentJoin(l, r, algorithm);
-          },
-          child(0)->scan_relation() != nullptr);
-    }
-    return std::make_unique<BlockingIterator>(
-        std::move(inputs),
-        [this, batch_size](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-          return setjoin::SetContainmentJoin(DrainGrouped(streams[0].get(), batch_size),
-                                             DrainGrouped(streams[1].get(), batch_size),
-                                             algorithm_);
+    const bool scan = parts > 1 && child(0)->scan_relation() != nullptr;
+    const SetJoinKernel* kernel = &kernel_;
+    return std::make_unique<PartitionedIterator>(
+        ctx, 2, std::move(inputs),
+        [&ctx, scan, parts, kernel](std::vector<std::unique_ptr<BatchIterator>>& streams) {
+          auto left = ReadSortedInput(ctx, streams[0].get(), 2, scan);
+          auto right = std::make_shared<const setjoin::GroupedRelation>(
+              ReadSortedInput(ctx, streams[1].get(), 2, /*scan=*/false)->get());
+          std::vector<PartitionTask> tasks;
+          tasks.reserve(parts);
+          for (const RowRange range : KeyRanges(left->get(), parts)) {
+            tasks.push_back([left, right, range, kernel] {
+              const setjoin::GroupedRelation groups(
+                  left->get().flat().data() + 2 * range.begin, range.size());
+              return (*kernel)(groups, *right);
+            });
+          }
+          return tasks;
         });
   }
 
   PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
     SETALG_CHECK_EQ(children.size(), 2u);
-    return std::make_shared<SetContainmentJoinOp>(
-        std::move(children[0]), std::move(children[1]), algorithm_, source(),
-        partitions_);
+    return std::make_shared<SetJoinOp>(std::move(children[0]), std::move(children[1]),
+                                       label_, kernel_, source(), partitions_);
   }
 
  private:
-  setjoin::ContainmentAlgorithm algorithm_;
-  std::size_t partitions_;
-};
-
-class SetEqualityJoinOp final : public PhysicalOp {
- public:
-  SetEqualityJoinOp(PhysicalOpPtr left, PhysicalOpPtr right,
-                    setjoin::EqualityJoinAlgorithm algorithm, const ra::Expr* source,
-                    std::size_t partitions)
-      : PhysicalOp(2, {std::move(left), std::move(right)}, source),
-        algorithm_(algorithm),
-        partitions_(partitions) {}
-
-  std::string label() const override {
-    return std::string("set-equality-join[") +
-           setjoin::EqualityJoinAlgorithmToString(algorithm_) + "]";
-  }
-
-  std::unique_ptr<BatchIterator> MakeBatchIterator(
-      ExecContext& ctx,
-      std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
-    const std::size_t batch_size = ctx.batch_size();
-    const std::size_t parts = ResolvePartitions(partitions_, ctx);
-    if (parts > 1) {
-      const auto algorithm = algorithm_;
-      return MakePartitionedSetJoin(
-          ctx, std::move(inputs), parts,
-          [algorithm](const setjoin::GroupedRelation& l,
-                      const setjoin::GroupedRelation& r) {
-            return setjoin::SetEqualityJoin(l, r, algorithm);
-          },
-          child(0)->scan_relation() != nullptr);
-    }
-    return std::make_unique<BlockingIterator>(
-        std::move(inputs),
-        [this, batch_size](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-          return setjoin::SetEqualityJoin(DrainGrouped(streams[0].get(), batch_size),
-                                          DrainGrouped(streams[1].get(), batch_size),
-                                          algorithm_);
-        });
-  }
-
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
-    SETALG_CHECK_EQ(children.size(), 2u);
-    return std::make_shared<SetEqualityJoinOp>(std::move(children[0]),
-                                               std::move(children[1]), algorithm_,
-                                               source(), partitions_);
-  }
-
- private:
-  setjoin::EqualityJoinAlgorithm algorithm_;
-  std::size_t partitions_;
-};
-
-class SetOverlapJoinOp final : public PhysicalOp {
- public:
-  SetOverlapJoinOp(PhysicalOpPtr left, PhysicalOpPtr right, const ra::Expr* source,
-                   std::size_t partitions)
-      : PhysicalOp(2, {std::move(left), std::move(right)}, source),
-        partitions_(partitions) {}
-
-  std::string label() const override { return "set-overlap-join"; }
-
-  std::unique_ptr<BatchIterator> MakeBatchIterator(
-      ExecContext& ctx,
-      std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
-    const std::size_t batch_size = ctx.batch_size();
-    const std::size_t parts = ResolvePartitions(partitions_, ctx);
-    if (parts > 1) {
-      return MakePartitionedSetJoin(
-          ctx, std::move(inputs), parts,
-          [](const setjoin::GroupedRelation& l, const setjoin::GroupedRelation& r) {
-            return setjoin::SetOverlapJoin(l, r);
-          },
-          child(0)->scan_relation() != nullptr);
-    }
-    return std::make_unique<BlockingIterator>(
-        std::move(inputs),
-        [batch_size](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-          return setjoin::SetOverlapJoin(DrainGrouped(streams[0].get(), batch_size),
-                                         DrainGrouped(streams[1].get(), batch_size));
-        });
-  }
-
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
-    SETALG_CHECK_EQ(children.size(), 2u);
-    return std::make_shared<SetOverlapJoinOp>(std::move(children[0]),
-                                              std::move(children[1]), source(),
-                                              partitions_);
-  }
-
- private:
+  std::string label_;
+  SetJoinKernel kernel_;
   std::size_t partitions_;
 };
 
@@ -1301,8 +1112,14 @@ PhysicalOpPtr MakeSetContainmentJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                                      const ra::Expr* source, std::size_t partitions) {
   SETALG_CHECK_EQ(left->arity(), 2u);
   SETALG_CHECK_EQ(right->arity(), 2u);
-  return std::make_shared<SetContainmentJoinOp>(std::move(left), std::move(right),
-                                                algorithm, source, partitions);
+  return std::make_shared<SetJoinOp>(
+      std::move(left), std::move(right),
+      std::string("set-containment-join[") +
+          setjoin::ContainmentAlgorithmToString(algorithm) + "]",
+      [algorithm](const setjoin::GroupedRelation& l, const setjoin::GroupedRelation& r) {
+        return setjoin::SetContainmentJoin(l, r, algorithm);
+      },
+      source, partitions);
 }
 
 PhysicalOpPtr MakeSetEqualityJoin(PhysicalOpPtr left, PhysicalOpPtr right,
@@ -1310,16 +1127,26 @@ PhysicalOpPtr MakeSetEqualityJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                                   const ra::Expr* source, std::size_t partitions) {
   SETALG_CHECK_EQ(left->arity(), 2u);
   SETALG_CHECK_EQ(right->arity(), 2u);
-  return std::make_shared<SetEqualityJoinOp>(std::move(left), std::move(right),
-                                             algorithm, source, partitions);
+  return std::make_shared<SetJoinOp>(
+      std::move(left), std::move(right),
+      std::string("set-equality-join[") +
+          setjoin::EqualityJoinAlgorithmToString(algorithm) + "]",
+      [algorithm](const setjoin::GroupedRelation& l, const setjoin::GroupedRelation& r) {
+        return setjoin::SetEqualityJoin(l, r, algorithm);
+      },
+      source, partitions);
 }
 
 PhysicalOpPtr MakeSetOverlapJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                                  const ra::Expr* source, std::size_t partitions) {
   SETALG_CHECK_EQ(left->arity(), 2u);
   SETALG_CHECK_EQ(right->arity(), 2u);
-  return std::make_shared<SetOverlapJoinOp>(std::move(left), std::move(right), source,
-                                            partitions);
+  return std::make_shared<SetJoinOp>(
+      std::move(left), std::move(right), "set-overlap-join",
+      [](const setjoin::GroupedRelation& l, const setjoin::GroupedRelation& r) {
+        return setjoin::SetOverlapJoin(l, r);
+      },
+      source, partitions);
 }
 
 }  // namespace setalg::engine

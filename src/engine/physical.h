@@ -320,23 +320,28 @@ PhysicalOpPtr MakeDivision(PhysicalOpPtr dividend, PhysicalOpPtr divisor,
                            const ra::Expr* source = nullptr,
                            std::size_t partitions = 0);
 
-/// Set-containment join over two binary inputs grouped on column 1.
-/// Partitioned execution splits the containing (left) side's groups by
-/// key and shares the contained side.
+// The set joins: one operator over two binary inputs grouped on column 1,
+// which differs only in its label and kernel (setjoin/setjoin.h). Both
+// inputs are read sorted on column 1 — a stored scan in place, any other
+// input drained and normalized — and grouped with one pass over their rows
+// (setjoin::GroupedRelation). The right side is grouped once and shared;
+// the left (output-key) side is cut into `partitions` key ranges, and each
+// range's task groups its own rows and runs the kernel. A serial run is
+// the same plan with one range.
+
+/// Set-containment join: pairs (a, c) whose left set contains the right.
 PhysicalOpPtr MakeSetContainmentJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                                      setjoin::ContainmentAlgorithm algorithm,
                                      const ra::Expr* source = nullptr,
                                      std::size_t partitions = 0);
 
-/// Set-equality join over two binary inputs grouped on column 1.
-/// Partitioned execution splits the left side's groups by key.
+/// Set-equality join: pairs (a, c) whose sets are equal.
 PhysicalOpPtr MakeSetEqualityJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                                   setjoin::EqualityJoinAlgorithm algorithm,
                                   const ra::Expr* source = nullptr,
                                   std::size_t partitions = 0);
 
-/// Set-overlap join over two binary inputs grouped on column 1.
-/// Partitioned execution splits the left side's groups by key.
+/// Set-overlap join: pairs (a, c) whose sets intersect.
 PhysicalOpPtr MakeSetOverlapJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                                  const ra::Expr* source = nullptr,
                                  std::size_t partitions = 0);

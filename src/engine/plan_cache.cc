@@ -251,13 +251,7 @@ CacheOutcome RevalidateCachedPlan(CachedPlan& entry, const core::DatabaseView& d
                            strategy == SemijoinStrategy::kFastKernel ? "fast-kernel"
                                                                      : "generic",
                            estimate});
-        const ra::JoinAtom* eq = nullptr;
-        for (const auto& atom : point.atoms) {
-          if (atom.op == ra::Cmp::kEq) {
-            eq = &atom;
-            break;
-          }
-        }
+        const ra::JoinAtom* eq = ra::FirstEqualityAtom(point.atoms);
         if (eq == nullptr) {
           partitions = 1;
         } else if (options.threads > 1) {

@@ -171,13 +171,7 @@ class Lowering {
     // fan-out cap must come from that atom's column (not column 1 — a
     // near-constant partitioning column would leave all but one task
     // empty while still paying the dispatch overhead).
-    const ra::JoinAtom* eq = nullptr;
-    for (const auto& atom : atoms) {
-      if (atom.op == ra::Cmp::kEq) {
-        eq = &atom;
-        break;
-      }
-    }
+    const ra::JoinAtom* eq = ra::FirstEqualityAtom(atoms);
     if (eq == nullptr) return {strategy, 1, first_choice, choices_.size() - first_choice};
     const std::size_t partitions = PartitionsFor(
         "semijoin-execution", estimate, l.cardinality + r.cardinality,

@@ -62,6 +62,13 @@ const char* CmpToString(Cmp cmp) {
   return "?";
 }
 
+const JoinAtom* FirstEqualityAtom(const std::vector<JoinAtom>& atoms) {
+  for (const auto& atom : atoms) {
+    if (atom.op == Cmp::kEq) return &atom;
+  }
+  return nullptr;
+}
+
 Cmp MirrorCmp(Cmp cmp) {
   switch (cmp) {
     case Cmp::kEq:

@@ -38,6 +38,10 @@ struct JoinAtom {
   bool operator==(const JoinAtom&) const = default;
 };
 
+/// The first equality atom of θ, or nullptr when θ has none: the column
+/// pair a partitioned semijoin co-partitions both sides by.
+const JoinAtom* FirstEqualityAtom(const std::vector<JoinAtom>& atoms);
+
 enum class OpKind {
   kRelation,    // relation name R
   kUnion,       // E1 ∪ E2

@@ -25,11 +25,12 @@ std::vector<Value> DivisorElements(const Relation& s) {
 // probe R for (a, b). Quadratic in the worst case.
 Relation NestedLoopDivide(const Relation& r, const Relation& s, bool equality) {
   Relation out(1);
-  const GroupedRelation groups = AsGrouped(r);
+  const GroupedRelation groups(r);
   const auto divisor = DivisorElements(s);
   core::HashIndex index(&r, {0, 1});
   core::Tuple probe(2);
-  for (const Group& g : groups.groups()) {
+  for (std::size_t i = 0; i < groups.NumGroups(); ++i) {
+    const Group g = groups.group(i);
     bool all = true;
     probe[0] = g.key;
     for (Value b : divisor) {

@@ -1,73 +1,38 @@
 #include "setjoin/grouped.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/check.h"
 #include "util/hash.h"
 
 namespace setalg::setjoin {
 
-GroupedRelation GroupedBuilder::Build() && {
-  GroupedRelation grouped;
-  std::sort(pairs_.begin(), pairs_.end());
-  for (const auto& [key, element] : pairs_) {
-    if (grouped.groups_.empty() || grouped.groups_.back().key != key) {
-      grouped.groups_.push_back({key, {}});
+GroupedRelation::GroupedRelation(const core::Value* rows, std::size_t count) {
+  elements_.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const core::Value* row = rows + 2 * i;
+    if (i == 0 || row[0] != row[-2]) {  // A run boundary: a new group.
+      SETALG_DCHECK(i == 0 || row[0] > row[-2]);
+      keys_.push_back(row[0]);
+      offsets_.push_back(i);
+    } else {
+      SETALG_DCHECK(row[1] > row[-1]);
     }
-    auto& elements = grouped.groups_.back().elements;
-    if (elements.empty() || elements.back() != element) elements.push_back(element);
+    elements_.push_back(row[1]);
   }
-  pairs_.clear();
-  return grouped;
+  offsets_.push_back(count);
 }
 
-GroupedRelation GroupedRelation::FromBinary(const core::Relation& relation,
-                                            std::size_t key_column) {
+GroupedRelation::GroupedRelation(const core::Relation& relation) {
   SETALG_CHECK_EQ(relation.arity(), 2u);
-  SETALG_CHECK(key_column == 1 || key_column == 2);
-  const std::size_t value_column = key_column == 1 ? 2 : 1;
-
-  GroupedBuilder builder;
-  builder.Reserve(relation.size());
-  for (std::size_t i = 0; i < relation.size(); ++i) {
-    core::TupleView t = relation.tuple(i);
-    builder.Add(t[key_column - 1], t[value_column - 1]);
-  }
-  return std::move(builder).Build();
+  *this = GroupedRelation(relation.flat().data(), relation.size());
 }
 
-GroupedRelation AsGrouped(const core::Relation& relation, std::size_t key_column) {
-  return GroupedRelation::FromBinary(relation, key_column);
-}
-
-const Group* GroupedRelation::Find(core::Value key) const {
-  auto it = std::lower_bound(
-      groups_.begin(), groups_.end(), key,
-      [](const Group& g, core::Value k) { return g.key < k; });
-  if (it == groups_.end() || it->key != key) return nullptr;
-  return &*it;
-}
-
-std::size_t GroupedRelation::TotalElements() const {
-  std::size_t total = 0;
-  for (const auto& g : groups_) total += g.elements.size();
-  return total;
-}
-
-std::size_t GroupedRelation::MaxGroupSize() const {
-  std::size_t max_size = 0;
-  for (const auto& g : groups_) max_size = std::max(max_size, g.elements.size());
-  return max_size;
-}
-
-bool SortedSubset(const std::vector<core::Value>& sub,
-                  const std::vector<core::Value>& super) {
+bool SortedSubset(std::span<const core::Value> sub, std::span<const core::Value> super) {
   return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
 }
 
-bool SortedIntersects(const std::vector<core::Value>& a,
-                      const std::vector<core::Value>& b) {
+bool SortedIntersects(std::span<const core::Value> a, std::span<const core::Value> b) {
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] < b[j]) {
@@ -81,7 +46,7 @@ bool SortedIntersects(const std::vector<core::Value>& a,
   return false;
 }
 
-std::uint64_t SetSignature(const std::vector<core::Value>& elements) {
+std::uint64_t SetSignature(std::span<const core::Value> elements) {
   std::uint64_t signature = 0;
   for (core::Value e : elements) {
     signature |= 1ULL << (util::Mix64(static_cast<std::uint64_t>(e)) & 63);
@@ -89,7 +54,7 @@ std::uint64_t SetSignature(const std::vector<core::Value>& elements) {
   return signature;
 }
 
-std::uint64_t SetHash(const std::vector<core::Value>& elements) {
+std::uint64_t SetHash(std::span<const core::Value> elements) {
   std::uint64_t h = util::Mix64(elements.size());
   for (core::Value e : elements) {
     h = util::HashCombineUnordered(h, static_cast<std::uint64_t>(e));

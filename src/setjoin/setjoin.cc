@@ -12,20 +12,28 @@ namespace {
 using core::Relation;
 using core::Value;
 
+// The signature of every group, in group order.
+std::vector<std::uint64_t> Signatures(const GroupedRelation& grouped) {
+  std::vector<std::uint64_t> signatures;
+  signatures.reserve(grouped.NumGroups());
+  for (std::size_t i = 0; i < grouped.NumGroups(); ++i) {
+    signatures.push_back(SetSignature(grouped.group(i).elements));
+  }
+  return signatures;
+}
+
 Relation NestedLoopContainment(const GroupedRelation& r, const GroupedRelation& s,
                                bool use_signatures) {
   Relation out(2);
   std::vector<std::uint64_t> r_signatures, s_signatures;
   if (use_signatures) {
-    r_signatures.reserve(r.NumGroups());
-    for (const auto& g : r.groups()) r_signatures.push_back(SetSignature(g.elements));
-    s_signatures.reserve(s.NumGroups());
-    for (const auto& g : s.groups()) s_signatures.push_back(SetSignature(g.elements));
+    r_signatures = Signatures(r);
+    s_signatures = Signatures(s);
   }
   for (std::size_t i = 0; i < r.NumGroups(); ++i) {
-    const Group& rg = r.group(i);
+    const Group rg = r.group(i);
     for (std::size_t j = 0; j < s.NumGroups(); ++j) {
-      const Group& sg = s.group(j);
+      const Group sg = s.group(j);
       if (sg.elements.size() > rg.elements.size()) continue;
       if (use_signatures && (s_signatures[j] & ~r_signatures[i]) != 0) continue;
       if (SortedSubset(sg.elements, rg.elements)) out.Add({rg.key, sg.key});
@@ -46,37 +54,31 @@ Relation PartitionedContainment(const GroupedRelation& r, const GroupedRelation&
   // Candidate (containing) groups are replicated to the partition of each
   // of their elements; a contained group only needs to visit the partition
   // of one designated element (its minimum), since that element must occur
-  // in any containing set.
+  // in any containing set. stamp[p] names the last group routed to p, so a
+  // group lands in each partition once.
   std::vector<std::vector<std::size_t>> r_parts(partitions), s_parts(partitions);
+  std::vector<std::size_t> stamp(partitions, r.NumGroups());
   for (std::size_t i = 0; i < r.NumGroups(); ++i) {
-    std::vector<bool> seen(partitions, false);
     for (Value e : r.group(i).elements) {
       const std::size_t p = partition_of(e);
-      if (!seen[p]) {
-        seen[p] = true;
+      if (stamp[p] != i) {
+        stamp[p] = i;
         r_parts[p].push_back(i);
       }
     }
   }
   for (std::size_t j = 0; j < s.NumGroups(); ++j) {
-    const Group& sg = s.group(j);
-    if (sg.elements.empty()) {
-      // Empty sets are contained in every candidate set.
-      for (std::size_t i = 0; i < r.NumGroups(); ++i) {
-        out.Add({r.group(i).key, sg.key});
-      }
-      continue;
-    }
-    s_parts[partition_of(sg.elements.front())].push_back(j);
+    s_parts[partition_of(s.group(j).elements.front())].push_back(j);
   }
+  const std::vector<std::uint64_t> r_signatures = Signatures(r);
+  const std::vector<std::uint64_t> s_signatures = Signatures(s);
   for (std::size_t p = 0; p < partitions; ++p) {
     for (std::size_t i : r_parts[p]) {
-      const Group& rg = r.group(i);
-      const std::uint64_t r_sig = SetSignature(rg.elements);
+      const Group rg = r.group(i);
       for (std::size_t j : s_parts[p]) {
-        const Group& sg = s.group(j);
+        const Group sg = s.group(j);
         if (sg.elements.size() > rg.elements.size()) continue;
-        if ((SetSignature(sg.elements) & ~r_sig) != 0) continue;
+        if ((s_signatures[j] & ~r_signatures[i]) != 0) continue;
         if (SortedSubset(sg.elements, rg.elements)) out.Add({rg.key, sg.key});
       }
     }
@@ -96,13 +98,7 @@ Relation InvertedIndexContainment(const GroupedRelation& r, const GroupedRelatio
   std::vector<std::uint32_t> hit_count(r.NumGroups(), 0);
   std::vector<std::uint32_t> touched;
   for (std::size_t j = 0; j < s.NumGroups(); ++j) {
-    const Group& sg = s.group(j);
-    if (sg.elements.empty()) {
-      for (std::size_t i = 0; i < r.NumGroups(); ++i) {
-        out.Add({r.group(i).key, sg.key});
-      }
-      continue;
-    }
+    const Group sg = s.group(j);
     touched.clear();
     for (Value e : sg.elements) {
       auto it = postings.find(e);
@@ -161,7 +157,7 @@ core::Relation SetContainmentJoin(const GroupedRelation& r, const GroupedRelatio
 
 core::Relation SetContainmentJoin(const core::Relation& r, const core::Relation& s,
                                   ContainmentAlgorithm algorithm) {
-  return SetContainmentJoin(AsGrouped(r), AsGrouped(s), algorithm);
+  return SetContainmentJoin(GroupedRelation(r), GroupedRelation(s), algorithm);
 }
 
 const char* EqualityJoinAlgorithmToString(EqualityJoinAlgorithm algorithm) {
@@ -178,9 +174,11 @@ core::Relation SetEqualityJoin(const GroupedRelation& r, const GroupedRelation& 
                                EqualityJoinAlgorithm algorithm) {
   Relation out(2);
   if (algorithm == EqualityJoinAlgorithm::kNestedLoop) {
-    for (const auto& rg : r.groups()) {
-      for (const auto& sg : s.groups()) {
-        if (rg.elements == sg.elements) out.Add({rg.key, sg.key});
+    for (std::size_t i = 0; i < r.NumGroups(); ++i) {
+      const Group rg = r.group(i);
+      for (std::size_t j = 0; j < s.NumGroups(); ++j) {
+        const Group sg = s.group(j);
+        if (std::ranges::equal(rg.elements, sg.elements)) out.Add({rg.key, sg.key});
       }
     }
     return out;
@@ -191,12 +189,13 @@ core::Relation SetEqualityJoin(const GroupedRelation& r, const GroupedRelation& 
   for (std::size_t j = 0; j < s.NumGroups(); ++j) {
     buckets[SetHash(s.group(j).elements)].push_back(static_cast<std::uint32_t>(j));
   }
-  for (const auto& rg : r.groups()) {
+  for (std::size_t i = 0; i < r.NumGroups(); ++i) {
+    const Group rg = r.group(i);
     auto it = buckets.find(SetHash(rg.elements));
     if (it == buckets.end()) continue;
     for (std::uint32_t j : it->second) {
-      const Group& sg = s.group(j);
-      if (rg.elements == sg.elements) out.Add({rg.key, sg.key});
+      const Group sg = s.group(j);
+      if (std::ranges::equal(rg.elements, sg.elements)) out.Add({rg.key, sg.key});
     }
   }
   return out;
@@ -204,7 +203,7 @@ core::Relation SetEqualityJoin(const GroupedRelation& r, const GroupedRelation& 
 
 core::Relation SetEqualityJoin(const core::Relation& r, const core::Relation& s,
                                EqualityJoinAlgorithm algorithm) {
-  return SetEqualityJoin(AsGrouped(r), AsGrouped(s), algorithm);
+  return SetEqualityJoin(GroupedRelation(r), GroupedRelation(s), algorithm);
 }
 
 core::Relation SetOverlapJoin(const GroupedRelation& r, const GroupedRelation& s) {
@@ -217,7 +216,8 @@ core::Relation SetOverlapJoin(const GroupedRelation& r, const GroupedRelation& s
   }
   std::vector<bool> seen(r.NumGroups(), false);
   std::vector<std::uint32_t> touched;
-  for (const auto& sg : s.groups()) {
+  for (std::size_t j = 0; j < s.NumGroups(); ++j) {
+    const Group sg = s.group(j);
     touched.clear();
     for (Value e : sg.elements) {
       auto it = postings.find(e);
@@ -236,7 +236,7 @@ core::Relation SetOverlapJoin(const GroupedRelation& r, const GroupedRelation& s
 }
 
 core::Relation SetOverlapJoin(const core::Relation& r, const core::Relation& s) {
-  return SetOverlapJoin(AsGrouped(r), AsGrouped(s));
+  return SetOverlapJoin(GroupedRelation(r), GroupedRelation(s));
 }
 
 }  // namespace setalg::setjoin

@@ -575,13 +575,62 @@ TEST(BatchExec, SerialBlockingOperatorsReadStoredScansInPlace) {
   }
 }
 
-// setjoin::AsGrouped consumers vs the reference nested-loop path, on the
-// adversarial shapes the batched adapters must also handle. The
-// differential harness exposed no semantic divergence between the grouped
-// adapters and the nested-loop reference (this suite plus the randomized
-// runs above are the repro surface: any future divergence fails here with
-// the offending instance printed).
-TEST(BatchExec, AsGroupedConsumersAgreeWithNestedLoopReference) {
+// A set join pinned to one partition is a serial run under any pool: one
+// key range, run inline on the driving thread, so the run counts no
+// partition and no skipped pass — over a stored scan and over a drained,
+// sorted input alike — while results and row counts equal the reference.
+TEST(BatchExec, SetJoinsPinnedToOnePartitionRunSeriallyUnderAPool) {
+  workload::SetJoinConfig config;
+  config.r_groups = 30;
+  config.s_groups = 25;
+  config.r_group_size = 6;
+  config.s_group_size = 3;
+  config.domain_size = 15;
+  config.containment_fraction = 0.3;
+  config.seed = BaseSeed();
+  const auto db =
+      WithTransposeOfR(workload::SetJoinDatabase(workload::MakeSetJoinInstance(config)));
+  const Engine pooled(EngineOptions{}.WithThreads(4));
+  for (const auto& [left_name, left] : LeftInputsOfR()) {
+    std::vector<std::pair<std::string, PhysicalOpPtr>> roots;
+    for (auto algorithm : setjoin::AllContainmentAlgorithms()) {
+      roots.emplace_back(std::string("containment ") +
+                             setjoin::ContainmentAlgorithmToString(algorithm),
+                         MakeSetContainmentJoin(left, MakeScan("S", 2), algorithm,
+                                                nullptr, /*partitions=*/1));
+    }
+    for (auto algorithm : {setjoin::EqualityJoinAlgorithm::kNestedLoop,
+                           setjoin::EqualityJoinAlgorithm::kCanonicalHash}) {
+      roots.emplace_back(std::string("equality ") +
+                             setjoin::EqualityJoinAlgorithmToString(algorithm),
+                         MakeSetEqualityJoin(left, MakeScan("S", 2), algorithm, nullptr,
+                                             /*partitions=*/1));
+    }
+    roots.emplace_back("overlap", MakeSetOverlapJoin(left, MakeScan("S", 2), nullptr,
+                                                     /*partitions=*/1));
+    for (const auto& [name, root] : roots) {
+      PhysicalPlan plan;
+      plan.root = root;
+      const std::string what = name + " over " + left_name;
+      const RunResult reference = RunMaterialized(plan, db);
+      auto run = pooled.Run(plan, db);
+      ASSERT_TRUE(run.ok()) << what << ": " << run.error();
+      EXPECT_EQ(run->relation, reference.relation) << what;
+      ExpectSameStats(reference.stats, run->stats, what);
+      EXPECT_EQ(run->stats.threads_used, 4u) << what;
+      EXPECT_EQ(run->stats.partitions, 0u) << what;
+      EXPECT_EQ(run->stats.partition_passes_skipped, 0u) << what;
+    }
+  }
+}
+
+// Kernels over setjoin::GroupedRelation views vs the reference nested-loop
+// path, on the adversarial shapes the batched adapters must also handle.
+// The differential harness exposed no semantic divergence between the
+// grouped adapters and the nested-loop reference (this suite plus the
+// randomized runs above are the repro surface: any future divergence fails
+// here with the offending instance printed).
+TEST(BatchExec, GroupedConsumersAgreeWithNestedLoopReference) {
   const std::vector<std::pair<Relation, Relation>> instances = {
       // Duplicate-heavy inputs (Add'ed twice; set semantics must collapse).
       {MakeRel(2, {{1, 5}, {1, 5}, {1, 6}, {2, 5}, {2, 5}}),
@@ -594,8 +643,8 @@ TEST(BatchExec, AsGroupedConsumersAgreeWithNestedLoopReference) {
   };
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const auto& [r, s] = instances[i];
-    const auto gr = setjoin::AsGrouped(r);
-    const auto gs = setjoin::AsGrouped(s);
+    const setjoin::GroupedRelation gr(r);
+    const setjoin::GroupedRelation gs(s);
     const Relation expected =
         setjoin::SetContainmentJoin(gr, gs, setjoin::ContainmentAlgorithm::kNestedLoop);
     for (auto algorithm : setjoin::AllContainmentAlgorithms()) {

@@ -164,7 +164,7 @@ TEST(Engine, DivisionPatternRoutesToSubquadraticOperator) {
   // largest intermediate is an input relation, O(n), while classic RA is
   // Ω(#groups · |S|) — quadratic in the paper's regime (Prop. 26).
   ASSERT_FALSE(planned->stats.rewrites.empty());
-  const std::size_t groups = setjoin::AsGrouped(instance.r).NumGroups();
+  const std::size_t groups = setjoin::GroupedRelation(instance.r).NumGroups();
   EXPECT_LE(planned->stats.max_intermediate, db.size());
   EXPECT_GE(reference->stats.max_intermediate, groups * instance.s.size());
   EXPECT_LT(planned->stats.max_intermediate, reference->stats.max_intermediate);

@@ -592,8 +592,8 @@ TEST(PlanCache, PreparedHandBuiltPlanRevalidatesOnMutation) {
   ASSERT_TRUE(second.ok()) << second.error();
   EXPECT_EQ(second->stats.cache, CacheOutcome::kRevalidated);
   EXPECT_EQ(second->relation,
-            setjoin::SetContainmentJoin(setjoin::AsGrouped(db.relation("R")),
-                                        setjoin::AsGrouped(db.relation("S")),
+            setjoin::SetContainmentJoin(setjoin::GroupedRelation(db.relation("R")),
+                                        setjoin::GroupedRelation(db.relation("S")),
                                         setjoin::ContainmentAlgorithm::kNestedLoop));
 }
 

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "engine/engine.h"
+#include "engine/parallel.h"
 #include "setjoin/grouped.h"
 #include "setjoin/setjoin.h"
 #include "test_util.h"
+#include "util/rng.h"
 #include "witness/figures.h"
 #include "workload/generators.h"
 
@@ -20,8 +25,9 @@ using setalg::testing::MakeRel;
 // Brute-force references.
 Relation ReferenceContainment(const GroupedRelation& r, const GroupedRelation& s) {
   Relation out(2);
-  for (const auto& rg : r.groups()) {
-    for (const auto& sg : s.groups()) {
+  for (std::size_t i = 0; i < r.NumGroups(); ++i) {
+    for (std::size_t j = 0; j < s.NumGroups(); ++j) {
+      const Group rg = r.group(i), sg = s.group(j);
       if (SortedSubset(sg.elements, rg.elements)) out.Add({rg.key, sg.key});
     }
   }
@@ -30,9 +36,10 @@ Relation ReferenceContainment(const GroupedRelation& r, const GroupedRelation& s
 
 Relation ReferenceEquality(const GroupedRelation& r, const GroupedRelation& s) {
   Relation out(2);
-  for (const auto& rg : r.groups()) {
-    for (const auto& sg : s.groups()) {
-      if (rg.elements == sg.elements) out.Add({rg.key, sg.key});
+  for (std::size_t i = 0; i < r.NumGroups(); ++i) {
+    for (std::size_t j = 0; j < s.NumGroups(); ++j) {
+      const Group rg = r.group(i), sg = s.group(j);
+      if (std::ranges::equal(rg.elements, sg.elements)) out.Add({rg.key, sg.key});
     }
   }
   return out;
@@ -40,8 +47,9 @@ Relation ReferenceEquality(const GroupedRelation& r, const GroupedRelation& s) {
 
 Relation ReferenceOverlap(const GroupedRelation& r, const GroupedRelation& s) {
   Relation out(2);
-  for (const auto& rg : r.groups()) {
-    for (const auto& sg : s.groups()) {
+  for (std::size_t i = 0; i < r.NumGroups(); ++i) {
+    for (std::size_t j = 0; j < s.NumGroups(); ++j) {
+      const Group rg = r.group(i), sg = s.group(j);
       if (SortedIntersects(rg.elements, sg.elements)) out.Add({rg.key, sg.key});
     }
   }
@@ -144,8 +152,8 @@ TEST_P(ContainmentAgreementTest, MatchesReferenceAcrossWorkloads) {
     config.containment_fraction = 0.3;
     config.seed = seed;
     const auto instance = workload::MakeSetJoinInstance(config);
-    const auto r = GroupedRelation::FromBinary(instance.r);
-    const auto s = GroupedRelation::FromBinary(instance.s);
+    const GroupedRelation r(instance.r);
+    const GroupedRelation s(instance.s);
     EXPECT_EQ(SetContainmentJoin(r, s, algorithm), ReferenceContainment(r, s))
         << "seed " << seed;
   }
@@ -162,8 +170,8 @@ TEST_P(ContainmentAgreementTest, MatchesReferenceUnderSkew) {
   config.zipf_skew = 1.2;
   config.seed = 77;
   const auto instance = workload::MakeSetJoinInstance(config);
-  const auto r = GroupedRelation::FromBinary(instance.r);
-  const auto s = GroupedRelation::FromBinary(instance.s);
+  const GroupedRelation r(instance.r);
+  const GroupedRelation s(instance.s);
   EXPECT_EQ(SetContainmentJoin(r, s, algorithm), ReferenceContainment(r, s));
 }
 
@@ -189,8 +197,8 @@ TEST(SetEquality, BothAlgorithmsAgreeWithReference) {
     config.domain_size = 6;  // Small domain: equal sets actually occur.
     config.seed = seed;
     const auto instance = workload::MakeSetJoinInstance(config);
-    const auto r = GroupedRelation::FromBinary(instance.r);
-    const auto s = GroupedRelation::FromBinary(instance.s);
+    const GroupedRelation r(instance.r);
+    const GroupedRelation s(instance.s);
     const auto expected = ReferenceEquality(r, s);
     EXPECT_EQ(SetEqualityJoin(r, s, EqualityJoinAlgorithm::kNestedLoop), expected);
     EXPECT_EQ(SetEqualityJoin(r, s, EqualityJoinAlgorithm::kCanonicalHash), expected);
@@ -261,8 +269,8 @@ TEST(SetOverlap, MatchesReference) {
     config.domain_size = 30;
     config.seed = seed;
     const auto instance = workload::MakeSetJoinInstance(config);
-    const auto r = GroupedRelation::FromBinary(instance.r);
-    const auto s = GroupedRelation::FromBinary(instance.s);
+    const GroupedRelation r(instance.r);
+    const GroupedRelation s(instance.s);
     EXPECT_EQ(SetOverlapJoin(r, s), ReferenceOverlap(r, s)) << "seed " << seed;
   }
 }
@@ -295,8 +303,8 @@ TEST(SetJoins, PredicateInclusionChain) {
   config.domain_size = 10;
   config.seed = 5;
   const auto instance = workload::MakeSetJoinInstance(config);
-  const auto r = GroupedRelation::FromBinary(instance.r);
-  const auto s = GroupedRelation::FromBinary(instance.s);
+  const GroupedRelation r(instance.r);
+  const GroupedRelation s(instance.s);
   const auto equal = SetEqualityJoin(r, s, EqualityJoinAlgorithm::kCanonicalHash);
   const auto contains =
       SetContainmentJoin(r, s, ContainmentAlgorithm::kInvertedIndex);
@@ -306,8 +314,8 @@ TEST(SetJoins, PredicateInclusionChain) {
 }
 
 // ---------------------------------------------------------------------------
-// Partition-boundary edge cases: the engine's partitioned set joins split
-// the left side's groups by key hash and share the right side; shapes
+// Partition-boundary edge cases: the engine's partitioned set joins cut
+// the left side into key ranges and share the right side; shapes
 // where that degenerates (more partitions than groups, one-key skew,
 // empty partitions, contained sets bigger than any left group) must agree
 // with the serial kernels for every algorithm, serial and parallel.
@@ -324,8 +332,8 @@ void ExpectPartitionedSetJoinsAgree(const Relation& r, const Relation& s,
   core::Database db(schema);
   db.SetRelation("R", r);
   db.SetRelation("S", s);
-  const auto gr = AsGrouped(r);
-  const auto gs = AsGrouped(s);
+  const GroupedRelation gr(r);
+  const GroupedRelation gs(s);
 
   auto check = [&](engine::PhysicalOpPtr root, const Relation& expected,
                    const std::string& label) {
@@ -403,17 +411,88 @@ TEST(SetJoinPartitionEdges, DuplicateHeavyInputsCollapseIdenticallyWhenPartition
       MakeRel(2, {{9, 5}, {9, 5}, {8, 6}}), "duplicate-heavy");
 }
 
-TEST(Grouped, AsGroupedIsTheSharedGroupingHelper) {
-  const auto r = testing::MakeRel(2, {{2, 9}, {1, 5}, {1, 3}});
-  const auto via_helper = AsGrouped(r);
-  const auto via_factory = GroupedRelation::FromBinary(r);
-  ASSERT_EQ(via_helper.NumGroups(), via_factory.NumGroups());
-  for (std::size_t i = 0; i < via_helper.NumGroups(); ++i) {
-    EXPECT_EQ(via_helper.group(i).key, via_factory.group(i).key);
-    EXPECT_EQ(via_helper.group(i).elements, via_factory.group(i).elements);
+// ---------------------------------------------------------------------------
+// CSR grouped views against the pair-sort grouping they replaced.
+// ---------------------------------------------------------------------------
+
+using PairGroups = std::vector<std::pair<Value, std::vector<Value>>>;
+
+// The oracle: copy the (key, element) pairs as they were added, sort them,
+// and push each key's unique elements into that key's own vector.
+PairGroups PairSortGroups(std::vector<std::pair<Value, Value>> pairs) {
+  std::sort(pairs.begin(), pairs.end());
+  PairGroups groups;
+  for (const auto& [key, element] : pairs) {
+    if (groups.empty() || groups.back().first != key) groups.push_back({key, {}});
+    auto& elements = groups.back().second;
+    if (elements.empty() || elements.back() != element) elements.push_back(element);
   }
-  // Keyed on column 2 the roles flip.
-  EXPECT_EQ(AsGrouped(r, 2).NumGroups(), 3u);
+  return groups;
+}
+
+void ExpectSameGroups(const GroupedRelation& view, const PairGroups& expected,
+                      const std::string& context) {
+  ASSERT_EQ(view.NumGroups(), expected.size()) << context;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const Group g = view.group(i);
+    EXPECT_EQ(g.key, expected[i].first) << context << " group " << i;
+    EXPECT_EQ(std::vector<Value>(g.elements.begin(), g.elements.end()),
+              expected[i].second)
+        << context << " key " << expected[i].first;
+  }
+}
+
+// Adds `pairs` to a binary relation in the given order, then checks the
+// view over the whole relation, and over each KeyRanges range of it, with
+// the oracle (restricted to the range's keys).
+void ExpectCsrMatchesOracle(const std::vector<std::pair<Value, Value>>& pairs,
+                            const std::string& context) {
+  const PairGroups oracle = PairSortGroups(pairs);
+  Relation relation(2);
+  for (const auto& [key, element] : pairs) relation.Add({key, element});
+  ExpectSameGroups(GroupedRelation(relation), oracle, context + " whole");
+  const Value* rows = relation.flat().data();
+  for (std::size_t parts : {1u, 2u, 3u, 7u}) {
+    for (const engine::RowRange range : engine::KeyRanges(relation, parts)) {
+      PairGroups restricted;
+      if (range.size() > 0) {
+        const Value first = rows[2 * range.begin];
+        const Value last = rows[2 * (range.end - 1)];
+        for (const auto& group : oracle) {
+          if (group.first >= first && group.first <= last) restricted.push_back(group);
+        }
+      }
+      ExpectSameGroups(GroupedRelation(rows + 2 * range.begin, range.size()), restricted,
+                       context + " parts " + std::to_string(parts) + " range [" +
+                           std::to_string(range.begin) + ", " +
+                           std::to_string(range.end) + ")");
+    }
+  }
+}
+
+TEST(Grouped, CsrViewMatchesPairSortGrouping) {
+  const std::vector<Value> extremes = {INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    util::Rng rng(seed);
+    const auto draw = [&] {
+      return rng.NextInt(0, 2) == 0
+                 ? extremes[static_cast<std::size_t>(rng.NextInt(0, 4))]
+                 : rng.NextInt(-6, 6);
+    };
+    std::vector<std::pair<Value, Value>> pairs(static_cast<std::size_t>(rng.NextInt(1, 60)));
+    for (auto& pair : pairs) pair = {draw(), draw()};
+    const std::string context = "seed " + std::to_string(seed);
+    ExpectCsrMatchesOracle(pairs, context + " unsorted");
+    std::vector<std::pair<Value, Value>> sorted = pairs;
+    std::sort(sorted.begin(), sorted.end());
+    ExpectCsrMatchesOracle(sorted, context + " sorted");
+  }
+  ExpectCsrMatchesOracle({}, "empty");
+  ExpectCsrMatchesOracle({{7, INT64_MAX}, {7, INT64_MIN}, {7, 0}, {7, 0}, {7, -1}},
+                         "single key");
+  std::vector<std::pair<Value, Value>> own_keys;
+  for (Value key : extremes) own_keys.push_back({key, key / 2});
+  ExpectCsrMatchesOracle(own_keys, "every row its own key");
 }
 
 }  // namespace

@@ -44,13 +44,13 @@ TEST(DivisionWorkload, MatchFractionForcesContainingGroups) {
   config.match_fraction = 1.0;
   const auto instance = MakeDivisionInstance(config);
   // Every group contains the divisor by construction.
-  const auto groups = setjoin::GroupedRelation::FromBinary(instance.r);
+  const setjoin::GroupedRelation groups(instance.r);
   std::vector<core::Value> divisor;
   for (std::size_t i = 0; i < instance.s.size(); ++i) {
     divisor.push_back(instance.s.tuple(i)[0]);
   }
-  for (const auto& g : groups.groups()) {
-    EXPECT_TRUE(setjoin::SortedSubset(divisor, g.elements));
+  for (std::size_t i = 0; i < groups.NumGroups(); ++i) {
+    EXPECT_TRUE(setjoin::SortedSubset(divisor, groups.group(i).elements));
   }
 }
 
@@ -62,14 +62,14 @@ TEST(DivisionWorkload, ZeroMatchFractionRarelyContains) {
   config.domain_size = 256;
   config.match_fraction = 0.0;
   const auto instance = MakeDivisionInstance(config);
-  const auto groups = setjoin::GroupedRelation::FromBinary(instance.r);
+  const setjoin::GroupedRelation groups(instance.r);
   std::vector<core::Value> divisor;
   for (std::size_t i = 0; i < instance.s.size(); ++i) {
     divisor.push_back(instance.s.tuple(i)[0]);
   }
   std::size_t containing = 0;
-  for (const auto& g : groups.groups()) {
-    if (setjoin::SortedSubset(divisor, g.elements)) ++containing;
+  for (std::size_t i = 0; i < groups.NumGroups(); ++i) {
+    if (setjoin::SortedSubset(divisor, groups.group(i).elements)) ++containing;
   }
   EXPECT_LT(containing, 3u);  // 4 random picks covering 4 of 256 values.
 }
@@ -79,8 +79,8 @@ TEST(SetJoinWorkload, GroupCountsAreRespected) {
   config.r_groups = 17;
   config.s_groups = 9;
   const auto instance = MakeSetJoinInstance(config);
-  EXPECT_EQ(setjoin::GroupedRelation::FromBinary(instance.r).NumGroups(), 17u);
-  EXPECT_EQ(setjoin::GroupedRelation::FromBinary(instance.s).NumGroups(), 9u);
+  EXPECT_EQ(setjoin::GroupedRelation(instance.r).NumGroups(), 17u);
+  EXPECT_EQ(setjoin::GroupedRelation(instance.s).NumGroups(), 9u);
 }
 
 TEST(SetJoinWorkload, ContainmentFractionCreatesMatches) {
@@ -93,13 +93,13 @@ TEST(SetJoinWorkload, ContainmentFractionCreatesMatches) {
   config.containment_fraction = 1.0;
   config.seed = 5;
   const auto instance = MakeSetJoinInstance(config);
-  const auto r = setjoin::GroupedRelation::FromBinary(instance.r);
-  const auto s = setjoin::GroupedRelation::FromBinary(instance.s);
+  const setjoin::GroupedRelation r(instance.r);
+  const setjoin::GroupedRelation s(instance.s);
   // Every S group is a subset of some R group.
-  for (const auto& sg : s.groups()) {
+  for (std::size_t j = 0; j < s.NumGroups(); ++j) {
     bool contained = false;
-    for (const auto& rg : r.groups()) {
-      if (setjoin::SortedSubset(sg.elements, rg.elements)) {
+    for (std::size_t i = 0; i < r.NumGroups(); ++i) {
+      if (setjoin::SortedSubset(s.group(j).elements, r.group(i).elements)) {
         contained = true;
         break;
       }
