@@ -83,6 +83,14 @@ bench/baseline/ and fails (exit 1) when:
      and groups sorted rows in one pass, so a breach means a copy, a
      sort or a regrouping crept back between storage and the kernel.
      Same-run ratios, so no baseline is involved.
+  14. The fan-out width rule breaks: in the division (`runtime_ms`),
+     containment (`containment_ms`) and equality (`equality_ms`) tables
+     the `parallel` cell must record `partitions == 0` at the smallest
+     size — an input under two engine::kMinPartitionRows floors stays
+     serial however wide the pool — and `partitions == threads` (the
+     cell's pool width) at the largest, where the input fans out
+     pool-wide. It compares counts, not times, so it is armed on every
+     runner and involves no baseline.
 
 Whenever a gate disarms (skips) instead of judging, the skip message
 prints the runner fingerprint — hardware_threads and git_sha — of the
@@ -520,6 +528,52 @@ def check_setjoin_overhead(errors, data):
             )
 
 
+# Tables whose `parallel` cell gate 14 reads, with their row axis.
+FANOUT_WIDTH_TABLES = {
+    "runtime_ms": "n",
+    "containment_ms": "groups",
+    "equality_ms": "groups",
+}
+
+
+def check_fanout_width(errors, data, tables):
+    """Gate 14: smallest parallel cell serial, largest pool-wide."""
+    for table in tables:
+        axis = FANOUT_WIDTH_TABLES[table]
+        rows = data.get(table, [])
+        if not rows:
+            errors.append(f"{table} table missing for the fan-out width gate")
+            continue
+        smallest = min(rows, key=lambda row: row[axis])
+        largest = max_row(rows, axis)
+        for row, want_key in ((smallest, "zero"), (largest, "threads")):
+            partitions = row.get("partitions")
+            threads = row.get("threads")
+            if partitions is None or threads is None:
+                errors.append(
+                    f"'partitions' or 'threads' missing from {table} at "
+                    f"{axis}={row[axis]}"
+                )
+                continue
+            want = 0 if want_key == "zero" else threads
+            if partitions != want:
+                reason = (
+                    "an input under the partition floor must stay serial"
+                    if want_key == "zero"
+                    else "a large input must fan out pool-wide"
+                )
+                errors.append(
+                    f"{table} parallel at {axis}={row[axis]} recorded "
+                    f"{partitions} partitions, expected {want} ({threads} "
+                    f"threads) — {reason}"
+                )
+            else:
+                print(
+                    f"  ok: {table} parallel at {axis}={row[axis]} recorded "
+                    f"{partitions} partitions ({threads} threads)"
+                )
+
+
 def check_multiway_bound(errors, data):
     """Gate 10: worst-case-optimal invariants on the skewed triangle."""
     rows = data.get("multiway_ms", [])
@@ -758,11 +812,13 @@ def main():
             check_prepared_ratio(errors, current)
             check_result_cached_ratio(errors, current)
             check_write_path(errors, current)
+            check_fanout_width(errors, current, ("runtime_ms",))
         if name == "BENCH_setjoin.json":
             check_calibrated_ratio(errors, current)
             check_multiway_bound(errors, current)
             check_parallel_skip(errors, current)
             check_setjoin_overhead(errors, current)
+            check_fanout_width(errors, current, ("containment_ms", "equality_ms"))
         for table in tables:
             check_choices(errors, current, table)
             check_against_baseline(errors, current, baseline, table)

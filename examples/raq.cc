@@ -19,8 +19,9 @@
 //   --mode planned     rewrite-enabled planning (the default)
 //   --mode cost        statistics-driven algorithm selection
 // Every mode executes through the engine's one pipelined executor.
-// --threads N gives each run an N-wide worker pool for the partitioned
-// operators, --batch-size N sets the pipeline's batch granularity, and
+// --threads N lets the partitioned operators split inputs of at least two
+// engine::kMinPartitionRows floors across up to N workers (-v prints the
+// partition tasks), --batch-size N sets the pipeline's batch granularity, and
 // --multiway lets the planner collect equality-join chains and route them
 // to the worst-case-optimal multiway operator when they beat the binary
 // plan; --plan-cache [N] attaches a plan cache (engine::SharedPlanCache of N

@@ -38,7 +38,9 @@ double SelectionSelectivity(ra::Cmp op) {
   return 0.5;
 }
 
-// See EstimateColumnDistinct (cost.h) — the internal spelling.
+// Distinct-count estimate for one 1-based column of a subexpression: the
+// tracked key/element columns when they apply, sqrt(cardinality)
+// otherwise (the classic fallback).
 double ColumnDistinct(const ExprEstimate& e, std::size_t column, std::size_t arity) {
   if (column == 1) return NonZero(e.key_distinct);
   if (column == arity) return NonZero(e.elem_distinct);
@@ -158,15 +160,6 @@ ExprEstimate FromStats(const stats::RelationStats& stats) {
   }
   if (stats.arity == 2) e.group_sizes = stats.groups.size_histogram;
   return e;
-}
-
-double EstimateColumnDistinct(const ExprEstimate& e, std::size_t column,
-                              std::size_t arity) {
-  return ColumnDistinct(e, column, arity);
-}
-
-bool ReadsStoredScanInPlace(const ra::ExprPtr& input) {
-  return input != nullptr && input->kind() == ra::OpKind::kRelation;
 }
 
 ExprEstimate CostModel::Estimate(const ra::ExprPtr& expr) const {
@@ -487,59 +480,6 @@ CostModel::EqualityChoice CostModel::ChooseSetEquality(const ExprEstimate& r,
     return {setjoin::EqualityJoinAlgorithm::kNestedLoop, nested};
   }
   return {setjoin::EqualityJoinAlgorithm::kCanonicalHash, hash};
-}
-
-// ---------------------------------------------------------------------------
-// Partitioned (parallel) execution.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// One hash + route + bulk copy per tuple of the partitioning pass.
-constexpr double kPartitionTuple = 0.5;
-// Handing one partition task to the pool (dispatch, wake-up, cold
-// caches). Large relative to kTupleOp so tiny inputs stay serial: at a
-// few thousand tuples the fan-out costs more than it saves.
-constexpr double kTaskDispatch = 2000.0;
-
-}  // namespace
-
-CostEstimate CostModel::EstimatePartitioned(const CostEstimate& serial,
-                                            double input_cardinality,
-                                            std::size_t partitions,
-                                            std::size_t threads,
-                                            bool aligned) const {
-  const double p = NonZero(static_cast<double>(partitions));
-  const double waves =
-      std::ceil(p / NonZero(static_cast<double>(threads)));
-  CostEstimate est;
-  est.output_size = serial.output_size;
-  // Partition slices replace the serial kernel's working set; the merge
-  // buffers the same output once more.
-  est.max_intermediate = serial.max_intermediate + serial.output_size;
-  // A stored scan read in place needs no partitioning pass: its key
-  // ranges are cut from storage.
-  const double split = aligned ? 0.0 : kPartitionTuple * NonZero(input_cardinality);
-  est.cost = split                                         // Serial split.
-             + serial.cost * waves / p                     // Kernel, in waves.
-             + kTaskDispatch * p                           // Fan-out/fan-in sync.
-             + kTupleOp * serial.output_size;              // Serial merge.
-  return est;
-}
-
-CostModel::ParallelChoice CostModel::ChooseParallelism(const CostEstimate& serial,
-                                                       double input_cardinality,
-                                                       double key_distinct,
-                                                       std::size_t threads,
-                                                       bool aligned) const {
-  if (threads <= 1) return {1, serial};
-  const std::size_t partitions = static_cast<std::size_t>(std::max(
-      1.0, std::min(static_cast<double>(threads), NonZero(key_distinct))));
-  if (partitions <= 1) return {1, serial};
-  const CostEstimate partitioned =
-      EstimatePartitioned(serial, input_cardinality, partitions, threads, aligned);
-  if (partitioned.cost < serial.cost) return {partitions, partitioned};
-  return {1, serial};
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@
 // constants below apply unchanged, bit-identical to the uncalibrated
 // model.
 //
+// The model picks algorithms, never fan-out widths: how many partitions an
+// operator cuts is decided at run time by engine::PartitionCount
+// (engine/parallel.h) from the rows the operator holds, so a plan runs
+// the same at every thread count and a cached plan has no width to
+// re-price.
+//
 // To add a formula for a new operator: write an Estimate<Op> function
 // from ExprEstimate inputs to a CostEstimate, add a Choose<Op> that
 // minimizes over the alternatives, and consult it from the planner's
@@ -65,22 +71,6 @@ struct ExprEstimate {
 
 /// Converts one-pass relation statistics into the cost-formula view.
 ExprEstimate FromStats(const stats::RelationStats& stats);
-
-/// Distinct-count estimate for one 1-based column of a subexpression:
-/// the tracked key/element columns when they apply, sqrt(cardinality)
-/// otherwise (the classic fallback). Used by the formulas below and by
-/// the planner to cap partition widths on the actual partitioning
-/// column (e.g. a semijoin's first equality atom, which need not be
-/// column 1).
-double EstimateColumnDistinct(const ExprEstimate& e, std::size_t column,
-                              std::size_t arity);
-
-/// True when a key-range partitioned operator reads `input` in place: a
-/// stored relation leaf is sorted on column 1 already, so it is cut into
-/// key ranges with no partition pass (engine/parallel.h). The `aligned`
-/// argument of EstimatePartitioned for a division's dividend; semijoins
-/// always pay their hash partition pass.
-bool ReadsStoredScanInPlace(const ra::ExprPtr& input);
 
 // -- AGM output bounds (Atserias–Grohe–Marx) ---------------------------------
 
@@ -186,37 +176,6 @@ class CostModel {
   };
   EqualityChoice ChooseSetEquality(const ExprEstimate& r,
                                    const ExprEstimate& s) const;
-
-  // -- Partitioned (parallel) execution --------------------------------------
-
-  /// Prices running a serial alternative partitioned by group key into
-  /// `partitions` parts on `threads` workers (per ROADMAP: the cost
-  /// model prices partition counts): a serial partitioning pass over the
-  /// `input_cardinality` tuples, the kernel work spread over
-  /// ceil(partitions / threads) waves, a per-partition dispatch overhead,
-  /// and a serial merge of the per-partition outputs. `aligned` declares
-  /// that the partitioned input is a stored scan read in place
-  /// (ReadsStoredScanInPlace): the partitioning-pass term drops to zero.
-  CostEstimate EstimatePartitioned(const CostEstimate& serial,
-                                   double input_cardinality,
-                                   std::size_t partitions,
-                                   std::size_t threads,
-                                   bool aligned = false) const;
-
-  struct ParallelChoice {
-    /// 1 = stay serial; otherwise the chosen fan-out width.
-    std::size_t partitions;
-    CostEstimate estimate;
-  };
-  /// Serial vs partitioned for one call site: partitions the site
-  /// `threads` ways (capped by `key_distinct` — more partitions than
-  /// groups only buys empty tasks) iff that prices below the serial
-  /// alternative. With threads <= 1 the answer is always serial.
-  /// `aligned` as in EstimatePartitioned.
-  ParallelChoice ChooseParallelism(const CostEstimate& serial,
-                                   double input_cardinality,
-                                   double key_distinct, std::size_t threads,
-                                   bool aligned = false) const;
 
   // -- Semijoin ------------------------------------------------------------
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "engine/calibration.h"
-#include "engine/parallel.h"
 #include "engine/result_cache.h"
 #include "engine/shared_cache.h"
 #include "util/check.h"
@@ -184,9 +183,9 @@ class InstrumentedIterator final : public BatchIterator {
 class PipelinedExecutor {
  public:
   PipelinedExecutor(const core::DatabaseView* db, const EngineOptions* options,
-                    const PhysicalPlan* plan, PlanStats* stats, WorkerPool* pool)
-      : ctx_(db, stats, options->batch_size, pool), options_(options), plan_(plan),
-        stats_(stats) {}
+                    const PhysicalPlan* plan, PlanStats* stats)
+      : ctx_(db, stats, options->batch_size, options->threads), options_(options),
+        plan_(plan), stats_(stats) {}
 
   util::Result<core::Relation> Run(const PhysicalOpPtr& root) {
     {
@@ -230,7 +229,6 @@ class PipelinedExecutor {
   void Finalize(const PhysicalOp* op, std::size_t rows) {
     stats_->max_intermediate = std::max(stats_->max_intermediate, rows);
     stats_->total_intermediate += rows;
-    if (!options_->collect_node_stats) return;
     finished_.emplace(op, MakeOpStats(op, rows, plan_));
   }
 
@@ -545,11 +543,8 @@ util::Result<RunResult> Engine::RunImpl(const PhysicalPlan& plan,
   const std::size_t threads = options_.threads == 0 ? 1 : options_.threads;
   RunResult result;
   result.stats = NewPlanStats(plan, options_.batch_size, threads);
-  // One fixed worker pool per run (serial runs pay nothing): partitioned
-  // operators fan out through it, everything else ignores it.
-  std::unique_ptr<WorkerPool> pool;
-  if (threads > 1) pool = std::make_unique<WorkerPool>(threads);
-  PipelinedExecutor executor(&db, &options_, &plan, &result.stats, pool.get());
+  // The run's worker pool starts at its first fan-out (ExecContext::pool).
+  PipelinedExecutor executor(&db, &options_, &plan, &result.stats);
   auto out = executor.Run(plan.root);
   if (!out.ok()) return util::Result<RunResult>::Error(out.error());
   result.relation = std::move(*out);

@@ -109,8 +109,9 @@ class PreparedQuery {
 /// striped/locked and shareable across engines and threads. A prepared
 /// handle is run from one thread at a time (see PreparedQuery).
 /// Each run builds its own executor state (and, for
-/// EngineOptions::threads > 1, its own worker pool), so the parallelism
-/// *inside* a run is unaffected by any of this. The one state a run
+/// EngineOptions::threads > 1, its own worker pool, started at the run's
+/// first fan-out), so the parallelism *inside* a run is unaffected by any
+/// of this. The one state a run
 /// leaves behind is per thread: the buffer its result rows were staged
 /// in (at most 4 MB is kept).
 class Engine {

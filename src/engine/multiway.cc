@@ -251,7 +251,8 @@ class MultiwayJoinOp;
 
 // Blocking iterator: Open() materializes and prepares every input, runs
 // the kernel (serial, or partitioned by variable 0 across the run's
-// worker pool), and streams the normalized result.
+// worker pool when the inputs binding it are large enough), and streams
+// the normalized result.
 class MultiwayIterator final : public BatchIterator {
  public:
   MultiwayIterator(ExecContext& ctx, std::vector<std::unique_ptr<BatchIterator>> inputs,
@@ -280,10 +281,9 @@ class MultiwayJoinOp final : public PhysicalOp {
  public:
   MultiwayJoinOp(std::vector<PhysicalOpPtr> children,
                  std::vector<std::vector<std::size_t>> column_vars, std::size_t num_vars,
-                 const ra::Expr* source, std::size_t partitions)
+                 const ra::Expr* source)
       : PhysicalOp(num_vars, std::move(children), source),
-        column_vars_(std::move(column_vars)), num_vars_(num_vars),
-        partitions_(partitions) {}
+        column_vars_(std::move(column_vars)), num_vars_(num_vars) {}
 
   std::string label() const override {
     return "multiway-join[k=" + std::to_string(children().size()) +
@@ -296,20 +296,17 @@ class MultiwayJoinOp final : public PhysicalOp {
   }
 
   PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> new_children) const override {
-    return MakeMultiwayJoin(std::move(new_children), column_vars_, num_vars_, source(),
-                            partitions_);
+    return MakeMultiwayJoin(std::move(new_children), column_vars_, num_vars_, source());
   }
 
   const std::vector<std::vector<std::size_t>>& column_vars() const {
     return column_vars_;
   }
   std::size_t num_vars() const { return num_vars_; }
-  std::size_t partitions() const { return partitions_; }
 
  private:
   std::vector<std::vector<std::size_t>> column_vars_;
   std::size_t num_vars_;
-  std::size_t partitions_;
 };
 
 void MultiwayIterator::Open() {
@@ -328,47 +325,49 @@ void MultiwayIterator::Open() {
     prepared.push_back(PrepareInput(materialized[i].get(), op_->column_vars()[i]));
   }
 
-  const std::size_t num_vars = op_->num_vars();
-  const std::size_t parts = ResolvePartitions(op_->partitions(), ctx_);
-  if (parts > 1 && num_vars > 0) {
-    // Split every input containing variable 0 by its value (column 1 of
-    // the prepared relation — variables are stored ascending, and
-    // MakeMultiwayJoin checks that some input covers variable 0); share
-    // the rest read-only. Each binding's variable-0 value routes it to
-    // exactly one partition, so the per-partition outputs are disjoint
-    // and their ordered merge equals the serial result bit for bit.
-    std::vector<std::vector<PreparedInput>> splits(k);
+  // Split every input containing variable 0 by its value (column 1 of
+  // the prepared relation — variables are stored ascending, and
+  // MakeMultiwayJoin checks that some input covers variable 0); share the
+  // rest read-only. The width follows the rows split. Each binding's
+  // variable-0 value routes it to exactly one partition, so the
+  // per-partition outputs are disjoint and their ordered merge equals the
+  // serial result bit for bit.
+  const auto splits_on_key = [](const PreparedInput& p) {
+    return !p.vars.empty() && p.vars[0] == 0;
+  };
+  std::size_t split_rows = 0;
+  for (const PreparedInput& p : prepared) {
+    if (splits_on_key(p)) split_rows += p.relation.size();
+  }
+  const std::size_t parts = PartitionCount(ctx_, split_rows);
+  std::vector<std::vector<PreparedInput>> splits(k);
+  if (parts > 1) {
     for (std::size_t i = 0; i < k; ++i) {
-      if (!prepared[i].vars.empty() && prepared[i].vars[0] == 0) {
-        std::vector<core::Relation> pieces =
-            PartitionByColumn(prepared[i].relation, 1, parts);
-        splits[i].reserve(parts);
-        for (auto& piece : pieces) {
-          splits[i].push_back(PreparedInput{std::move(piece), prepared[i].vars});
-        }
+      if (!splits_on_key(prepared[i])) continue;
+      std::vector<core::Relation> pieces =
+          PartitionByColumn(prepared[i].relation, 1, parts);
+      splits[i].reserve(parts);
+      for (auto& piece : pieces) {
+        splits[i].push_back(PreparedInput{std::move(piece), prepared[i].vars});
       }
     }
-    std::vector<PartitionTask> tasks;
-    tasks.reserve(parts);
-    for (std::size_t p = 0; p < parts; ++p) {
-      tasks.push_back([&, p] {
-        // Shared (unsplit) inputs are pre-normalized on the driving
-        // thread, so concurrent reads never race on lazy normalization.
-        std::vector<const PreparedInput*> local;
-        local.reserve(k);
-        for (std::size_t i = 0; i < k; ++i) {
-          local.push_back(splits[i].empty() ? &prepared[i] : &splits[i][p]);
-        }
-        return RunGenericJoin(local, num_vars);
-      });
-    }
-    result_ = RunPartitionTasks(ctx_, num_vars, tasks);
-  } else {
-    std::vector<const PreparedInput*> all;
-    all.reserve(k);
-    for (const PreparedInput& p : prepared) all.push_back(&p);
-    result_ = RunGenericJoin(all, num_vars);
   }
+  const std::size_t num_vars = op_->num_vars();
+  std::vector<PartitionTask> tasks;
+  tasks.reserve(parts);
+  for (std::size_t p = 0; p < parts; ++p) {
+    tasks.push_back([&, p] {
+      // Shared (unsplit) inputs are pre-normalized on the driving
+      // thread, so concurrent reads never race on lazy normalization.
+      std::vector<const PreparedInput*> local;
+      local.reserve(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        local.push_back(splits[i].empty() ? &prepared[i] : &splits[i][p]);
+      }
+      return RunGenericJoin(local, num_vars);
+    });
+  }
+  result_ = RunPartitionTasks(ctx_, num_vars, tasks);
   ctx_.CountJoinRows(result_.size());
   pos_ = 0;
 }
@@ -377,8 +376,7 @@ void MultiwayIterator::Open() {
 
 PhysicalOpPtr MakeMultiwayJoin(std::vector<PhysicalOpPtr> children,
                                std::vector<std::vector<std::size_t>> column_vars,
-                               std::size_t num_vars, const ra::Expr* source,
-                               std::size_t partitions) {
+                               std::size_t num_vars, const ra::Expr* source) {
   SETALG_CHECK(children.size() >= 2);
   SETALG_CHECK(children.size() == column_vars.size());
   std::vector<bool> covered(num_vars, false);
@@ -391,7 +389,7 @@ PhysicalOpPtr MakeMultiwayJoin(std::vector<PhysicalOpPtr> children,
   }
   for (std::size_t v = 0; v < num_vars; ++v) SETALG_CHECK(covered[v]);
   return std::make_shared<MultiwayJoinOp>(std::move(children), std::move(column_vars),
-                                          num_vars, source, partitions);
+                                          num_vars, source);
 }
 
 }  // namespace setalg::engine

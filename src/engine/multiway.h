@@ -12,12 +12,13 @@
 // The operator is implemented once against the engine/batch.h
 // Open/NextBatch/Close contract (a blocking operator, like the division
 // and set-join kernels), so the pipelined executor, its parallel runs and
-// the materializing reference all run it unchanged. Parallel runs hash-partition every
-// input containing join variable 0 by that variable's column
-// (engine::PartitionByColumn, so every input routes a value alike),
-// share the rest read-only, and merge the per-partition outputs in
-// partition-index order — results and PlanStats row counts are
-// bit-identical to the serial kernel.
+// the materializing reference all run it unchanged. Parallel runs
+// hash-partition every input containing join variable 0 by that
+// variable's column (engine::PartitionByColumn, so every input routes a
+// value alike), PartitionCount(rows of those inputs) ways
+// (engine/parallel.h), share the rest read-only, and merge the
+// per-partition outputs in partition-index order — results and PlanStats
+// row counts are bit-identical to the serial kernel.
 #ifndef SETALG_ENGINE_MULTIWAY_H_
 #define SETALG_ENGINE_MULTIWAY_H_
 
@@ -37,14 +38,11 @@ namespace setalg::engine {
 /// `num_vars`, one column per variable in variable order, and contains
 /// exactly the variable bindings consistent with every input (a child
 /// binding the same variable with two columns contributes only its rows
-/// where those columns agree). `partitions` follows the engine-wide
-/// contract (see MakeSemiJoin): 0 defers to the run's worker-pool width,
-/// 1 pins the operator serial, N forces an N-way fan-out by variable 0.
+/// where those columns agree).
 PhysicalOpPtr MakeMultiwayJoin(std::vector<PhysicalOpPtr> children,
                                std::vector<std::vector<std::size_t>> column_vars,
                                std::size_t num_vars,
-                               const ra::Expr* source = nullptr,
-                               std::size_t partitions = 0);
+                               const ra::Expr* source = nullptr);
 
 }  // namespace setalg::engine
 

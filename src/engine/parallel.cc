@@ -18,6 +18,10 @@ std::size_t PartitionOfKey(core::Value key, std::size_t partitions) {
 
 }  // namespace
 
+std::size_t PartitionCount(const ExecContext& ctx, std::size_t rows) {
+  return std::clamp<std::size_t>(rows / kMinPartitionRows, 1, ctx.threads());
+}
+
 WorkerPool::WorkerPool(std::size_t threads) {
   const std::size_t workers = threads <= 1 ? 0 : threads - 1;
   workers_.reserve(workers);
@@ -122,9 +126,8 @@ std::vector<RowRange> KeyRanges(const core::Relation& sorted, std::size_t parts)
 
 std::shared_ptr<const MaterializedInput> ReadSortedInput(ExecContext& ctx,
                                                          BatchIterator* stream,
-                                                         std::size_t arity, bool scan) {
+                                                         std::size_t arity) {
   if (const core::Relation* whole = stream->TakeRelation()) {
-    if (scan) ctx.CountSkippedPartitionPass();
     return std::make_shared<MaterializedInput>(MaterializedInput::Borrow(*whole));
   }
   auto input = std::make_shared<MaterializedInput>(
@@ -143,13 +146,9 @@ core::Relation RunPartitionTasks(ExecContext& ctx, std::size_t arity,
   std::vector<core::Relation> outputs;
   outputs.reserve(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) outputs.emplace_back(arity);
-  if (WorkerPool* pool = ctx.pool(); pool != nullptr) {
-    // Fan-out: each task writes only its own pre-sized slot, so the
-    // output vector needs no synchronization beyond Run()'s completion.
-    pool->Run(tasks.size(), [&](std::size_t i) { outputs[i] = tasks[i](); });
-  } else {
-    for (std::size_t i = 0; i < tasks.size(); ++i) outputs[i] = tasks[i]();
-  }
+  // Fan-out: each task writes only its own pre-sized slot, so the output
+  // vector needs no synchronization beyond Run()'s completion.
+  ctx.pool().Run(tasks.size(), [&](std::size_t i) { outputs[i] = tasks[i](); });
   // Fan-in on the calling thread, in partition-index order: partitions
   // hold disjoint key sets, so the concatenation is duplicate-free and
   // the normalized merge is identical across runs and thread counts.
@@ -172,11 +171,6 @@ core::Relation RunPartitionTasks(ExecContext& ctx, std::size_t arity,
 void PartitionedIterator::Open() {
   result_ = RunPartitionTasks(ctx_, arity_, plan_(inputs_));
   pos_ = 0;
-}
-
-std::size_t ResolvePartitions(std::size_t configured, const ExecContext& ctx) {
-  if (configured != 0) return configured;
-  return ctx.threads();
 }
 
 }  // namespace setalg::engine

@@ -9,9 +9,15 @@
 // run. This header provides the pieces that make that a reusable
 // execution strategy rather than per-operator thread code:
 //
-//   - WorkerPool: a fixed pool of worker threads (EngineOptions::threads,
-//     raq --threads) that runs one batch of independent tasks at a time;
-//     the calling thread participates, so `threads` is total parallelism.
+//   - PartitionCount: the one rule for fan-out width. An operator calls
+//     it once its input is in hand, with the rows it splits, and gets
+//     one partition per kMinPartitionRows rows, at most the run's
+//     threads (EngineOptions::threads) and at least 1. Inputs under two
+//     floors' worth of rows stay serial, however wide the pool.
+//   - WorkerPool: a fixed pool of worker threads that runs one batch of
+//     independent tasks at a time; the calling thread participates, so
+//     `threads` is total parallelism. ExecContext starts it at the run's
+//     first fan-out, so a run that never splits starts no thread.
 //   - KeyRanges and ReadSortedInput: the one partition path of division
 //     and the one input path of the set joins, serial runs included.
 //     Their grouped input is sorted on column 1 — normalized storage
@@ -23,7 +29,7 @@
 //     order. A set join groups each range with one pass over its rows
 //     (setjoin::GroupedRelation).
 //   - PartitionByColumn: deterministic hash routing of a relation's rows
-//     by one column, for the semijoin and the multiway join, whose
+//     by one column, for the fast semijoin and the multiway join, whose
 //     partitioning columns do not lead in general.
 //   - RunPartitionTasks: the one fan-out/fan-in. It runs the tasks
 //     across the pool and merges their outputs in partition-index order,
@@ -63,6 +69,17 @@
 #include "engine/physical.h"
 
 namespace setalg::engine {
+
+/// The rows an operator must hold per partition it cuts. Set from the
+/// fixed cost of one fan-out against the serial kernel's cost per row
+/// (the measurement is in README, "Parallel execution").
+inline constexpr std::size_t kMinPartitionRows = 3500;
+
+/// The fan-out width of an operator that splits `rows` rows under `ctx`:
+/// rows / kMinPartitionRows, clamped to [1, ctx.threads()]. 1 is a
+/// serial run. Deterministic in the rows and the thread count, never in
+/// load, so repeated runs count the same partitions.
+std::size_t PartitionCount(const ExecContext& ctx, std::size_t rows);
 
 /// A fixed pool of worker threads executing one batch of independent
 /// tasks at a time. Constructed with the total parallelism `threads`
@@ -129,15 +146,14 @@ std::vector<RowRange> KeyRanges(const core::Relation& sorted, std::size_t parts)
 /// The input of a key-range partitioned operator, sorted on column 1, as
 /// its tasks share it. A relation `stream` hands over
 /// (BatchIterator::TakeRelation, which normalizes it on this thread) is
-/// read in place; when `scan` says the input child is a scan that the
-/// operator cuts into more than one key range (PhysicalOp::scan_relation()
-/// and a resolved width above 1), the skipped partition pass is counted.
-/// Any other input is drained and normalized. Driving thread only; a
-/// borrowed relation is owned by the run's database or executor, which
-/// outlive the tasks.
+/// read in place; any other input is drained and normalized. An operator
+/// whose stored scan input this reads in place counts the skipped
+/// partition pass itself, once it has cut the input into more than one
+/// range. Driving thread only; a borrowed relation is owned by the run's
+/// database or executor, which outlive the tasks.
 std::shared_ptr<const MaterializedInput> ReadSortedInput(ExecContext& ctx,
                                                          BatchIterator* stream,
-                                                         std::size_t arity, bool scan);
+                                                         std::size_t arity);
 
 /// One partition's work: computes that partition's share of the
 /// operator's output. Runs on a worker thread; must only touch state
@@ -152,11 +168,11 @@ using PartitionTask = std::function<core::Relation()>;
 using PartitionPlanFn =
     std::function<std::vector<PartitionTask>(std::vector<std::unique_ptr<BatchIterator>>&)>;
 
-/// Runs `tasks` across ctx's worker pool (inline when the run has none)
-/// and returns their outputs concatenated in task order and normalized;
-/// counts the tasks in PlanStats::partitions. A single task is a serial
-/// run: it runs inline, its normalized output is the result, and no
-/// partition is counted. Driving thread only.
+/// Runs `tasks` across ctx's worker pool (started here at the run's first
+/// fan-out) and returns their outputs concatenated in task order and
+/// normalized; counts the tasks in PlanStats::partitions. A single task is
+/// a serial run: it runs inline, its normalized output is the result, no
+/// partition is counted and no pool is started. Driving thread only.
 core::Relation RunPartitionTasks(ExecContext& ctx, std::size_t arity,
                                  const std::vector<PartitionTask>& tasks);
 
@@ -188,12 +204,6 @@ class PartitionedIterator final : public BatchIterator {
   core::Relation result_;
   std::size_t pos_ = 0;
 };
-
-/// The partition count an operator configured with `configured` uses
-/// under `ctx`: an explicit count wins (1 pins the operator serial — the
-/// cost model's "don't partition this site" decision), 0 defers to the
-/// run's worker-pool width (1 when the run is serial).
-std::size_t ResolvePartitions(std::size_t configured, const ExecContext& ctx);
 
 }  // namespace setalg::engine
 

@@ -15,8 +15,16 @@
 
 namespace setalg::engine {
 
-std::size_t ExecContext::threads() const {
-  return pool_ == nullptr ? 1 : pool_->threads();
+ExecContext::ExecContext(const core::DatabaseView* db, PlanStats* stats,
+                         std::size_t batch_size, std::size_t threads)
+    : db_(db), stats_(stats), batch_size_(batch_size == 0 ? 1 : batch_size),
+      threads_(threads == 0 ? 1 : threads) {}
+
+ExecContext::~ExecContext() = default;
+
+WorkerPool& ExecContext::pool() {
+  if (pool_ == nullptr) pool_ = std::make_unique<WorkerPool>(threads_);
+  return *pool_;
 }
 
 namespace {
@@ -74,34 +82,6 @@ std::string ColumnsToString(const std::vector<std::size_t>& columns) {
     out << columns[k];
   }
   return out.str();
-}
-
-// The generic semijoin as a whole-relation kernel — the partitioned
-// spelling of GenericSemiJoinIterator's probe (the streaming iterator
-// remains the serial path). Requires at least one equality atom (the
-// partitioned path never runs without one).
-Relation GenericSemijoinRelation(const Relation& left, const Relation& right,
-                                 const std::vector<ra::JoinAtom>& atoms) {
-  std::vector<ra::JoinAtom> eq;
-  std::vector<ra::JoinAtom> residual;
-  SplitAtoms(atoms, &eq, &residual);
-  SETALG_CHECK(!eq.empty());
-  std::vector<std::size_t> right_cols;
-  right_cols.reserve(eq.size());
-  for (const auto& atom : eq) right_cols.push_back(atom.right - 1);
-  const core::HashIndex index(&right, std::move(right_cols));
-  core::Tuple key(eq.size());
-  Relation out(left.arity());
-  for (std::size_t i = 0; i < left.size(); ++i) {
-    const TupleView lt = left.tuple(i);
-    for (std::size_t k = 0; k < eq.size(); ++k) key[k] = lt[eq[k].left - 1];
-    bool found = false;
-    index.ForEachMatch(key, [&](std::size_t r) {
-      if (!found && ResidualHolds(residual, lt, right.tuple(r))) found = true;
-    });
-    if (found) out.Add(lt);
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -682,11 +662,10 @@ class GenericSemiJoinIterator final : public BatchIterator {
 class SemiJoinOp final : public PhysicalOp {
  public:
   SemiJoinOp(PhysicalOpPtr left, PhysicalOpPtr right, std::vector<ra::JoinAtom> atoms,
-             SemijoinStrategy strategy, const ra::Expr* source, std::size_t partitions)
+             SemijoinStrategy strategy, const ra::Expr* source)
       : PhysicalOp(left->arity(), {left, right}, source),
         atoms_(std::move(atoms)),
-        strategy_(strategy),
-        partitions_(partitions) {}
+        strategy_(strategy) {}
 
   std::string label() const override {
     return std::string("semijoin[") + AtomsToString(atoms_) + "]" +
@@ -696,37 +675,35 @@ class SemiJoinOp final : public PhysicalOp {
   std::unique_ptr<BatchIterator> MakeBatchIterator(
       ExecContext& ctx,
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
-    // Co-partition both sides by the first equality atom: rows that can
-    // match share that atom's value, hence a partition, so the disjoint
-    // (left is partitioned) per-partition semijoins union to the serial
-    // output. No equality atom → no co-partitioning key → one partition.
-    const ra::JoinAtom* eq = ra::FirstEqualityAtom(atoms_);
-    const std::size_t parts = eq == nullptr ? 1 : ResolvePartitions(partitions_, ctx);
-    const bool fast = strategy_ == SemijoinStrategy::kFastKernel;
-    if (parts == 1 && !fast) {
+    if (strategy_ == SemijoinStrategy::kGeneric) {
       return std::make_unique<GenericSemiJoinIterator>(
           ctx, std::move(inputs), &atoms_, child(0)->arity(), child(1)->arity());
     }
     // The sa:: kernels pick their own access paths over whole relations,
     // so the fast strategy materializes both sides even when serial.
-    const std::size_t batch_size = ctx.batch_size();
+    // Co-partition both sides by the first equality atom: rows that can
+    // match share that atom's value, hence a partition, so the disjoint
+    // (left is partitioned) per-partition semijoins union to the serial
+    // output. No equality atom → no co-partitioning key → one partition.
+    const ra::JoinAtom* eq = ra::FirstEqualityAtom(atoms_);
     const std::size_t left_arity = child(0)->arity();
     const std::size_t right_arity = child(1)->arity();
     const auto* atoms = &atoms_;
     return std::make_unique<PartitionedIterator>(
         ctx, arity(), std::move(inputs),
-        [parts, batch_size, left_arity, right_arity, fast, eq,
+        [&ctx, left_arity, right_arity, eq,
          atoms](std::vector<std::unique_ptr<BatchIterator>>& streams) {
           auto left = std::make_shared<const MaterializedInput>(
-              MaterializedInput::From(streams[0].get(), left_arity, batch_size));
+              MaterializedInput::From(streams[0].get(), left_arity, ctx.batch_size()));
           auto right = std::make_shared<const MaterializedInput>(
-              MaterializedInput::From(streams[1].get(), right_arity, batch_size));
-          const auto kernel = [fast, atoms](const Relation& l, const Relation& r) {
-            return fast ? sa::Semijoin(l, r, *atoms) : GenericSemijoinRelation(l, r, *atoms);
-          };
+              MaterializedInput::From(streams[1].get(), right_arity, ctx.batch_size()));
+          const std::size_t parts =
+              eq == nullptr ? 1
+                            : PartitionCount(ctx, left->get().size() + right->get().size());
           if (parts == 1) {
-            return std::vector<PartitionTask>{
-                [left, right, kernel] { return kernel(left->get(), right->get()); }};
+            return std::vector<PartitionTask>{[left, right, atoms] {
+              return sa::Semijoin(left->get(), right->get(), *atoms);
+            }};
           }
           auto left_parts = std::make_shared<std::vector<Relation>>(
               PartitionByColumn(left->get(), eq->left, parts));
@@ -735,8 +712,8 @@ class SemiJoinOp final : public PhysicalOp {
           std::vector<PartitionTask> tasks;
           tasks.reserve(parts);
           for (std::size_t p = 0; p < parts; ++p) {
-            tasks.push_back([left_parts, right_parts, p, kernel] {
-              return kernel((*left_parts)[p], (*right_parts)[p]);
+            tasks.push_back([left_parts, right_parts, p, atoms] {
+              return sa::Semijoin((*left_parts)[p], (*right_parts)[p], *atoms);
             });
           }
           return tasks;
@@ -746,13 +723,12 @@ class SemiJoinOp final : public PhysicalOp {
   PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
     SETALG_CHECK_EQ(children.size(), 2u);
     return std::make_shared<SemiJoinOp>(std::move(children[0]), std::move(children[1]),
-                                        atoms_, strategy_, source(), partitions_);
+                                        atoms_, strategy_, source());
   }
 
  private:
   std::vector<ra::JoinAtom> atoms_;
   SemijoinStrategy strategy_;
-  std::size_t partitions_;
 };
 
 // ---------------------------------------------------------------------------
@@ -830,11 +806,10 @@ class DivisionOp final : public PhysicalOp {
  public:
   DivisionOp(PhysicalOpPtr dividend, PhysicalOpPtr divisor,
              setjoin::DivisionAlgorithm algorithm, bool equality,
-             const ra::Expr* source, std::size_t partitions)
+             const ra::Expr* source)
       : PhysicalOp(1, {std::move(dividend), std::move(divisor)}, source),
         algorithm_(algorithm),
-        equality_(equality),
-        partitions_(partitions) {}
+        equality_(equality) {}
 
   std::string label() const override {
     return std::string(equality_ ? "division=[" : "division[") +
@@ -844,25 +819,26 @@ class DivisionOp final : public PhysicalOp {
   std::unique_ptr<BatchIterator> MakeBatchIterator(
       ExecContext& ctx,
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
-    const std::size_t parts = ResolvePartitions(partitions_, ctx);
     // Every group lies wholly in one key range, so dividing each range
     // against the shared divisor yields key-disjoint slices of the serial
     // result — for every direct algorithm. kClassicRa stays serial: it
     // evaluates one RA expression over the whole dividend.
-    if (parts > 1 && algorithm_ != setjoin::DivisionAlgorithm::kClassicRa) {
+    if (ctx.threads() > 1 && algorithm_ != setjoin::DivisionAlgorithm::kClassicRa) {
       const auto algorithm = algorithm_;
       const bool equality = equality_;
       const bool scan = child(0)->scan_relation() != nullptr;
       return std::make_unique<PartitionedIterator>(
           ctx, arity(), std::move(inputs),
-          [&ctx, scan, parts, algorithm,
+          [&ctx, scan, algorithm,
            equality](std::vector<std::unique_ptr<BatchIterator>>& streams) {
             // Both inputs are consumed on the driving thread; the divisor
             // is normalized here so workers only ever read it.
             auto divisor = std::make_shared<MaterializedInput>(
                 MaterializedInput::From(streams[1].get(), 1, ctx.batch_size()));
             divisor->get().Normalize();
-            auto dividend = ReadSortedInput(ctx, streams[0].get(), 2, scan);
+            auto dividend = ReadSortedInput(ctx, streams[0].get(), 2);
+            const std::size_t parts = PartitionCount(ctx, dividend->get().size());
+            if (parts > 1 && scan) ctx.CountSkippedPartitionPass();
             const bool single_pass =
                 algorithm == setjoin::DivisionAlgorithm::kHashDivision ||
                 algorithm == setjoin::DivisionAlgorithm::kAggregate;
@@ -895,13 +871,12 @@ class DivisionOp final : public PhysicalOp {
   PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
     SETALG_CHECK_EQ(children.size(), 2u);
     return std::make_shared<DivisionOp>(std::move(children[0]), std::move(children[1]),
-                                        algorithm_, equality_, source(), partitions_);
+                                        algorithm_, equality_, source());
   }
 
  private:
   setjoin::DivisionAlgorithm algorithm_;
   bool equality_;
-  std::size_t partitions_;
 };
 
 // ---------------------------------------------------------------------------
@@ -922,26 +897,26 @@ using SetJoinKernel = std::function<Relation(const setjoin::GroupedRelation&,
 class SetJoinOp final : public PhysicalOp {
  public:
   SetJoinOp(PhysicalOpPtr left, PhysicalOpPtr right, std::string label,
-            SetJoinKernel kernel, const ra::Expr* source, std::size_t partitions)
+            SetJoinKernel kernel, const ra::Expr* source)
       : PhysicalOp(2, {std::move(left), std::move(right)}, source),
         label_(std::move(label)),
-        kernel_(std::move(kernel)),
-        partitions_(partitions) {}
+        kernel_(std::move(kernel)) {}
 
   std::string label() const override { return label_; }
 
   std::unique_ptr<BatchIterator> MakeBatchIterator(
       ExecContext& ctx,
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
-    const std::size_t parts = ResolvePartitions(partitions_, ctx);
-    const bool scan = parts > 1 && child(0)->scan_relation() != nullptr;
+    const bool scan = child(0)->scan_relation() != nullptr;
     const SetJoinKernel* kernel = &kernel_;
     return std::make_unique<PartitionedIterator>(
         ctx, 2, std::move(inputs),
-        [&ctx, scan, parts, kernel](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-          auto left = ReadSortedInput(ctx, streams[0].get(), 2, scan);
+        [&ctx, scan, kernel](std::vector<std::unique_ptr<BatchIterator>>& streams) {
+          auto left = ReadSortedInput(ctx, streams[0].get(), 2);
           auto right = std::make_shared<const setjoin::GroupedRelation>(
-              ReadSortedInput(ctx, streams[1].get(), 2, /*scan=*/false)->get());
+              ReadSortedInput(ctx, streams[1].get(), 2)->get());
+          const std::size_t parts = PartitionCount(ctx, left->get().size());
+          if (parts > 1 && scan) ctx.CountSkippedPartitionPass();
           std::vector<PartitionTask> tasks;
           tasks.reserve(parts);
           for (const RowRange range : KeyRanges(left->get(), parts)) {
@@ -958,13 +933,12 @@ class SetJoinOp final : public PhysicalOp {
   PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
     SETALG_CHECK_EQ(children.size(), 2u);
     return std::make_shared<SetJoinOp>(std::move(children[0]), std::move(children[1]),
-                                       label_, kernel_, source(), partitions_);
+                                       label_, kernel_, source());
   }
 
  private:
   std::string label_;
   SetJoinKernel kernel_;
-  std::size_t partitions_;
 };
 
 void AppendTree(const PhysicalOp& op, std::size_t depth, std::string* out) {
@@ -1088,28 +1062,28 @@ PhysicalOpPtr MakeJoin(PhysicalOpPtr left, PhysicalOpPtr right,
 
 PhysicalOpPtr MakeSemiJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                            std::vector<ra::JoinAtom> atoms, SemijoinStrategy strategy,
-                           const ra::Expr* source, std::size_t partitions) {
+                           const ra::Expr* source) {
   for (const auto& atom : atoms) {
     SETALG_CHECK_STREAM(atom.left >= 1 && atom.left <= left->arity() &&
                         atom.right >= 1 && atom.right <= right->arity())
         << "semijoin atom out of range";
   }
   return std::make_shared<SemiJoinOp>(std::move(left), std::move(right),
-                                      std::move(atoms), strategy, source, partitions);
+                                      std::move(atoms), strategy, source);
 }
 
 PhysicalOpPtr MakeDivision(PhysicalOpPtr dividend, PhysicalOpPtr divisor,
                            setjoin::DivisionAlgorithm algorithm, bool equality,
-                           const ra::Expr* source, std::size_t partitions) {
+                           const ra::Expr* source) {
   SETALG_CHECK_EQ(dividend->arity(), 2u);
   SETALG_CHECK_EQ(divisor->arity(), 1u);
   return std::make_shared<DivisionOp>(std::move(dividend), std::move(divisor),
-                                      algorithm, equality, source, partitions);
+                                      algorithm, equality, source);
 }
 
 PhysicalOpPtr MakeSetContainmentJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                                      setjoin::ContainmentAlgorithm algorithm,
-                                     const ra::Expr* source, std::size_t partitions) {
+                                     const ra::Expr* source) {
   SETALG_CHECK_EQ(left->arity(), 2u);
   SETALG_CHECK_EQ(right->arity(), 2u);
   return std::make_shared<SetJoinOp>(
@@ -1119,12 +1093,12 @@ PhysicalOpPtr MakeSetContainmentJoin(PhysicalOpPtr left, PhysicalOpPtr right,
       [algorithm](const setjoin::GroupedRelation& l, const setjoin::GroupedRelation& r) {
         return setjoin::SetContainmentJoin(l, r, algorithm);
       },
-      source, partitions);
+      source);
 }
 
 PhysicalOpPtr MakeSetEqualityJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                                   setjoin::EqualityJoinAlgorithm algorithm,
-                                  const ra::Expr* source, std::size_t partitions) {
+                                  const ra::Expr* source) {
   SETALG_CHECK_EQ(left->arity(), 2u);
   SETALG_CHECK_EQ(right->arity(), 2u);
   return std::make_shared<SetJoinOp>(
@@ -1134,11 +1108,11 @@ PhysicalOpPtr MakeSetEqualityJoin(PhysicalOpPtr left, PhysicalOpPtr right,
       [algorithm](const setjoin::GroupedRelation& l, const setjoin::GroupedRelation& r) {
         return setjoin::SetEqualityJoin(l, r, algorithm);
       },
-      source, partitions);
+      source);
 }
 
 PhysicalOpPtr MakeSetOverlapJoin(PhysicalOpPtr left, PhysicalOpPtr right,
-                                 const ra::Expr* source, std::size_t partitions) {
+                                 const ra::Expr* source) {
   SETALG_CHECK_EQ(left->arity(), 2u);
   SETALG_CHECK_EQ(right->arity(), 2u);
   return std::make_shared<SetJoinOp>(
@@ -1146,7 +1120,7 @@ PhysicalOpPtr MakeSetOverlapJoin(PhysicalOpPtr left, PhysicalOpPtr right,
       [](const setjoin::GroupedRelation& l, const setjoin::GroupedRelation& r) {
         return setjoin::SetOverlapJoin(l, r);
       },
-      source, partitions);
+      source);
 }
 
 }  // namespace setalg::engine

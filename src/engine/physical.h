@@ -127,14 +127,16 @@ struct PlanStats {
   std::size_t threads_used = 1;
   /// Partition tasks executed by partitioned operators, summed across the
   /// run (0 when every operator ran serial). Deterministic for fixed
-  /// options: partition counts are resolved per operator, never from load.
+  /// options and data: each operator's width is PartitionCount of the
+  /// rows it splits (engine/parallel.h), never a function of load.
   std::size_t partitions = 0;
   /// Partition passes partitioned operators skipped because they read a
   /// stored relation in place: a division or set join whose grouped
   /// input is a scan cuts the stored relation, sorted on column 1, into
-  /// key ranges without draining or partitioning it (one count per such
-  /// input). Like `partitions`, purely an execution-strategy counter:
-  /// results and per-operator row counts are unchanged.
+  /// more than one key range without draining or partitioning it (one
+  /// count per such input). Like `partitions`, purely an
+  /// execution-strategy counter: results and per-operator row counts are
+  /// unchanged.
   std::size_t partition_passes_skipped = 0;
   /// The AGM (fractional edge cover) output bound of the first join chain
   /// the planner collected into a hypergraph, in tuples — the provable
@@ -156,9 +158,11 @@ class WorkerPool;  // engine/parallel.h
 class ExecContext {
  public:
   ExecContext(const core::DatabaseView* db, PlanStats* stats,
-              std::size_t batch_size = kDefaultBatchSize, WorkerPool* pool = nullptr)
-      : db_(db), stats_(stats), batch_size_(batch_size == 0 ? 1 : batch_size),
-        pool_(pool) {}
+              std::size_t batch_size = kDefaultBatchSize, std::size_t threads = 1);
+  ~ExecContext();
+
+  ExecContext(const ExecContext&) = delete;
+  ExecContext& operator=(const ExecContext&) = delete;
 
   const core::DatabaseView& db() const { return *db_; }
   PlanStats* stats() const { return stats_; }
@@ -166,12 +170,14 @@ class ExecContext {
   /// Tuples per batch on the batch surface (always >= 1).
   std::size_t batch_size() const { return batch_size_; }
 
-  /// The run's worker pool, or nullptr for a serial run. Operators only
-  /// use it through PartitionedIterator (engine/parallel.h).
-  WorkerPool* pool() const { return pool_; }
+  /// Total parallelism available to partitioned operators (>= 1): the
+  /// bound PartitionCount (engine/parallel.h) clamps fan-out widths to.
+  std::size_t threads() const { return threads_; }
 
-  /// Total parallelism available to partitioned operators (>= 1).
-  std::size_t threads() const;
+  /// The run's `threads`-wide worker pool, started on the first call —
+  /// RunPartitionTasks' first fan-out — and joined with the context, so a
+  /// run that never splits starts no thread. Driving thread only.
+  WorkerPool& pool();
 
   void CountJoinRows(std::uint64_t rows) {
     if (stats_ != nullptr) stats_->join_rows_emitted += rows;
@@ -187,13 +193,14 @@ class ExecContext {
   }
 
   /// Records one partitioned operator's fan-out width. Called from the
-  /// driving thread only (PartitionedIterator::Open after the fan-in).
+  /// driving thread only (RunPartitionTasks after the fan-in).
   void CountPartitions(std::size_t partitions) {
     if (stats_ != nullptr) stats_->partitions += partitions;
   }
 
-  /// Records one input a partitioned operator read in place from storage
-  /// instead of running its partition pass. Driving thread only.
+  /// Records one stored input a partitioned operator read in place and
+  /// cut into more than one key range instead of running its partition
+  /// pass. Driving thread only.
   void CountSkippedPartitionPass() {
     if (stats_ != nullptr) ++stats_->partition_passes_skipped;
   }
@@ -202,7 +209,8 @@ class ExecContext {
   const core::DatabaseView* db_;
   PlanStats* stats_;
   std::size_t batch_size_;
-  WorkerPool* pool_;
+  std::size_t threads_;
+  std::unique_ptr<WorkerPool> pool_;
 };
 
 /// An immutable physical operator. Build via the factory functions below;
@@ -298,53 +306,48 @@ PhysicalOpPtr MakeJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                        std::vector<ra::JoinAtom> atoms,
                        const ra::Expr* source = nullptr);
 
-/// `partitions` (here and below) configures partitioned parallel
-/// execution of the operator (see engine/parallel.h): 0 follows the
-/// run's worker-pool width (EngineOptions::threads), 1 pins the operator
-/// serial, N forces an N-way fan-out. Any value yields results and
-/// PlanStats row counts identical to the serial operator. Semijoins
-/// partition both sides by the first equality atom; conditions without an
-/// equality fall back to the serial kernel.
+/// Semijoin. The fast strategy partitions both sides by the first
+/// equality atom once they are in hand, PartitionCount(rows of both
+/// sides) ways (engine/parallel.h); a condition without an equality atom
+/// runs the kernel serially. The generic strategy is the reference and
+/// always runs serial. Results and PlanStats row counts are identical at
+/// every width.
 PhysicalOpPtr MakeSemiJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                            std::vector<ra::JoinAtom> atoms,
                            SemijoinStrategy strategy,
-                           const ra::Expr* source = nullptr,
-                           std::size_t partitions = 0);
+                           const ra::Expr* source = nullptr);
 
 /// Division: child 0 is the binary dividend R(A,B), child 1 the unary
 /// divisor S(B). With `equality` the B-set must equal S, else contain it.
-/// Partitioned execution splits the dividend by key and shares the
+/// Under a run with threads > 1 the dividend is read sorted on column 1
+/// and cut into PartitionCount(dividend rows) key ranges that share the
 /// divisor; kClassicRa always runs serial (its plan is one RA expression).
 PhysicalOpPtr MakeDivision(PhysicalOpPtr dividend, PhysicalOpPtr divisor,
                            setjoin::DivisionAlgorithm algorithm, bool equality,
-                           const ra::Expr* source = nullptr,
-                           std::size_t partitions = 0);
+                           const ra::Expr* source = nullptr);
 
 // The set joins: one operator over two binary inputs grouped on column 1,
 // which differs only in its label and kernel (setjoin/setjoin.h). Both
 // inputs are read sorted on column 1 — a stored scan in place, any other
 // input drained and normalized — and grouped with one pass over their rows
 // (setjoin::GroupedRelation). The right side is grouped once and shared;
-// the left (output-key) side is cut into `partitions` key ranges, and each
-// range's task groups its own rows and runs the kernel. A serial run is
-// the same plan with one range.
+// the left (output-key) side is cut into PartitionCount(left rows) key
+// ranges, and each range's task groups its own rows and runs the kernel.
+// A serial run is the same plan with one range.
 
 /// Set-containment join: pairs (a, c) whose left set contains the right.
 PhysicalOpPtr MakeSetContainmentJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                                      setjoin::ContainmentAlgorithm algorithm,
-                                     const ra::Expr* source = nullptr,
-                                     std::size_t partitions = 0);
+                                     const ra::Expr* source = nullptr);
 
 /// Set-equality join: pairs (a, c) whose sets are equal.
 PhysicalOpPtr MakeSetEqualityJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                                   setjoin::EqualityJoinAlgorithm algorithm,
-                                  const ra::Expr* source = nullptr,
-                                  std::size_t partitions = 0);
+                                  const ra::Expr* source = nullptr);
 
 /// Set-overlap join: pairs (a, c) whose sets intersect.
 PhysicalOpPtr MakeSetOverlapJoin(PhysicalOpPtr left, PhysicalOpPtr right,
-                                 const ra::Expr* source = nullptr,
-                                 std::size_t partitions = 0);
+                                 const ra::Expr* source = nullptr);
 
 /// All stored-relation names scanned anywhere in the plan rooted at
 /// `root`, sorted and unique — the relation set a plan's cache entry

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "engine/cost.h"
-#include "engine/multiway.h"
 
 namespace setalg::engine {
 namespace {
@@ -19,7 +18,6 @@ struct NewDecision {
   setjoin::DivisionAlgorithm division_algorithm =
       setjoin::DivisionAlgorithm::kHashDivision;
   SemijoinStrategy strategy = SemijoinStrategy::kFastKernel;
-  std::size_t partitions = 0;
 };
 
 // Bottom-up structural substitution: flipped operators are rebuilt with
@@ -47,17 +45,10 @@ PhysicalOpPtr RebuildOp(
     if (point.kind == ChoicePoint::Kind::kDivision) {
       out = MakeDivision(std::move(children[0]), std::move(children[1]),
                          flip->second.division_algorithm, point.equality,
-                         point.source, flip->second.partitions);
-    } else if (point.kind == ChoicePoint::Kind::kMultiway) {
-      // The routing itself is structural (pinned at lowering); only the
-      // serial-vs-partitioned execution decision can flip here.
-      out = MakeMultiwayJoin(std::move(children), point.multiway_var_maps,
-                             point.multiway_num_vars, point.source,
-                             flip->second.partitions);
+                         point.source);
     } else {
       out = MakeSemiJoin(std::move(children[0]), std::move(children[1]),
-                         point.op_atoms, flip->second.strategy, point.source,
-                         flip->second.partitions);
+                         point.op_atoms, flip->second.strategy, point.source);
     }
   } else if (changed) {
     out = op->WithChildren(std::move(children));
@@ -152,37 +143,22 @@ CacheOutcome RevalidateCachedPlan(CachedPlan& entry, const core::DatabaseView& d
                            setjoin::DivisionAlgorithmToString(algorithm),
                            choice.estimate});
       }
-      std::size_t partitions = 0;
-      if (options.threads > 1 && cost_based) {
-        const auto parallel = model.ChooseParallelism(
-            model.EstimateDivision(algorithm, r_est, s_est, point.equality),
-            r_est.cardinality + s_est.cardinality, r_est.key_distinct,
-            options.threads, ReadsStoredScanInPlace(point.left));
-        entries.push_back({point.equality ? "equality-division-execution"
-                                          : "division-execution",
-                           ParallelChoiceLabel(parallel.partitions),
-                           parallel.estimate});
-        partitions = parallel.partitions;
-      }
       decision.division_algorithm = algorithm;
-      decision.partitions = partitions;
-      if (algorithm != point.division_algorithm || partitions != point.partitions) {
+      if (algorithm != point.division_algorithm) {
         flips.emplace(point.op, decision);
         if (point.rewrite_index < plan.rewrites.size()) {
           plan.rewrites[point.rewrite_index] =
               DivisionRewriteNote(algorithm, point.equality, cost_based);
         }
         point.division_algorithm = algorithm;
-        point.partitions = partitions;
       }
     } else if (point.kind == ChoicePoint::Kind::kMultiway) {
       // The multiway-vs-binary routing is baked into the plan's shape and
       // never flips on revalidation (re-routing would be a re-lowering);
-      // the point re-prices the pinned alternative from fresh statistics
-      // and, for a routed chain, re-decides only the execution fan-out.
+      // the point only re-prices the pinned alternative from fresh
+      // statistics.
       JoinHypergraph graph;
       graph.num_vars = point.multiway_num_vars;
-      double sum_inputs = 0.0;
       for (std::size_t i = 0; i < point.multiway_inputs.size(); ++i) {
         JoinHypergraph::Edge edge;
         edge.vars = point.multiway_var_maps[i];
@@ -190,7 +166,6 @@ CacheOutcome RevalidateCachedPlan(CachedPlan& entry, const core::DatabaseView& d
         edge.vars.erase(std::unique(edge.vars.begin(), edge.vars.end()),
                         edge.vars.end());
         edge.cardinality = model.Estimate(point.multiway_inputs[i]).cardinality;
-        sum_inputs += edge.cardinality;
         graph.edges.push_back(std::move(edge));
       }
       std::vector<double> interior_cards;
@@ -211,66 +186,30 @@ CacheOutcome RevalidateCachedPlan(CachedPlan& entry, const core::DatabaseView& d
         agm_refreshed = true;
       }
       if (point.multiway_routed) {
-        std::size_t partitions = 0;
-        if (options.threads > 1 && cost_based) {
-          const ra::ExprPtr& key_leaf = point.multiway_inputs[point.multiway_key_leaf];
-          const auto parallel = model.ChooseParallelism(
-              choice.multiway, sum_inputs,
-              EstimateColumnDistinct(model.Estimate(key_leaf),
-                                     point.multiway_key_column, key_leaf->arity()),
-              options.threads);
-          entries.push_back({"multiway-execution",
-                             ParallelChoiceLabel(parallel.partitions),
-                             parallel.estimate});
-          partitions = parallel.partitions;
-        }
         if (point.rewrite_index < plan.rewrites.size() &&
             std::isfinite(choice.agm_bound)) {
           plan.rewrites[point.rewrite_index] =
               MultiwayRewriteNote(point.multiway_inputs.size(), choice.agm_bound);
         }
         if (stats != nullptr) multiway_estimates.emplace_back(&point, choice.multiway);
-        decision.partitions = partitions;
-        if (partitions != point.partitions) {
-          flips.emplace(point.op, decision);
-          point.partitions = partitions;
-        }
       }
     } else {
       SemijoinStrategy strategy = options.use_fast_semijoin
                                       ? SemijoinStrategy::kFastKernel
                                       : SemijoinStrategy::kGeneric;
-      std::size_t partitions = 0;
       if (cost_based) {
         const ExprEstimate l = model.Estimate(point.left);
         const ExprEstimate r = model.Estimate(point.right);
         strategy = model.ChooseSemijoin(l, r, point.atoms);
-        const CostEstimate estimate =
-            model.EstimateSemijoin(l, r, point.atoms, strategy);
         entries.push_back({"semijoin",
                            strategy == SemijoinStrategy::kFastKernel ? "fast-kernel"
                                                                      : "generic",
-                           estimate});
-        const ra::JoinAtom* eq = ra::FirstEqualityAtom(point.atoms);
-        if (eq == nullptr) {
-          partitions = 1;
-        } else if (options.threads > 1) {
-          const auto parallel = model.ChooseParallelism(
-              estimate, l.cardinality + r.cardinality,
-              EstimateColumnDistinct(l, eq->left, point.left->arity()),
-              options.threads);
-          entries.push_back({"semijoin-execution",
-                             ParallelChoiceLabel(parallel.partitions),
-                             parallel.estimate});
-          partitions = parallel.partitions;
-        }
+                           model.EstimateSemijoin(l, r, point.atoms, strategy)});
       }
       decision.strategy = strategy;
-      decision.partitions = partitions;
-      if (strategy != point.semijoin_strategy || partitions != point.partitions) {
+      if (strategy != point.semijoin_strategy) {
         flips.emplace(point.op, decision);
         point.semijoin_strategy = strategy;
-        point.partitions = partitions;
       }
     }
     // Refresh this decision's slice of the recorded choices in place —

@@ -1,8 +1,8 @@
 // Cached lowered plans and their revalidation: the entries the engine's
 // plan cache (engine/shared_cache.h) stores and prepared handles hold.
 //
-// *Planning* — lowering, pattern routing, cost-based algorithm choice,
-// partition pricing — is a per-call cost on every uncached Engine::Run.
+// *Planning* — lowering, pattern routing, cost-based algorithm choice —
+// is a per-call cost on every uncached Engine::Run.
 // At serving traffic that path is the hot path: the same handful of query
 // shapes arrive millions of times while the data slowly mutates
 // underneath. The plan cache closes that gap with the invalidation signal

@@ -128,26 +128,8 @@ class Lowering {
                                       : SemijoinStrategy::kGeneric;
   }
 
-  /// Plan-time serial-vs-partitioned decision for one call site: under
-  /// cost_based planning with a worker pool configured, consult the
-  /// partition pricing and pin the operator (1 = serial, N = N-way);
-  /// otherwise defer to the execution context (0 = pool width).
-  /// `aligned` declares the partitioned input a stored scan read in place
-  /// (ReadsStoredScanInPlace: the executor skips the partition pass).
-  std::size_t PartitionsFor(const char* site, const CostEstimate& serial,
-                            double input_cardinality, double key_distinct,
-                            bool aligned = false) {
-    if (options_.threads <= 1 || !CostBased()) return 0;
-    const CostModel::ParallelChoice choice = model_.ChooseParallelism(
-        serial, input_cardinality, key_distinct, options_.threads, aligned);
-    choices_.push_back({site, ParallelChoiceLabel(choice.partitions),
-                        choice.estimate});
-    return choice.partitions;
-  }
-
   struct SemijoinPlan {
     SemijoinStrategy strategy;
-    std::size_t partitions;
     /// Slice of choices_ this decision wrote (for the plan's ChoicePoint).
     std::size_t first_choice;
     std::size_t num_choices;
@@ -156,27 +138,15 @@ class Lowering {
   SemijoinPlan SemijoinStrategyFor(const ExprPtr& left, const ExprPtr& right,
                                    const std::vector<ra::JoinAtom>& atoms) {
     const std::size_t first_choice = choices_.size();
-    if (!CostBased()) return {Strategy(), 0, first_choice, 0};
+    if (!CostBased()) return {Strategy(), first_choice, 0};
     const ExprEstimate l = model_.Estimate(left);
     const ExprEstimate r = model_.Estimate(right);
     const SemijoinStrategy strategy = model_.ChooseSemijoin(l, r, atoms);
-    const CostEstimate estimate = model_.EstimateSemijoin(l, r, atoms, strategy);
     choices_.push_back(
         {"semijoin",
          strategy == SemijoinStrategy::kFastKernel ? "fast-kernel" : "generic",
-         estimate});
-    // The operator co-partitions both sides by the first equality atom:
-    // without one there is no routing key and the kernel stays serial, so
-    // no execution decision exists to price or record; with one, the
-    // fan-out cap must come from that atom's column (not column 1 — a
-    // near-constant partitioning column would leave all but one task
-    // empty while still paying the dispatch overhead).
-    const ra::JoinAtom* eq = ra::FirstEqualityAtom(atoms);
-    if (eq == nullptr) return {strategy, 1, first_choice, choices_.size() - first_choice};
-    const std::size_t partitions = PartitionsFor(
-        "semijoin-execution", estimate, l.cardinality + r.cardinality,
-        EstimateColumnDistinct(l, eq->left, left->arity()));
-    return {strategy, partitions, first_choice, choices_.size() - first_choice};
+         model_.EstimateSemijoin(l, r, atoms, strategy)});
+    return {strategy, first_choice, 1};
   }
 
   /// Records the re-costable decision behind one lowered semijoin
@@ -195,7 +165,6 @@ class Lowering {
     point.op_atoms = std::move(op_atoms);
     point.source = source;
     point.semijoin_strategy = plan.strategy;
-    point.partitions = plan.partitions;
     point.first_choice = plan.first_choice;
     point.num_choices = plan.num_choices;
     choice_points_.push_back(std::move(point));
@@ -216,14 +185,8 @@ class Lowering {
     }
     const std::size_t rewrite_index = rewrites_.size();
     rewrites_.push_back(DivisionRewriteNote(algorithm, equality, CostBased()));
-    const std::size_t partitions = PartitionsFor(
-        equality ? "equality-division-execution" : "division-execution",
-        model_.EstimateDivision(algorithm, r_est, s_est, equality),
-        r_est.cardinality + s_est.cardinality, r_est.key_distinct,
-        ReadsStoredScanInPlace(m.r));
     const std::size_t num_choices = choices_.size() - first_choice;
-    PhysicalOpPtr op = MakeDivision(Lower(m.r), Lower(m.s), algorithm, equality, source,
-                                    partitions);
+    PhysicalOpPtr op = MakeDivision(Lower(m.r), Lower(m.s), algorithm, equality, source);
     if (stats_ != nullptr) {
       estimates_[op.get()] =
           model_.EstimateDivision(algorithm, r_est, s_est, equality);
@@ -236,7 +199,6 @@ class Lowering {
     point.equality = equality;
     point.source = source;
     point.division_algorithm = algorithm;
-    point.partitions = partitions;
     point.first_choice = first_choice;
     point.num_choices = num_choices;
     point.rewrite_index = rewrite_index;
@@ -346,7 +308,6 @@ class Lowering {
 
     JoinHypergraph graph;
     graph.num_vars = num_vars;
-    double sum_inputs = 0.0;
     for (std::size_t i = 0; i < chain.leaves.size(); ++i) {
       JoinHypergraph::Edge edge;
       edge.vars = var_maps[i];
@@ -354,7 +315,6 @@ class Lowering {
       edge.vars.erase(std::unique(edge.vars.begin(), edge.vars.end()),
                       edge.vars.end());
       edge.cardinality = model_.Estimate(chain.leaves[i]).cardinality;
-      sum_inputs += edge.cardinality;
       graph.edges.push_back(std::move(edge));
     }
     std::vector<double> interior_cards;
@@ -399,30 +359,14 @@ class Lowering {
       return op;
     }
 
-    // Variable 0's first binding column: the partitioning key the
-    // parallel fan-out is priced on.
-    std::size_t key_leaf = 0;
-    std::size_t key_column = 1;
-    for (std::size_t i = 0; i < var_maps.size(); ++i) {
-      const auto it = std::find(var_maps[i].begin(), var_maps[i].end(), 0u);
-      if (it != var_maps[i].end()) {
-        key_leaf = i;
-        key_column = static_cast<std::size_t>(it - var_maps[i].begin()) + 1;
-        break;
-      }
-    }
-    const std::size_t partitions = PartitionsFor(
-        "multiway-execution", choice.multiway, sum_inputs,
-        EstimateColumnDistinct(model_.Estimate(chain.leaves[key_leaf]), key_column,
-                               chain.leaves[key_leaf]->arity()));
     const std::size_t rewrite_index = rewrites_.size();
     rewrites_.push_back(MultiwayRewriteNote(chain.leaves.size(), choice.agm_bound));
 
     std::vector<PhysicalOpPtr> children;
     children.reserve(chain.leaves.size());
     for (const ExprPtr& leaf : chain.leaves) children.push_back(Lower(leaf));
-    PhysicalOpPtr mw = MakeMultiwayJoin(std::move(children), var_maps, num_vars,
-                                        /*source=*/nullptr, partitions);
+    PhysicalOpPtr mw =
+        MakeMultiwayJoin(std::move(children), var_maps, num_vars, /*source=*/nullptr);
     if (stats_ != nullptr) estimates_[mw.get()] = choice.multiway;
     std::vector<std::size_t> projection;
     projection.reserve(root_raw.size());
@@ -432,9 +376,6 @@ class Lowering {
     point.op = mw.get();
     point.source = nullptr;  // Rewrite-synthesized, like the reduced semijoin.
     point.multiway_routed = true;
-    point.multiway_key_leaf = key_leaf;
-    point.multiway_key_column = key_column;
-    point.partitions = partitions;
     point.num_choices = choices_.size() - first_choice;
     point.rewrite_index = rewrite_index;
     choice_points_.push_back(std::move(point));
@@ -478,8 +419,7 @@ class Lowering {
         const SemijoinPlan semi =
             SemijoinStrategyFor(e->child(0), e->child(1), e->atoms());
         PhysicalOpPtr op = MakeSemiJoin(Lower(e->child(0)), Lower(e->child(1)),
-                                        e->atoms(), semi.strategy, e.get(),
-                                        semi.partitions);
+                                        e->atoms(), semi.strategy, e.get());
         RecordSemijoinPoint(op, e->child(0), e->child(1), e->atoms(), e->atoms(),
                             e.get(), semi);
         return op;
@@ -507,9 +447,8 @@ class Lowering {
       // logical node, so it carries no source.
       const SemijoinPlan plan =
           SemijoinStrategyFor(join->child(0), join->child(1), join->atoms());
-      PhysicalOpPtr semi =
-          MakeSemiJoin(Lower(join->child(0)), Lower(join->child(1)), join->atoms(),
-                       plan.strategy, nullptr, plan.partitions);
+      PhysicalOpPtr semi = MakeSemiJoin(Lower(join->child(0)), Lower(join->child(1)),
+                                        join->atoms(), plan.strategy, nullptr);
       RecordSemijoinPoint(semi, join->child(0), join->child(1), join->atoms(),
                           join->atoms(), nullptr, plan);
       rewrites_.push_back("π(join) reduced to π(semijoin) at " + e->ToString());
@@ -526,9 +465,8 @@ class Lowering {
       for (std::size_t c : columns) shifted.push_back(c - left_arity);
       const SemijoinPlan plan =
           SemijoinStrategyFor(join->child(1), join->child(0), join->atoms());
-      PhysicalOpPtr semi =
-          MakeSemiJoin(Lower(join->child(1)), Lower(join->child(0)), mirrored,
-                       plan.strategy, nullptr, plan.partitions);
+      PhysicalOpPtr semi = MakeSemiJoin(Lower(join->child(1)), Lower(join->child(0)),
+                                        mirrored, plan.strategy, nullptr);
       RecordSemijoinPoint(semi, join->child(1), join->child(0), join->atoms(),
                           std::move(mirrored), nullptr, plan);
       rewrites_.push_back("π(join) reduced to π(mirrored semijoin) at " +
@@ -552,12 +490,6 @@ class Lowering {
 };
 
 }  // namespace
-
-std::string ParallelChoiceLabel(std::size_t partitions) {
-  return partitions > 1
-             ? util::StrCat("partitioned[", std::to_string(partitions), "]")
-             : std::string("serial");
-}
 
 std::string DivisionRewriteNote(setjoin::DivisionAlgorithm algorithm, bool equality,
                                 bool cost_based) {
@@ -607,13 +539,10 @@ std::uint64_t OptionsFingerprint(const EngineOptions& options) {
   mix(options.recognize_semijoin_projection);
   mix(options.use_fast_semijoin);
   mix(static_cast<std::uint64_t>(options.division_algorithm));
-  mix(static_cast<std::uint64_t>(options.containment_algorithm));
-  mix(static_cast<std::uint64_t>(options.set_equality_algorithm));
   mix(options.cost_based);
   mix(options.multiway);
   mix(options.batch_size);
   mix(options.threads);
-  mix(options.collect_node_stats);
   mix(options.max_intermediate_budget);
   // A calibrated model prices (and so lowers) differently from an
   // uncalibrated one; keep their cache entries apart. Store contents

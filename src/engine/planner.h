@@ -46,14 +46,10 @@ struct EngineOptions {
   /// alternative is the generic reference implementation).
   bool use_fast_semijoin = true;
 
-  /// Algorithm overrides for the pattern-routed operators. Consulted when
-  /// `cost_based` is off (or no statistics are available).
+  /// Algorithm override for the pattern-routed division operator.
+  /// Consulted when `cost_based` is off (or no statistics are available).
   setjoin::DivisionAlgorithm division_algorithm =
       setjoin::DivisionAlgorithm::kHashDivision;
-  setjoin::ContainmentAlgorithm containment_algorithm =
-      setjoin::ContainmentAlgorithm::kInvertedIndex;
-  setjoin::EqualityJoinAlgorithm set_equality_algorithm =
-      setjoin::EqualityJoinAlgorithm::kCanonicalHash;
 
   /// Collect maximal binary-join chains into a join hypergraph and route
   /// them to the worst-case-optimal multiway operator
@@ -80,17 +76,18 @@ struct EngineOptions {
   /// Values < 1 are treated as 1.
   std::size_t batch_size = kDefaultBatchSize;
 
-  /// Worker threads for partitioned parallel execution of the division /
-  /// set-join / semijoin operators (engine/parallel.h; raq --threads).
-  /// 1 (the default) runs everything serial; N > 1 gives each run a fixed
-  /// N-wide worker pool and partitions eligible operators N ways by group
-  /// key. Like `batch_size`, this is an execution knob, not a semantics
-  /// change: results and per-operator PlanStats row counts are identical
-  /// to the serial run (tests/batch_exec_test.cc enforces it at threads
-  /// {1, 2, 7}); only PlanStats::threads_used/partitions differ. Under
-  /// `cost_based` the planner additionally decides serial vs partitioned
-  /// per call site from the inputs' shapes and records the decision in
-  /// PlanStats::choices. Values < 1 are treated as 1.
+  /// Worker threads for partitioned parallel execution of the division,
+  /// set-join, fast-semijoin and multiway operators (engine/parallel.h;
+  /// raq --threads). 1 (the default) runs everything serial. With N > 1
+  /// each partitioned operator, once its input is in hand, splits it
+  /// PartitionCount(rows) ways: one partition per kMinPartitionRows rows
+  /// it splits, at most N. An input under two floors' worth of rows stays
+  /// serial, and a run that never splits starts no worker thread. Like
+  /// `batch_size`, this is an execution knob, not a semantics change:
+  /// results and per-operator PlanStats row counts are identical to the
+  /// serial run (tests/batch_exec_test.cc enforces it at threads
+  /// {1, 2, 7}); only PlanStats::threads_used, partitions and
+  /// partition_passes_skipped differ. Values < 1 are treated as 1.
   std::size_t threads = 1;
 
   /// The plan cache (engine/shared_cache.h; raq --plan-cache). Null (the
@@ -126,10 +123,6 @@ struct EngineOptions {
   /// but unlike them it DOES change which plans get picked, so
   /// OptionsFingerprint mixes its presence.
   std::shared_ptr<CalibrationStore> calibration;
-
-  /// Record one OpStats entry per executed operator (max/total intermediate
-  /// sizes are tracked regardless).
-  bool collect_node_stats = true;
 
   /// When non-zero, a run fails (Result error) as soon as any operator's
   /// output grows past this many distinct tuples — a guardrail for
@@ -184,9 +177,9 @@ struct EngineOptions {
 };
 
 /// Deterministic hash of every EngineOptions field that can change what a
-/// lowered plan looks like or what a run produces (rewrites, algorithm
-/// defaults, cost_based, batch size and threads, budgets, stats
-/// collection).
+/// lowered plan looks like or what a run produces (rewrites, the division
+/// default, cost_based, multiway, batch size and threads, the budget,
+/// calibration).
 /// Cache-wiring fields (shared_plan_cache, result_cache) are excluded:
 /// they select *where* plans/results are stored, never what they are.
 /// The caches mix this into their keys so engines configured differently
@@ -221,11 +214,10 @@ struct ChoicePoint {
   setjoin::DivisionAlgorithm division_algorithm =
       setjoin::DivisionAlgorithm::kHashDivision;
   SemijoinStrategy semijoin_strategy = SemijoinStrategy::kFastKernel;
-  std::size_t partitions = 0;
   /// kMultiway payload: the collected join chain. The routing itself is
   /// structural (like the division-pattern rewrite, revalidation never
-  /// un-routes a chain — see plan_cache.cc); these inputs let re-costing
-  /// re-price the pinned alternative and repick only the fan-out width.
+  /// un-routes a chain — see plan_cache.cc), so a multiway point never
+  /// flips; these inputs let re-costing re-price the pinned alternative.
   /// Leaf relations of the hypergraph, in edge order.
   std::vector<ra::ExprPtr> multiway_inputs;
   /// Per leaf, per column: the 0-based join variable the column binds.
@@ -237,10 +229,6 @@ struct ChoicePoint {
   /// True when the chain was routed to the multiway operator (`op` is the
   /// multiway join); false when the written binary plan was kept.
   bool multiway_routed = false;
-  /// Leaf index / 1-based column that binds join variable 0 — the
-  /// partitioning key the parallel width is priced on.
-  std::size_t multiway_key_leaf = 0;
-  std::size_t multiway_key_column = 1;
   /// This decision's slice of PhysicalPlan::choices (first index + count;
   /// 0 when the plan was not cost-based), updated in place on re-cost so
   /// revalidated runs report choices in the exact fresh-lowering order.
@@ -282,10 +270,6 @@ struct PhysicalPlan {
 /// when a repick changes the algorithm the note names.
 std::string DivisionRewriteNote(setjoin::DivisionAlgorithm algorithm, bool equality,
                                 bool cost_based);
-
-/// The label CostBased() records for an execution-parallelism decision:
-/// "partitioned[N]" (N > 1) or "serial".
-std::string ParallelChoiceLabel(std::size_t partitions);
 
 /// The rewrite note recorded when a collected join chain is routed to the
 /// multiway operator — shared with plan-cache revalidation, which

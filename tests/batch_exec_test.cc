@@ -4,9 +4,12 @@
 // materializing reference (engine::RunMaterialized) — at every batch size
 // (including the degenerate size 1 and the off-power-of-two 7 that
 // exercise batch-boundary carry-over) and at every thread count in
-// {1, 2, 7} (1 exercises the partitioned code inline, 2 a minimal pool,
-// 7 an off-power-of-two fan-out wider than many of the workloads' group
-// counts, so empty partitions occur).
+// {1, 2, 7} (1 is the serial run, 2 a minimal pool, 7 an off-power-of-two
+// pool). An operator splits only inputs of at least two
+// engine::kMinPartitionRows floors, so the randomized workloads run
+// serial under every pool, and the hand-built plans hold one input above
+// the floor for each partitioned operator kind — division, the set joins,
+// the fast semijoin and the multiway join — whose pooled runs must fan out.
 //
 // The suite reads SETALG_BATCH_SEED (default 1) as the base of its seed
 // range; CI runs it under ASan/UBSan and under ThreadSanitizer with a
@@ -14,7 +17,9 @@
 // races surface across distinct randomized workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -22,6 +27,8 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/multiway.h"
+#include "engine/parallel.h"
 #include "ra/eval.h"
 #include "ra/expr.h"
 #include "ra/rewrite.h"
@@ -366,8 +373,12 @@ TEST(BatchExec, DifferentialOnMultiwayJoinChains) {
 // Hand-built set-join plans (no logical form) through the batch surface.
 // ---------------------------------------------------------------------------
 
+// Runs `plan` at every (threads × batch size) point against the
+// materializing reference and `expected`. When `splits`, every pooled run
+// must fan out (PlanStats::partitions > 0); otherwise no run may.
 void ExpectPlanBatchedMatches(const PhysicalPlan& plan, const core::Database& db,
-                              const Relation& expected, const std::string& context) {
+                              const Relation& expected, const std::string& context,
+                              bool splits) {
   const RunResult reference = RunMaterialized(plan, db);
   EXPECT_EQ(reference.relation, expected) << context;
   for (std::size_t threads : kThreadCounts) {
@@ -380,6 +391,11 @@ void ExpectPlanBatchedMatches(const PhysicalPlan& plan, const core::Database& db
       ASSERT_TRUE(run.ok()) << what << ": " << run.error();
       EXPECT_EQ(run->relation, expected) << what;
       ExpectSameStats(reference.stats, run->stats, what);
+      if (splits && threads > 1) {
+        EXPECT_GT(run->stats.partitions, 0u) << what;
+      } else {
+        EXPECT_EQ(run->stats.partitions, 0u) << what;
+      }
     }
   }
 }
@@ -410,9 +426,27 @@ std::vector<std::pair<std::string, PhysicalOpPtr>> LeftInputsOfR() {
           {"pi[2,1](RT)", MakeProject(MakeScan("RT", 2), {2, 1})}};
 }
 
+// Left sides of at least two floors of rows: enough for every pooled run
+// of a key-range or hash-partitioned operator to split.
+constexpr std::size_t kSplitRows = 2 * kMinPartitionRows;
+
+// Rows of `r` whose column `column` value satisfies `keep`.
+Relation Filter(const Relation& r, std::size_t column,
+                const std::function<bool(core::Value)>& keep) {
+  Relation out(r.arity());
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    if (keep(r.tuple(i)[column - 1])) out.Add(r.tuple(i));
+  }
+  return out;
+}
+
+// The set joins and the semijoins over both spellings of a left side R of
+// at least two floors of rows: every pooled run of a set join and of the
+// fast semijoin on an equality atom must fan out; the generic semijoin and
+// a semijoin without an equality atom always run serial.
 TEST(BatchExec, DifferentialOnHandBuiltSetJoinPlans) {
   workload::SetJoinConfig config;
-  config.r_groups = 30;
+  config.r_groups = kSplitRows / 4;  // About 5 distinct elements a group.
   config.s_groups = 25;
   config.r_group_size = 6;
   config.s_group_size = 3;
@@ -420,6 +454,7 @@ TEST(BatchExec, DifferentialOnHandBuiltSetJoinPlans) {
   config.containment_fraction = 0.3;
   config.seed = BaseSeed();
   const auto instance = workload::MakeSetJoinInstance(config);
+  ASSERT_GE(instance.r.size(), kSplitRows);
   const auto db = WithTransposeOfR(workload::SetJoinDatabase(instance));
 
   for (const auto& [left_name, left] : LeftInputsOfR()) {
@@ -430,7 +465,8 @@ TEST(BatchExec, DifferentialOnHandBuiltSetJoinPlans) {
           plan, db, setjoin::SetContainmentJoin(instance.r, instance.s, algorithm),
           std::string("containment ") +
               setjoin::ContainmentAlgorithmToString(algorithm) + " over " +
-              left_name);
+              left_name,
+          /*splits=*/true);
     }
     for (auto algorithm : {setjoin::EqualityJoinAlgorithm::kNestedLoop,
                            setjoin::EqualityJoinAlgorithm::kCanonicalHash}) {
@@ -440,29 +476,61 @@ TEST(BatchExec, DifferentialOnHandBuiltSetJoinPlans) {
           plan, db, setjoin::SetEqualityJoin(instance.r, instance.s, algorithm),
           std::string("equality ") +
               setjoin::EqualityJoinAlgorithmToString(algorithm) + " over " +
-              left_name);
+              left_name,
+          /*splits=*/true);
     }
     {
       PhysicalPlan plan;
       plan.root = MakeSetOverlapJoin(left, MakeScan("S", 2));
       ExpectPlanBatchedMatches(plan, db,
                                setjoin::SetOverlapJoin(instance.r, instance.s),
-                               "overlap over " + left_name);
+                               "overlap over " + left_name, /*splits=*/true);
+    }
+    // R ⋉_{2=2} S: the rows of R whose element is some S element.
+    std::set<core::Value> elements;
+    for (std::size_t i = 0; i < instance.s.size(); ++i) {
+      elements.insert(instance.s.tuple(i)[1]);
+    }
+    const Relation on_elements = Filter(
+        instance.r, 2, [&](core::Value v) { return elements.count(v) > 0; });
+    for (const auto strategy : {SemijoinStrategy::kFastKernel, SemijoinStrategy::kGeneric}) {
+      const bool fast = strategy == SemijoinStrategy::kFastKernel;
+      PhysicalPlan plan;
+      plan.root = MakeSemiJoin(left, MakeScan("S", 2), {{2, ra::Cmp::kEq, 2}}, strategy);
+      ExpectPlanBatchedMatches(
+          plan, db, on_elements,
+          std::string(fast ? "fast" : "generic") + " semijoin over " + left_name,
+          /*splits=*/fast);
+    }
+    {
+      // R ⋉_{1<1} S: no equality atom, no co-partitioning key.
+      core::Value max_key = 0;
+      for (std::size_t i = 0; i < instance.s.size(); ++i) {
+        max_key = std::max(max_key, instance.s.tuple(i)[0]);
+      }
+      PhysicalPlan plan;
+      plan.root = MakeSemiJoin(left, MakeScan("S", 2), {{1, ra::Cmp::kLt, 1}},
+                               SemijoinStrategy::kFastKernel);
+      ExpectPlanBatchedMatches(
+          plan, db, Filter(instance.r, 1, [&](core::Value v) { return v < max_key; }),
+          "inequality fast semijoin over " + left_name, /*splits=*/false);
     }
   }
 }
 
-// Hand-built division plans over both spellings of the dividend, for every
-// algorithm and both division variants.
+// Hand-built division plans over both spellings of a dividend of at least
+// two floors of rows, for every algorithm and both division variants:
+// every pooled run of a direct algorithm fans out; classic-ra never does.
 TEST(BatchExec, DifferentialOnHandBuiltDivisionPlans) {
   workload::DivisionConfig config;
-  config.num_groups = 30;
+  config.num_groups = kSplitRows / 3;  // About 3.7 distinct elements a group.
   config.group_size = 4;
   config.domain_size = 18;
   config.divisor_size = 3;
   config.match_fraction = 0.35;
   config.seed = BaseSeed();
   const auto instance = workload::MakeDivisionInstance(config);
+  ASSERT_GE(instance.r.size(), kSplitRows);
   const auto db =
       WithTransposeOfR(setalg::testing::DivisionDb(instance.r, instance.s));
 
@@ -478,10 +546,46 @@ TEST(BatchExec, DifferentialOnHandBuiltDivisionPlans) {
             plan, db, expected,
             std::string(equality ? "equality division " : "division ") +
                 setjoin::DivisionAlgorithmToString(algorithm) + " over " +
-                left_name);
+                left_name,
+            /*splits=*/algorithm != setjoin::DivisionAlgorithm::kClassicRa);
       }
     }
   }
+}
+
+// A hand-built triangle R(a,b) ⋈ S(b,c) ⋈ T(c,a) whose variable-0 inputs,
+// R and T, hold two floors of rows: every pooled run splits by variable 0.
+// n planted triangles (i, b_i, c_i), with S giving each b three c values,
+// so the binary chain the reference evaluates stays linear.
+TEST(BatchExec, DifferentialOnHandBuiltMultiwayPlans) {
+  const std::size_t n = kSplitRows / 2;
+  Relation r(2), s(2), t(2);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto a = static_cast<core::Value>(i);
+    const auto b = static_cast<core::Value>(100000 + i % 100);
+    const auto c = static_cast<core::Value>(200000 + (7 * i) % 300);
+    r.Add({a, b});
+    s.Add({b, c});
+    t.Add({c, a});
+  }
+  ASSERT_EQ(r.size() + t.size(), kSplitRows);
+  core::Schema schema;
+  schema.AddRelation("R", 2);
+  schema.AddRelation("S", 2);
+  schema.AddRelation("T", 2);
+  core::Database db(schema);
+  db.SetRelation("R", std::move(r));
+  db.SetRelation("S", std::move(s));
+  db.SetRelation("T", std::move(t));
+  auto expected = Engine(EngineOptions::Reference())
+                      .Run(ra::Project(TriangleChainExpr(), {1, 2, 4}), db);
+  ASSERT_TRUE(expected.ok()) << expected.error();
+  ASSERT_EQ(expected->relation.size(), n);
+  PhysicalPlan plan;
+  plan.root = MakeMultiwayJoin({MakeScan("R", 2), MakeScan("S", 2), MakeScan("T", 2)},
+                               {{0, 1}, {1, 2}, {2, 0}}, 3);
+  ExpectPlanBatchedMatches(plan, db, expected->relation, "planted triangles",
+                           /*splits=*/true);
 }
 
 // At one thread, blocking operators read their stored-scan inputs in
@@ -575,39 +679,40 @@ TEST(BatchExec, SerialBlockingOperatorsReadStoredScansInPlace) {
   }
 }
 
-// A set join pinned to one partition is a serial run under any pool: one
-// key range, run inline on the driving thread, so the run counts no
-// partition and no skipped pass — over a stored scan and over a drained,
-// sorted input alike — while results and row counts equal the reference.
-TEST(BatchExec, SetJoinsPinnedToOnePartitionRunSeriallyUnderAPool) {
-  workload::SetJoinConfig config;
-  config.r_groups = 30;
-  config.s_groups = 25;
-  config.r_group_size = 6;
-  config.s_group_size = 3;
-  config.domain_size = 15;
-  config.containment_fraction = 0.3;
-  config.seed = BaseSeed();
-  const auto db =
-      WithTransposeOfR(workload::SetJoinDatabase(workload::MakeSetJoinInstance(config)));
+// A set join over a left side one row short of two floors is a serial
+// run under any pool: one key range, run inline on the driving thread, so
+// the run counts no partition and no skipped pass — over a stored scan and
+// over a drained, sorted input alike — while results and row counts equal
+// the reference.
+TEST(BatchExec, SetJoinsBelowTheFloorRunSeriallyUnderAPool) {
+  Relation r(2);
+  for (std::size_t key = 0; key < (kSplitRows - 1) / 3; ++key) {
+    setalg::testing::AddGroup(&r, static_cast<core::Value>(key),
+                              static_cast<core::Value>(key % 5), 3);
+  }
+  ASSERT_EQ(r.size(), kSplitRows - 1);
+  core::Schema schema;
+  schema.AddRelation("R", 2);
+  schema.AddRelation("S", 2);
+  core::Database base(schema);
+  base.SetRelation("R", std::move(r));
+  base.SetRelation("S", MakeRel(2, {{9, 1}, {9, 2}, {8, 3}, {7, 2}, {7, 3}, {7, 4}}));
+  const auto db = WithTransposeOfR(base);
   const Engine pooled(EngineOptions{}.WithThreads(4));
   for (const auto& [left_name, left] : LeftInputsOfR()) {
     std::vector<std::pair<std::string, PhysicalOpPtr>> roots;
     for (auto algorithm : setjoin::AllContainmentAlgorithms()) {
       roots.emplace_back(std::string("containment ") +
                              setjoin::ContainmentAlgorithmToString(algorithm),
-                         MakeSetContainmentJoin(left, MakeScan("S", 2), algorithm,
-                                                nullptr, /*partitions=*/1));
+                         MakeSetContainmentJoin(left, MakeScan("S", 2), algorithm));
     }
     for (auto algorithm : {setjoin::EqualityJoinAlgorithm::kNestedLoop,
                            setjoin::EqualityJoinAlgorithm::kCanonicalHash}) {
       roots.emplace_back(std::string("equality ") +
                              setjoin::EqualityJoinAlgorithmToString(algorithm),
-                         MakeSetEqualityJoin(left, MakeScan("S", 2), algorithm, nullptr,
-                                             /*partitions=*/1));
+                         MakeSetEqualityJoin(left, MakeScan("S", 2), algorithm));
     }
-    roots.emplace_back("overlap", MakeSetOverlapJoin(left, MakeScan("S", 2), nullptr,
-                                                     /*partitions=*/1));
+    roots.emplace_back("overlap", MakeSetOverlapJoin(left, MakeScan("S", 2)));
     for (const auto& [name, root] : roots) {
       PhysicalPlan plan;
       plan.root = root;
@@ -793,7 +898,7 @@ TEST(BatchExec, BudgetAbortsOversizedBatchedRuns) {
 TEST(BatchExec, ParallelMergeIsDeterministicAcrossRepeatedRuns) {
   const std::uint64_t base = BaseSeed();
   workload::DivisionConfig config;
-  config.num_groups = 50;
+  config.num_groups = kSplitRows / 3;
   config.group_size = 4;
   config.domain_size = 30;
   config.divisor_size = 3;

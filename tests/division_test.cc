@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "engine/engine.h"
+#include "engine/parallel.h"
 #include "ra/eval.h"
 #include "setjoin/division.h"
 #include "setjoin/grouped.h"
@@ -240,85 +241,116 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Partition-boundary edge cases: shapes where key-hash partitioning
-// degenerates — more partitions than groups, every row in one partition,
-// empty partitions, a divisor no per-partition group can cover — must
-// agree with the serial kernels for every algorithm, executed serial and
-// parallel through the engine's division operator.
+// Partition-boundary edge cases: shapes where key-range partitioning
+// degenerates — more ranges than keys, every row on one key, empty ranges,
+// a divisor no range's group can cover — must agree with the serial
+// kernels for every algorithm, executed serial and parallel through the
+// engine's division operator. The operator picks its width from the rows
+// it holds (engine::PartitionCount), so each shape is padded to
+// kSplitRows rows: enough for one range per thread at every thread count
+// below.
 // ---------------------------------------------------------------------------
 
+constexpr std::size_t kSplitRows = 7 * engine::kMinPartitionRows;
+
+// Elements padded onto a group so a shape reaches kSplitRows rows: a range
+// of its own, disjoint from every divisor below.
+constexpr Value kPadding = 1000000;
+
 // Runs R ÷ S (both variants) through the engine's division operator at
-// partition widths {1, 2, 7, 16} and threads {1, 4}, expecting the
-// brute-force reference everywhere. partitions=1 is the serial operator;
-// width > #groups forces empty partitions; threads=1 runs the fan-out
-// inline, threads=4 across a real pool.
-void ExpectPartitionedDivisionAgrees(const Relation& r, const Relation& s,
+// threads {1, 2, 7}, expecting the brute-force reference everywhere. When
+// `splits`, R holds at least kSplitRows rows and every pooled run of a
+// direct algorithm must cut exactly `threads` key ranges (kClassicRa
+// always runs serial); otherwise nothing fans out.
+void ExpectPartitionedDivisionAgrees(const Relation& r, const Relation& s, bool splits,
                                      const char* what) {
+  if (splits) {
+    ASSERT_GE(r.size(), kSplitRows) << what;
+  }
   const auto db = setalg::testing::DivisionDb(r, s);
   for (auto algorithm : AllDivisionAlgorithms()) {
     for (const bool equality : {false, true}) {
       const Relation expected = ReferenceDivide(r, s, equality);
-      for (std::size_t partitions : {1u, 2u, 7u, 16u}) {
-        for (std::size_t threads : {1u, 4u}) {
-          engine::PhysicalPlan plan;
-          plan.root = engine::MakeDivision(engine::MakeScan("R", 2),
-                                           engine::MakeScan("S", 1), algorithm,
-                                           equality, nullptr, partitions);
-          engine::EngineOptions options;
-          options.threads = threads;
-          auto run = engine::Engine(options).Run(plan, db);
-          ASSERT_TRUE(run.ok()) << what << ": " << run.error();
-          EXPECT_EQ(run->relation, expected)
-              << what << " algorithm " << DivisionAlgorithmToString(algorithm)
-              << (equality ? " equality" : " containment") << " partitions "
-              << partitions << " threads " << threads;
-        }
+      engine::PhysicalPlan plan;
+      plan.root = engine::MakeDivision(engine::MakeScan("R", 2), engine::MakeScan("S", 1),
+                                       algorithm, equality);
+      for (std::size_t threads : {1u, 2u, 7u}) {
+        const std::string label = std::string(what) + " algorithm " +
+                                  DivisionAlgorithmToString(algorithm) +
+                                  (equality ? " equality" : " containment") +
+                                  " threads " + std::to_string(threads);
+        auto run = engine::Engine(engine::EngineOptions{}.WithThreads(threads))
+                       .Run(plan, db);
+        ASSERT_TRUE(run.ok()) << label << ": " << run.error();
+        EXPECT_EQ(run->relation, expected) << label;
+        const bool fans_out =
+            splits && threads > 1 && algorithm != DivisionAlgorithm::kClassicRa;
+        EXPECT_EQ(run->stats.partitions, fans_out ? threads : 0u) << label;
       }
     }
   }
 }
 
-TEST(DivisionPartitionEdges, MorePartitionsThanGroups) {
-  // 3 groups against up-to-16-way fan-outs: most partitions are empty.
-  ExpectPartitionedDivisionAgrees(
-      MakeRel(2, {{1, 7}, {1, 8}, {2, 7}, {3, 7}, {3, 8}, {3, 9}}),
-      MakeRel(1, {{7}, {8}}), "more partitions than groups");
+TEST(DivisionPartitionEdges, MoreRangesThanKeys) {
+  // Three keys against up-to-7-way fan-outs: keys 2 and 3 carry most rows,
+  // so the cuts land on their boundaries and trailing ranges are empty.
+  Relation r = MakeRel(2, {{1, 7}, {1, 8}, {2, 7}, {3, 7}, {3, 8}, {3, 9}});
+  setalg::testing::AddGroup(&r, 2, kPadding, kSplitRows / 2);
+  setalg::testing::AddGroup(&r, 3, kPadding, kSplitRows / 2);
+  ExpectPartitionedDivisionAgrees(r, MakeRel(1, {{7}, {8}}), /*splits=*/true,
+                                  "more ranges than keys");
 }
 
-TEST(DivisionPartitionEdges, AllRowsHashToOnePartition) {
-  // A single key: every row lands in one partition at any width, the
-  // remaining partitions divide nothing.
-  ExpectPartitionedDivisionAgrees(
-      MakeRel(2, {{5, 1}, {5, 2}, {5, 3}, {5, 4}, {5, 6}}),
-      MakeRel(1, {{2}, {3}}), "single-key skew");
+TEST(DivisionPartitionEdges, AllRowsOnOneKey) {
+  // A single key: its rows fill the first range at any width, the
+  // remaining ranges divide nothing.
+  Relation r = MakeRel(2, {{5, 1}, {5, 2}, {5, 3}, {5, 4}, {5, 6}});
+  setalg::testing::AddGroup(&r, 5, kPadding, kSplitRows);
+  ExpectPartitionedDivisionAgrees(r, MakeRel(1, {{2}, {3}}), /*splits=*/true,
+                                  "single-key skew");
 }
 
-TEST(DivisionPartitionEdges, EmptyDividendMeansEveryPartitionIsEmpty) {
-  ExpectPartitionedDivisionAgrees(Relation(2), MakeRel(1, {{7}}),
+TEST(DivisionPartitionEdges, EmptyDividendStaysSerial) {
+  ExpectPartitionedDivisionAgrees(Relation(2), MakeRel(1, {{7}}), /*splits=*/false,
                                   "empty dividend");
 }
 
-TEST(DivisionPartitionEdges, EmptyDivisorSharedByEveryPartition) {
+TEST(DivisionPartitionEdges, EmptyDivisorSharedByEveryRange) {
   // Containment division by ∅ returns every key; the shared divisor must
-  // behave identically in every partition.
-  ExpectPartitionedDivisionAgrees(MakeRel(2, {{1, 7}, {2, 8}, {3, 9}}),
-                                  Relation(1), "empty divisor");
+  // behave identically in every range.
+  Relation r(2);
+  for (std::size_t key = 0; key < kSplitRows; ++key) {
+    r.Add({static_cast<Value>(key), static_cast<Value>(7 + key % 3)});
+  }
+  ExpectPartitionedDivisionAgrees(r, Relation(1), /*splits=*/true, "empty divisor");
 }
 
-TEST(DivisionPartitionEdges, DivisorLargerThanEveryPerPartitionGroup) {
-  // Every group has 2 elements, the divisor 4: no partition can ever
-  // produce a row, at any fan-out width.
-  ExpectPartitionedDivisionAgrees(
-      MakeRel(2, {{1, 7}, {1, 8}, {2, 8}, {2, 9}, {3, 7}, {3, 9}, {4, 10}, {4, 11}}),
-      MakeRel(1, {{7}, {8}, {9}, {10}}), "divisor larger than every group");
+TEST(DivisionPartitionEdges, DivisorLargerThanEveryRangesGroups) {
+  // Every group has 2 elements, the divisor 4: no range can ever produce
+  // a row, at any fan-out width.
+  const std::vector<std::pair<Value, Value>> pairs = {{7, 8}, {8, 9}, {7, 9}, {10, 11}};
+  Relation r(2);
+  for (std::size_t key = 0; key < kSplitRows / 2; ++key) {
+    const auto [a, b] = pairs[key % pairs.size()];
+    r.Add({static_cast<Value>(key), a});
+    r.Add({static_cast<Value>(key), b});
+  }
+  ExpectPartitionedDivisionAgrees(r, MakeRel(1, {{7}, {8}, {9}, {10}}),
+                                  /*splits=*/true, "divisor larger than every group");
 }
 
 TEST(DivisionPartitionEdges, DivisorDisjointFromGroupsAtMatchingSizes) {
   // Group sizes equal the divisor size but the elements never cover it —
   // the counting/bitmap paths must not confuse size with coverage.
-  ExpectPartitionedDivisionAgrees(
-      MakeRel(2, {{1, 7}, {1, 8}, {2, 8}, {2, 20}, {3, 20}, {3, 21}}),
-      MakeRel(1, {{7}, {21}}), "divisor disjoint at matching sizes");
+  const std::vector<std::pair<Value, Value>> pairs = {{7, 8}, {8, 20}, {20, 21}};
+  Relation r(2);
+  for (std::size_t key = 0; key < kSplitRows / 2; ++key) {
+    const auto [a, b] = pairs[key % pairs.size()];
+    r.Add({static_cast<Value>(key), a});
+    r.Add({static_cast<Value>(key), b});
+  }
+  ExpectPartitionedDivisionAgrees(r, MakeRel(1, {{7}, {21}}), /*splits=*/true,
+                                  "divisor disjoint at matching sizes");
 }
 
 // ---------------------------------------------------------------------------
@@ -331,9 +363,11 @@ TEST(DivisionPartitionEdges, DivisorDisjointFromGroupsAtMatchingSizes) {
 // ---------------------------------------------------------------------------
 
 // Runs `dividend` ÷ S (both variants, every algorithm) through the
-// engine's division operator at batch sizes {1, 2, 7, 1024} and
-// (partitions, threads) ∈ {(1, 1), (7, 4)}, and through the materializing
-// reference, expecting ReferenceDivide of the materialized dividend.
+// engine's division operator at batch sizes {1, 2, 7, 1024} and threads
+// {1, 4}, and through the materializing reference, expecting
+// ReferenceDivide of the materialized dividend. At 4 threads the
+// dividend is read sorted (drained and normalized) before the operator
+// decides its width.
 void ExpectPlannedDivisionAgrees(const engine::PhysicalOpPtr& dividend,
                                  const core::Database& db, const char* what) {
   engine::PhysicalPlan dividend_plan;
@@ -346,11 +380,10 @@ void ExpectPlannedDivisionAgrees(const engine::PhysicalOpPtr& dividend,
       const std::string label = std::string(what) + " algorithm " +
                                 DivisionAlgorithmToString(algorithm) +
                                 (equality ? " equality" : " containment");
-      for (const auto& [partitions, threads] :
-           {std::pair<std::size_t, std::size_t>{1, 1}, {7, 4}}) {
-        engine::PhysicalPlan plan;
-        plan.root = engine::MakeDivision(dividend, engine::MakeScan("S", 1), algorithm,
-                                         equality, nullptr, partitions);
+      engine::PhysicalPlan plan;
+      plan.root =
+          engine::MakeDivision(dividend, engine::MakeScan("S", 1), algorithm, equality);
+      for (std::size_t threads : {1u, 4u}) {
         for (std::size_t batch_size : {1u, 2u, 7u, 1024u}) {
           engine::EngineOptions options;
           options.threads = threads;
@@ -358,12 +391,11 @@ void ExpectPlannedDivisionAgrees(const engine::PhysicalOpPtr& dividend,
           auto run = engine::Engine(options).Run(plan, db);
           ASSERT_TRUE(run.ok()) << label << ": " << run.error();
           EXPECT_EQ(run->relation, expected)
-              << label << " partitions " << partitions << " threads " << threads
-              << " batch size " << batch_size;
+              << label << " threads " << threads << " batch size " << batch_size;
         }
-        EXPECT_EQ(engine::RunMaterialized(plan, db).relation, expected)
-            << label << " materialized, partitions " << partitions;
       }
+      EXPECT_EQ(engine::RunMaterialized(plan, db).relation, expected)
+          << label << " materialized";
     }
   }
 }
@@ -512,7 +544,7 @@ TEST(DivisionBitmapBoundaries, WordEdgesAndExtremeValues) {
           engine::PhysicalPlan plan;
           plan.root = engine::MakeDivision(engine::MakeScan("R", 2),
                                            engine::MakeScan("S", 1), algorithm,
-                                           equality, nullptr, 1);
+                                           equality);
           engine::EngineOptions options;
           options.batch_size = 7;
           auto run = engine::Engine(options).Run(plan, db);

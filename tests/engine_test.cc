@@ -7,6 +7,7 @@
 #include <string>
 
 #include "engine/engine.h"
+#include "engine/parallel.h"
 #include "ra/eval.h"
 #include "ra/expr.h"
 #include "ra/rewrite.h"
@@ -351,7 +352,16 @@ TEST(Engine, ParallelParityOnRandomSaExpressions) {
 }
 
 TEST(Engine, ParallelDivisionMatchesSerialAndRecordsFanOut) {
-  const auto instance = QuadraticInstance();
+  // 7 floors of dividend rows: every pool width below fans out fully.
+  workload::DivisionConfig config;
+  config.num_groups = 7 * kMinPartitionRows / 4;
+  config.group_size = 4;
+  config.domain_size = 64;
+  config.divisor_size = 6;
+  config.match_fraction = 0.25;
+  config.seed = 7;
+  const auto instance = workload::MakeDivisionInstance(config);
+  ASSERT_GE(instance.r.size(), 7 * kMinPartitionRows);
   const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
   auto serial = Engine().Run(expr, db);

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "engine/cost.h"
 #include "engine/engine.h"
 #include "engine/multiway.h"
+#include "engine/parallel.h"
 #include "ra/expr.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -88,8 +90,9 @@ TEST(AgmBound, UncoveredVariableIsInfeasible) {
 
 // ---------------------------------------------------------------------------
 // The operator, hand-built, vs reference evaluation of the equivalent
-// binary chain. Every shape runs serial (threads 1), pooled (2, 7), and
-// with an explicit partition count but no pool (the inline fan-out).
+// binary chain. Every shape runs serial (threads 1) and pooled (2, 7); the
+// operator splits by variable 0 only when the inputs binding it hold at
+// least two kMinPartitionRows floors of rows.
 // ---------------------------------------------------------------------------
 
 core::Database ThreeBinaryDb(const Relation& r, const Relation& s,
@@ -116,10 +119,14 @@ Relation RandomEdges(std::size_t rows, std::size_t domain, std::uint64_t seed) {
 }
 
 // Runs the hand-built plan under every execution configuration and
-// asserts it matches `expected` (already normalized) everywhere.
-void ExpectMultiwayPlanMatches(PhysicalOpPtr root, const core::Database& db,
-                               const Relation& expected,
-                               const std::string& context) {
+// asserts it matches `expected` (already normalized) everywhere. A pooled
+// run cuts `partitions(threads)` partitions (0: it stays serial).
+void ExpectMultiwayPlanMatches(
+    PhysicalOpPtr root, const core::Database& db, const Relation& expected,
+    const std::string& context,
+    const std::function<std::size_t(std::size_t)>& partitions = [](std::size_t) {
+      return std::size_t{0};
+    }) {
   PhysicalPlan plan;
   plan.root = std::move(root);
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
@@ -128,6 +135,8 @@ void ExpectMultiwayPlanMatches(PhysicalOpPtr root, const core::Database& db,
                           << run.error();
     EXPECT_EQ(run->relation, expected) << context << " threads=" << threads;
     EXPECT_EQ(run->relation.size(), run->stats.join_rows_emitted)
+        << context << " threads=" << threads;
+    EXPECT_EQ(run->stats.partitions, threads == 1 ? 0 : partitions(threads))
         << context << " threads=" << threads;
   }
 }
@@ -145,15 +154,6 @@ TEST(MultiwayJoin, TriangleMatchesReference) {
       MakeMultiwayJoin({MakeScan("R", 2), MakeScan("S", 2), MakeScan("T", 2)},
                        {{0, 1}, {1, 2}, {2, 0}}, 3),
       db, expected->relation, "triangle");
-  // Explicit partitions without a pool: the inline fan-out path.
-  PhysicalPlan pinned;
-  pinned.root =
-      MakeMultiwayJoin({MakeScan("R", 2), MakeScan("S", 2), MakeScan("T", 2)},
-                       {{0, 1}, {1, 2}, {2, 0}}, 3, nullptr, /*partitions=*/3);
-  auto run = Engine().Run(pinned, db);
-  ASSERT_TRUE(run.ok()) << run.error();
-  EXPECT_EQ(run->relation, expected->relation);
-  EXPECT_EQ(run->stats.partitions, 3u);
 }
 
 TEST(MultiwayJoin, FourCycleMatchesReference) {
@@ -195,18 +195,23 @@ TEST(MultiwayJoin, StarMatchesReference) {
 }
 
 TEST(MultiwayJoin, SkewedKeyStaysCorrectUnderPartitioning) {
-  // One heavy variable-0 value (most rows share key 1): hash-partitioning
+  // One heavy variable-0 value (most rows share a = 1): hash-partitioning
   // by variable 0 lands nearly everything in one task; the merge must
-  // still be exact.
+  // still be exact. R(a, b) and T(c, a) bind variable 0 and together hold
+  // 7 floors of rows, so every pooled run splits `threads` ways; S maps
+  // each b to one c and T is complete, so every R row closes a triangle.
+  const std::size_t n = 7 * kMinPartitionRows - 42;
   Relation r(2), s(2), t(2);
-  util::Rng rng(41);
-  for (std::size_t i = 0; i < 80; ++i) {
-    const core::Value a = i < 70 ? 1 : static_cast<core::Value>(2 + i % 5);
-    r.Add({a, static_cast<core::Value>(rng.NextBounded(6))});
-    s.Add({static_cast<core::Value>(rng.NextBounded(6)),
-           static_cast<core::Value>(rng.NextBounded(6))});
-    t.Add({static_cast<core::Value>(rng.NextBounded(6)), a});
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto a = static_cast<core::Value>(i < n * 17 / 20 ? 1 : 2 + i % 5);
+    const auto b = static_cast<core::Value>(i);
+    r.Add({a, b});
+    s.Add({b, b % 7});
   }
+  for (core::Value c = 0; c < 7; ++c) {
+    for (core::Value a = 1; a <= 6; ++a) t.Add({c, a});
+  }
+  ASSERT_EQ(r.size() + t.size(), 7 * kMinPartitionRows);
   const auto db = ThreeBinaryDb(r, s, t);
   const auto expr = ra::Project(
       ra::Join(ra::Join(ra::Rel("R", 2), ra::Rel("S", 2), {{2, ra::Cmp::kEq, 1}}),
@@ -214,10 +219,11 @@ TEST(MultiwayJoin, SkewedKeyStaysCorrectUnderPartitioning) {
       {1, 2, 4});
   auto expected = Engine(EngineOptions::Reference()).Run(expr, db);
   ASSERT_TRUE(expected.ok()) << expected.error();
+  ASSERT_EQ(expected->relation.size(), n);
   ExpectMultiwayPlanMatches(
       MakeMultiwayJoin({MakeScan("R", 2), MakeScan("S", 2), MakeScan("T", 2)},
                        {{0, 1}, {1, 2}, {2, 0}}, 3),
-      db, expected->relation, "skewed");
+      db, expected->relation, "skewed", [](std::size_t threads) { return threads; });
 }
 
 TEST(MultiwayJoin, EmptyInputEmptiesTheJoin) {

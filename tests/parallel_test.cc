@@ -1,10 +1,12 @@
 // Unit tests for the parallel partitioned-execution building blocks
-// (engine/parallel.h): the WorkerPool runs every task exactly once, hash
-// partitioning is deterministic and lossless, key ranges cut only at key
-// boundaries, and the fan-out/fan-in iterator reproduces serial results.
+// (engine/parallel.h): PartitionCount is the one width rule, the
+// WorkerPool runs every task exactly once, hash partitioning is
+// deterministic and lossless, key ranges cut only at key boundaries, and
+// an operator fans out exactly as wide as the rows it holds allow.
 // The end-to-end thread-differential harness lives in batch_exec_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include "core/relation.h"
 #include "engine/engine.h"
 #include "engine/parallel.h"
+#include "setjoin/division.h"
 #include "test_util.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -27,6 +30,36 @@ namespace {
 using core::Relation;
 using core::Value;
 using setalg::testing::MakeRel;
+
+// One partition per kMinPartitionRows rows, at most the run's threads, at
+// least one: under two floors' worth of rows an operator stays serial.
+TEST(PartitionCount, RowsOverTheFloorClampedToThreads) {
+  constexpr std::size_t kFloor = kMinPartitionRows;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                              std::size_t{7}}) {
+    const ExecContext ctx(nullptr, nullptr, kDefaultBatchSize, threads);
+    const std::string context = "threads " + std::to_string(threads);
+    EXPECT_EQ(ctx.threads(), threads) << context;
+    EXPECT_EQ(PartitionCount(ctx, 0), 1u) << context;
+    EXPECT_EQ(PartitionCount(ctx, 1), 1u) << context;
+    EXPECT_EQ(PartitionCount(ctx, 2 * kFloor - 1), 1u) << context;
+    EXPECT_EQ(PartitionCount(ctx, 2 * kFloor), std::min<std::size_t>(2, threads))
+        << context;
+    EXPECT_EQ(PartitionCount(ctx, 3 * kFloor - 1), std::min<std::size_t>(2, threads))
+        << context;
+    EXPECT_EQ(PartitionCount(ctx, threads * kFloor - 1),
+              std::max<std::size_t>(1, threads - 1))
+        << context;
+    EXPECT_EQ(PartitionCount(ctx, threads * kFloor), threads) << context;
+    EXPECT_EQ(PartitionCount(ctx, std::numeric_limits<std::size_t>::max()), threads)
+        << context;
+  }
+  // A context asked for no threads is serial (EngineOptions::WithThreads
+  // clamps the same way).
+  const ExecContext none(nullptr, nullptr, kDefaultBatchSize, 0);
+  EXPECT_EQ(none.threads(), 1u);
+  EXPECT_EQ(PartitionCount(none, 100 * kFloor), 1u);
+}
 
 TEST(WorkerPool, RunsEveryTaskExactlyOnce) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
@@ -170,68 +203,50 @@ TEST(Partitioning, MorePartitionsThanKeysLeavesSomeEmpty) {
   EXPECT_EQ(total, r.size());
 }
 
-// The fan-out/fan-in iterator through a real plan: an explicit partition
-// count must reproduce the serial result at every width, pool or no pool.
-TEST(PartitionedExecution, ExplicitPartitionCountsReproduceSerialResults) {
-  workload::DivisionConfig config;
-  config.num_groups = 40;
-  config.group_size = 4;
-  config.domain_size = 25;
-  config.divisor_size = 3;
-  config.match_fraction = 0.3;
-  config.seed = 11;
-  const auto instance = workload::MakeDivisionInstance(config);
-  const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
-
-  PhysicalPlan serial;
-  serial.root = MakeDivision(MakeScan("R", 2), MakeScan("S", 1),
-                             setjoin::DivisionAlgorithm::kHashDivision,
-                             /*equality=*/false, nullptr, /*partitions=*/1);
-  const Engine engine;
-  auto expected = engine.Run(serial, db);
-  ASSERT_TRUE(expected.ok()) << expected.error();
-
-  for (std::size_t partitions : {std::size_t{2}, std::size_t{5}, std::size_t{64}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-      PhysicalPlan plan;
-      plan.root = MakeDivision(MakeScan("R", 2), MakeScan("S", 1),
-                               setjoin::DivisionAlgorithm::kHashDivision,
-                               /*equality=*/false, nullptr, partitions);
-      EngineOptions options;
-      options.threads = threads;
-      auto run = Engine(options).Run(plan, db);
-      ASSERT_TRUE(run.ok()) << run.error();
-      EXPECT_EQ(run->relation, expected->relation)
-          << "partitions " << partitions << " threads " << threads;
-      EXPECT_EQ(run->stats.partitions, partitions);
-      EXPECT_EQ(run->stats.threads_used, threads);
-    }
+// A dividend of `rows` rows (a multiple of 7) in groups of 7 consecutive
+// elements starting at key % 3, over S = {1, 2}: keys with key % 3 < 2
+// divide.
+core::Database ShapedDivisionDb(std::size_t rows) {
+  Relation r(2);
+  for (std::size_t key = 0; key < rows / 7; ++key) {
+    setalg::testing::AddGroup(&r, static_cast<Value>(key), static_cast<Value>(key % 3),
+                              7);
   }
+  return setalg::testing::DivisionDb(r, MakeRel(1, {{1}, {2}}));
 }
 
-// partitions=0 defers to the run's pool width; serial runs stay serial.
-TEST(PartitionedExecution, AutoPartitioningFollowsTheWorkerPoolWidth) {
-  const auto db = setalg::testing::DivisionDb(
-      MakeRel(2, {{1, 7}, {1, 8}, {2, 7}, {3, 8}, {3, 7}, {3, 9}}),
-      MakeRel(1, {{7}, {8}}));
-  PhysicalPlan plan;
-  plan.root = MakeDivision(MakeScan("R", 2), MakeScan("S", 1),
-                           setjoin::DivisionAlgorithm::kAggregate,
-                           /*equality=*/false);
-  {
-    auto run = Engine().Run(plan, db);
+// About 1000 stored rows are far below two floors, so a 4-thread run of
+// the lowered division stays serial: no partition, no skipped pass, and
+// the serial result.
+TEST(PartitionedExecution, SmallDividendStaysSerialUnderAPool) {
+  const auto db = ShapedDivisionDb(994);
+  ASSERT_LT(db.relation("R").size(), 2 * kMinPartitionRows);
+  const auto expr = setjoin::ClassicDivisionExpr("R", "S");
+  auto serial = Engine().Run(expr, db);
+  ASSERT_TRUE(serial.ok()) << serial.error();
+  auto pooled = Engine(EngineOptions{}.WithThreads(4)).Run(expr, db);
+  ASSERT_TRUE(pooled.ok()) << pooled.error();
+  EXPECT_EQ(pooled->relation, serial->relation);
+  EXPECT_EQ(pooled->stats.threads_used, 4u);
+  EXPECT_EQ(pooled->stats.partitions, 0u) << "a small input must not fan out";
+  EXPECT_EQ(pooled->stats.partition_passes_skipped, 0u);
+}
+
+// threads × kMinPartitionRows stored rows fan out exactly `threads` ways,
+// and the stored dividend is cut in place: one skipped partition pass.
+TEST(PartitionedExecution, DividendOfThreadsFloorsFansOutPoolWide) {
+  for (std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{7}}) {
+    const auto db = ShapedDivisionDb(threads * kMinPartitionRows);
+    ASSERT_EQ(db.relation("R").size(), threads * kMinPartitionRows);
+    const auto expr = setjoin::ClassicDivisionExpr("R", "S");
+    auto serial = Engine().Run(expr, db);
+    ASSERT_TRUE(serial.ok()) << serial.error();
+    auto run = Engine(EngineOptions{}.WithThreads(threads)).Run(expr, db);
     ASSERT_TRUE(run.ok()) << run.error();
-    EXPECT_EQ(run->stats.partitions, 0u) << "serial runs must not fan out";
-    EXPECT_EQ(run->stats.threads_used, 1u);
-  }
-  {
-    EngineOptions options;
-    options.threads = 5;
-    auto run = Engine(options).Run(plan, db);
-    ASSERT_TRUE(run.ok()) << run.error();
-    EXPECT_EQ(run->stats.partitions, 5u);
-    EXPECT_EQ(run->stats.threads_used, 5u);
-    EXPECT_EQ(run->relation, MakeRel(1, {{1}, {3}}));
+    EXPECT_EQ(run->relation, serial->relation) << "threads " << threads;
+    EXPECT_EQ(run->stats.threads_used, threads);
+    EXPECT_EQ(run->stats.partitions, threads);
+    EXPECT_EQ(run->stats.partition_passes_skipped, 1u) << "threads " << threads;
   }
 }
 

@@ -315,17 +315,30 @@ TEST(SetJoins, PredicateInclusionChain) {
 
 // ---------------------------------------------------------------------------
 // Partition-boundary edge cases: the engine's partitioned set joins cut
-// the left side into key ranges and share the right side; shapes
-// where that degenerates (more partitions than groups, one-key skew,
-// empty partitions, contained sets bigger than any left group) must agree
-// with the serial kernels for every algorithm, serial and parallel.
+// the left side into key ranges and share the right side; shapes where
+// that degenerates (more ranges than keys, one-key skew, empty ranges,
+// contained sets bigger than any left group) must agree with the serial
+// kernels for every algorithm, serial and parallel. The operator picks its
+// width from the left rows it holds (engine::PartitionCount), so each
+// left side is padded to kSplitRows rows: one range per thread at every
+// thread count below.
 // ---------------------------------------------------------------------------
 
+constexpr std::size_t kSplitRows = 7 * engine::kMinPartitionRows;
+
+// Elements padded onto a left group so a shape reaches kSplitRows rows: a
+// range of its own, disjoint from every right set below.
+constexpr Value kPadding = 1000000;
+
 // Runs all three set joins over (r, s) through the engine's operators at
-// partition widths {1, 2, 16} and threads {1, 4}, expecting the
-// brute-force references everywhere.
-void ExpectPartitionedSetJoinsAgree(const Relation& r, const Relation& s,
+// threads {1, 2, 7}, expecting the brute-force references everywhere.
+// When `splits`, r holds at least kSplitRows rows and every pooled run
+// must cut exactly `threads` key ranges; otherwise nothing fans out.
+void ExpectPartitionedSetJoinsAgree(const Relation& r, const Relation& s, bool splits,
                                     const char* what) {
+  if (splits) {
+    ASSERT_GE(r.size(), kSplitRows) << what;
+  }
   core::Schema schema;
   schema.AddRelation("R", 2);
   schema.AddRelation("S", 2);
@@ -337,78 +350,88 @@ void ExpectPartitionedSetJoinsAgree(const Relation& r, const Relation& s,
 
   auto check = [&](engine::PhysicalOpPtr root, const Relation& expected,
                    const std::string& label) {
-    // The op was built with an explicit partition width; drive it at
-    // threads 1 (inline fan-out) and 4 (real pool).
-    for (std::size_t threads : {1u, 4u}) {
-      engine::PhysicalPlan plan;
-      plan.root = root;
-      engine::EngineOptions options;
-      options.threads = threads;
-      auto run = engine::Engine(options).Run(plan, db);
+    engine::PhysicalPlan plan;
+    plan.root = std::move(root);
+    for (std::size_t threads : {1u, 2u, 7u}) {
+      auto run =
+          engine::Engine(engine::EngineOptions{}.WithThreads(threads)).Run(plan, db);
       ASSERT_TRUE(run.ok()) << what << " " << label << ": " << run.error();
       EXPECT_EQ(run->relation, expected)
+          << what << " " << label << " threads " << threads;
+      EXPECT_EQ(run->stats.partitions, splits && threads > 1 ? threads : 0u)
           << what << " " << label << " threads " << threads;
     }
   };
 
-  for (std::size_t partitions : {1u, 2u, 16u}) {
-    const std::string suffix = " partitions " + std::to_string(partitions);
-    for (auto algorithm : AllContainmentAlgorithms()) {
-      check(engine::MakeSetContainmentJoin(engine::MakeScan("R", 2),
-                                           engine::MakeScan("S", 2), algorithm,
-                                           nullptr, partitions),
-            ReferenceContainment(gr, gs),
-            std::string("containment ") + ContainmentAlgorithmToString(algorithm) +
-                suffix);
-    }
-    for (auto algorithm :
-         {EqualityJoinAlgorithm::kNestedLoop, EqualityJoinAlgorithm::kCanonicalHash}) {
-      check(engine::MakeSetEqualityJoin(engine::MakeScan("R", 2),
-                                        engine::MakeScan("S", 2), algorithm, nullptr,
-                                        partitions),
-            ReferenceEquality(gr, gs),
-            std::string("equality ") + EqualityJoinAlgorithmToString(algorithm) +
-                suffix);
-    }
-    check(engine::MakeSetOverlapJoin(engine::MakeScan("R", 2),
-                                     engine::MakeScan("S", 2), nullptr, partitions),
-          ReferenceOverlap(gr, gs), "overlap" + suffix);
+  for (auto algorithm : AllContainmentAlgorithms()) {
+    check(engine::MakeSetContainmentJoin(engine::MakeScan("R", 2),
+                                         engine::MakeScan("S", 2), algorithm),
+          ReferenceContainment(gr, gs),
+          std::string("containment ") + ContainmentAlgorithmToString(algorithm));
   }
+  for (auto algorithm :
+       {EqualityJoinAlgorithm::kNestedLoop, EqualityJoinAlgorithm::kCanonicalHash}) {
+    check(engine::MakeSetEqualityJoin(engine::MakeScan("R", 2), engine::MakeScan("S", 2),
+                                      algorithm),
+          ReferenceEquality(gr, gs),
+          std::string("equality ") + EqualityJoinAlgorithmToString(algorithm));
+  }
+  check(engine::MakeSetOverlapJoin(engine::MakeScan("R", 2), engine::MakeScan("S", 2)),
+        ReferenceOverlap(gr, gs), "overlap");
 }
 
-TEST(SetJoinPartitionEdges, MorePartitionsThanGroups) {
-  ExpectPartitionedSetJoinsAgree(
-      MakeRel(2, {{1, 5}, {1, 6}, {2, 5}, {3, 6}, {3, 7}}),
-      MakeRel(2, {{9, 5}, {9, 6}, {8, 6}}), "more partitions than groups");
+TEST(SetJoinPartitionEdges, MoreRangesThanKeys) {
+  // Three left keys against up-to-7-way fan-outs: keys 2 and 3 carry most
+  // rows, so the cuts land on their boundaries and trailing ranges are
+  // empty.
+  Relation r = MakeRel(2, {{1, 5}, {1, 6}, {2, 5}, {3, 6}, {3, 7}});
+  setalg::testing::AddGroup(&r, 2, kPadding, kSplitRows / 2);
+  setalg::testing::AddGroup(&r, 3, kPadding, kSplitRows / 2);
+  ExpectPartitionedSetJoinsAgree(r, MakeRel(2, {{9, 5}, {9, 6}, {8, 6}}),
+                                 /*splits=*/true, "more ranges than keys");
 }
 
-TEST(SetJoinPartitionEdges, AllLeftGroupsHashToOnePartition) {
-  // One left key: the whole containing side lands in a single partition
-  // while the others run the kernels on empty grouped views.
-  ExpectPartitionedSetJoinsAgree(MakeRel(2, {{5, 1}, {5, 2}, {5, 3}}),
-                                 MakeRel(2, {{7, 1}, {7, 2}, {8, 3}, {9, 4}}),
-                                 "single-key left side");
+TEST(SetJoinPartitionEdges, AllLeftRowsOnOneKey) {
+  // One left key: the whole containing side lands in a single range while
+  // the others run the kernels on empty grouped views.
+  Relation r = MakeRel(2, {{5, 1}, {5, 2}, {5, 3}});
+  setalg::testing::AddGroup(&r, 5, kPadding, kSplitRows);
+  ExpectPartitionedSetJoinsAgree(r, MakeRel(2, {{7, 1}, {7, 2}, {8, 3}, {9, 4}}),
+                                 /*splits=*/true, "single-key left side");
 }
 
-TEST(SetJoinPartitionEdges, EmptySidesGiveEmptyPartitionsEverywhere) {
-  ExpectPartitionedSetJoinsAgree(Relation(2), MakeRel(2, {{9, 5}}), "empty left");
-  ExpectPartitionedSetJoinsAgree(MakeRel(2, {{1, 5}}), Relation(2), "empty right");
-  ExpectPartitionedSetJoinsAgree(Relation(2), Relation(2), "both empty");
+TEST(SetJoinPartitionEdges, EmptySides) {
+  // An empty left side stays serial; a split left side meets an empty
+  // right side in every range.
+  Relation wide = MakeRel(2, {{1, 5}});
+  setalg::testing::AddGroup(&wide, 2, kPadding, kSplitRows);
+  ExpectPartitionedSetJoinsAgree(Relation(2), MakeRel(2, {{9, 5}}), /*splits=*/false,
+                                 "empty left");
+  ExpectPartitionedSetJoinsAgree(wide, Relation(2), /*splits=*/true, "empty right");
+  ExpectPartitionedSetJoinsAgree(Relation(2), Relation(2), /*splits=*/false,
+                                 "both empty");
 }
 
 TEST(SetJoinPartitionEdges, ContainedSetsBiggerThanEveryLeftGroup) {
-  // Every right set is larger than every left group, so containment and
-  // equality are empty in every partition; overlap still fires.
+  // Every right set is larger than every (one-element) left group, so
+  // containment and equality are empty in every range; overlap still
+  // fires.
+  Relation r(2);
+  for (std::size_t key = 0; key < kSplitRows; ++key) {
+    r.Add({static_cast<Value>(key), static_cast<Value>(5 + key % 3)});
+  }
   ExpectPartitionedSetJoinsAgree(
-      MakeRel(2, {{1, 5}, {2, 6}, {3, 7}}),
-      MakeRel(2, {{8, 5}, {8, 6}, {8, 7}, {9, 5}, {9, 9}, {9, 10}}),
-      "right sets bigger than left groups");
+      r, MakeRel(2, {{8, 5}, {8, 6}, {8, 7}, {9, 5}, {9, 9}, {9, 10}}),
+      /*splits=*/true, "right sets bigger than left groups");
 }
 
 TEST(SetJoinPartitionEdges, DuplicateHeavyInputsCollapseIdenticallyWhenPartitioned) {
-  ExpectPartitionedSetJoinsAgree(
-      MakeRel(2, {{1, 5}, {1, 5}, {1, 6}, {2, 5}, {2, 5}}),
-      MakeRel(2, {{9, 5}, {9, 5}, {8, 6}}), "duplicate-heavy");
+  Relation r = MakeRel(2, {{1, 5}, {1, 5}, {1, 6}, {2, 5}, {2, 5}});
+  for (int copy = 0; copy < 2; ++copy) {
+    setalg::testing::AddGroup(&r, 3, kPadding, kSplitRows);
+  }
+  ExpectPartitionedSetJoinsAgree(r, MakeRel(2, {{9, 5}, {9, 5}, {8, 6}}),
+                                 /*splits=*/true, "duplicate-heavy");
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,16 @@ inline core::Relation MakeRel(
   return core::Relation::FromRows(arity, rows);
 }
 
+/// Adds the group (key, first), (key, first + 1), ..., `count` rows in
+/// all, to a binary relation — how tests size an input in rows, e.g. from
+/// engine::kMinPartitionRows.
+inline void AddGroup(core::Relation* r, core::Value key, core::Value first,
+                     std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    r->Add({key, first + static_cast<core::Value>(i)});
+  }
+}
+
 /// A database over {R/2, S/1} (the division schema).
 inline core::Database DivisionDb(const core::Relation& r, const core::Relation& s) {
   core::Schema schema;

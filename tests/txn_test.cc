@@ -35,6 +35,7 @@
 #include "core/relation.h"
 #include "core/schema.h"
 #include "engine/engine.h"
+#include "engine/parallel.h"
 #include "engine/result_cache.h"
 #include "engine/shared_cache.h"
 #include "gf/formula.h"
@@ -694,19 +695,25 @@ ra::ExprPtr ClassicDivisionOver(const ra::ExprPtr& r, const ra::ExprPtr& s) {
 // A dividend scanned from storage is cut into key ranges in place — on a
 // core::Database and on a snapshot alike — and the skipped partition pass
 // is counted. A computed dividend (the projection π_{2,1} of a stored
-// transpose) is drained and sorted instead, and skips nothing.
+// transpose) is drained and sorted instead, and skips nothing. R holds 7
+// floors of rows (engine::kMinPartitionRows), so both fan out pool-wide.
 TEST(KeyRangeTest, StoredScanDivisionSkipsThePartitionPass) {
   const std::uint64_t seed = BaseSeed();
-  const core::Database plain =
-      setalg::testing::RandomDatabase(DivisionSchema(), 300, 12, seed * 43 + 3);
+  util::Rng rng(seed * 43 + 3);
+  Relation r(2);
+  for (std::size_t key = 0; key < engine::kMinPartitionRows; ++key) {
+    setalg::testing::AddGroup(&r, static_cast<core::Value>(key),
+                              static_cast<core::Value>(rng.NextBounded(3)), 7);
+  }
+  ASSERT_EQ(r.size(), 7 * engine::kMinPartitionRows);
   core::Schema schema = DivisionSchema();
   schema.AddRelation("RT", 2);
   core::Database db(schema);
-  db.SetRelation("R", plain.relation("R"));
-  db.SetRelation("S", plain.relation("S"));
+  db.SetRelation("R", r);
+  db.SetRelation("S", MakeRel(1, {{1}, {2}}));
   Relation transpose(2);
-  for (std::size_t i = 0; i < plain.relation("R").size(); ++i) {
-    const core::TupleView row = plain.relation("R").tuple(i);
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    const core::TupleView row = r.tuple(i);
     transpose.Add({row[1], row[0]});
   }
   db.SetRelation("RT", std::move(transpose));
@@ -730,7 +737,7 @@ TEST(KeyRangeTest, StoredScanDivisionSkipsThePartitionPass) {
       auto in_place = engine.Run(stored, *view);
       ASSERT_TRUE(in_place.ok()) << in_place.error();
       EXPECT_EQ(in_place->relation.flat(), want->relation.flat()) << context;
-      EXPECT_GT(in_place->stats.partition_passes_skipped, 0u) << context;
+      EXPECT_EQ(in_place->stats.partition_passes_skipped, 1u) << context;
       EXPECT_EQ(in_place->stats.partitions, static_cast<std::size_t>(threads))
           << context;
 
