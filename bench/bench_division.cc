@@ -67,6 +67,7 @@ struct RuntimeRow {
   std::size_t n = 0;
   std::vector<std::pair<std::string, double>> cells;  // column name -> ms
   std::string chosen_division;  // Algorithm the cost model picked.
+  std::string planned_division;  // Kernel the engine-planned run routed to.
   std::size_t threads = 0;      // Pool width of the parallel cell.
   std::size_t partitions = 0;   // Partition tasks the parallel run fanned out.
   std::string prepared_outcome;  // Plan-cache outcome of the prepared cell.
@@ -157,10 +158,20 @@ std::vector<RuntimeRow> PrintRuntimeTable() {
     };
     {
       // The engine sees only the classic RA expression; the planner routes
-      // it to the fast division operator.
+      // it to the fast division operator, and its kernel lands in the JSON
+      // so CI can assert a stored (sorted) dividend runs sort-merge.
       auto [ms, result] = run_engine(engine::EngineOptions{}, "engine-planned");
       std::printf("  %-13.3f", ms);
       row.cells.emplace_back("engine-planned", ms);
+      for (const auto& op : result.stats.ops) {
+        if (op.label.rfind("division[", 0) != 0) continue;
+        const std::size_t open = op.label.find('[');
+        row.planned_division = op.label.substr(open + 1, op.label.size() - open - 2);
+      }
+      if (row.planned_division.empty()) {
+        std::fprintf(stderr, "engine-planned run routed no division at n=%zu\n", n);
+        std::exit(1);
+      }
     }
     {
       // Same expression, but the division algorithm is chosen from the
@@ -286,9 +297,9 @@ std::vector<RuntimeRow> PrintRuntimeTable() {
     rows.push_back(std::move(row));
   }
   std::printf("(expected shape: aggregate/hash stay near-linear; classic-ra\n"
-              " and nested-loop fall behind by a growing factor; the engine\n"
-              " tracks the hash-division curve despite being handed the\n"
-              " classic RA expression)\n\n");
+              " and nested-loop fall behind by a growing factor; the engine,\n"
+              " handed the classic RA expression, runs sort-merge over the\n"
+              " stored dividend and tracks the direct kernels)\n\n");
   return rows;
 }
 
@@ -414,6 +425,7 @@ void WriteJson(const std::vector<RuntimeRow>& runtime,
     json.Key("n").Value(row.n);
     for (const auto& [name, ms] : row.cells) json.Key(name).Value(ms);
     json.Key("chosen_division").Value(row.chosen_division);
+    json.Key("planned_division").Value(row.planned_division);
     json.Key("threads").Value(row.threads);
     json.Key("partitions").Value(row.partitions);
     json.Key("prepared_outcome").Value(row.prepared_outcome);

@@ -16,10 +16,13 @@ bench/baseline/ and fails (exit 1) when:
      (`hash-division` / `canonical-hash` / `inverted-index`), which
      cancels the hardware factor and keeps the check meaningful both
      locally and on CI runners.
-  3. The cost model stops picking the expected algorithm at scale:
+  3. A planner stops picking the expected algorithm at scale:
      `chosen_division` must be hash-division and `chosen_equality` must
      be canonical-hash at the largest n (the paper's headline: direct
-     hash algorithms win at scale).
+     hash algorithms win at scale), and `planned_division`, the kernel
+     the unpriced `engine-planned` run routed to, must be sort-merge —
+     its dividend is stored R, read sorted and in place, so its groups
+     are merged with no table and no copy.
   4. `batched` division is more than BATCHED_RATIO_LIMIT (1.1x) slower
      than `engine-planned` at the largest n. Both cells run the engine's
      one pipelined executor on the same plan, `batched` with the default
@@ -184,8 +187,9 @@ TRACKED = {
 MULTICORE_COLUMNS = {"parallel"}
 
 EXPECTED_CHOICES = {
-    "runtime_ms": ("chosen_division", "hash-division"),
-    "equality_ms": ("chosen_equality", "canonical-hash"),
+    "runtime_ms": [("chosen_division", "hash-division"),
+                   ("planned_division", "sort-merge")],
+    "equality_ms": [("chosen_equality", "canonical-hash")],
 }
 
 
@@ -663,21 +667,21 @@ def check_write_path(errors, data):
 
 
 def check_choices(errors, data, table):
-    expectation = EXPECTED_CHOICES.get(table)
+    expectations = EXPECTED_CHOICES.get(table)
     rows = data.get(table, [])
-    if expectation is None or not rows:
+    if expectations is None or not rows:
         return
     axis = TRACKED[table][0]
     row = max_row(rows, axis)
-    key, expected = expectation
-    actual = row.get(key)
-    if actual != expected:
-        errors.append(
-            f"cost model picked '{actual}' ({key}) at {axis}={row[axis]}, "
-            f"expected '{expected}'"
-        )
-    else:
-        print(f"  ok: {key}={actual} at {axis}={row[axis]}")
+    for key, expected in expectations:
+        actual = row.get(key)
+        if actual != expected:
+            errors.append(
+                f"planner picked '{actual}' ({key}) at {axis}={row[axis]}, "
+                f"expected '{expected}'"
+            )
+        else:
+            print(f"  ok: {key}={actual} at {axis}={row[axis]}")
 
 
 def check_against_baseline(errors, current, baseline, table):

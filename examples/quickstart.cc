@@ -50,7 +50,8 @@ int main() {
               stats.max_intermediate, example.db.size());
 
   // The engine facade: hand it the very same classic RA expression and the
-  // planner recognizes the division pattern, routing it to hash-division.
+  // planner recognizes the division pattern, routing it to sort-merge
+  // division over the stored (hence sorted) Person relation.
   const ra::ExprPtr classic = setjoin::ClassicDivisionExpr("Person", "Symptoms");
   const engine::Engine engine;  // Default options: pattern-aware planner.
   auto explain = engine.Explain(classic, example.db.schema());

@@ -11,8 +11,8 @@
 // expression grammar — then planned and executed by engine::Engine, and the
 // result is printed as CSV. With -v the physical plan, planner rewrites,
 // cost-based algorithm choices (with their estimates), the AGM output bound
-// of any collected join chain, and per-operator estimated-vs-actual
-// intermediate sizes are reported too.
+// of any collected join chain, and per-operator actual intermediate sizes
+// (beside their estimates when the plan was priced) are reported too.
 //
 // Planning is selected by one --mode flag plus orthogonal knobs:
 //   --mode reference   1:1 lowering, no planner rewrites
@@ -44,6 +44,7 @@
 // per-session digest lines from the server's OK headers, so local and
 // served runs diff directly. A response whose row count differs from its
 // header's rows= is reported as an error (exit 1).
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -357,10 +358,16 @@ int main(int argc, char** argv) {
     }
     std::fputs(core::WriteRelationCsv(run->relation, &names).c_str(), stdout);
     if (verbose) {
+      // Only a priced plan (cost mode, --multiway, --calibrate) carries
+      // estimates; a planned-mode plan lists actual sizes alone.
+      const bool priced =
+          std::any_of(run->stats.ops.begin(), run->stats.ops.end(),
+                      [](const engine::OpStats& op) { return op.has_estimate; });
       std::fprintf(stderr,
                    "-- %zu tuple(s); max intermediate %zu; operators "
-                   "(actual / estimated):\n",
-                   run->relation.size(), run->stats.max_intermediate);
+                   "(actual%s):\n",
+                   run->relation.size(), run->stats.max_intermediate,
+                   priced ? " / estimated" : "");
       if (run->stats.has_agm_bound) {
         // The worst-case-optimal output bound of the collected join chain;
         // the routing itself (multiway vs binary) shows up in the

@@ -376,6 +376,8 @@ void InstrumentedIterator::FinalizeOnce() {
 }  // namespace
 
 const stats::StatsProvider* Engine::StatsFor(const core::DatabaseView& db) const {
+  // Nothing reads statistics under these options: no estimates, no pass.
+  if (!options_.UsesStatistics()) return nullptr;
   // Views that double as their own statistics provider — txn::Snapshot
   // computes each relation version's stats lazily, once — bypass the
   // engine's memoized provider entirely. This keeps concurrent
@@ -556,13 +558,8 @@ util::Result<RunResult> Engine::RunImpl(const PhysicalPlan& plan,
 
 util::Result<RunResult> Engine::Run(const ra::ExprPtr& expr, const core::DatabaseView& db,
                                     const EngineOptions& options) {
-  // The throwaway engine cannot amortize a statistics pass across calls,
-  // so it only computes stats when the options actually need them for
-  // algorithm choice. Use a persistent Engine to get cached stats and
-  // estimate annotations.
   const Engine engine(options);
-  auto plan = options.cost_based ? engine.Plan(expr, db)
-                                 : engine.Plan(expr, db.schema());
+  auto plan = engine.Plan(expr, db);
   if (!plan.ok()) return util::Result<RunResult>::Error(plan.error());
   return engine.RunImpl(*plan, db);
 }

@@ -132,11 +132,12 @@ class Engine {
   /// and row counts are identical either way.
   util::Result<RunResult> Run(const ra::ExprPtr& expr, const core::DatabaseView& db) const;
 
-  /// Prepares `expr` against `db`: lowers it once (statistics-annotated)
-  /// and returns a handle on the plan, its structural cache key, and the
-  /// version vector it was costed against. With a plan cache attached
-  /// this is Run's lookup without the run — a cached plan is reused (and
-  /// revalidated if stale), a miss lowers and inserts — so the handle
+  /// Prepares `expr` against `db`: lowers it once (statistics-annotated
+  /// when the options use statistics) and returns a handle on the plan,
+  /// its structural cache key, and the version vector it was costed
+  /// against. With a plan cache attached this is Run's lookup without
+  /// the run — a cached plan is reused (and revalidated if stale), a
+  /// miss lowers and inserts — so the handle
   /// shares its entry with every Run(expr, db) and Prepare of a
   /// structurally equal expression, from any engine on the cache;
   /// otherwise the handle is detached and self-contained.
@@ -170,12 +171,15 @@ class Engine {
 
   /// Lowers without executing. Without a database there are no statistics:
   /// the plan carries no cost estimates and cost_based options fall back
-  /// to the fixed algorithm defaults.
+  /// to the unpriced picks (PlannedDivisionAlgorithm for division).
   util::Result<PhysicalPlan> Plan(const ra::ExprPtr& expr,
                                   const core::Schema& schema) const;
 
-  /// Statistics-aware lowering: the plan is annotated with cost estimates
-  /// and cost_based options pick algorithms from `db`'s relation stats.
+  /// Lowering against `db`. When the options use statistics
+  /// (EngineOptions::UsesStatistics) the plan is annotated with cost
+  /// estimates and cost_based options pick algorithms from `db`'s
+  /// relation stats; otherwise it equals Plan(expr, db.schema()) and no
+  /// statistics are computed.
   util::Result<PhysicalPlan> Plan(const ra::ExprPtr& expr,
                                   const core::DatabaseView& db) const;
 
@@ -183,7 +187,8 @@ class Engine {
   util::Result<std::string> Explain(const ra::ExprPtr& expr,
                                     const core::Schema& schema) const;
 
-  /// Statistics-aware Explain: additionally shows cost-based choices.
+  /// Explain against `db`: additionally shows cost-based choices when the
+  /// options price the plan.
   util::Result<std::string> Explain(const ra::ExprPtr& expr,
                                     const core::DatabaseView& db) const;
 
@@ -195,10 +200,11 @@ class Engine {
   util::Result<RunResult> Run(const PhysicalPlan& plan,
                               const core::DatabaseView& db) const;
 
-  /// One-shot convenience: plans and executes with a throwaway engine.
-  /// Computes statistics only when `options.cost_based` needs them (a
-  /// throwaway engine cannot amortize the pass); use a persistent Engine
-  /// for cached stats and estimated-vs-actual annotations on every run.
+  /// One-shot convenience: plans and executes with a throwaway engine,
+  /// reading statistics by the same rule as every other run
+  /// (EngineOptions::UsesStatistics). A throwaway engine cannot amortize
+  /// the statistics pass on a live Database; a persistent Engine keeps
+  /// it across runs.
   static util::Result<RunResult> Run(const ra::ExprPtr& expr, const core::DatabaseView& db,
                                      const EngineOptions& options);
 
@@ -210,11 +216,14 @@ class Engine {
   util::Result<RunResult> RunImpl(const PhysicalPlan& plan,
                                   const core::DatabaseView& db) const;
 
-  /// The statistics provider for `db`. Views that are their own provider
-  /// (txn::Snapshot) are returned directly — thread-safe, no engine
-  /// state touched. Otherwise the memoized stats::DatabaseStats is
-  /// rebuilt when a different database (by id) comes through;
-  /// per-relation stats within it refresh via the mutation counters.
+  /// The statistics provider for `db`, or nullptr when the options use
+  /// no statistics (EngineOptions::UsesStatistics): a planned run then
+  /// computes none, and a commit costs its next statement no statistics
+  /// pass. Views that are their own provider (txn::Snapshot) are
+  /// returned directly — thread-safe, no engine state touched. Otherwise
+  /// the memoized stats::DatabaseStats is rebuilt when a different
+  /// database (by id) comes through; per-relation stats within it
+  /// refresh via the mutation counters.
   const stats::StatsProvider* StatsFor(const core::DatabaseView& db) const;
 
   /// The plan cache's answer for `expr`: Acquire, then lower and Insert

@@ -177,6 +177,7 @@ class ScanOp final : public PhysicalOp {
   }
 
   const std::string* scan_relation() const override { return &name_; }
+  bool sorted_output() const override { return true; }  // Normalized storage.
 
  private:
   std::string name_;
@@ -839,26 +840,31 @@ class DivisionOp final : public PhysicalOp {
             auto dividend = ReadSortedInput(ctx, streams[0].get(), 2);
             const std::size_t parts = PartitionCount(ctx, dividend->get().size());
             if (parts > 1 && scan) ctx.CountSkippedPartitionPass();
-            const bool single_pass =
-                algorithm == setjoin::DivisionAlgorithm::kHashDivision ||
-                algorithm == setjoin::DivisionAlgorithm::kAggregate;
             std::vector<PartitionTask> tasks;
             tasks.reserve(parts);
             for (const RowRange range : KeyRanges(dividend->get(), parts)) {
-              tasks.push_back([dividend, divisor, range, single_pass, algorithm,
-                               equality] {
+              tasks.push_back([dividend, divisor, range, algorithm, equality] {
                 const Value* rows = dividend->get().flat().data() + 2 * range.begin;
-                if (single_pass) {
-                  setjoin::SinglePassDivision kernel(divisor->get(), algorithm,
-                                                     equality);
-                  kernel.Consume(rows, range.size());
-                  return kernel.Finish();
+                switch (algorithm) {
+                  case setjoin::DivisionAlgorithm::kHashDivision:
+                  case setjoin::DivisionAlgorithm::kAggregate: {
+                    setjoin::SinglePassDivision kernel(divisor->get(), algorithm,
+                                                       equality);
+                    kernel.Consume(rows, range.size());
+                    return kernel.Finish();
+                  }
+                  case setjoin::DivisionAlgorithm::kSortMerge:
+                    return setjoin::SortMergeDivide(rows, range.size(), divisor->get(),
+                                                    equality);
+                  default: {
+                    // Nested-loop indexes its dividend: it takes a copy.
+                    Relation slice(2);
+                    slice.AddRows(rows, range.size());
+                    return equality
+                               ? setjoin::DivideEqual(slice, divisor->get(), algorithm)
+                               : setjoin::Divide(slice, divisor->get(), algorithm);
+                  }
                 }
-                Relation slice(2);
-                slice.AddRows(rows, range.size());
-                return equality
-                           ? setjoin::DivideEqual(slice, divisor->get(), algorithm)
-                           : setjoin::Divide(slice, divisor->get(), algorithm);
               });
             }
             return tasks;
@@ -873,6 +879,8 @@ class DivisionOp final : public PhysicalOp {
     return std::make_shared<DivisionOp>(std::move(children[0]), std::move(children[1]),
                                         algorithm_, equality_, source());
   }
+
+  bool sorted_output() const override { return true; }  // Normalized keys.
 
  private:
   setjoin::DivisionAlgorithm algorithm_;
@@ -935,6 +943,8 @@ class SetJoinOp final : public PhysicalOp {
     return std::make_shared<SetJoinOp>(std::move(children[0]), std::move(children[1]),
                                        label_, kernel_, source());
   }
+
+  bool sorted_output() const override { return true; }  // Normalized merge.
 
  private:
   std::string label_;

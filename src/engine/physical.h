@@ -72,8 +72,11 @@ struct OpStats {
   std::string label;
   std::size_t output_size = 0;
   /// Cost-model predictions made at plan time, for calibration against
-  /// `output_size`; absent (has_estimate false) when the plan was built
-  /// without statistics.
+  /// `output_size`. Provenance of a priced plan: present exactly when
+  /// the plan was lowered with statistics, which the engine reads only
+  /// for options that decide from them (cost_based, multiway) or learn
+  /// from them (calibration). A planned-mode run carries none. They never
+  /// change a result or a row count.
   bool has_estimate = false;
   double estimated_output = 0.0;
   double estimated_cost = 0.0;
@@ -256,6 +259,15 @@ class PhysicalOp {
   /// non-scan operator (used to derive a plan's version vector).
   virtual const std::string* scan_relation() const { return nullptr; }
 
+  /// True when this operator streams its rows in lexicographic order over
+  /// all columns (equal rows adjacent), so the deduplicated stream its
+  /// consumer reads is normalized: scans, division and the set joins say
+  /// so. A planning hint only: consumers that need sorted input still
+  /// normalize it, a linear check on sorted rows, so a wrong answer costs
+  /// time, never a result. The planned division rule keys on a stored
+  /// scan instead (PlannedDivisionAlgorithm).
+  virtual bool sorted_output() const { return false; }
+
   /// Indented rendering of the subplan rooted here.
   std::string ToString() const;
 
@@ -321,7 +333,9 @@ PhysicalOpPtr MakeSemiJoin(PhysicalOpPtr left, PhysicalOpPtr right,
 /// divisor S(B). With `equality` the B-set must equal S, else contain it.
 /// Under a run with threads > 1 the dividend is read sorted on column 1
 /// and cut into PartitionCount(dividend rows) key ranges that share the
-/// divisor; kClassicRa always runs serial (its plan is one RA expression).
+/// divisor; hash, aggregate and sort-merge division read each range in
+/// place, nested-loop copies it. kClassicRa always runs serial (its plan
+/// is one RA expression).
 PhysicalOpPtr MakeDivision(PhysicalOpPtr dividend, PhysicalOpPtr divisor,
                            setjoin::DivisionAlgorithm algorithm, bool equality,
                            const ra::Expr* source = nullptr);

@@ -133,15 +133,18 @@ CacheOutcome RevalidateCachedPlan(CachedPlan& entry, const core::DatabaseView& d
     NewDecision decision;
     decision.point = &point;
     if (point.kind == ChoicePoint::Kind::kDivision) {
-      const ExprEstimate r_est = model.Estimate(point.left);
-      const ExprEstimate s_est = model.Estimate(point.right);
-      setjoin::DivisionAlgorithm algorithm = options.division_algorithm;
+      setjoin::DivisionAlgorithm algorithm;
       if (cost_based) {
-        const auto choice = model.ChooseDivision(r_est, s_est, point.equality);
+        const auto choice = model.ChooseDivision(
+            model.Estimate(point.left), model.Estimate(point.right), point.equality);
         algorithm = choice.algorithm;
         entries.push_back({point.equality ? "equality-division" : "division",
                            setjoin::DivisionAlgorithmToString(algorithm),
                            choice.estimate});
+      } else {
+        // The dividend is never swapped here: an unpriced plan flips no
+        // choice point, so its operator is the one lowering saw.
+        algorithm = PlannedDivisionAlgorithm(*point.op->child(0));
       }
       decision.division_algorithm = algorithm;
       if (algorithm != point.division_algorithm) {

@@ -79,8 +79,9 @@ std::size_t ApproxPlanBytes(const CachedPlan& entry);
 /// Re-prices `entry`'s plan against `db`'s current statistics. Returns
 ///   kHit         — version vector unchanged; the plan is untouched;
 ///   kRevalidated — versions moved; estimates and recorded choices were
-///                  refreshed from fresh statistics, every algorithm
-///                  decision held;
+///                  refreshed from fresh statistics (an unpriced plan,
+///                  lowered and revalidated without statistics, has
+///                  neither), every algorithm decision held;
 ///   kRepicked    — versions moved and >= 1 decision flipped; the
 ///                  affected operators were swapped in `entry` (only the
 ///                  spine above each rebuilt — the expression is never

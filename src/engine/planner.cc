@@ -172,24 +172,35 @@ class Lowering {
 
   PhysicalOpPtr LowerDivision(const DivisionMatch& m, bool equality,
                               const ra::Expr* source) {
-    setjoin::DivisionAlgorithm algorithm = options_.division_algorithm;
-    const ExprEstimate r_est = model_.Estimate(m.r);
-    const ExprEstimate s_est = model_.Estimate(m.s);
+    // The priced pick and its note precede the inputs' own choices and
+    // notes; an unpriced pick reads the lowered dividend.
+    ExprEstimate r_est;
+    ExprEstimate s_est;
+    if (stats_ != nullptr) {
+      r_est = model_.Estimate(m.r);
+      s_est = model_.Estimate(m.s);
+    }
+    std::optional<setjoin::DivisionAlgorithm> priced;
     const std::size_t first_choice = choices_.size();
     if (CostBased()) {
       const auto choice = model_.ChooseDivision(r_est, s_est, equality);
-      algorithm = choice.algorithm;
+      priced = choice.algorithm;
       choices_.push_back({equality ? "equality-division" : "division",
-                          setjoin::DivisionAlgorithmToString(algorithm),
+                          setjoin::DivisionAlgorithmToString(choice.algorithm),
                           choice.estimate});
     }
-    const std::size_t rewrite_index = rewrites_.size();
-    rewrites_.push_back(DivisionRewriteNote(algorithm, equality, CostBased()));
     const std::size_t num_choices = choices_.size() - first_choice;
-    PhysicalOpPtr op = MakeDivision(Lower(m.r), Lower(m.s), algorithm, equality, source);
+    const std::size_t rewrite_index = rewrites_.size();
+    rewrites_.emplace_back();
+    PhysicalOpPtr dividend = Lower(m.r);
+    PhysicalOpPtr divisor = Lower(m.s);
+    const setjoin::DivisionAlgorithm algorithm =
+        priced ? *priced : PlannedDivisionAlgorithm(*dividend);
+    rewrites_[rewrite_index] = DivisionRewriteNote(algorithm, equality, CostBased());
+    PhysicalOpPtr op = MakeDivision(std::move(dividend), std::move(divisor), algorithm,
+                                    equality, source);
     if (stats_ != nullptr) {
-      estimates_[op.get()] =
-          model_.EstimateDivision(algorithm, r_est, s_est, equality);
+      estimates_[op.get()] = model_.EstimateDivision(algorithm, r_est, s_est, equality);
     }
     ChoicePoint point;
     point.kind = ChoicePoint::Kind::kDivision;
@@ -491,6 +502,16 @@ class Lowering {
 
 }  // namespace
 
+setjoin::DivisionAlgorithm PlannedDivisionAlgorithm(const PhysicalOp& dividend) {
+  // A stored dividend is normalized and handed over in place
+  // (TakeRelation): its groups are runs already, and sort-merge walks them
+  // with no table and no copy. Any other dividend would first be drained
+  // into a relation and sorted, where hash division consumes it batch by
+  // batch in state sized by its groups and the divisor.
+  return dividend.scan_relation() != nullptr ? setjoin::DivisionAlgorithm::kSortMerge
+                                             : setjoin::DivisionAlgorithm::kHashDivision;
+}
+
 std::string DivisionRewriteNote(setjoin::DivisionAlgorithm algorithm, bool equality,
                                 bool cost_based) {
   return util::StrCat(equality ? "equality-division pattern → division=["
@@ -538,7 +559,6 @@ std::uint64_t OptionsFingerprint(const EngineOptions& options) {
   mix(options.recognize_division);
   mix(options.recognize_semijoin_projection);
   mix(options.use_fast_semijoin);
-  mix(static_cast<std::uint64_t>(options.division_algorithm));
   mix(options.cost_based);
   mix(options.multiway);
   mix(options.batch_size);

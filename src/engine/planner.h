@@ -46,11 +46,6 @@ struct EngineOptions {
   /// alternative is the generic reference implementation).
   bool use_fast_semijoin = true;
 
-  /// Algorithm override for the pattern-routed division operator.
-  /// Consulted when `cost_based` is off (or no statistics are available).
-  setjoin::DivisionAlgorithm division_algorithm =
-      setjoin::DivisionAlgorithm::kHashDivision;
-
   /// Collect maximal binary-join chains into a join hypergraph and route
   /// them to the worst-case-optimal multiway operator
   /// (engine/multiway.h) when the written binary plan's estimated max
@@ -62,9 +57,10 @@ struct EngineOptions {
   bool multiway = false;
 
   /// Pick the algorithm per call site from relation statistics via the
-  /// cost model (engine/cost.h) instead of the fixed defaults above.
-  /// Requires statistics (Planner::Lower's `stats`, supplied automatically
-  /// by Engine::Run); without them the fixed defaults still apply. Every
+  /// cost model (engine/cost.h) instead of the unpriced picks
+  /// (PlannedDivisionAlgorithm for division). Requires statistics
+  /// (Planner::Lower's `stats`, supplied automatically by Engine::Run);
+  /// without them the unpriced picks still apply. Every
   /// choice is recorded in PhysicalPlan::choices / PlanStats::choices.
   bool cost_based = false;
 
@@ -135,7 +131,7 @@ struct EngineOptions {
 
   /// The rewrite-enabled options with statistics-driven algorithm
   /// selection: the planner consults the cost model per call site instead
-  /// of the fixed algorithm defaults.
+  /// of the unpriced picks.
   static EngineOptions CostBased();
 
   // -- Fluent composition ----------------------------------------------------
@@ -174,12 +170,27 @@ struct EngineOptions {
   /// Defined in planner.cc — make_shared needs the complete type.
   EngineOptions WithCalibration(
       std::shared_ptr<CalibrationStore> store = nullptr) const;
+
+  /// True when planning reads relation statistics: the options decide
+  /// from them (cost_based, multiway) or learn from them (calibration).
+  /// The engine supplies a statistics provider exactly then, so a plan
+  /// lowered under any other options carries no estimates and costs no
+  /// statistics pass.
+  bool UsesStatistics() const {
+    return cost_based || multiway || calibration != nullptr;
+  }
 };
 
+/// The unpriced division pick for a routed pattern whose lowered dividend
+/// is `dividend`: sort-merge when the dividend is a stored scan, hash
+/// division for any other. Lowering and plan-cache revalidation both
+/// call it, so a revalidated plan names the same kernel a fresh lowering
+/// does.
+setjoin::DivisionAlgorithm PlannedDivisionAlgorithm(const PhysicalOp& dividend);
+
 /// Deterministic hash of every EngineOptions field that can change what a
-/// lowered plan looks like or what a run produces (rewrites, the division
-/// default, cost_based, multiway, batch size and threads, the budget,
-/// calibration).
+/// lowered plan looks like or what a run produces (rewrites, cost_based,
+/// multiway, batch size and threads, the budget, calibration).
 /// Cache-wiring fields (shared_plan_cache, result_cache) are excluded:
 /// they select *where* plans/results are stored, never what they are.
 /// The caches mix this into their keys so engines configured differently
@@ -287,7 +298,8 @@ class Planner {
   /// Validates `expr` against `schema` and lowers it. Never aborts on user
   /// input: schema mismatches come back as Result errors. When `stats` is
   /// non-null the plan is annotated with cost estimates, and cost_based
-  /// options select algorithms from them.
+  /// options select algorithms from them; when it is null the planner
+  /// computes no estimate at all.
   util::Result<PhysicalPlan> Lower(const ra::ExprPtr& expr, const core::Schema& schema,
                                    const stats::StatsProvider* stats = nullptr) const;
 

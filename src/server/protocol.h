@@ -4,6 +4,7 @@
 // Requests (first word is the verb, case-sensitive):
 //   QUERY <statement>           run one statement (SQL or RA text)
 //   PREPARE <name> <statement>  compile + prepare under a session name
+//                               (up to kMaxPreparedPerSession a session; server.h)
 //   EXECUTE <name>              run a prepared statement
 //   PING                        liveness probe
 //   CLOSE                       end the session

@@ -21,6 +21,7 @@
 #include "server/line_reader.h"
 #include "server/protocol.h"
 #include "sql/analyzer.h"
+#include "sql/lexer.h"
 #include "sql/parser.h"
 #include "util/str.h"
 
@@ -256,6 +257,20 @@ void Server::ServeSession(int fd) {
         WriteAll(fd, util::StrCat("BYE\n", kTerminator, "\n"));
         return;
       case Request::Kind::kPrepare: {
+        if (prepared.size() >= kMaxPreparedPerSession &&
+            prepared.find(request->name) == prepared.end()) {
+          // Located at the refused name in the request line.
+          const std::size_t column =
+              line.find(request->name, std::strlen("PREPARE")) + 1;
+          if (!respond_error(sql::LocatedError(
+                  1, column,
+                  util::StrCat("session already holds ", kMaxPreparedPerSession,
+                               " prepared statements; re-PREPARE one of their "
+                               "names to replace it")))) {
+            return;
+          }
+          continue;
+        }
         const txn::SnapshotPtr snapshot = head_->snapshot();
         auto expr = compile(request->statement, snapshot->schema());
         if (!expr.ok()) {

@@ -40,6 +40,12 @@
 
 namespace setalg::server {
 
+/// The prepared statements one session may hold: as many plans as the
+/// server's shared plan cache keeps by default. A PREPARE under a new
+/// name past it is refused with an ERR located at the name; re-PREPARE
+/// of a held name replaces that statement, and EXECUTE is unaffected.
+inline constexpr std::size_t kMaxPreparedPerSession = 256;
+
 class Server {
  public:
   /// `head` is the versioned database every session serves from;

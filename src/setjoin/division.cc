@@ -49,46 +49,6 @@ Relation NestedLoopDivide(const Relation& r, const Relation& s, bool equality) {
   return out;
 }
 
-// Sort-merge division over R's flat storage, sorted by (A, B): each
-// group's B-list is a sorted run. A group whose size rules it out (fewer
-// than |S| rows, or for equality not exactly |S|) is skipped unmerged;
-// the rest merge against the sorted divisor up to the first divisor
-// element missing from the run. Allocates nothing but the output — the
-// zero-allocation kernel of Graefe's taxonomy.
-Relation SortMergeDivide(const Relation& r, const Relation& s, bool equality) {
-  const std::vector<Value>& divisor = s.flat();  // Sorted and unique.
-  const std::size_t m = divisor.size();
-  const Value* rows = r.flat().data();
-  const std::size_t n = r.size();
-  Relation out(1);
-  for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
-    const Value a = rows[2 * begin];
-    end = begin + 1;
-    while (end < n && rows[2 * end] == a) ++end;
-    const std::size_t size = end - begin;
-    if (equality ? size != m : size < m) continue;
-    // The run's element d + extra meets divisor[d], where `extra` counts
-    // the run's elements outside S so far, at most size - m of them. The
-    // two counters advance on branches, not through a load of the
-    // divisor, so the merge streams.
-    const Value* run = rows + 2 * begin + 1;
-    std::size_t d = 0;
-    std::size_t extra = 0;
-    while (d < m) {
-      const Value b = run[2 * (d + extra)];
-      if (b == divisor[d]) {
-        ++d;
-      } else if (b < divisor[d] && extra < size - m) {
-        ++extra;
-      } else {
-        break;  // divisor[d] is not in the group.
-      }
-    }
-    if (d == m) out.AddRows(&a, 1);
-  }
-  return out;
-}
-
 Relation SinglePassDivide(const Relation& r, const Relation& s,
                           DivisionAlgorithm algorithm, bool equality) {
   SinglePassDivision kernel(s, algorithm, equality);
@@ -144,7 +104,7 @@ Relation Dispatch(const Relation& r, const Relation& s, DivisionAlgorithm algori
     case DivisionAlgorithm::kNestedLoop:
       return NestedLoopDivide(r, s, equality);
     case DivisionAlgorithm::kSortMerge:
-      return SortMergeDivide(r, s, equality);
+      return SortMergeDivide(r.flat().data(), r.size(), s, equality);
     case DivisionAlgorithm::kHashDivision:
     case DivisionAlgorithm::kAggregate:
       return SinglePassDivide(r, s, algorithm, equality);
@@ -165,6 +125,46 @@ core::Relation Divide(const core::Relation& r, const core::Relation& s,
 core::Relation DivideEqual(const core::Relation& r, const core::Relation& s,
                            DivisionAlgorithm algorithm, ra::EvalStats* stats) {
   return Dispatch(r, s, algorithm, /*equality=*/true, stats);
+}
+
+core::Relation SortMergeDivide(const core::Value* rows, std::size_t count,
+                               const core::Relation& s, bool equality) {
+  // Each group's B-list is a sorted run of the rows, sorted by (A, B). A
+  // group whose size rules it out (fewer than |S| rows, or for equality
+  // not exactly |S|) is skipped unmerged; the rest merge against the
+  // sorted divisor up to the first divisor element missing from the run.
+  // Allocates nothing but the output — the zero-allocation kernel of
+  // Graefe's taxonomy.
+  SETALG_CHECK_EQ(s.arity(), 1u);
+  const std::vector<Value>& divisor = s.flat();  // Sorted and unique.
+  const std::size_t m = divisor.size();
+  Relation out(1);
+  for (std::size_t begin = 0, end = 0; begin < count; begin = end) {
+    const Value a = rows[2 * begin];
+    end = begin + 1;
+    while (end < count && rows[2 * end] == a) ++end;
+    const std::size_t size = end - begin;
+    if (equality ? size != m : size < m) continue;
+    // The run's element d + extra meets divisor[d], where `extra` counts
+    // the run's elements outside S so far, at most size - m of them. The
+    // two counters advance on branches, not through a load of the
+    // divisor, so the merge streams.
+    const Value* run = rows + 2 * begin + 1;
+    std::size_t d = 0;
+    std::size_t extra = 0;
+    while (d < m) {
+      const Value b = run[2 * (d + extra)];
+      if (b == divisor[d]) {
+        ++d;
+      } else if (b < divisor[d] && extra < size - m) {
+        ++extra;
+      } else {
+        break;  // divisor[d] is not in the group.
+      }
+    }
+    if (d == m) out.AddRows(&a, 1);
+  }
+  return out;
 }
 
 SinglePassDivision::SinglePassDivision(const core::Relation& s,

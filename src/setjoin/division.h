@@ -56,6 +56,15 @@ core::Relation DivideEqual(const core::Relation& r, const core::Relation& s,
                            DivisionAlgorithm algorithm,
                            ra::EvalStats* stats = nullptr);
 
+/// The sort-merge kernel over `count` dividend rows stored row-major at
+/// `rows`, (a, b) pairs sorted and unique: a normalized binary
+/// relation's flat() or one key range of it. `s` is the unary divisor;
+/// with `equality` a key's B-set must equal S, else contain it. Reads
+/// the rows in place; Divide/DivideEqual call it on r.flat(). Returns
+/// the qualifying keys in order.
+core::Relation SortMergeDivide(const core::Value* rows, std::size_t count,
+                               const core::Relation& s, bool equality);
+
 /// The single-pass kernel behind hash-division and aggregate division:
 /// Divide/DivideEqual feed it the whole dividend as one chunk, the
 /// engine's division operator one batch at a time.

@@ -224,29 +224,6 @@ TEST(BatchExec, DifferentialOnDivisionWorkloads) {
   }
 }
 
-// Every division algorithm behind the operator, including the streaming
-// hash/aggregate probe paths and the blocking kernels.
-TEST(BatchExec, DifferentialAcrossDivisionAlgorithms) {
-  const std::uint64_t base = BaseSeed();
-  workload::DivisionConfig config;
-  config.num_groups = 24;
-  config.group_size = 5;
-  config.domain_size = 20;
-  config.divisor_size = 4;
-  config.match_fraction = 0.4;
-  config.seed = base;
-  const auto instance = workload::MakeDivisionInstance(config);
-  const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
-  for (auto algorithm : setjoin::AllDivisionAlgorithms()) {
-    EngineOptions options;
-    options.division_algorithm = algorithm;
-    ExpectBatchedMatches(
-        options, setjoin::ClassicDivisionExpr("R", "S"), db,
-        std::string("division algorithm ") +
-            setjoin::DivisionAlgorithmToString(algorithm));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The workload::generators database families.
 // ---------------------------------------------------------------------------
@@ -515,6 +492,31 @@ TEST(BatchExec, DifferentialOnHandBuiltSetJoinPlans) {
           plan, db, Filter(instance.r, 1, [&](core::Value v) { return v < max_key; }),
           "inequality fast semijoin over " + left_name, /*splits=*/false);
     }
+  }
+}
+
+// Every division algorithm behind the operator, including the streaming
+// hash/aggregate probe paths and the blocking kernels, on a stored
+// dividend below the partition floor.
+TEST(BatchExec, DifferentialAcrossDivisionAlgorithms) {
+  const std::uint64_t base = BaseSeed();
+  workload::DivisionConfig config;
+  config.num_groups = 24;
+  config.group_size = 5;
+  config.domain_size = 20;
+  config.divisor_size = 4;
+  config.match_fraction = 0.4;
+  config.seed = base;
+  const auto instance = workload::MakeDivisionInstance(config);
+  const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
+  const Relation expected = ra::Eval(setjoin::ClassicDivisionExpr("R", "S"), db);
+  for (auto algorithm : setjoin::AllDivisionAlgorithms()) {
+    PhysicalPlan plan;
+    plan.root = MakeDivision(MakeScan("R", 2), MakeScan("S", 1), algorithm, false);
+    ExpectPlanBatchedMatches(plan, db, expected,
+                             std::string("division algorithm ") +
+                                 setjoin::DivisionAlgorithmToString(algorithm),
+                             /*splits=*/false);
   }
 }
 

@@ -212,6 +212,50 @@ TEST(Relation, NormalizeMatchesSetOracle) {
   }
 }
 
+// The same oracle at sizes where the sort itself does the work: up to
+// 3000 rows over small domains, so most rows repeat, with the extreme
+// values mixed in; sorted, edited (a sorted prefix plus a shuffled tail),
+// shuffled and reversed, at arities 1-4.
+TEST(Relation, NormalizeMatchesSetOracleAtScale) {
+  util::Rng rng(1905);
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  for (std::size_t arity = 1; arity <= 4; ++arity) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const Value domain = 1 + static_cast<Value>(rng.NextBounded(trial % 2 ? 8 : 300));
+      const std::size_t count = 1 + rng.NextBounded(3000);
+      std::vector<Tuple> rows;
+      rows.reserve(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        Tuple t(arity);
+        for (auto& v : t) {
+          const std::uint64_t pick = rng.NextBounded(50);
+          v = pick == 0 ? kMin : pick == 1 ? kMax : rng.NextInt(-domain, domain);
+        }
+        rows.push_back(std::move(t));
+      }
+      const std::string at =
+          " trial " + std::to_string(trial) + " at arity " + std::to_string(arity);
+      ExpectNormalizesLikeSet(arity, rows, "shuffled" + at);
+
+      std::vector<Tuple> sorted = rows;
+      std::sort(sorted.begin(), sorted.end());
+      sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+      ExpectNormalizesLikeSet(arity, sorted, "sorted" + at);
+
+      std::vector<Tuple> edited(sorted.begin(), sorted.begin() + sorted.size() / 2);
+      std::vector<Tuple> tail(rows.begin(), rows.begin() + rows.size() / 3);
+      rng.Shuffle(&tail);
+      edited.insert(edited.end(), tail.begin(), tail.end());
+      ExpectNormalizesLikeSet(arity, edited, "edited" + at);
+
+      std::vector<Tuple> reversed(sorted.rbegin(), sorted.rend());
+      reversed.insert(reversed.end(), sorted.begin(), sorted.begin() + sorted.size() / 4);
+      ExpectNormalizesLikeSet(arity, reversed, "reversed" + at);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Schema and database.
 // ---------------------------------------------------------------------------

@@ -271,9 +271,10 @@ TEST(CostBased, SchemaOnlyPlanningFallsBackToDefaults) {
   ASSERT_TRUE(plan.ok()) << plan.error();
   EXPECT_TRUE(plan->choices.empty());
   EXPECT_TRUE(plan->estimates.empty());
-  // The division rewrite still fires with the fixed default algorithm.
+  // The division rewrite still fires with the unpriced pick: a stored
+  // dividend is read sorted and in place, so sort-merge.
   ASSERT_FALSE(plan->rewrites.empty());
-  EXPECT_NE(plan->rewrites[0].find("hash-division"), std::string::npos);
+  EXPECT_NE(plan->rewrites[0].find("sort-merge"), std::string::npos);
 }
 
 TEST(CostBased, ExplainShowsTheChoice) {

@@ -13,6 +13,7 @@
 #include "ra/rewrite.h"
 #include "setjoin/division.h"
 #include "setjoin/setjoin.h"
+#include "stats/stats.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
@@ -192,21 +193,176 @@ TEST(Engine, ExplainShowsTheRoutedOperator) {
   schema.AddRelation("S", 1);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
+  // A stored dividend is read sorted and in place: planned mode runs
+  // sort-merge.
   auto plan_text = Engine().Explain(expr, schema);
   ASSERT_TRUE(plan_text.ok());
-  EXPECT_NE(plan_text->find("division[hash-division]"), std::string::npos)
+  EXPECT_NE(plan_text->find("division[sort-merge]"), std::string::npos)
       << *plan_text;
 
-  EngineOptions aggregate;
-  aggregate.division_algorithm = setjoin::DivisionAlgorithm::kAggregate;
-  auto aggregate_text = Engine(aggregate).Explain(expr, schema);
-  ASSERT_TRUE(aggregate_text.ok());
-  EXPECT_NE(aggregate_text->find("division[aggregate]"), std::string::npos);
+  // Every kernel names itself in the operator label.
+  const auto aggregate = MakeDivision(MakeScan("R", 2), MakeScan("S", 1),
+                                      setjoin::DivisionAlgorithm::kAggregate, false);
+  EXPECT_NE(aggregate->ToString().find("division[aggregate]"), std::string::npos);
 
   auto reference_text = Engine(EngineOptions::Reference()).Explain(expr, schema);
   ASSERT_TRUE(reference_text.ok());
   EXPECT_EQ(reference_text->find("division["), std::string::npos)
       << "reference mode must lower 1:1";
+}
+
+// The textbook division pattern over arbitrary dividend and divisor
+// subexpressions (ClassicDivisionExpr fixes both to stored relations).
+ra::ExprPtr DivisionPatternOver(const ra::ExprPtr& r, const ra::ExprPtr& s) {
+  const ra::ExprPtr candidates = ra::Project(r, {1});
+  const ra::ExprPtr missing = ra::Diff(ra::Product(candidates, s), r);
+  return ra::Diff(candidates, ra::Project(missing, {1}));
+}
+
+// The label of the run's division operator ("" when none ran).
+std::string DivisionLabel(const PlanStats& stats) {
+  for (const auto& op : stats.ops) {
+    if (op.label.rfind("division", 0) == 0) return op.label;
+  }
+  return "";
+}
+
+// {R/2, S/1, T/2}: T holds R's rows with the columns swapped, so π_{2,1}(T)
+// is R again, reached through a projection that scrambles the order.
+core::Database SwappedDividendDb() {
+  const auto instance = QuadraticInstance();
+  core::Schema schema;
+  schema.AddRelation("R", 2);
+  schema.AddRelation("S", 1);
+  schema.AddRelation("T", 2);
+  core::Database db(schema);
+  db.SetRelation("R", instance.r);
+  db.SetRelation("S", instance.s);
+  Relation t(2);
+  for (std::size_t i = 0; i < instance.r.size(); ++i) {
+    t.Add({instance.r.tuple(i)[1], instance.r.tuple(i)[0]});
+  }
+  db.SetRelation("T", std::move(t));
+  return db;
+}
+
+TEST(Engine, OperatorsReportSortedOutput) {
+  // Scans, division and the set joins emit normalized rows; an operator
+  // that does not say so reports false.
+  const auto r = MakeScan("R", 2);
+  const auto swapped = MakeProject(r, {2, 1});
+  EXPECT_TRUE(r->sorted_output());
+  EXPECT_TRUE(MakeDivision(swapped, MakeScan("S", 1),
+                           setjoin::DivisionAlgorithm::kHashDivision, false)
+                  ->sorted_output());
+  EXPECT_TRUE(MakeSetEqualityJoin(r, r, setjoin::EqualityJoinAlgorithm::kCanonicalHash)
+                  ->sorted_output());
+  EXPECT_FALSE(swapped->sorted_output());
+  EXPECT_FALSE(MakeUnion(r, r)->sorted_output());
+}
+
+TEST(Engine, PlannedDivisionFollowsTheDividendOrder) {
+  const auto db = SwappedDividendDb();
+  const Engine engine;
+  for (const bool equality : {false, true}) {
+    const ra::ExprPtr stored = equality ? setjoin::ClassicEqualityDivisionExpr("R", "S")
+                                        : setjoin::ClassicDivisionExpr("R", "S");
+    const ra::ExprPtr swapped =
+        DivisionPatternOver(ra::Project(ra::Rel("T", 2), {2, 1}), ra::Rel("S", 1));
+    const std::string prefix = equality ? "division=[" : "division[";
+
+    // A stored dividend is read sorted and in place: sort-merge.
+    auto sorted = engine.Run(stored, db);
+    ASSERT_TRUE(sorted.ok()) << sorted.error();
+    EXPECT_EQ(DivisionLabel(sorted->stats), prefix + "sort-merge]");
+    EXPECT_EQ(sorted->relation, ra::Eval(stored, db));
+    if (equality) continue;  // The swapped pattern below is containment.
+
+    // π_{2,1} scrambles the order: hash division consumes it as it streams.
+    auto unsorted = engine.Run(swapped, db);
+    ASSERT_TRUE(unsorted.ok()) << unsorted.error();
+    EXPECT_EQ(DivisionLabel(unsorted->stats), "division[hash-division]");
+    EXPECT_EQ(unsorted->relation, sorted->relation);
+    EXPECT_EQ(unsorted->relation, ra::Eval(swapped, db));
+
+    // A selection keeps R's order, but sort-merge would first drain it
+    // into a relation: only a stored dividend is read in place.
+    const ra::ExprPtr selected =
+        DivisionPatternOver(ra::SelectLt(ra::Rel("R", 2), 1, 2), ra::Rel("S", 1));
+    auto derived = engine.Run(selected, db);
+    ASSERT_TRUE(derived.ok()) << derived.error();
+    EXPECT_EQ(DivisionLabel(derived->stats), "division[hash-division]");
+    EXPECT_EQ(derived->relation, ra::Eval(selected, db));
+  }
+}
+
+// A live database that is also its own statistics provider, counting
+// every statistics request the engine makes.
+class CountingStatsView final : public core::DatabaseView, public stats::StatsProvider {
+ public:
+  explicit CountingStatsView(const core::Database* db) : db_(db), stats_(db) {}
+
+  const core::Schema& schema() const override { return db_->schema(); }
+  const Relation& relation(const std::string& name) const override {
+    return db_->relation(name);
+  }
+  std::uint64_t id() const override { return db_->id(); }
+  std::uint64_t relation_version(const std::string& name) const override {
+    return db_->relation_version(name);
+  }
+  const stats::RelationStats* Get(const std::string& name) const override {
+    ++gets_;
+    return stats_.Get(name);
+  }
+
+  std::size_t gets() const { return gets_; }
+
+ private:
+  const core::Database* db_;
+  stats::DatabaseStats stats_;
+  mutable std::size_t gets_ = 0;
+};
+
+TEST(Engine, PlannedRunsReadNoStatistics) {
+  const auto instance = QuadraticInstance();
+  auto db = setalg::testing::DivisionDb(instance.r, instance.s);
+  const auto expr = setjoin::ClassicDivisionExpr("R", "S");
+  {
+    // Fresh lowering, a cached plan revalidated after a commit, and a
+    // prepared handle: none asks for statistics, and no operator carries
+    // an estimate.
+    CountingStatsView view(&db);
+    EngineOptions options;
+    options.shared_plan_cache = std::make_shared<SharedPlanCache>(4, 0);
+    const Engine engine(options);
+    auto first = engine.Run(expr, view);
+    ASSERT_TRUE(first.ok()) << first.error();
+    auto handle = engine.Prepare(expr, view);
+    ASSERT_TRUE(handle.ok()) << handle.error();
+    db.mutable_relation("R")->Add({1000, instance.s.tuple(0)[0]});
+    auto revalidated = engine.Run(expr, view);
+    ASSERT_TRUE(revalidated.ok()) << revalidated.error();
+    EXPECT_EQ(revalidated->stats.cache, CacheOutcome::kRevalidated);
+    auto prepared = engine.Run(*handle, view);
+    ASSERT_TRUE(prepared.ok()) << prepared.error();
+    auto one_shot = Engine::Run(expr, view, EngineOptions{});
+    ASSERT_TRUE(one_shot.ok()) << one_shot.error();
+    EXPECT_EQ(view.gets(), 0u);
+    for (const auto* run : {&*first, &*revalidated, &*prepared, &*one_shot}) {
+      for (const auto& op : run->stats.ops) EXPECT_FALSE(op.has_estimate) << op.label;
+    }
+    EXPECT_EQ(revalidated->relation, ra::Eval(expr, db));
+  }
+  // Options that decide from statistics, or learn from them, read them.
+  for (const EngineOptions& options :
+       {EngineOptions::CostBased(), EngineOptions{}.WithMultiway(),
+        EngineOptions{}.WithCalibration()}) {
+    CountingStatsView view(&db);
+    auto run = Engine(options).Run(expr, view);
+    ASSERT_TRUE(run.ok()) << run.error();
+    EXPECT_GT(view.gets(), 0u);
+    EXPECT_TRUE(run->stats.ops.back().has_estimate);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -375,6 +531,44 @@ TEST(Engine, ParallelDivisionMatchesSerialAndRecordsFanOut) {
     EXPECT_EQ(run->stats.threads_used, threads);
     EXPECT_EQ(run->stats.partitions, threads)
         << "the lowered division op must fan out pool-wide";
+  }
+}
+
+TEST(Engine, PooledSortMergeDivisionReadsRangesInPlace) {
+  // Above two kMinPartitionRows floors of a stored dividend: planned mode
+  // picks sort-merge and a 4-wide pool cuts R into key ranges in place.
+  workload::DivisionConfig config;
+  config.num_groups = 5 * kMinPartitionRows / 4;
+  config.group_size = 4;
+  config.domain_size = 64;
+  config.divisor_size = 3;
+  config.match_fraction = 0.25;
+  config.seed = 11;
+  const auto instance = workload::MakeDivisionInstance(config);
+  ASSERT_GE(instance.r.size(), 4 * kMinPartitionRows);
+  const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
+  for (const bool equality : {false, true}) {
+    const auto expr = equality ? setjoin::ClassicEqualityDivisionExpr("R", "S")
+                               : setjoin::ClassicDivisionExpr("R", "S");
+    auto serial = Engine().Run(expr, db);
+    auto pooled = Engine(EngineOptions{}.WithThreads(4)).Run(expr, db);
+    ASSERT_TRUE(serial.ok()) << serial.error();
+    ASSERT_TRUE(pooled.ok()) << pooled.error();
+    const std::string label = equality ? "division=[sort-merge]" : "division[sort-merge]";
+    EXPECT_EQ(DivisionLabel(serial->stats), label);
+    EXPECT_EQ(DivisionLabel(pooled->stats), label);
+    EXPECT_EQ(pooled->stats.partitions, 4u);
+    EXPECT_EQ(pooled->stats.partition_passes_skipped, 1u);
+    EXPECT_EQ(pooled->relation, serial->relation);
+    EXPECT_FALSE(serial->relation.empty());
+    EXPECT_EQ(serial->relation,
+              equality ? setjoin::DivideEqual(instance.r, instance.s,
+                                              setjoin::DivisionAlgorithm::kHashDivision)
+                       : setjoin::Divide(instance.r, instance.s,
+                                         setjoin::DivisionAlgorithm::kHashDivision));
+    for (std::size_t i = 0; i < serial->stats.ops.size(); ++i) {
+      EXPECT_EQ(pooled->stats.ops[i].output_size, serial->stats.ops[i].output_size);
+    }
   }
 }
 

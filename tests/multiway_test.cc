@@ -361,6 +361,24 @@ TEST(MultiwayPlanner, PlannedModeRoutesOnIntermediateVsBound) {
   EXPECT_EQ(run->relation, reference->relation);
 }
 
+TEST(MultiwayPlanner, StaticRunRoutesLikeAPersistentEngine) {
+  // The one-shot Engine::Run reads statistics by the same rule as every
+  // engine: multiway options need them to price a chain against its AGM
+  // bound, so the static run routes the triangle too.
+  const auto db = SkewedTriangleDb(2000, 10, 9);
+  auto run = Engine::Run(BinaryTriangleChain(), db, EngineOptions{}.WithMultiway());
+  ASSERT_TRUE(run.ok()) << run.error();
+  bool routed = false;
+  for (const auto& rewrite : run->stats.rewrites) {
+    routed = routed || rewrite.find("multiway generic join") != std::string::npos;
+  }
+  EXPECT_TRUE(routed);
+  EXPECT_TRUE(run->stats.has_agm_bound);
+  auto reference = Engine(EngineOptions::Reference()).Run(BinaryTriangleChain(), db);
+  ASSERT_TRUE(reference.ok()) << reference.error();
+  EXPECT_EQ(run->relation, reference->relation);
+}
+
 TEST(MultiwayPlanner, UniformDataKeepsTheBinaryPlan) {
   // Uniform random edges: the binary intermediates sit under the AGM
   // bound, so the chain is priced but the written plan survives.

@@ -322,6 +322,65 @@ TEST(PlanCache, RevalidationWithoutFlipKeepsTheSamePlanObjects) {
       << "revalidation must advance the handle's version vector";
 }
 
+// A planned plan holds two divisions: one over stored R (so sort-merge)
+// and one over the derived π_{2,1}(T) (so hash division).
+// Revalidated across commits to R, S and T, the cached plan must render,
+// run and report exactly like a fresh lowering against the new versions,
+// with neither plan carrying an estimate.
+TEST(PlanCache, PlannedRevalidationEqualsAFreshLowering) {
+  core::Schema schema;
+  schema.AddRelation("R", 2);
+  schema.AddRelation("S", 1);
+  schema.AddRelation("T", 2);
+  core::Database db(schema);
+  db.SetRelation("R", workload::UniformBinaryRelation(200, 12, 3));
+  db.SetRelation("S", MakeRel(1, {{2}, {5}}));
+  db.SetRelation("T", workload::UniformBinaryRelation(200, 12, 4));
+  const auto over = [](const ra::ExprPtr& r) {
+    const ra::ExprPtr s = ra::Rel("S", 1);
+    const ra::ExprPtr candidates = ra::Project(r, {1});
+    return ra::Diff(candidates,
+                    ra::Project(ra::Diff(ra::Product(candidates, s), r), {1}));
+  };
+  const auto expr = ra::Union(over(ra::Rel("R", 2)),
+                              over(ra::Project(ra::Rel("T", 2), {2, 1})));
+  EngineOptions options;
+  options.shared_plan_cache = std::make_shared<SharedPlanCache>(4, 0);
+  const Engine cached(options);
+  const Engine fresh(EngineOptions{});
+  util::Rng rng(BaseSeed());
+  for (int step = 0; step < 6; ++step) {
+    auto run = cached.Run(expr, db);
+    auto want = fresh.Run(expr, db);
+    ASSERT_TRUE(run.ok()) << run.error();
+    ASSERT_TRUE(want.ok()) << want.error();
+    const std::string context = "step " + std::to_string(step);
+    EXPECT_EQ(run->stats.cache, step == 0 ? CacheOutcome::kMiss
+                                          : CacheOutcome::kRevalidated)
+        << context;
+    EXPECT_EQ(run->relation, want->relation) << context;
+    ExpectIdenticalStats(want->stats, run->stats, context);
+    auto resident = cached.Prepare(expr, db);
+    auto lowered = fresh.Plan(expr, db);
+    ASSERT_TRUE(resident.ok()) << resident.error();
+    ASSERT_TRUE(lowered.ok()) << lowered.error();
+    EXPECT_EQ(resident->plan().ToString(), lowered->ToString()) << context;
+    EXPECT_TRUE(resident->plan().estimates.empty()) << context;
+    EXPECT_NE(lowered->ToString().find("division[sort-merge]"), std::string::npos)
+        << lowered->ToString();
+    EXPECT_NE(lowered->ToString().find("division[hash-division]"), std::string::npos)
+        << lowered->ToString();
+    const char* relation = step % 3 == 0 ? "R" : step % 3 == 1 ? "S" : "T";
+    core::Relation* target = db.mutable_relation(relation);
+    if (target->arity() == 1) {
+      target->Add({static_cast<core::Value>(1 + rng.NextBounded(12))});
+    } else {
+      target->Add({static_cast<core::Value>(1 + rng.NextBounded(12)),
+                   static_cast<core::Value>(1 + rng.NextBounded(12))});
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Repick: a bulk load flips the cost-based division choice and the cached
 // plan swaps the operator in place — sharing the untouched scans.

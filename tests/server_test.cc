@@ -384,6 +384,61 @@ TEST(ServerTest, ErrorsAreLocatedAndSessionSurvives) {
   client->Close();
 }
 
+// A session holds at most kMaxPreparedPerSession prepared statements: the
+// next new name draws an ERR located at that name and the session stays
+// usable. Re-PREPARE of a held name and EXECUTE still work, and another
+// session has a budget of its own.
+TEST(ServerTest, PreparedStatementsPerSessionAreBounded) {
+  ServerFixture fixture(engine::EngineOptions{}, BaseSeed());
+  auto client = server::Client::Connect("127.0.0.1", fixture.port);
+  ASSERT_TRUE(client.ok()) << client.error();
+  for (std::size_t i = 0; i < server::kMaxPreparedPerSession; ++i) {
+    auto prepared = client->Roundtrip("PREPARE q" + std::to_string(i) + " pi[1](R)");
+    ASSERT_TRUE(prepared.ok()) << prepared.error();
+    ASSERT_TRUE(prepared->header.ok) << i << ": " << prepared->header.error;
+  }
+  auto refused = client->Roundtrip("PREPARE extra pi[1](R)");
+  ASSERT_TRUE(refused.ok()) << refused.error();
+  EXPECT_FALSE(refused->header.ok);
+  EXPECT_EQ(refused->header.verb, "ERR");
+  std::size_t line = 0, column = 0;
+  ASSERT_TRUE(sql::ParseErrorLocation(refused->header.error, &line, &column))
+      << refused->header.error;
+  EXPECT_EQ(line, 1u);
+  EXPECT_EQ(column, 9u) << "the error points at the refused name";
+  EXPECT_NE(refused->header.error.find(std::to_string(server::kMaxPreparedPerSession)),
+            std::string::npos)
+      << refused->header.error;
+  auto missing = client->Roundtrip("EXECUTE extra");
+  ASSERT_TRUE(missing.ok()) << missing.error();
+  EXPECT_FALSE(missing->header.ok);
+
+  auto replaced = client->Roundtrip("PREPARE q0 SELECT c1 FROM S");
+  ASSERT_TRUE(replaced.ok()) << replaced.error();
+  ASSERT_TRUE(replaced->header.ok) << replaced->header.error;
+  const auto snapshot = fixture.head->snapshot();
+  const std::pair<std::string, ra::ExprPtr> expected[] = {
+      {"q0", ra::Rel("S", 1)}, {"q255", ra::Project(ra::Rel("R", 2), {1})}};
+  for (const auto& [name, expr] : expected) {
+    auto executed = client->Roundtrip("EXECUTE " + name);
+    ASSERT_TRUE(executed.ok()) << executed.error();
+    ASSERT_TRUE(executed->header.ok) << name << ": " << executed->header.error;
+    auto want = engine::Engine().Run(expr, *snapshot);
+    ASSERT_TRUE(want.ok()) << want.error();
+    EXPECT_EQ(executed->header.digest,
+              server::DigestToHex(server::RelationDigest(want->relation)))
+        << name;
+  }
+
+  auto other = server::Client::Connect("127.0.0.1", fixture.port);
+  ASSERT_TRUE(other.ok()) << other.error();
+  auto fresh = other->Roundtrip("PREPARE extra pi[1](R)");
+  ASSERT_TRUE(fresh.ok()) << fresh.error();
+  EXPECT_TRUE(fresh->header.ok) << fresh->header.error;
+  client->Close();
+  other->Close();
+}
+
 // The soak. Clients record (statement, version, digest); a writer keeps
 // publishing randomized commits; afterwards every record is replayed
 // serially (fresh engine, no caches) against the snapshot that was
