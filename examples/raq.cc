@@ -34,7 +34,7 @@
 // --sessions N runs that query list from N threads against one shared
 // engine and one snapshot of a txn::VersionedDatabase head, through the
 // process-wide shared plan cache and result cache. Each session prints a
-// digest line per query (FNV over the result's flat bytes) — sessions on
+// digest line per query (server::RelationDigest, version 2) — sessions on
 // one snapshot always print identical digests, which makes this the
 // smoke entry point for the MVCC serving path.
 //

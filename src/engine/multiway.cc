@@ -58,14 +58,27 @@ PreparedInput PrepareInput(const core::Relation& input,
   return prepared;
 }
 
-// Binary search over one column of a flat sorted row-major range. Within
-// [lo, hi) all columns left of `col` are constant (the bound prefix), so
-// column `col` is sorted there.
-std::size_t LowerBoundRow(const core::Value* flat, std::size_t arity, std::size_t col,
-                          std::size_t lo, std::size_t hi, core::Value v) {
+// Galloping seek over one column of a flat sorted row-major range: the
+// first row in [lo, hi) whose value in column `col` is not `before` the
+// target. Within [lo, hi) all columns left of `col` are constant (the
+// bound prefix), so column `col` is sorted there. The seek probes lo,
+// lo+1, lo+3, lo+7, ... and binary-searches the last bracket, so moving
+// the cursor d rows costs O(log d) comparisons, not O(log(hi - lo)): a
+// leapfrog intersection is charged by its smaller side.
+template <typename Before>
+std::size_t GallopRow(const core::Value* flat, std::size_t arity, std::size_t col,
+                      std::size_t lo, std::size_t hi, Before before) {
+  std::size_t probe = lo;
+  std::size_t step = 1;
+  while (probe < hi && before(flat[probe * arity + col])) {
+    lo = probe + 1;
+    probe += step;
+    step <<= 1;
+  }
+  hi = std::min(probe, hi);
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (flat[mid * arity + col] < v) {
+    if (before(flat[mid * arity + col])) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -74,25 +87,25 @@ std::size_t LowerBoundRow(const core::Value* flat, std::size_t arity, std::size_
   return lo;
 }
 
+// The first row in [lo, hi) whose column `col` is >= v.
+std::size_t LowerBoundRow(const core::Value* flat, std::size_t arity, std::size_t col,
+                          std::size_t lo, std::size_t hi, core::Value v) {
+  return GallopRow(flat, arity, col, lo, hi, [v](core::Value x) { return x < v; });
+}
+
+// The first row in [lo, hi) whose column `col` is > v.
 std::size_t UpperBoundRow(const core::Value* flat, std::size_t arity, std::size_t col,
                           std::size_t lo, std::size_t hi, core::Value v) {
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (flat[mid * arity + col] <= v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return GallopRow(flat, arity, col, lo, hi, [v](core::Value x) { return x <= v; });
 }
 
 // The generic-join recursion over prepared inputs: binds variables in
 // ascending order; at each level leapfrogs the relations containing the
-// variable to their common values, narrowing each one's row range to the
-// matching block before recursing. Emits bindings in lexicographic order
-// (each level iterates values ascending), so the output is born sorted
-// and distinct.
+// variable to their common values, each cursor galloping forward from
+// where it stands (LowerBoundRow), and narrows each one's row range to the
+// matching block (UpperBoundRow, from the same cursor) before recursing.
+// Emits bindings in lexicographic order (each level iterates values
+// ascending), so the output is born sorted and distinct.
 class GenericJoin {
  public:
   GenericJoin(const std::vector<const PreparedInput*>& inputs, std::size_t num_vars,

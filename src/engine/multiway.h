@@ -1,13 +1,16 @@
 // The worst-case-optimal multiway join operator (Ngo–Porat–Ré–Rudra's
 // generic join, leapfrog-style): joins k relations at once by binding the
-// join variables one at a time, intersecting — via sorted per-attribute
-// iterators with galloping seeks — every relation that contains the
-// current variable. Its intermediate state is only the sorted inputs and
-// the output itself, so the materialized footprint is bounded by the AGM
-// fractional-edge-cover bound (engine/cost.h) instead of the written
-// binary plan's possibly-quadratic intermediates — the paper's
-// division dichotomy (Ω(n²) classic plan vs O(n) direct operator)
-// generalized to arbitrary join chains.
+// join variables one at a time, intersecting every relation that
+// contains the current variable. Each relation's cursor seeks by
+// galloping from where it stands (probe pos, pos+1, pos+3, ..., then
+// binary-search the last bracket), so an intersection costs time in its
+// smaller side, as Ngo et al.'s analysis charges it. Its intermediate
+// state is only the sorted inputs and the output itself, so the
+// materialized footprint is bounded by the AGM fractional-edge-cover
+// bound (engine/cost.h) instead of the written binary plan's
+// possibly-quadratic intermediates — the paper's division dichotomy
+// (Ω(n²) classic plan vs O(n) direct operator) generalized to arbitrary
+// join chains.
 //
 // The operator is implemented once against the engine/batch.h
 // Open/NextBatch/Close contract (a blocking operator, like the division

@@ -141,6 +141,18 @@ class Parser {
 
   util::Result<ExprPtr> ParseExpr() {
     SkipSpace();
+    if (depth_ == kMaxExprDepth) {
+      return Fail<ExprPtr>(
+          util::StrCat("expression nested deeper than ", kMaxExprDepth, " levels"));
+    }
+    ++depth_;
+    auto expr = ParseLevel();
+    --depth_;
+    return expr;
+  }
+
+  // One level of the grammar; ParseExpr counts the levels.
+  util::Result<ExprPtr> ParseLevel() {
     if (Consume('(')) {
       auto inner = ParseExpr();
       if (!ok_) return inner;
@@ -256,6 +268,7 @@ class Parser {
   const std::string& text_;
   const core::Schema& schema_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // ParseExpr calls on the current path.
   bool ok_ = true;
   std::string error_;
 };

@@ -20,6 +20,7 @@
 #ifndef SETALG_RA_PARSE_H_
 #define SETALG_RA_PARSE_H_
 
+#include <cstddef>
 #include <string>
 
 #include "core/schema.h"
@@ -27,6 +28,16 @@
 #include "util/result.h"
 
 namespace setalg::ra {
+
+/// The deepest tree either text frontend builds, in levels. ra::Parse
+/// counts nested expressions (parentheses included); sql::Parse counts
+/// nested queries and parentheses plus the FROM items, conjuncts and
+/// set-operation operands that lower to operators stacked on one path
+/// (sql/parser.h). Text past it draws a located error before anything
+/// deeper is built, so the recursive passes over a statement (parse,
+/// analysis, planning, execution, destruction) stay within a session
+/// thread's stack.
+inline constexpr std::size_t kMaxExprDepth = 128;
 
 /// Parses an expression; relation names are resolved against `schema`.
 util::Result<ExprPtr> Parse(const std::string& text, const core::Schema& schema);

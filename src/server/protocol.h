@@ -28,7 +28,9 @@
 // RA expression grammar (ra/parse.h). `version` is the MVCC snapshot the
 // statement ran against (txn::Snapshot::version()), `digest` the
 // RelationDigest of the result — the invariant the server soak test
-// leans on: equal (version, statement) implies equal digest.
+// leans on: equal (version, statement) implies equal digest. The digest
+// is version 2 (below); version 1, a byte-wise FNV-1a, gave other values
+// for the same results.
 #ifndef SETALG_SERVER_PROTOCOL_H_
 #define SETALG_SERVER_PROTOCOL_H_
 
@@ -43,9 +45,17 @@ namespace setalg::server {
 /// The response terminator line.
 inline constexpr char kTerminator[] = ".";
 
-/// Order-dependent FNV digest of a relation's normalized flat storage
-/// (value bytes, then arity, then size). The digest raq prints in
-/// --sessions mode and setalgd returns in every OK header.
+/// Digest version 2 of a relation: the digest raq prints in --sessions
+/// mode and setalgd returns in every OK header. Over the normalized flat
+/// storage v[0..n) (a zero-ary relation holding its row stores one 0):
+///   - h = XXH64 with seed 0 of the values as 64-bit words: each full
+///     group of four values feeds four lanes (value i takes an XXH64
+///     round, multiply-rotate-multiply, in lane i mod 4) and the lanes
+///     merge; the n mod 4 values after the last full group fold in, in
+///     order; the XXH64 avalanche ends it;
+///   - then h = HashCombine(HashCombine(h, arity), rows) (util/hash.h).
+/// It hashes values, not bytes, so it does not depend on byte order; on
+/// a little-endian host h equals XXH64 of the storage's bytes.
 std::uint64_t RelationDigest(const core::Relation& relation);
 
 /// 16-character lowercase hex rendering of a digest.

@@ -1,8 +1,10 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <utility>
 
+#include "ra/parse.h"
 #include "sql/lexer.h"
 #include "util/str.h"
 
@@ -14,7 +16,8 @@ class Parser {
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   util::Result<QueryPtr> ParseStatement() {
-    auto query = ParseQuery();
+    std::size_t height = 0;
+    auto query = ParseQuery(&height);
     if (!query.ok()) return query;
     if (Peek().kind != TokenKind::kEnd) {
       return Err(Peek(), util::StrCat("unexpected '", Peek().text,
@@ -59,8 +62,40 @@ class Parser {
     return QueryPtr();  // Dummy ok value; callers only check ok().
   }
 
-  util::Result<QueryPtr> ParseQuery() {
-    auto left = ParseTerm();
+  // Depth accounting. A node's height counts the levels its subtree
+  // stacks: one per nested query or parenthesis, FROM item, conjunct and
+  // set-operation operand past the first; sibling subqueries overlap
+  // rather than add. depth_ holds the levels stacked above the node being
+  // parsed, so checking depth_ + height at every step refuses a statement
+  // at the token that takes it past ra::kMaxExprDepth, before anything
+  // deeper is parsed.
+  util::Result<QueryPtr> CheckDepth(std::size_t height, const Token& at) const {
+    if (depth_ + height <= ra::kMaxExprDepth) return QueryPtr();
+    return Err(at, util::StrCat("statement nested deeper than ", ra::kMaxExprDepth,
+                                " levels"));
+  }
+
+  // Parses `( query )` one level below the node being parsed; *height
+  // receives the level plus the query's height.
+  util::Result<QueryPtr> ParseNested(std::size_t* height) {
+    const Token& open = Peek();
+    auto paren = Expect(TokenKind::kLParen, "'('");
+    if (!paren.ok()) return paren;
+    auto deep = CheckDepth(1, open);
+    if (!deep.ok()) return deep;
+    ++depth_;
+    std::size_t inner_height = 0;
+    auto inner = ParseQuery(&inner_height);
+    --depth_;
+    if (!inner.ok()) return inner;
+    auto close = Expect(TokenKind::kRParen, "')'");
+    if (!close.ok()) return close;
+    *height = inner_height + 1;
+    return inner;
+  }
+
+  util::Result<QueryPtr> ParseQuery(std::size_t* height) {
+    auto left = ParseTerm(height);
     if (!left.ok()) return left;
     QueryPtr tree = std::move(*left);
     for (;;) {
@@ -75,8 +110,15 @@ class Parser {
         break;
       }
       const Token& op_token = Next();
-      auto right = ParseTerm();
+      // Each further operand stacks one more set operation on the chain.
+      auto deep = CheckDepth(++*height, op_token);
+      if (!deep.ok()) return deep;
+      std::size_t right_height = 0;
+      ++depth_;
+      auto right = ParseTerm(&right_height);
+      --depth_;
       if (!right.ok()) return right;
+      *height = std::max(*height, right_height + 1);
       auto node = std::make_unique<Query>();
       node->op = op;
       node->left = std::move(tree);
@@ -88,19 +130,12 @@ class Parser {
     return tree;
   }
 
-  util::Result<QueryPtr> ParseTerm() {
-    if (Peek().kind == TokenKind::kLParen) {
-      Next();
-      auto inner = ParseQuery();
-      if (!inner.ok()) return inner;
-      auto close = Expect(TokenKind::kRParen, "')'");
-      if (!close.ok()) return close;
-      return inner;
-    }
-    return ParseSelect();
+  util::Result<QueryPtr> ParseTerm(std::size_t* height) {
+    if (Peek().kind == TokenKind::kLParen) return ParseNested(height);
+    return ParseSelect(height);
   }
 
-  util::Result<QueryPtr> ParseSelect() {
+  util::Result<QueryPtr> ParseSelect(std::size_t* height) {
     if (!AtKeyword("SELECT")) {
       return Err(Peek(), util::StrCat("expected SELECT, got '", Peek().text, "'"));
     }
@@ -124,11 +159,17 @@ class Parser {
     if (!EatKeyword("FROM")) {
       return Err(Peek(), util::StrCat("expected FROM, got '", Peek().text, "'"));
     }
+    // The FROM items and conjuncts stack (a left-deep join, then the
+    // WHERE steps); a conjunct's subquery nests under the items before it.
+    std::size_t items = 0;
+    std::size_t deepest = 0;  // Height of the highest subquery so far.
     for (;;) {
       if (Peek().kind != TokenKind::kIdent) {
         return Err(Peek(),
                    util::StrCat("expected a table name, got '", Peek().text, "'"));
       }
+      auto deep = CheckDepth(++items, Peek());
+      if (!deep.ok()) return deep;
       const Token& table = Next();
       TableRef ref;
       ref.table = table.text;
@@ -144,12 +185,19 @@ class Parser {
 
     if (EatKeyword("WHERE")) {
       for (;;) {
-        auto conjunct = ParseConjunct();
+        auto deep = CheckDepth(++items + deepest, Peek());
+        if (!deep.ok()) return deep;
+        std::size_t nested = 0;
+        depth_ += items;
+        auto conjunct = ParseConjunct(&nested);
+        depth_ -= items;
         if (!conjunct.ok()) return util::Result<QueryPtr>::Error(conjunct.error());
+        deepest = std::max(deepest, nested);
         select->where.push_back(std::move(*conjunct));
         if (!EatKeyword("AND")) break;
       }
     }
+    *height = items + deepest;
 
     auto query = std::make_unique<Query>();
     query->op = Query::Op::kSelect;
@@ -197,7 +245,8 @@ class Parser {
     }
   }
 
-  util::Result<Predicate> ParseConjunct() {
+  // *nested receives the height of the conjunct's subquery (0 without one).
+  util::Result<Predicate> ParseConjunct(std::size_t* nested) {
     Predicate pred;
     pred.line = Peek().line;
     pred.column_pos = Peek().column;
@@ -211,7 +260,7 @@ class Parser {
       Next();
       pred.kind = Predicate::Kind::kExists;
       pred.negated = not_prefix;
-      auto sub = ParseParenQuery();
+      auto sub = ParseNested(nested);
       if (!sub.ok()) return util::Result<Predicate>::Error(sub.error());
       pred.subquery = std::move(*sub);
       return pred;
@@ -249,7 +298,7 @@ class Parser {
             util::StrCat("expected IN after NOT, got '", Peek().text, "'")));
       }
       pred.kind = Predicate::Kind::kIn;
-      auto sub = ParseParenQuery();
+      auto sub = ParseNested(nested);
       if (!sub.ok()) return util::Result<Predicate>::Error(sub.error());
       pred.subquery = std::move(*sub);
       return pred;
@@ -270,18 +319,9 @@ class Parser {
     return pred;
   }
 
-  util::Result<QueryPtr> ParseParenQuery() {
-    auto open = Expect(TokenKind::kLParen, "'('");
-    if (!open.ok()) return open;
-    auto inner = ParseQuery();
-    if (!inner.ok()) return inner;
-    auto close = Expect(TokenKind::kRParen, "')'");
-    if (!close.ok()) return close;
-    return inner;
-  }
-
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // Levels stacked above the node being parsed.
 };
 
 }  // namespace

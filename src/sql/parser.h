@@ -17,6 +17,13 @@
 // Pure syntax: names are not resolved here (sql/analyzer.h does that
 // against a core::Schema). Every error is a located "line:column: ..."
 // message; malformed input never crashes and never partially succeeds.
+//
+// Depth: a statement is at most ra::kMaxExprDepth levels deep. Each
+// nested query or parenthesis, FROM item, conjunct and set-operation
+// operand past the first adds a level to the path it lies on (each lowers
+// to stacked operators: a left-deep join, the WHERE steps, a set-operation
+// chain); subqueries in sibling conjuncts do not add up. The token that
+// passes the bound draws the error.
 #ifndef SETALG_SQL_PARSER_H_
 #define SETALG_SQL_PARSER_H_
 

@@ -261,6 +261,78 @@ TEST(MultiwayJoin, DuplicateVariableWithinOneInputFiltersRows) {
       db, expected->relation, "duplicate-variable");
 }
 
+// A binary relation whose first column holds runs: the i-th key repeats
+// 1 + (13 i + offset) mod 70 times, paired with the second values 0,
+// stride, 2 stride, .... Each input spaces its keys differently, so other
+// inputs' keys fall between its runs, and all share the first and last
+// key, so a seek's target sits first and last in its range.
+Relation Runs(const std::vector<core::Value>& keys, std::size_t offset,
+              core::Value stride) {
+  Relation r(2);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::size_t run = 1 + (i * 13 + offset) % 70;
+    for (std::size_t j = 0; j < run; ++j) {
+      r.Add({keys[i], static_cast<core::Value>(j) * stride});
+    }
+  }
+  return r;
+}
+
+// Keys 0, step, 2 step, ..., up to `last`, always ending at `last`.
+std::vector<core::Value> Keys(core::Value step, core::Value last) {
+  std::vector<core::Value> keys;
+  for (core::Value k = 0; k < last; k += step) keys.push_back(k);
+  keys.push_back(last);
+  return keys;
+}
+
+TEST(MultiwayJoin, GallopingSeeksOverEveryRunLengthMatchReference) {
+  // Every seek gallops over runs of 1..70 equal values, so its probes land
+  // on both sides of every power of two up to 64. Second values share the
+  // key domain (0..210), so each level's seeks run over the runs too.
+  const Relation r = Runs(Keys(3, 210), 0, 3);
+  const Relation s = Runs(Keys(2, 210), 5, 2);
+  const Relation t = Runs(Keys(5, 210), 11, 5);
+  const Relation u = Runs(Keys(7, 210), 17, 7);
+  {
+    const auto db = ThreeBinaryDb(r, s, t);
+    const auto expr = ra::Project(
+        ra::Join(ra::Join(ra::Rel("R", 2), ra::Rel("S", 2), {{2, ra::Cmp::kEq, 1}}),
+                 ra::Rel("T", 2), {{4, ra::Cmp::kEq, 1}, {1, ra::Cmp::kEq, 2}}),
+        {1, 2, 4});
+    auto expected = Engine(EngineOptions::Reference()).Run(expr, db);
+    ASSERT_TRUE(expected.ok()) << expected.error();
+    ASSERT_GT(expected->relation.size(), 0u);
+    ExpectMultiwayPlanMatches(
+        MakeMultiwayJoin({MakeScan("R", 2), MakeScan("S", 2), MakeScan("T", 2)},
+                         {{0, 1}, {1, 2}, {2, 0}}, 3),
+        db, expected->relation, "triangle over runs");
+  }
+  {
+    core::Schema schema;
+    for (const char* name : {"R", "S", "T", "U"}) schema.AddRelation(name, 2);
+    core::Database db(schema);
+    db.SetRelation("R", r);
+    db.SetRelation("S", s);
+    db.SetRelation("T", t);
+    db.SetRelation("U", u);
+    const auto expr = ra::Project(
+        ra::Join(ra::Join(ra::Join(ra::Rel("R", 2), ra::Rel("S", 2),
+                                   {{2, ra::Cmp::kEq, 1}}),
+                          ra::Rel("T", 2), {{4, ra::Cmp::kEq, 1}}),
+                 ra::Rel("U", 2), {{6, ra::Cmp::kEq, 1}, {1, ra::Cmp::kEq, 2}}),
+        {1, 2, 4, 6});
+    auto expected = Engine(EngineOptions::Reference()).Run(expr, db);
+    ASSERT_TRUE(expected.ok()) << expected.error();
+    ASSERT_GT(expected->relation.size(), 0u);
+    ExpectMultiwayPlanMatches(
+        MakeMultiwayJoin({MakeScan("R", 2), MakeScan("S", 2), MakeScan("T", 2),
+                          MakeScan("U", 2)},
+                         {{0, 1}, {1, 2}, {2, 3}, {3, 0}}, 4),
+        db, expected->relation, "four-cycle over runs");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Planner routing: on skewed data whose binary intermediates blow past
 // the AGM bound the cost-based planner must route the chain to the

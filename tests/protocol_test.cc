@@ -4,6 +4,11 @@
 // used to misfile as unknown fields.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <vector>
+
 #include "server/protocol.h"
 #include "test_util.h"
 
@@ -102,14 +107,62 @@ TEST(ParseResponseHeader, RejectsMalformedNumericFields) {
   EXPECT_FALSE(ParseResponseHeader("HELLO world").ok());
 }
 
+// Golden digest v2 values. An independent XXH64 implementation (seed 0,
+// over the values as little-endian 8-byte words) followed by the two
+// HashCombine steps reproduces every one.
+TEST(RelationDigest, V2GoldenValues) {
+  core::Relation empty(0);
+  core::Relation unit(0);
+  unit.Add(core::TupleView());
+  EXPECT_EQ(DigestToHex(RelationDigest(empty)), "fd3d051a12468024");
+  EXPECT_EQ(DigestToHex(RelationDigest(unit)), "ecbbc43ef5737326");
+  EXPECT_EQ(DigestToHex(RelationDigest(MakeRel(1, {{42}}))), "aebd0104e97860e3");
+  // Nine values: two rounds through all four lanes, then one tail value.
+  EXPECT_EQ(DigestToHex(RelationDigest(MakeRel(3, {{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}))),
+            "06e79632936bb707");
+  constexpr core::Value kMin = std::numeric_limits<core::Value>::min();
+  constexpr core::Value kMax = std::numeric_limits<core::Value>::max();
+  EXPECT_EQ(DigestToHex(RelationDigest(MakeRel(2, {{kMin, kMax}, {0, -1}}))),
+            "02c0553938c72ce2");
+}
+
+TEST(RelationDigest, EverySingleBitFlipIsDistinct) {
+  const std::vector<std::vector<core::Value>> base = {{1, 2, 3}, {4, 5, 6}, {7, 8, 9}};
+  const auto digest_of = [](const std::vector<std::vector<core::Value>>& rows) {
+    core::Relation r(3);
+    for (const auto& row : rows) r.Add(core::TupleView(row.data(), row.size()));
+    return RelationDigest(r);
+  };
+  std::set<std::uint64_t> seen = {digest_of(base)};
+  for (std::size_t row = 0; row < 3; ++row) {
+    for (std::size_t col = 0; col < 3; ++col) {
+      for (int bit = 0; bit < 64; ++bit) {
+        auto flipped = base;
+        flipped[row][col] = static_cast<core::Value>(
+            static_cast<std::uint64_t>(flipped[row][col]) ^ (std::uint64_t{1} << bit));
+        EXPECT_TRUE(seen.insert(digest_of(flipped)).second)
+            << "row " << row << " column " << col << " bit " << bit;
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), 1u + 576u);
+}
+
 TEST(RelationDigest, SensitiveToContentArityAndOrder) {
   const auto a = MakeRel(2, {{1, 2}, {3, 4}});
   const auto b = MakeRel(2, {{1, 2}, {3, 5}});
   EXPECT_NE(RelationDigest(a), RelationDigest(b));
-  // Same flat values, different arity.
-  const auto flat2 = MakeRel(2, {{1, 2}});
-  const auto flat1 = MakeRel(1, {{1}, {2}});
-  EXPECT_NE(RelationDigest(flat2), RelationDigest(flat1));
+  // The same values per column, the rows' tails swapped: every lane sees
+  // the same inputs in another order.
+  EXPECT_NE(RelationDigest(MakeRel(4, {{1, 2, 3, 4}, {5, 6, 7, 8}})),
+            RelationDigest(MakeRel(4, {{1, 6, 7, 8}, {5, 2, 3, 4}})));
+  // The same flat values 1..6 read at four arities.
+  const std::set<std::uint64_t> digests = {
+      RelationDigest(MakeRel(1, {{1}, {2}, {3}, {4}, {5}, {6}})),
+      RelationDigest(MakeRel(2, {{1, 2}, {3, 4}, {5, 6}})),
+      RelationDigest(MakeRel(3, {{1, 2, 3}, {4, 5, 6}})),
+      RelationDigest(MakeRel(6, {{1, 2, 3, 4, 5, 6}}))};
+  EXPECT_EQ(digests.size(), 4u);
   EXPECT_EQ(DigestToHex(0).size(), 16u);
   EXPECT_EQ(DigestToHex(0xabcdefu), "0000000000abcdef");
 }

@@ -14,10 +14,11 @@
 //
 // Functional coverage rides along: ad-hoc parity with a local engine
 // run, PREPARE/EXECUTE (including revalidation across commits), ERR
-// responses that keep the session usable, PING/CLOSE, graceful Stop()
-// mid-traffic, large answers streamed byte-identical through the
-// session's output buffer, a client that hangs up mid-answer, and the
-// client's line reader against a raw peer (line cap, one byte per send).
+// responses that keep the session usable (a statement past the depth
+// bound among them), PING/CLOSE, graceful Stop() mid-traffic, large
+// answers streamed byte-identical through the session's output buffer, a
+// client that hangs up mid-answer, and the client's line reader against a
+// raw peer (line cap, one byte per send).
 //
 // Reads SETALG_BATCH_SEED (default 1); CI runs the seed matrix under
 // ASan/UBSan and TSan — TSan is the point for the soak.
@@ -660,6 +661,33 @@ TEST(ServerTest, ConnectionChurnKeepsSessionListBounded) {
 // the server consumes all of it before erroring — the close is then a
 // clean FIN (an unread tail would turn it into an RST that could race
 // ahead of the error response).
+// 40,000 nested projections make a 360,007-byte request line, under the
+// line cap. Parsing it once overflowed the session thread's stack and took
+// setalgd down; the depth bound answers ERR, and the session serves on.
+TEST(ServerTest, DeepStatementGetsErrorAndSessionSurvives) {
+  ServerFixture fixture(engine::EngineOptions{}, BaseSeed());
+  auto client = server::Client::Connect("127.0.0.1", fixture.port);
+  ASSERT_TRUE(client.ok()) << client.error();
+  std::string line = "QUERY ";
+  for (int i = 0; i < 40000; ++i) line += "pi[1,2](";
+  line += "R" + std::string(40000, ')');
+  ASSERT_EQ(line.size(), 360007u);
+
+  auto deep = client->Roundtrip(line);
+  ASSERT_TRUE(deep.ok()) << deep.error();
+  EXPECT_EQ(deep->header.verb, "ERR");
+  EXPECT_NE(deep->header.error.find("nested deeper than"), std::string::npos)
+      << deep->header.error;
+  auto pong = client->Roundtrip("PING");
+  ASSERT_TRUE(pong.ok()) << pong.error();
+  EXPECT_EQ(pong->header.verb, "PONG");
+  auto good = client->Roundtrip("QUERY SELECT * FROM R");
+  ASSERT_TRUE(good.ok()) << good.error();
+  EXPECT_TRUE(good->header.ok) << good->header.error;
+  EXPECT_GT(good->header.rows, 0u);
+  client->Close();
+}
+
 TEST(ServerTest, OversizedLineGetsErrorAndDisconnect) {
   ServerFixture fixture(engine::EngineOptions{}, BaseSeed());
   const int fd = ConnectRaw(fixture.port);
