@@ -2,17 +2,18 @@
 // operators: fixed-capacity tuple batches and the Open/NextBatch/Close
 // iterator contract.
 //
-// Every operator is implemented batch-at-a-time exactly once. Engine runs
-// compose the per-operator iterators into a pipeline that never
-// materializes the streaming operators' outputs; the materializing
-// reference (engine::RunMaterialized) drives the same iterators one
-// operator at a time through PhysicalOp::Execute. The complexity currency
-// of the paper is unchanged — PlanStats still counts the (distinct)
-// tuples each operator produces — and a pipelined run buffers one batch
-// per operator edge, plus the blocking operators' state, plus an
-// O(distinct output) dedup set on each edge whose stream may repeat
-// tuples (a projection that drops a column, a union): set semantics is
-// preserved exactly, not approximated.
+// Every operator is implemented batch-at-a-time exactly once
+// (PhysicalOp::MakeBatchIterator). Engine runs compose the per-operator
+// iterators into a pipeline that never materializes the streaming
+// operators' outputs; the materializing reference
+// (engine::RunMaterialized) drives the same iterators one operator at a
+// time, over relation streamers of its children's materialized outputs.
+// The complexity currency of the paper is unchanged — PlanStats still
+// counts the (distinct) tuples each operator produces — and a pipelined
+// run buffers one batch per operator edge, plus the blocking operators'
+// state, plus an O(distinct output) dedup set on each edge whose stream
+// may repeat tuples (a projection that drops a column, a union): set
+// semantics is preserved exactly, not approximated.
 //
 // Iterator contract:
 //   - Open() is called exactly once before the first NextBatch(); blocking

@@ -304,7 +304,11 @@ CostEstimate CostModel::EstimateDivision(setjoin::DivisionAlgorithm algorithm,
   }
   switch (algorithm) {
     case setjoin::DivisionAlgorithm::kNestedLoop:
-      // Grouping pass + (A,B) hash index build + g·m membership probes.
+      // Priced as a grouping pass + an (A,B) hash index build + g·m
+      // membership probes. The kernel now builds no index: it groups the
+      // sorted rows and binary-searches each group's span, so this
+      // overstates it. The value is kept so that no pick moves; re-pricing
+      // waits until cost mode prices sort order.
       est.cost = 2 * kTupleOp * n + kHashProbe * (n + g * m);
       est.max_intermediate = n;
       break;

@@ -92,9 +92,32 @@ void FeedCalibration(CalibrationStore* store, const PlanStats& stats) {
   }
 }
 
+// One operator's output, materialized: the children's outputs wrapped in
+// relation streamers (which hand their relations over to a consumer that
+// takes them whole) and the operator's own iterator drained, counting its
+// batches. Not normalized.
+core::Relation ExecuteOp(const PhysicalOp& op, ExecContext& ctx,
+                         const std::vector<const core::Relation*>& inputs) {
+  std::vector<std::unique_ptr<BatchIterator>> streams;
+  streams.reserve(inputs.size());
+  for (const core::Relation* input : inputs) {
+    streams.push_back(std::make_unique<RelationBatchIterator>(input));
+  }
+  std::unique_ptr<BatchIterator> it = op.MakeBatchIterator(ctx, std::move(streams));
+  it->Open();
+  Batch batch(op.arity(), ctx.batch_size());
+  core::Relation out(op.arity());
+  while (it->NextBatch(batch)) {
+    ctx.CountBatch(batch);
+    AppendBatchTo(batch, &out);
+  }
+  it->Close();
+  return out;
+}
+
 // The semantics reference behind RunMaterialized: post-order DAG
 // execution with memoization (shared operators run once), every
-// operator's output materialized, normalized and counted.
+// operator's output materialized (ExecuteOp), normalized and counted.
 class MaterializingExecutor {
  public:
   MaterializingExecutor(const core::DatabaseView* db, const PhysicalPlan* plan,
@@ -115,7 +138,7 @@ class MaterializingExecutor {
     inputs.reserve(op->children().size());
     for (const auto& child : op->children()) inputs.push_back(&Execute(child));
 
-    core::Relation out = op->Execute(ctx_, inputs);
+    core::Relation out = ExecuteOp(*op, ctx_, inputs);
     out.Normalize();
     const std::size_t size = out.size();
     stats_->ops.push_back(MakeOpStats(op.get(), size, plan_));

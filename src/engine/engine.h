@@ -249,13 +249,15 @@ class Engine {
 };
 
 /// Executes `plan` the reference way: serial, at kDefaultBatchSize,
-/// post-order over the DAG (shared operators run once), with every
-/// operator's output materialized and normalized. PlanStats records one
-/// OpStats entry per operator, the max/total intermediate (c(E') of
-/// Definition 16) and the join rows; there is no budget, calibration,
-/// worker pool or cache. Results and per-operator row counts equal every
-/// Engine run of the same plan — tests/batch_exec_test.cc holds the two
-/// to that. Only ra::Eval and the differential harnesses call it.
+/// post-order over the DAG (shared operators run once), each operator's
+/// batch iterator drained over relation streamers of its children's
+/// outputs, and every output materialized and normalized. PlanStats
+/// records one OpStats entry per operator, the max/total intermediate
+/// (c(E') of Definition 16) and the join rows; there is no budget,
+/// calibration, worker pool or cache. Results and per-operator row
+/// counts equal every Engine run of the same plan —
+/// tests/batch_exec_test.cc holds the two to that. Only ra::Eval and the
+/// differential harnesses call it.
 RunResult RunMaterialized(const PhysicalPlan& plan, const core::DatabaseView& db);
 
 /// Projects PlanStats onto the legacy ra::EvalStats view: operators that

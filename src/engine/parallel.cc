@@ -136,6 +136,24 @@ std::shared_ptr<const MaterializedInput> ReadSortedInput(ExecContext& ctx,
   return input;
 }
 
+std::vector<PartitionTask> KeyRangeTasks(ExecContext& ctx,
+                                         std::shared_ptr<const MaterializedInput> sorted,
+                                         bool scan, RangeKernel kernel) {
+  const core::Relation& input = sorted->get();
+  const std::size_t parts = PartitionCount(ctx, input.size());
+  if (parts > 1 && scan) ctx.CountSkippedPartitionPass();
+  const core::Value* rows = input.flat().data();
+  const std::size_t arity = input.arity();
+  std::vector<PartitionTask> tasks;
+  tasks.reserve(parts);
+  for (const RowRange range : KeyRanges(input, parts)) {
+    // `sorted` keeps the rows alive for the task.
+    tasks.push_back([sorted, kernel, begin = rows + arity * range.begin,
+                     count = range.size()] { return kernel(begin, count); });
+  }
+  return tasks;
+}
+
 core::Relation RunPartitionTasks(ExecContext& ctx, std::size_t arity,
                                  const std::vector<PartitionTask>& tasks) {
   if (tasks.size() == 1) {  // A serial run: nothing to fan out or merge.

@@ -18,16 +18,19 @@
 //     independent tasks at a time; the calling thread participates, so
 //     `threads` is total parallelism. ExecContext starts it at the run's
 //     first fan-out, so a run that never splits starts no thread.
-//   - KeyRanges and ReadSortedInput: the one partition path of division
-//     and the one input path of the set joins, serial runs included.
-//     Their grouped input is sorted on column 1 — normalized storage
-//     always is — so a cut between two keys is already a valid
-//     partition: a relation the input stream hands over (a stored scan)
-//     is read in place, any other input is drained and normalized, and
-//     the sorted rows are cut into contiguous key ranges. No routing
-//     function, no scatter, and the range outputs concatenate in key
-//     order. A set join groups each range with one pass over its rows
-//     (setjoin::GroupedRelation).
+//   - ReadSortedInput and KeyRangeTasks: the one partition path of
+//     division and the set joins, serial runs included. Their grouped
+//     input is sorted on column 1 — normalized storage always is — so a
+//     cut between two keys is already a valid partition: a relation the
+//     input stream hands over (a stored scan) is read in place, any other
+//     input is drained and normalized, KeyRanges cuts the sorted rows
+//     into contiguous key ranges, and each range's task runs the
+//     operator's kernel over its rows in place (setjoin::DivideRows; a
+//     set join groups the range with one pass, setjoin::GroupedRelation).
+//     No routing function, no scatter, and the range outputs concatenate
+//     in key order. The one plan that skips it: hash and aggregate
+//     division over a dividend whose stream hands over no relation feed
+//     that stream to the single-pass kernel batch by batch, as one task.
 //   - PartitionByColumn: deterministic hash routing of a relation's rows
 //     by one column, for the fast semijoin and the multiway join, whose
 //     partitioning columns do not lead in general.
@@ -40,10 +43,10 @@
 //     the ordinary Open/NextBatch/Close contract: Open() consumes the
 //     input streams into per-partition tasks (serial), runs them through
 //     RunPartitionTasks and streams the normalized result out in batches.
-//     The set joins and the fast semijoin return it at every width, so a
-//     serial run is the same plan with one task. Downstream consumers
-//     cannot tell it from a serial operator; the differential harness in
-//     tests/batch_exec_test.cc enforces exactly that.
+//     Division, the set joins and the fast semijoin return it at every
+//     width, so a serial run is the same plan with one task. Downstream
+//     consumers cannot tell it from a serial operator; the differential
+//     harness in tests/batch_exec_test.cc enforces exactly that.
 //
 // Threading discipline: inputs are consumed (and stored relations
 // normalized) on the calling thread before the fan-out, tasks touch only
@@ -146,11 +149,9 @@ std::vector<RowRange> KeyRanges(const core::Relation& sorted, std::size_t parts)
 /// The input of a key-range partitioned operator, sorted on column 1, as
 /// its tasks share it. A relation `stream` hands over
 /// (BatchIterator::TakeRelation, which normalizes it on this thread) is
-/// read in place; any other input is drained and normalized. An operator
-/// whose stored scan input this reads in place counts the skipped
-/// partition pass itself, once it has cut the input into more than one
-/// range. Driving thread only; a borrowed relation is owned by the run's
-/// database or executor, which outlive the tasks.
+/// read in place; any other input is drained and normalized. Driving
+/// thread only; a borrowed relation is owned by the run's database or
+/// executor, which outlive the tasks.
 std::shared_ptr<const MaterializedInput> ReadSortedInput(ExecContext& ctx,
                                                          BatchIterator* stream,
                                                          std::size_t arity);
@@ -160,6 +161,23 @@ std::shared_ptr<const MaterializedInput> ReadSortedInput(ExecContext& ctx,
 /// captured at construction (its own partition plus shared read-only
 /// inputs) and must not throw.
 using PartitionTask = std::function<core::Relation()>;
+
+/// A key-range partitioned operator's kernel: its output over `count`
+/// rows of its sorted input stored row-major at `rows`, one KeyRanges
+/// range. Runs on a worker thread under the PartitionTask rules.
+using RangeKernel =
+    std::function<core::Relation(const core::Value* rows, std::size_t count)>;
+
+/// The tasks of a key-range partitioned operator over `sorted`, its input
+/// as ReadSortedInput returns it: KeyRanges cuts it into
+/// PartitionCount(ctx, rows) ranges, and each range's task runs `kernel`
+/// over the range's rows in place. `scan` says `sorted` is a stored scan
+/// read in place; cutting one into more than one range counts the
+/// skipped partition pass. Driving thread only; the tasks share `sorted`
+/// and `kernel`.
+std::vector<PartitionTask> KeyRangeTasks(ExecContext& ctx,
+                                         std::shared_ptr<const MaterializedInput> sorted,
+                                         bool scan, RangeKernel kernel);
 
 /// Builds the partition tasks from the operator's input streams. Runs on
 /// the calling thread during Open(): consume every input here (drain /
@@ -176,8 +194,9 @@ using PartitionPlanFn =
 core::Relation RunPartitionTasks(ExecContext& ctx, std::size_t arity,
                                  const std::vector<PartitionTask>& tasks);
 
-/// The blocking operator around RunPartitionTasks (see the file comment).
-/// Output is normalized, hence distinct().
+/// The blocking operator around RunPartitionTasks (see the file comment):
+/// division, the set joins and the fast semijoin at every width, a serial
+/// run being one task. Output is normalized, hence distinct().
 class PartitionedIterator final : public BatchIterator {
  public:
   PartitionedIterator(ExecContext& ctx, std::size_t arity,

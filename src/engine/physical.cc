@@ -733,75 +733,8 @@ class SemiJoinOp final : public PhysicalOp {
 };
 
 // ---------------------------------------------------------------------------
-// Division.
+// Division: one plan at every width (MakeDivision in physical.h).
 // ---------------------------------------------------------------------------
-
-// Division: the divisor (build side) is always consumed first. Hash and
-// aggregate division feed setjoin::SinglePassDivision, whose state grows
-// with the number of groups and |S|, not with the dividend: a dividend
-// stream that hands over its whole relation (a stored scan, a re-streamed
-// shared subplan, the materializing reference's input) in one call, any
-// other stream batch by batch — duplicate-free by the batch-surface
-// contract, in any order. The algorithms that need the whole dividend
-// (sort-merge sorted runs, nested-loop an index, classic-ra a database)
-// borrow or materialize it and call the setjoin:: kernel. Blocking, but
-// still batch-in/batch-out.
-class DivisionIterator final : public BatchIterator {
- public:
-  DivisionIterator(ExecContext& ctx, std::vector<std::unique_ptr<BatchIterator>> inputs,
-                   setjoin::DivisionAlgorithm algorithm, bool equality)
-      : ctx_(ctx),
-        inputs_(std::move(inputs)),
-        algorithm_(algorithm),
-        equality_(equality) {}
-
-  void Open() override {
-    const std::size_t batch_size = ctx_.batch_size();
-    const MaterializedInput divisor =
-        MaterializedInput::From(inputs_[1].get(), 1, batch_size);
-    BatchIterator* stream = inputs_[0].get();
-    const bool single_pass = algorithm_ == setjoin::DivisionAlgorithm::kHashDivision ||
-                             algorithm_ == setjoin::DivisionAlgorithm::kAggregate;
-    if (single_pass) {
-      setjoin::SinglePassDivision kernel(divisor.get(), algorithm_, equality_);
-      if (const Relation* whole = stream->TakeRelation()) {
-        kernel.Consume(whole->flat().data(), whole->size());
-      } else {
-        Batch batch(2, batch_size);
-        stream->Open();
-        while (stream->NextBatch(batch)) {
-          kernel.Consume(batch.values().data(), batch.size());
-        }
-        stream->Close();
-      }
-      result_ = kernel.Finish();
-    } else {
-      const MaterializedInput dividend = MaterializedInput::From(stream, 2, batch_size);
-      result_ = equality_
-                    ? setjoin::DivideEqual(dividend.get(), divisor.get(), algorithm_)
-                    : setjoin::Divide(dividend.get(), divisor.get(), algorithm_);
-    }
-    // A linear check when the dividend arrived sorted.
-    result_.Normalize();
-    pos_ = 0;
-  }
-
-  bool NextBatch(Batch& out) override {
-    pos_ = StreamRelationRows(result_, pos_, &out);
-    return !out.empty();
-  }
-
-  void Close() override {}
-  bool distinct() const override { return true; }  // One row per key.
-
- private:
-  ExecContext& ctx_;
-  std::vector<std::unique_ptr<BatchIterator>> inputs_;
-  setjoin::DivisionAlgorithm algorithm_;
-  bool equality_;
-  Relation result_{1};
-  std::size_t pos_ = 0;
-};
 
 class DivisionOp final : public PhysicalOp {
  public:
@@ -820,58 +753,50 @@ class DivisionOp final : public PhysicalOp {
   std::unique_ptr<BatchIterator> MakeBatchIterator(
       ExecContext& ctx,
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
-    // Every group lies wholly in one key range, so dividing each range
-    // against the shared divisor yields key-disjoint slices of the serial
-    // result — for every direct algorithm. kClassicRa stays serial: it
-    // evaluates one RA expression over the whole dividend.
-    if (ctx.threads() > 1 && algorithm_ != setjoin::DivisionAlgorithm::kClassicRa) {
-      const auto algorithm = algorithm_;
-      const bool equality = equality_;
-      const bool scan = child(0)->scan_relation() != nullptr;
-      return std::make_unique<PartitionedIterator>(
-          ctx, arity(), std::move(inputs),
-          [&ctx, scan, algorithm,
-           equality](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-            // Both inputs are consumed on the driving thread; the divisor
-            // is normalized here so workers only ever read it.
-            auto divisor = std::make_shared<MaterializedInput>(
-                MaterializedInput::From(streams[1].get(), 1, ctx.batch_size()));
-            divisor->get().Normalize();
-            auto dividend = ReadSortedInput(ctx, streams[0].get(), 2);
-            const std::size_t parts = PartitionCount(ctx, dividend->get().size());
-            if (parts > 1 && scan) ctx.CountSkippedPartitionPass();
-            std::vector<PartitionTask> tasks;
-            tasks.reserve(parts);
-            for (const RowRange range : KeyRanges(dividend->get(), parts)) {
-              tasks.push_back([dividend, divisor, range, algorithm, equality] {
-                const Value* rows = dividend->get().flat().data() + 2 * range.begin;
-                switch (algorithm) {
-                  case setjoin::DivisionAlgorithm::kHashDivision:
-                  case setjoin::DivisionAlgorithm::kAggregate: {
-                    setjoin::SinglePassDivision kernel(divisor->get(), algorithm,
-                                                       equality);
-                    kernel.Consume(rows, range.size());
-                    return kernel.Finish();
-                  }
-                  case setjoin::DivisionAlgorithm::kSortMerge:
-                    return setjoin::SortMergeDivide(rows, range.size(), divisor->get(),
-                                                    equality);
-                  default: {
-                    // Nested-loop indexes its dividend: it takes a copy.
-                    Relation slice(2);
-                    slice.AddRows(rows, range.size());
-                    return equality
-                               ? setjoin::DivideEqual(slice, divisor->get(), algorithm)
-                               : setjoin::Divide(slice, divisor->get(), algorithm);
-                  }
-                }
-              });
+    const auto algorithm = algorithm_;
+    const bool equality = equality_;
+    const bool single_pass = algorithm == setjoin::DivisionAlgorithm::kHashDivision ||
+                             algorithm == setjoin::DivisionAlgorithm::kAggregate;
+    const bool scan = child(0)->scan_relation() != nullptr;
+    return std::make_unique<PartitionedIterator>(
+        ctx, arity(), std::move(inputs),
+        [&ctx, scan, single_pass, algorithm,
+         equality](std::vector<std::unique_ptr<BatchIterator>>& streams) {
+          // The divisor (build side) is consumed first, on the driving
+          // thread, and normalized here so workers only ever read it.
+          auto divisor = std::make_shared<MaterializedInput>(
+              MaterializedInput::From(streams[1].get(), 1, ctx.batch_size()));
+          divisor->get().Normalize();
+          BatchIterator* stream = streams[0].get();
+          const Relation* whole = stream->TakeRelation();
+          if (whole == nullptr && single_pass) {
+            // A derived dividend feeds the single-pass kernel batch by
+            // batch, in any order, in state sized by its groups and the
+            // divisor: no drain, no sort and no split, at any width.
+            auto kernel = std::make_shared<setjoin::SinglePassDivision>(
+                divisor->get(), algorithm, equality);
+            Batch batch(2, ctx.batch_size());
+            stream->Open();
+            while (stream->NextBatch(batch)) {
+              kernel->Consume(batch.values().data(), batch.size());
             }
-            return tasks;
-          });
-    }
-    return std::make_unique<DivisionIterator>(ctx, std::move(inputs), algorithm_,
-                                              equality_);
+            stream->Close();
+            return std::vector<PartitionTask>{[kernel] { return kernel->Finish(); }};
+          }
+          // Any other dividend is read sorted on column 1 and cut into key
+          // ranges. Every group lies wholly in one range, so dividing each
+          // range against the shared divisor yields key-disjoint slices of
+          // the serial result, for every algorithm.
+          auto dividend = whole != nullptr ? std::make_shared<const MaterializedInput>(
+                                                 MaterializedInput::Borrow(*whole))
+                                           : ReadSortedInput(ctx, stream, 2);
+          return KeyRangeTasks(
+              ctx, std::move(dividend), scan,
+              [divisor, algorithm, equality](const Value* rows, std::size_t count) {
+                return setjoin::DivideRows(rows, count, divisor->get(), algorithm,
+                                           equality);
+              });
+        });
   }
 
   PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
@@ -923,18 +848,11 @@ class SetJoinOp final : public PhysicalOp {
           auto left = ReadSortedInput(ctx, streams[0].get(), 2);
           auto right = std::make_shared<const setjoin::GroupedRelation>(
               ReadSortedInput(ctx, streams[1].get(), 2)->get());
-          const std::size_t parts = PartitionCount(ctx, left->get().size());
-          if (parts > 1 && scan) ctx.CountSkippedPartitionPass();
-          std::vector<PartitionTask> tasks;
-          tasks.reserve(parts);
-          for (const RowRange range : KeyRanges(left->get(), parts)) {
-            tasks.push_back([left, right, range, kernel] {
-              const setjoin::GroupedRelation groups(
-                  left->get().flat().data() + 2 * range.begin, range.size());
-              return (*kernel)(groups, *right);
-            });
-          }
-          return tasks;
+          return KeyRangeTasks(ctx, std::move(left), scan,
+                               [right, kernel](const Value* rows, std::size_t count) {
+                                 return (*kernel)(setjoin::GroupedRelation(rows, count),
+                                                  *right);
+                               });
         });
   }
 
@@ -993,26 +911,6 @@ std::vector<std::string> CollectScanRelations(const PhysicalOpPtr& root) {
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
   return names;
-}
-
-core::Relation PhysicalOp::Execute(
-    ExecContext& ctx, const std::vector<const core::Relation*>& inputs) const {
-  SETALG_CHECK_EQ(inputs.size(), children_.size());
-  std::vector<std::unique_ptr<BatchIterator>> streams;
-  streams.reserve(inputs.size());
-  for (const core::Relation* input : inputs) {
-    streams.push_back(std::make_unique<RelationBatchIterator>(input));
-  }
-  std::unique_ptr<BatchIterator> it = MakeBatchIterator(ctx, std::move(streams));
-  it->Open();
-  Batch batch(arity(), ctx.batch_size());
-  core::Relation out(arity());
-  while (it->NextBatch(batch)) {
-    ctx.CountBatch(batch);
-    AppendBatchTo(batch, &out);
-  }
-  it->Close();
-  return out;
 }
 
 std::string PhysicalOp::ToString() const {

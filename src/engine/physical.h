@@ -2,16 +2,17 @@
 // evaluated once) of operators, each implemented once against the batched
 // Open/NextBatch/Close surface (engine/batch.h).
 //
-// Every operator's kernel is batch-at-a-time. Engine runs compose the
-// iterators across operators into a pipeline (engine.cc), so streaming
-// operators never materialize at all while PlanStats still records each
-// operator's (distinct) output cardinality. The materializing Execute() is
-// a thin loop over the same surface: it wraps the children's materialized
+// Every operator's kernel is batch-at-a-time, and MakeBatchIterator is an
+// operator's whole execution surface. Engine runs compose the iterators
+// across operators into a pipeline (engine.cc), so streaming operators
+// never materialize at all while PlanStats still records each operator's
+// (distinct) output cardinality. engine::RunMaterialized drives the same
+// iterators one operator at a time: it wraps the children's materialized
 // outputs in relation streamers and drains the operator's own iterator.
-// engine::RunMaterialized drives it. That run is the semantics reference
-// every complexity statement in the paper is phrased against (the
-// cardinality of materialized intermediates, Definition 16); ra::Eval and
-// the differential harnesses use it, Engine never does.
+// That run is the semantics reference every complexity statement in the
+// paper is phrased against (the cardinality of materialized
+// intermediates, Definition 16); ra::Eval and the differential harnesses
+// use it, Engine never does.
 //
 // Concrete operators cover the relational algebra one-to-one (scan, union,
 // difference, projection, selection, const-tag, join, semijoin) plus the
@@ -240,13 +241,6 @@ class PhysicalOp {
   virtual std::unique_ptr<BatchIterator> MakeBatchIterator(
       ExecContext& ctx, std::vector<std::unique_ptr<BatchIterator>> inputs) const = 0;
 
-  /// Materializes this operator's output — a thin loop over
-  /// MakeBatchIterator with the children's materialized outputs as input
-  /// streams. The result need not be normalized — RunMaterialized
-  /// normalizes before recording stats.
-  core::Relation Execute(ExecContext& ctx,
-                         const std::vector<const core::Relation*>& inputs) const;
-
   /// A copy of this operator over different children (same kind, payload
   /// and source; `children` must match the original count and arities).
   /// The structural substitution primitive behind plan-cache revalidation:
@@ -331,11 +325,15 @@ PhysicalOpPtr MakeSemiJoin(PhysicalOpPtr left, PhysicalOpPtr right,
 
 /// Division: child 0 is the binary dividend R(A,B), child 1 the unary
 /// divisor S(B). With `equality` the B-set must equal S, else contain it.
-/// Under a run with threads > 1 the dividend is read sorted on column 1
-/// and cut into PartitionCount(dividend rows) key ranges that share the
-/// divisor; hash, aggregate and sort-merge division read each range in
-/// place, nested-loop copies it. kClassicRa always runs serial (its plan
-/// is one RA expression).
+/// One plan at every width, chosen from the dividend stream, never from
+/// the thread count: hash and aggregate division over a stream that hands
+/// over no relation (a derived dividend) consume it batch by batch as one
+/// task, with no drain, sort or split. Every other dividend is read sorted
+/// on column 1 (a stored scan or shared subplan in place, any other
+/// stream drained and normalized) and cut into PartitionCount(dividend
+/// rows) key ranges that share the divisor; each range runs
+/// setjoin::DivideRows, which reads it in place for every algorithm but
+/// kClassicRa (that one copies its range into a transient database).
 PhysicalOpPtr MakeDivision(PhysicalOpPtr dividend, PhysicalOpPtr divisor,
                            setjoin::DivisionAlgorithm algorithm, bool equality,
                            const ra::Expr* source = nullptr);

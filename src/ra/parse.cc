@@ -24,11 +24,23 @@ class Parser {
   }
 
  private:
+  // Records the first error, located at pos_ like a SQL error: 1-based
+  // line and column, counted from the text's first byte.
   template <typename T>
   util::Result<T> Fail(const std::string& message) {
     if (ok_) {
       ok_ = false;
-      error_ = util::StrCat("parse error at offset ", pos_, ": ", message);
+      std::size_t line = 1;
+      std::size_t column = 1;
+      for (std::size_t i = 0; i < pos_; ++i) {
+        if (text_[i] == '\n') {
+          ++line;
+          column = 1;
+        } else {
+          ++column;
+        }
+      }
+      error_ = util::LocatedError(line, column, message);
     }
     return util::Result<T>::Error(error_);
   }
@@ -260,6 +272,7 @@ class Parser {
 
     // Plain relation reference.
     if (!schema_.HasRelation(ident)) {
+      pos_ -= ident.size();  // Located at the name.
       return Fail<ExprPtr>(util::StrCat("unknown relation: ", ident));
     }
     return Rel(ident, schema_.Arity(ident));

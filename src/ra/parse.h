@@ -40,6 +40,8 @@ namespace setalg::ra {
 inline constexpr std::size_t kMaxExprDepth = 128;
 
 /// Parses an expression; relation names are resolved against `schema`.
+/// Errors are located like SQL ones (util::LocatedError): "line:column:
+/// message", 1-based from the text's first byte.
 util::Result<ExprPtr> Parse(const std::string& text, const core::Schema& schema);
 
 }  // namespace setalg::ra

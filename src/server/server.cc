@@ -21,7 +21,6 @@
 #include "server/line_reader.h"
 #include "server/protocol.h"
 #include "sql/analyzer.h"
-#include "sql/lexer.h"
 #include "sql/parser.h"
 #include "util/str.h"
 
@@ -262,7 +261,7 @@ void Server::ServeSession(int fd) {
           // Located at the refused name in the request line.
           const std::size_t column =
               line.find(request->name, std::strlen("PREPARE")) + 1;
-          if (!respond_error(sql::LocatedError(
+          if (!respond_error(util::LocatedError(
                   1, column,
                   util::StrCat("session already holds ", kMaxPreparedPerSession,
                                " prepared statements; re-PREPARE one of their "

@@ -1,10 +1,10 @@
 #include "setjoin/division.h"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
 #include "core/database.h"
-#include "core/index.h"
 #include "setjoin/grouped.h"
 #include "util/check.h"
 
@@ -14,56 +14,77 @@ namespace {
 using core::Relation;
 using core::Value;
 
-std::vector<Value> DivisorElements(const Relation& s) {
-  std::vector<Value> out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) out.push_back(s.tuple(i)[0]);
-  return out;  // Already sorted and unique (set semantics).
-}
-
 // Nested-loop division: for every candidate a and every divisor element b,
-// probe R for (a, b). Quadratic in the worst case.
-Relation NestedLoopDivide(const Relation& r, const Relation& s, bool equality) {
+// search a's group for b. The rows are sorted, so each group's elements
+// are a sorted span of the grouped view, and a probe is a binary search
+// in it: O(g·m·log k) for g groups of k elements.
+Relation NestedLoopDivide(const Value* rows, std::size_t count, const Relation& s,
+                          bool equality) {
+  const std::vector<Value>& divisor = s.flat();  // Sorted and unique.
+  const GroupedRelation groups(rows, count);
   Relation out(1);
-  const GroupedRelation groups(r);
-  const auto divisor = DivisorElements(s);
-  core::HashIndex index(&r, {0, 1});
-  core::Tuple probe(2);
   for (std::size_t i = 0; i < groups.NumGroups(); ++i) {
     const Group g = groups.group(i);
-    bool all = true;
-    probe[0] = g.key;
-    for (Value b : divisor) {
-      probe[1] = b;
-      if (!index.HasMatch(probe)) {
-        all = false;
-        break;
-      }
-    }
-    if (!all) continue;
     // Equality additionally requires that the key relates to nothing
     // outside S: the group size must equal |S|.
     if (equality && g.elements.size() != divisor.size()) continue;
-    out.Add({g.key});
+    const bool all = std::ranges::all_of(
+        divisor, [&g](Value b) { return std::ranges::binary_search(g.elements, b); });
+    if (all) out.AddRows(&g.key, 1);
   }
   return out;
 }
 
-Relation SinglePassDivide(const Relation& r, const Relation& s,
-                          DivisionAlgorithm algorithm, bool equality) {
-  SinglePassDivision kernel(s, algorithm, equality);
-  kernel.Consume(r.flat().data(), r.size());
-  return kernel.Finish();
+Relation SortMergeDivide(const Value* rows, std::size_t count, const Relation& s,
+                         bool equality) {
+  // Each group's B-list is a sorted run of the rows, sorted by (A, B). A
+  // group whose size rules it out (fewer than |S| rows, or for equality
+  // not exactly |S|) is skipped unmerged; the rest merge against the
+  // sorted divisor up to the first divisor element missing from the run.
+  // Allocates nothing but the output — the zero-allocation kernel of
+  // Graefe's taxonomy.
+  const std::vector<Value>& divisor = s.flat();  // Sorted and unique.
+  const std::size_t m = divisor.size();
+  Relation out(1);
+  for (std::size_t begin = 0, end = 0; begin < count; begin = end) {
+    const Value a = rows[2 * begin];
+    end = begin + 1;
+    while (end < count && rows[2 * end] == a) ++end;
+    const std::size_t size = end - begin;
+    if (equality ? size != m : size < m) continue;
+    // The run's element d + extra meets divisor[d], where `extra` counts
+    // the run's elements outside S so far, at most size - m of them. The
+    // two counters advance on branches, not through a load of the
+    // divisor, so the merge streams.
+    const Value* run = rows + 2 * begin + 1;
+    std::size_t d = 0;
+    std::size_t extra = 0;
+    while (d < m) {
+      const Value b = run[2 * (d + extra)];
+      if (b == divisor[d]) {
+        ++d;
+      } else if (b < divisor[d] && extra < size - m) {
+        ++extra;
+      } else {
+        break;  // divisor[d] is not in the group.
+      }
+    }
+    if (d == m) out.AddRows(&a, 1);
+  }
+  return out;
 }
 
-// Evaluates the classic RA expression on a transient two-relation database.
-Relation ClassicRaDivide(const Relation& r, const Relation& s, bool equality,
-                         ra::EvalStats* stats) {
+// Evaluates the classic RA expression on a transient two-relation database
+// holding a copy of the rows.
+Relation ClassicRaDivide(const Value* rows, std::size_t count, const Relation& s,
+                         bool equality, ra::EvalStats* stats) {
   core::Schema schema;
   schema.AddRelation("R", 2);
   schema.AddRelation("S", 1);
   core::Database db(schema);
-  db.SetRelation("R", r);
+  Relation r(2);
+  r.AddRows(rows, count);
+  db.SetRelation("R", std::move(r));
   db.SetRelation("S", s);
   const ra::ExprPtr expr = equality ? ClassicEqualityDivisionExpr("R", "S")
                                     : ClassicDivisionExpr("R", "S");
@@ -94,77 +115,38 @@ std::vector<DivisionAlgorithm> AllDivisionAlgorithms() {
           DivisionAlgorithm::kClassicRa};
 }
 
-namespace {
-
-Relation Dispatch(const Relation& r, const Relation& s, DivisionAlgorithm algorithm,
-                  bool equality, ra::EvalStats* stats) {
-  SETALG_CHECK_EQ(r.arity(), 2u);
+core::Relation DivideRows(const core::Value* rows, std::size_t count,
+                          const core::Relation& s, DivisionAlgorithm algorithm,
+                          bool equality, ra::EvalStats* stats) {
   SETALG_CHECK_EQ(s.arity(), 1u);
   switch (algorithm) {
     case DivisionAlgorithm::kNestedLoop:
-      return NestedLoopDivide(r, s, equality);
+      return NestedLoopDivide(rows, count, s, equality);
     case DivisionAlgorithm::kSortMerge:
-      return SortMergeDivide(r.flat().data(), r.size(), s, equality);
+      return SortMergeDivide(rows, count, s, equality);
     case DivisionAlgorithm::kHashDivision:
-    case DivisionAlgorithm::kAggregate:
-      return SinglePassDivide(r, s, algorithm, equality);
+    case DivisionAlgorithm::kAggregate: {
+      SinglePassDivision kernel(s, algorithm, equality);
+      kernel.Consume(rows, count);
+      return kernel.Finish();
+    }
     case DivisionAlgorithm::kClassicRa:
-      return ClassicRaDivide(r, s, equality, stats);
+      return ClassicRaDivide(rows, count, s, equality, stats);
   }
   SETALG_CHECK_STREAM(false) << "unreachable";
   return Relation(1);
 }
 
-}  // namespace
-
 core::Relation Divide(const core::Relation& r, const core::Relation& s,
                       DivisionAlgorithm algorithm, ra::EvalStats* stats) {
-  return Dispatch(r, s, algorithm, /*equality=*/false, stats);
+  SETALG_CHECK_EQ(r.arity(), 2u);
+  return DivideRows(r.flat().data(), r.size(), s, algorithm, /*equality=*/false, stats);
 }
 
 core::Relation DivideEqual(const core::Relation& r, const core::Relation& s,
                            DivisionAlgorithm algorithm, ra::EvalStats* stats) {
-  return Dispatch(r, s, algorithm, /*equality=*/true, stats);
-}
-
-core::Relation SortMergeDivide(const core::Value* rows, std::size_t count,
-                               const core::Relation& s, bool equality) {
-  // Each group's B-list is a sorted run of the rows, sorted by (A, B). A
-  // group whose size rules it out (fewer than |S| rows, or for equality
-  // not exactly |S|) is skipped unmerged; the rest merge against the
-  // sorted divisor up to the first divisor element missing from the run.
-  // Allocates nothing but the output — the zero-allocation kernel of
-  // Graefe's taxonomy.
-  SETALG_CHECK_EQ(s.arity(), 1u);
-  const std::vector<Value>& divisor = s.flat();  // Sorted and unique.
-  const std::size_t m = divisor.size();
-  Relation out(1);
-  for (std::size_t begin = 0, end = 0; begin < count; begin = end) {
-    const Value a = rows[2 * begin];
-    end = begin + 1;
-    while (end < count && rows[2 * end] == a) ++end;
-    const std::size_t size = end - begin;
-    if (equality ? size != m : size < m) continue;
-    // The run's element d + extra meets divisor[d], where `extra` counts
-    // the run's elements outside S so far, at most size - m of them. The
-    // two counters advance on branches, not through a load of the
-    // divisor, so the merge streams.
-    const Value* run = rows + 2 * begin + 1;
-    std::size_t d = 0;
-    std::size_t extra = 0;
-    while (d < m) {
-      const Value b = run[2 * (d + extra)];
-      if (b == divisor[d]) {
-        ++d;
-      } else if (b < divisor[d] && extra < size - m) {
-        ++extra;
-      } else {
-        break;  // divisor[d] is not in the group.
-      }
-    }
-    if (d == m) out.AddRows(&a, 1);
-  }
-  return out;
+  SETALG_CHECK_EQ(r.arity(), 2u);
+  return DivideRows(r.flat().data(), r.size(), s, algorithm, /*equality=*/true, stats);
 }
 
 SinglePassDivision::SinglePassDivision(const core::Relation& s,

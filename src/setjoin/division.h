@@ -4,7 +4,8 @@
 //
 // Implemented algorithms, following Graefe's taxonomy ("Relational
 // division: four algorithms and their performance", the paper's [11,12]):
-//   - nested-loop division: per candidate, probe every divisor element;
+//   - nested-loop division: per candidate, search its sorted group for
+//     every divisor element;
 //   - sort-merge division: walk R's sorted groups over its flat storage,
 //     skip every group whose size rules it out (fewer than |S| rows for
 //     containment, not exactly |S| for equality) and merge the rest
@@ -45,9 +46,22 @@ const char* DivisionAlgorithmToString(DivisionAlgorithm algorithm);
 /// All algorithms, for parameterized tests/benches.
 std::vector<DivisionAlgorithm> AllDivisionAlgorithms();
 
+/// Divides `count` dividend rows stored row-major at `rows` by the unary
+/// divisor `s` with `algorithm`: the one dispatch over the division
+/// kernels. The rows are (a, b) pairs, sorted and unique: a normalized
+/// binary relation's flat(), or any key range of it (a range holds every
+/// row of each key it holds, so the keys it returns are exactly the
+/// qualifying keys among its own). With `equality` a key's B-set must
+/// equal S, else contain it. Returns the qualifying keys in order. Every
+/// kernel but classic-ra reads the rows in place; classic-ra copies them
+/// into a transient database and, if `stats` is non-null, records its
+/// evaluation statistics there.
+core::Relation DivideRows(const core::Value* rows, std::size_t count,
+                          const core::Relation& s, DivisionAlgorithm algorithm,
+                          bool equality, ra::EvalStats* stats = nullptr);
+
 /// Containment division. `r` has arity 2, `s` arity 1. Returns the unary
-/// relation of qualifying A values. If `stats` is non-null and the
-/// algorithm is kClassicRa, evaluation statistics are recorded there.
+/// relation of qualifying A values: DivideRows over r.flat().
 core::Relation Divide(const core::Relation& r, const core::Relation& s,
                       DivisionAlgorithm algorithm, ra::EvalStats* stats = nullptr);
 
@@ -56,18 +70,9 @@ core::Relation DivideEqual(const core::Relation& r, const core::Relation& s,
                            DivisionAlgorithm algorithm,
                            ra::EvalStats* stats = nullptr);
 
-/// The sort-merge kernel over `count` dividend rows stored row-major at
-/// `rows`, (a, b) pairs sorted and unique: a normalized binary
-/// relation's flat() or one key range of it. `s` is the unary divisor;
-/// with `equality` a key's B-set must equal S, else contain it. Reads
-/// the rows in place; Divide/DivideEqual call it on r.flat(). Returns
-/// the qualifying keys in order.
-core::Relation SortMergeDivide(const core::Value* rows, std::size_t count,
-                               const core::Relation& s, bool equality);
-
 /// The single-pass kernel behind hash-division and aggregate division:
-/// Divide/DivideEqual feed it the whole dividend as one chunk, the
-/// engine's division operator one batch at a time.
+/// DivideRows feeds it its rows as one chunk, the engine's division
+/// operator a streamed dividend one batch at a time.
 ///
 /// Contract: the rows fed across all Consume() calls are the dividend's
 /// distinct (a, b) pairs, in any order (a group's size is the number of

@@ -16,7 +16,7 @@ using ra::ExprPtr;
 
 template <typename T>
 util::Result<T> Err(std::size_t line, std::size_t column, const std::string& message) {
-  return util::Result<T>::Error(LocatedError(line, column, message));
+  return util::Result<T>::Error(util::LocatedError(line, column, message));
 }
 
 // Decodes the positional column convention "c<N>" (1-based). Returns 0 for

@@ -25,32 +25,6 @@ std::string Upper(std::string s) {
 
 }  // namespace
 
-std::string LocatedError(std::size_t line, std::size_t column,
-                         const std::string& message) {
-  return util::StrCat(line, ":", column, ": ", message);
-}
-
-bool ParseErrorLocation(const std::string& error, std::size_t* line,
-                        std::size_t* column) {
-  std::size_t i = 0;
-  std::size_t l = 0;
-  while (i < error.size() && std::isdigit(static_cast<unsigned char>(error[i]))) {
-    l = l * 10 + static_cast<std::size_t>(error[i] - '0');
-    ++i;
-  }
-  if (i == 0 || i >= error.size() || error[i] != ':') return false;
-  std::size_t j = ++i;
-  std::size_t c = 0;
-  while (j < error.size() && std::isdigit(static_cast<unsigned char>(error[j]))) {
-    c = c * 10 + static_cast<std::size_t>(error[j] - '0');
-    ++j;
-  }
-  if (j == i || j >= error.size() || error[j] != ':') return false;
-  if (line != nullptr) *line = l;
-  if (column != nullptr) *column = c;
-  return true;
-}
-
 util::Result<std::vector<Token>> Lex(const std::string& text) {
   std::vector<Token> tokens;
   std::size_t line = 1;
@@ -100,9 +74,9 @@ util::Result<std::vector<Token>> Lex(const std::string& text) {
       long long value = 0;
       if (!util::ParseInt64(text.substr(i, j - i), &value)) {
         return util::Result<std::vector<Token>>::Error(
-            LocatedError(line, column, util::StrCat("integer literal '",
-                                                    text.substr(i, j - i),
-                                                    "' out of range")));
+            util::LocatedError(line, column,
+                               util::StrCat("integer literal '", text.substr(i, j - i),
+                                            "' out of range")));
       }
       token.kind = TokenKind::kNumber;
       token.number = static_cast<core::Value>(value);
@@ -135,11 +109,11 @@ util::Result<std::vector<Token>> Lex(const std::string& text) {
             advance(2);
           } else {
             return util::Result<std::vector<Token>>::Error(
-                LocatedError(line, column, "stray '!' (did you mean '!='?)"));
+                util::LocatedError(line, column, "stray '!' (did you mean '!='?)"));
           }
           break;
         default:
-          return util::Result<std::vector<Token>>::Error(LocatedError(
+          return util::Result<std::vector<Token>>::Error(util::LocatedError(
               line, column,
               util::StrCat("unexpected character '", std::string(1, c), "'")));
       }

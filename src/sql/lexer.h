@@ -42,16 +42,6 @@ struct Token {
   std::size_t column = 1;
 };
 
-/// Formats "line:column: message" — the one spelling every SQL-layer error
-/// uses, so callers (and tests) can recover the location mechanically.
-std::string LocatedError(std::size_t line, std::size_t column,
-                         const std::string& message);
-
-/// Recovers the "line:column: " prefix of a LocatedError message. Returns
-/// false when `error` does not carry one.
-bool ParseErrorLocation(const std::string& error, std::size_t* line,
-                        std::size_t* column);
-
 /// Tokenizes `text`. The result always ends with a kEnd token; malformed
 /// input (stray characters, bare '!' without '=') is a located error.
 util::Result<std::vector<Token>> Lex(const std::string& text);

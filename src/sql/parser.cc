@@ -51,7 +51,7 @@ class Parser {
   }
 
   static util::Result<QueryPtr> Err(const Token& at, const std::string& message) {
-    return util::Result<QueryPtr>::Error(LocatedError(at.line, at.column, message));
+    return util::Result<QueryPtr>::Error(util::LocatedError(at.line, at.column, message));
   }
 
   util::Result<QueryPtr> Expect(TokenKind kind, const char* what) {
@@ -209,7 +209,7 @@ class Parser {
 
   util::Result<ColumnRef> ParseColumnRef() {
     if (Peek().kind != TokenKind::kIdent) {
-      return util::Result<ColumnRef>::Error(LocatedError(
+      return util::Result<ColumnRef>::Error(util::LocatedError(
           Peek().line, Peek().column,
           util::StrCat("expected a column reference, got '", Peek().text, "'")));
     }
@@ -219,7 +219,7 @@ class Parser {
     ref.column_pos = first.column;
     if (Eat(TokenKind::kDot)) {
       if (Peek().kind != TokenKind::kIdent) {
-        return util::Result<ColumnRef>::Error(LocatedError(
+        return util::Result<ColumnRef>::Error(util::LocatedError(
             Peek().line, Peek().column,
             util::StrCat("expected a column name after '", first.text, ".', got '",
                          Peek().text, "'")));
@@ -239,7 +239,7 @@ class Parser {
       case TokenKind::kLt: Next(); return ra::Cmp::kLt;
       case TokenKind::kGt: Next(); return ra::Cmp::kGt;
       default:
-        return util::Result<ra::Cmp>::Error(LocatedError(
+        return util::Result<ra::Cmp>::Error(util::LocatedError(
             Peek().line, Peek().column,
             util::StrCat("expected a comparison operator, got '", Peek().text, "'")));
     }
@@ -266,7 +266,7 @@ class Parser {
       return pred;
     }
     if (not_prefix) {
-      return util::Result<Predicate>::Error(LocatedError(
+      return util::Result<Predicate>::Error(util::LocatedError(
           Peek().line, Peek().column,
           util::StrCat("expected EXISTS after NOT, got '", Peek().text, "'")));
     }
@@ -293,7 +293,7 @@ class Parser {
     if (AtKeyword("NOT") || AtKeyword("IN")) {
       pred.negated = EatKeyword("NOT");
       if (!EatKeyword("IN")) {
-        return util::Result<Predicate>::Error(LocatedError(
+        return util::Result<Predicate>::Error(util::LocatedError(
             Peek().line, Peek().column,
             util::StrCat("expected IN after NOT, got '", Peek().text, "'")));
       }

@@ -47,4 +47,30 @@ bool ParseInt64(std::string_view text, long long* out) {
   return true;
 }
 
+std::string LocatedError(std::size_t line, std::size_t column,
+                         const std::string& message) {
+  return StrCat(line, ":", column, ": ", message);
+}
+
+bool ParseErrorLocation(const std::string& error, std::size_t* line,
+                        std::size_t* column) {
+  std::size_t i = 0;
+  std::size_t l = 0;
+  while (i < error.size() && std::isdigit(static_cast<unsigned char>(error[i]))) {
+    l = l * 10 + static_cast<std::size_t>(error[i] - '0');
+    ++i;
+  }
+  if (i == 0 || i >= error.size() || error[i] != ':') return false;
+  std::size_t j = ++i;
+  std::size_t c = 0;
+  while (j < error.size() && std::isdigit(static_cast<unsigned char>(error[j]))) {
+    c = c * 10 + static_cast<std::size_t>(error[j] - '0');
+    ++j;
+  }
+  if (j == i || j >= error.size() || error[j] != ':') return false;
+  if (line != nullptr) *line = l;
+  if (column != nullptr) *column = c;
+  return true;
+}
+
 }  // namespace setalg::util

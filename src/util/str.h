@@ -2,6 +2,7 @@
 #ifndef SETALG_UTIL_STR_H_
 #define SETALG_UTIL_STR_H_
 
+#include <cstddef>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -28,6 +29,18 @@ std::string_view StripWhitespace(std::string_view text);
 
 /// Parses a signed 64-bit integer; returns false on any malformed input.
 bool ParseInt64(std::string_view text, long long* out);
+
+/// Formats "line:column: message", the one spelling of every error that
+/// points into a statement's text (both frontends and the server's
+/// refusals), so callers and tests can recover the location mechanically.
+/// Lines and columns are 1-based, counted from the statement's first byte.
+std::string LocatedError(std::size_t line, std::size_t column,
+                         const std::string& message);
+
+/// Recovers the "line:column: " prefix of a LocatedError message. Returns
+/// false when `error` does not carry one.
+bool ParseErrorLocation(const std::string& error, std::size_t* line,
+                        std::size_t* column);
 
 }  // namespace setalg::util
 

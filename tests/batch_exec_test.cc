@@ -521,8 +521,11 @@ TEST(BatchExec, DifferentialAcrossDivisionAlgorithms) {
 }
 
 // Hand-built division plans over both spellings of a dividend of at least
-// two floors of rows, for every algorithm and both division variants:
-// every pooled run of a direct algorithm fans out; classic-ra never does.
+// two floors of rows, for every algorithm and both division variants.
+// Every pooled run cuts the stored R into key ranges, classic-ra
+// included. Hash and aggregate division consume the streamed
+// π_{2,1}(RT) batch by batch as one task, so they never fan out over it;
+// the other algorithms drain and sort it, then fan out.
 TEST(BatchExec, DifferentialOnHandBuiltDivisionPlans) {
   workload::DivisionConfig config;
   config.num_groups = kSplitRows / 3;  // About 3.7 distinct elements a group.
@@ -549,7 +552,9 @@ TEST(BatchExec, DifferentialOnHandBuiltDivisionPlans) {
             std::string(equality ? "equality division " : "division ") +
                 setjoin::DivisionAlgorithmToString(algorithm) + " over " +
                 left_name,
-            /*splits=*/algorithm != setjoin::DivisionAlgorithm::kClassicRa);
+            /*splits=*/left->scan_relation() != nullptr ||
+                (algorithm != setjoin::DivisionAlgorithm::kHashDivision &&
+                 algorithm != setjoin::DivisionAlgorithm::kAggregate));
       }
     }
   }

@@ -259,9 +259,9 @@ constexpr Value kPadding = 1000000;
 
 // Runs R ÷ S (both variants) through the engine's division operator at
 // threads {1, 2, 7}, expecting the brute-force reference everywhere. When
-// `splits`, R holds at least kSplitRows rows and every pooled run of a
-// direct algorithm must cut exactly `threads` key ranges (kClassicRa
-// always runs serial); otherwise nothing fans out.
+// `splits`, R holds at least kSplitRows rows and every pooled run of
+// every algorithm must cut exactly `threads` key ranges; otherwise
+// nothing fans out.
 void ExpectPartitionedDivisionAgrees(const Relation& r, const Relation& s, bool splits,
                                      const char* what) {
   if (splits) {
@@ -283,9 +283,7 @@ void ExpectPartitionedDivisionAgrees(const Relation& r, const Relation& s, bool 
                        .Run(plan, db);
         ASSERT_TRUE(run.ok()) << label << ": " << run.error();
         EXPECT_EQ(run->relation, expected) << label;
-        const bool fans_out =
-            splits && threads > 1 && algorithm != DivisionAlgorithm::kClassicRa;
-        EXPECT_EQ(run->stats.partitions, fans_out ? threads : 0u) << label;
+        EXPECT_EQ(run->stats.partitions, splits && threads > 1 ? threads : 0u) << label;
       }
     }
   }
@@ -465,6 +463,165 @@ TEST(DivisionUngroupedDividend, UnionOfInterleavedOverlappingRelations) {
   ExpectPlannedDivisionAgrees(
       engine::MakeUnion(engine::MakeScan("U", 2), engine::MakeScan("V", 2)), db,
       "union");
+}
+
+// ---------------------------------------------------------------------------
+// The division plan over streamed dividends. A dividend whose stream
+// hands over no relation (π_{2,1}(RT), R's stored transpose swapped back,
+// and π_{1,2}(R), which arrives sorted) feeds hash and aggregate division
+// batch by batch as one task at every width. Sort-merge, nested-loop and
+// classic-ra drain and sort it, then cut it into `threads` key ranges.
+// ---------------------------------------------------------------------------
+
+// A dividend R of at least kSplitRows rows with S, plus RT, R's transpose.
+// 60 extra keys hold exactly S, so the equality variant qualifies some.
+core::Database StreamedDivisionDb() {
+  workload::DivisionConfig config;
+  config.num_groups = kSplitRows / 4;  // About 5 distinct elements a group.
+  config.group_size = 6;
+  config.domain_size = 16;
+  config.divisor_size = 3;
+  config.match_fraction = 0.35;
+  config.seed = 5;
+  const auto instance = workload::MakeDivisionInstance(config);
+  Relation r = instance.r;
+  for (std::size_t k = 0; k < 60; ++k) {
+    const auto key = static_cast<Value>(config.num_groups + 7 * k);
+    for (const Value b : instance.s.flat()) r.Add({key, b});
+  }
+  Relation transpose(2);
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    transpose.Add({r.tuple(i)[1], r.tuple(i)[0]});
+  }
+  core::Schema schema;
+  schema.AddRelation("R", 2);
+  schema.AddRelation("S", 1);
+  schema.AddRelation("RT", 2);
+  core::Database db(schema);
+  db.SetRelation("R", std::move(r));
+  db.SetRelation("S", instance.s);
+  db.SetRelation("RT", std::move(transpose));
+  return db;
+}
+
+TEST(DivisionStreamedDividend, SinglePassStreamsAtEveryWidthAndTheRestSplit) {
+  const core::Database db = StreamedDivisionDb();
+  const Relation& r = db.relation("R");
+  const Relation& s = db.relation("S");
+  ASSERT_GE(r.size(), kSplitRows);
+  const std::pair<const char*, engine::PhysicalOpPtr> dividends[] = {
+      {"pi[2,1](RT)", engine::MakeProject(engine::MakeScan("RT", 2), {2, 1})},
+      {"pi[1,2](R)", engine::MakeProject(engine::MakeScan("R", 2), {1, 2})},
+  };
+  for (const auto& [name, dividend] : dividends) {
+    for (auto algorithm : AllDivisionAlgorithms()) {
+      const bool single_pass = algorithm == DivisionAlgorithm::kHashDivision ||
+                               algorithm == DivisionAlgorithm::kAggregate;
+      for (const bool equality : {false, true}) {
+        const Relation expected = ReferenceDivide(r, s, equality);
+        ASSERT_FALSE(expected.empty());
+        engine::PhysicalPlan plan;
+        plan.root =
+            engine::MakeDivision(dividend, engine::MakeScan("S", 1), algorithm, equality);
+        for (std::size_t threads : {1u, 2u, 7u}) {
+          for (std::size_t batch_size : {1u, 2u, 7u, 1024u}) {
+            const std::string label =
+                std::string(name) + " " + DivisionAlgorithmToString(algorithm) +
+                (equality ? " equality" : " containment") + " threads " +
+                std::to_string(threads) + " batch size " + std::to_string(batch_size);
+            auto run = engine::Engine(
+                           engine::EngineOptions{}.WithThreads(threads).WithBatchSize(
+                               batch_size))
+                           .Run(plan, db);
+            ASSERT_TRUE(run.ok()) << label << ": " << run.error();
+            EXPECT_EQ(run->relation, expected) << label;
+            EXPECT_EQ(run->stats.partitions, single_pass || threads == 1 ? 0u : threads)
+                << label;
+            EXPECT_EQ(run->stats.partition_passes_skipped, 0u) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Nested-loop division over key ranges: it groups its range's rows in
+// place and binary-searches each divisor element in the group's sorted
+// span. Checked through DivideRows on every KeyRanges range and through
+// the engine, against the brute-force reference.
+// ---------------------------------------------------------------------------
+
+constexpr Value kHeavyKey = 5;
+
+// Keys around S = {10, 20, 30}: 1 holds S; 2 holds S plus elements below,
+// between and above S's; 3 and 8 have |S| elements but miss one of S's;
+// 4 holds only elements below and above S's; 6 misses S's smallest; 7
+// holds S again. The heavy key 5 holds S plus 4 floors of padding, so
+// every width's first target cut falls inside it.
+Relation NestedLoopRangeDividend() {
+  Relation r = MakeRel(2, {{1, 10}, {1, 20}, {1, 30},
+                           {2, 5},  {2, 10}, {2, 15}, {2, 20}, {2, 30}, {2, 35},
+                           {3, 10}, {3, 15}, {3, 30},
+                           {4, 5},  {4, 35},
+                           {kHeavyKey, 10}, {kHeavyKey, 20}, {kHeavyKey, 30},
+                           {6, 20}, {6, 30}, {6, 40},
+                           {7, 10}, {7, 20}, {7, 30},
+                           {8, 10}, {8, 20}, {8, 25}});
+  setalg::testing::AddGroup(&r, kHeavyKey, kPadding, 4 * engine::kMinPartitionRows);
+  return r;
+}
+
+void ExpectNestedLoopRangesAgree(const Relation& r, const Relation& s,
+                                 const std::string& what) {
+  const auto db = setalg::testing::DivisionDb(r, s);
+  for (const bool equality : {false, true}) {
+    const Relation expected = ReferenceDivide(r, s, equality);
+    const std::string variant = what + (equality ? " equality" : " containment");
+    for (std::size_t parts : {1u, 2u, 4u, 7u}) {
+      Relation merged(1);
+      for (const engine::RowRange range : engine::KeyRanges(r, parts)) {
+        const Relation part =
+            DivideRows(r.flat().data() + 2 * range.begin, range.size(), s,
+                       DivisionAlgorithm::kNestedLoop, equality);
+        for (std::size_t i = 0; i < part.size(); ++i) merged.Add(part.tuple(i));
+      }
+      EXPECT_EQ(merged, expected) << variant << " parts " << parts;
+    }
+    engine::PhysicalPlan plan;
+    plan.root = engine::MakeDivision(engine::MakeScan("R", 2), engine::MakeScan("S", 1),
+                                     DivisionAlgorithm::kNestedLoop, equality);
+    for (std::size_t threads : {1u, 4u}) {
+      auto run =
+          engine::Engine(engine::EngineOptions{}.WithThreads(threads)).Run(plan, db);
+      ASSERT_TRUE(run.ok()) << variant << ": " << run.error();
+      EXPECT_EQ(run->relation, expected) << variant << " threads " << threads;
+      EXPECT_EQ(run->stats.partitions, threads == 1 ? 0u : threads)
+          << variant << " threads " << threads;
+    }
+  }
+}
+
+TEST(DivisionNestedLoopRanges, EveryRangeShapeMatchesReference) {
+  const Relation r = NestedLoopRangeDividend();
+  ASSERT_GE(r.size(), 4 * engine::kMinPartitionRows);
+  // At 4 parts the target cut falls inside the heavy key and moves to its
+  // last row: the second range holds the keys after it, the last two are
+  // empty.
+  const auto ranges = engine::KeyRanges(r, 4);
+  const std::size_t target = (r.size() + 3) / 4;
+  ASSERT_EQ(r.tuple(target - 1)[0], kHeavyKey);
+  ASSERT_EQ(r.tuple(target)[0], kHeavyKey);
+  ASSERT_EQ(r.tuple(ranges[0].end - 1)[0], kHeavyKey);
+  ASSERT_GT(ranges[1].size(), 0u);
+  ASSERT_EQ(ranges[2].size(), 0u);
+  ASSERT_EQ(ranges[3].size(), 0u);
+
+  const Relation s = MakeRel(1, {{10}, {20}, {30}});
+  ASSERT_EQ(ReferenceDivide(r, s, false), MakeRel(1, {{1}, {2}, {kHeavyKey}, {7}}));
+  ASSERT_EQ(ReferenceDivide(r, s, true), MakeRel(1, {{1}, {7}}));
+  ExpectNestedLoopRangesAgree(r, s, "S = {10, 20, 30}");
+  ExpectNestedLoopRangesAgree(r, Relation(1), "empty divisor");
 }
 
 // ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@
 // Random bytes, mutations of a seed corpus (request lines, response
 // headers, the SQL workload, the division and triangle statements) and
 // the deep shapes at random sizes go through ParseRequest,
-// ParseResponseHeader, sql::Compile and ra::Parse; LineReader reads
-// random chunkings of random lines over a socketpair. A crash, a
-// sanitizer report or a SETALG_CHECK abort fails the leg; CI runs it
-// under ASan/UBSan.
+// ParseResponseHeader, sql::Compile and ra::Parse, and every error either
+// frontend returns must be located; LineReader reads random chunkings of
+// random lines over a socketpair. A crash, a sanitizer report or a
+// SETALG_CHECK abort fails the leg; CI runs it under ASan/UBSan.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -30,10 +30,10 @@
 #include "server/line_reader.h"
 #include "server/protocol.h"
 #include "sql/analyzer.h"
-#include "sql/lexer.h"
 #include "sql/parser.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "util/str.h"
 #include "workload/generators.h"
 
 namespace setalg {
@@ -150,12 +150,9 @@ TEST(DepthBound, EveryShapeFitsAtTheBoundAndFailsPastIt) {
     const std::string error = CompileAndPlanOnSessionThread(past);
     EXPECT_NE(error.find("nested deeper than"), std::string::npos)
         << shape.name << ": " << error;
-    if (sql::LooksLikeSql(past)) {
-      std::size_t line = 0, column = 0;
-      EXPECT_TRUE(sql::ParseErrorLocation(error, &line, &column)) << error;
-    } else {
-      EXPECT_EQ(error.rfind("parse error at offset ", 0), 0u) << error;
-    }
+    std::size_t line = 0, column = 0;
+    EXPECT_TRUE(util::ParseErrorLocation(error, &line, &column))
+        << shape.name << ": " << error;
   }
 }
 
@@ -251,10 +248,15 @@ void FeedEveryTarget(const std::string& text, const core::Schema& schema) {
   auto sql = sql::Compile(text, schema);
   if (!sql.ok()) {
     std::size_t line = 0, column = 0;
-    EXPECT_TRUE(sql::ParseErrorLocation(sql.error(), &line, &column))
+    EXPECT_TRUE(util::ParseErrorLocation(sql.error(), &line, &column))
         << sql.error() << "\ninput: " << text;
   }
-  ra::Parse(text, schema);
+  auto ra = ra::Parse(text, schema);
+  if (!ra.ok()) {
+    std::size_t line = 0, column = 0;
+    EXPECT_TRUE(util::ParseErrorLocation(ra.error(), &line, &column))
+        << ra.error() << "\ninput: " << text;
+  }
 }
 
 TEST(Fuzz, FrontendsAndProtocolParsersSurviveHostileText) {

@@ -7,6 +7,7 @@
 #include "ra/expr.h"
 #include "ra/parse.h"
 #include "test_util.h"
+#include "util/str.h"
 
 namespace setalg::ra {
 namespace {
@@ -241,6 +242,29 @@ TEST(Parse, ErrorTrailingInput) {
   auto parsed = Parse("R R", TestSchema());
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.error().find("trailing"), std::string::npos);
+}
+
+// Errors are located like SQL ones: "line:column: message", 1-based from
+// the text's first byte, at the unknown name, the token where ')' was
+// expected, and the first trailing token.
+void ExpectErrorAt(const std::string& text, std::size_t line, std::size_t column,
+                   const std::string& message) {
+  auto parsed = Parse(text, TestSchema());
+  ASSERT_FALSE(parsed.ok()) << text;
+  EXPECT_EQ(parsed.error(), util::LocatedError(line, column, message)) << text;
+  std::size_t got_line = 0, got_column = 0;
+  EXPECT_TRUE(util::ParseErrorLocation(parsed.error(), &got_line, &got_column));
+  EXPECT_EQ(got_line, line) << parsed.error();
+  EXPECT_EQ(got_column, column) << parsed.error();
+}
+
+TEST(Parse, ErrorsCarryLineAndColumn) {
+  ExpectErrorAt("Q", 1, 1, "unknown relation: Q");
+  ExpectErrorAt("union(R,\n   Nope)", 2, 4, "unknown relation: Nope");
+  ExpectErrorAt("pi[1](R", 1, 8, "expected ')'");
+  ExpectErrorAt("pi[1](\n  R\n  S)", 3, 3, "expected ')'");
+  ExpectErrorAt("R R", 1, 3, "trailing input after expression");
+  ExpectErrorAt("union(R, R)\n\n  S", 3, 3, "trailing input after expression");
 }
 
 TEST(Parse, ErrorMalformedTokens) {

@@ -51,12 +51,12 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "sql/analyzer.h"
-#include "sql/lexer.h"
 #include "sql/parser.h"
 #include "ra/parse.h"
 #include "txn/snapshot.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/str.h"
 #include "workload/generators.h"
 
 namespace setalg {
@@ -375,13 +375,36 @@ TEST(ServerTest, ErrorsAreLocatedAndSessionSurvives) {
   auto located = client->Roundtrip("QUERY SELECT * FROM Nope");
   ASSERT_TRUE(located.ok());
   std::size_t line = 0, column = 0;
-  EXPECT_TRUE(sql::ParseErrorLocation(located->header.error, &line, &column))
+  EXPECT_TRUE(util::ParseErrorLocation(located->header.error, &line, &column))
       << located->header.error;
 
   // The session is still fully usable.
   auto good = client->Roundtrip("QUERY SELECT * FROM R");
   ASSERT_TRUE(good.ok());
   EXPECT_TRUE(good->header.ok) << good->header.error;
+  client->Close();
+}
+
+// An RA statement's parse error is located like a SQL one, "ERR
+// <line>:<column>: <message>", counted from the statement's first byte,
+// and the session serves on.
+TEST(ServerTest, RaParseErrorIsLocatedAndSessionSurvives) {
+  ServerFixture fixture(engine::EngineOptions{}, BaseSeed());
+  auto client = server::Client::Connect("127.0.0.1", fixture.port);
+  ASSERT_TRUE(client.ok()) << client.error();
+  auto bad = client->Roundtrip("QUERY pi[1](R");
+  ASSERT_TRUE(bad.ok()) << bad.error();
+  EXPECT_EQ(bad->header.verb, "ERR");
+  std::size_t line = 0, column = 0;
+  ASSERT_TRUE(util::ParseErrorLocation(bad->header.error, &line, &column))
+      << bad->header.error;
+  EXPECT_EQ(line, 1u);
+  EXPECT_EQ(column, 8u) << "the error points past the unclosed input";
+  EXPECT_NE(bad->header.error.find("expected ')'"), std::string::npos)
+      << bad->header.error;
+  auto pong = client->Roundtrip("PING");
+  ASSERT_TRUE(pong.ok()) << pong.error();
+  EXPECT_EQ(pong->header.verb, "PONG");
   client->Close();
 }
 
@@ -403,7 +426,7 @@ TEST(ServerTest, PreparedStatementsPerSessionAreBounded) {
   EXPECT_FALSE(refused->header.ok);
   EXPECT_EQ(refused->header.verb, "ERR");
   std::size_t line = 0, column = 0;
-  ASSERT_TRUE(sql::ParseErrorLocation(refused->header.error, &line, &column))
+  ASSERT_TRUE(util::ParseErrorLocation(refused->header.error, &line, &column))
       << refused->header.error;
   EXPECT_EQ(line, 1u);
   EXPECT_EQ(column, 9u) << "the error points at the refused name";
@@ -677,6 +700,9 @@ TEST(ServerTest, DeepStatementGetsErrorAndSessionSurvives) {
   ASSERT_TRUE(deep.ok()) << deep.error();
   EXPECT_EQ(deep->header.verb, "ERR");
   EXPECT_NE(deep->header.error.find("nested deeper than"), std::string::npos)
+      << deep->header.error;
+  std::size_t error_line = 0, error_column = 0;
+  EXPECT_TRUE(util::ParseErrorLocation(deep->header.error, &error_line, &error_column))
       << deep->header.error;
   auto pong = client->Roundtrip("PING");
   ASSERT_TRUE(pong.ok()) << pong.error();

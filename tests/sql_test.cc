@@ -37,8 +37,8 @@
 #include "ra/eval.h"
 #include "ra/expr.h"
 #include "sql/analyzer.h"
-#include "sql/lexer.h"
 #include "sql/parser.h"
+#include "util/str.h"
 #include "workload/generators.h"
 
 namespace setalg {
@@ -251,7 +251,7 @@ TEST(SqlDifferential, GuardedFragmentPairsAgreeOnResults) {
 void ExpectLocatedError(const std::string& error, const std::string& context) {
   std::size_t line = 0;
   std::size_t column = 0;
-  EXPECT_TRUE(sql::ParseErrorLocation(error, &line, &column))
+  EXPECT_TRUE(util::ParseErrorLocation(error, &line, &column))
       << context << "\nunlocated error: " << error;
   EXPECT_GE(line, 1u) << context;
   EXPECT_GE(column, 1u) << context;

@@ -695,8 +695,10 @@ ra::ExprPtr ClassicDivisionOver(const ra::ExprPtr& r, const ra::ExprPtr& s) {
 // A dividend scanned from storage is cut into key ranges in place — on a
 // core::Database and on a snapshot alike — and the skipped partition pass
 // is counted. A computed dividend (the projection π_{2,1} of a stored
-// transpose) is drained and sorted instead, and skips nothing. R holds 7
-// floors of rows (engine::kMinPartitionRows), so both fan out pool-wide.
+// transpose) hands over no relation: the planned hash division consumes
+// it batch by batch as one task, and a hand-built sort-merge division
+// drains and sorts it, then cuts it, skipping nothing. R holds 7 floors
+// of rows (engine::kMinPartitionRows), so every cut fans out pool-wide.
 TEST(KeyRangeTest, StoredScanDivisionSkipsThePartitionPass) {
   const std::uint64_t seed = BaseSeed();
   util::Rng rng(seed * 43 + 3);
@@ -720,6 +722,10 @@ TEST(KeyRangeTest, StoredScanDivisionSkipsThePartitionPass) {
   const ra::ExprPtr stored = ClassicDivisionOver(ra::Rel("R", 2), ra::Rel("S", 1));
   const ra::ExprPtr computed = ClassicDivisionOver(
       ra::Project(ra::Rel("RT", 2), {2, 1}), ra::Rel("S", 1));
+  engine::PhysicalPlan sort_merge;
+  sort_merge.root = engine::MakeDivision(
+      engine::MakeProject(engine::MakeScan("RT", 2), {2, 1}), engine::MakeScan("S", 1),
+      setjoin::DivisionAlgorithm::kSortMerge, /*equality=*/false);
 
   const engine::Engine serial{engine::EngineOptions{}};
   auto want = serial.Run(stored, db);
@@ -741,7 +747,13 @@ TEST(KeyRangeTest, StoredScanDivisionSkipsThePartitionPass) {
       EXPECT_EQ(in_place->stats.partitions, static_cast<std::size_t>(threads))
           << context;
 
-      auto drained = engine.Run(computed, *view);
+      auto streamed = engine.Run(computed, *view);
+      ASSERT_TRUE(streamed.ok()) << streamed.error();
+      EXPECT_EQ(streamed->relation.flat(), want->relation.flat()) << context;
+      EXPECT_EQ(streamed->stats.partition_passes_skipped, 0u) << context;
+      EXPECT_EQ(streamed->stats.partitions, 0u) << context;
+
+      auto drained = engine.Run(sort_merge, *view);
       ASSERT_TRUE(drained.ok()) << drained.error();
       EXPECT_EQ(drained->relation.flat(), want->relation.flat()) << context;
       EXPECT_EQ(drained->stats.partition_passes_skipped, 0u) << context;
