@@ -48,8 +48,9 @@ struct RunResult {
 /// copy (shared ownership of an immutable entry, which the plan cache may
 /// share with other sessions). The handle keeps its plan alive across
 /// cache eviction and SharedPlanCache::Clear — and stays correct across
-/// database mutation: every execution revalidates the version vector
-/// first and re-costs (never re-lowers) on mismatch. Each execution
+/// database mutation: every execution checks the version vector first
+/// and, on a mismatch, lowers the plan again when the options read
+/// statistics or advances its versions when they do not. Each execution
 /// re-points the handle at the entry that ran, so run a handle from one
 /// thread at a time; copies are independent.
 class PreparedQuery {
@@ -68,8 +69,8 @@ class PreparedQuery {
   /// Id of the database instance the handle was prepared against.
   std::uint64_t database_id() const { return entry().db_id; }
 
-  /// The version vector the plan was last costed against (advances when
-  /// a run revalidates).
+  /// The version vector the plan was last lowered or revalidated against
+  /// (advances when a run revalidates).
   const stats::VersionVector& versions() const { return entry().versions; }
 
   const PhysicalPlan& plan() const { return entry().plan; }
@@ -126,10 +127,11 @@ class Engine {
   /// violations come back as Result errors, never aborts. With
   /// EngineOptions::shared_plan_cache set the lowered plan is cached
   /// transparently, keyed on the expression's structure and db.id():
-  /// repeated runs of the same shape skip lowering entirely (hit) or
-  /// re-cost the cached plan from fresh statistics after a mutation
-  /// (revalidated/repicked) — PlanStats::cache reports which. Results
-  /// and row counts are identical either way.
+  /// repeated runs of the same shape skip lowering entirely (hit) or,
+  /// after a mutation, lower again when the options read statistics and
+  /// keep the plan when they do not (revalidated/repicked) —
+  /// PlanStats::cache reports which. Results and row counts are
+  /// identical either way.
   util::Result<RunResult> Run(const ra::ExprPtr& expr, const core::DatabaseView& db) const;
 
   /// Prepares `expr` against `db`: lowers it once (statistics-annotated
@@ -146,8 +148,9 @@ class Engine {
 
   /// Prepares a hand-assembled physical plan (e.g. a set-join operator
   /// tree, which has no logical form). The version vector covers every
-  /// relation the plan scans; revalidation refreshes cost annotations
-  /// but has no recorded choice points to re-pick.
+  /// relation the plan scans; with no expression to lower again,
+  /// revalidation keeps the operators, advances the versions and drops
+  /// any estimates.
   util::Result<PreparedQuery> Prepare(PhysicalPlan plan,
                                       const core::DatabaseView& db) const;
 
@@ -171,7 +174,7 @@ class Engine {
 
   /// Lowers without executing. Without a database there are no statistics:
   /// the plan carries no cost estimates and cost_based options fall back
-  /// to the unpriced picks (PlannedDivisionAlgorithm for division).
+  /// to the unpriced picks (EngineOptions::cost_based).
   util::Result<PhysicalPlan> Plan(const ra::ExprPtr& expr,
                                   const core::Schema& schema) const;
 

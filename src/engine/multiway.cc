@@ -308,10 +308,6 @@ class MultiwayJoinOp final : public PhysicalOp {
     return std::make_unique<MultiwayIterator>(ctx, std::move(inputs), this);
   }
 
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> new_children) const override {
-    return MakeMultiwayJoin(std::move(new_children), column_vars_, num_vars_, source());
-  }
-
   const std::vector<std::vector<std::size_t>>& column_vars() const {
     return column_vars_;
   }

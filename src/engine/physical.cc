@@ -171,11 +171,6 @@ class ScanOp final : public PhysicalOp {
     return std::make_unique<ScanIterator>(ctx, &name_, arity());
   }
 
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
-    SETALG_CHECK(children.empty());
-    return std::make_shared<ScanOp>(name_, arity(), source());
-  }
-
   const std::string* scan_relation() const override { return &name_; }
   bool sorted_output() const override { return true; }  // Normalized storage.
 
@@ -225,12 +220,6 @@ class UnionOp final : public PhysicalOp {
       ExecContext&,
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
     return std::make_unique<UnionIterator>(std::move(inputs));
-  }
-
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
-    SETALG_CHECK_EQ(children.size(), 2u);
-    return std::make_shared<UnionOp>(std::move(children[0]), std::move(children[1]),
-                                     source());
   }
 };
 
@@ -288,12 +277,6 @@ class DifferenceOp final : public PhysicalOp {
     return std::make_unique<DifferenceIterator>(std::move(inputs), arity(),
                                                 ctx.batch_size());
   }
-
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
-    SETALG_CHECK_EQ(children.size(), 2u);
-    return std::make_shared<DifferenceOp>(std::move(children[0]),
-                                          std::move(children[1]), source());
-  }
 };
 
 class ProjectIterator final : public StreamingUnaryIterator {
@@ -347,11 +330,6 @@ class ProjectOp final : public PhysicalOp {
                                              &columns_, distinct, ctx.batch_size());
   }
 
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
-    SETALG_CHECK_EQ(children.size(), 1u);
-    return std::make_shared<ProjectOp>(std::move(children[0]), columns_, source());
-  }
-
   const std::vector<std::size_t>& columns() const { return columns_; }
 
  private:
@@ -400,11 +378,6 @@ class SelectOp final : public PhysicalOp {
                                             ctx.batch_size());
   }
 
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
-    SETALG_CHECK_EQ(children.size(), 1u);
-    return std::make_shared<SelectOp>(std::move(children[0]), op_, i_, j_, source());
-  }
-
  private:
   ra::Cmp op_;
   std::size_t i_;
@@ -449,11 +422,6 @@ class ConstTagOp final : public PhysicalOp {
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
     return std::make_unique<ConstTagIterator>(std::move(inputs[0]), arity() - 1,
                                               value_, ctx.batch_size());
-  }
-
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
-    SETALG_CHECK_EQ(children.size(), 1u);
-    return std::make_shared<ConstTagOp>(std::move(children[0]), value_, source());
   }
 
  private:
@@ -576,12 +544,6 @@ class JoinOp final : public PhysicalOp {
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
     return std::make_unique<JoinIterator>(ctx, std::move(inputs), &atoms_,
                                           child(0)->arity(), child(1)->arity());
-  }
-
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
-    SETALG_CHECK_EQ(children.size(), 2u);
-    return std::make_shared<JoinOp>(std::move(children[0]), std::move(children[1]),
-                                    atoms_, source());
   }
 
  private:
@@ -721,12 +683,6 @@ class SemiJoinOp final : public PhysicalOp {
         });
   }
 
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
-    SETALG_CHECK_EQ(children.size(), 2u);
-    return std::make_shared<SemiJoinOp>(std::move(children[0]), std::move(children[1]),
-                                        atoms_, strategy_, source());
-  }
-
  private:
   std::vector<ra::JoinAtom> atoms_;
   SemijoinStrategy strategy_;
@@ -799,12 +755,6 @@ class DivisionOp final : public PhysicalOp {
         });
   }
 
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
-    SETALG_CHECK_EQ(children.size(), 2u);
-    return std::make_shared<DivisionOp>(std::move(children[0]), std::move(children[1]),
-                                        algorithm_, equality_, source());
-  }
-
   bool sorted_output() const override { return true; }  // Normalized keys.
 
  private:
@@ -854,12 +804,6 @@ class SetJoinOp final : public PhysicalOp {
                                                   *right);
                                });
         });
-  }
-
-  PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const override {
-    SETALG_CHECK_EQ(children.size(), 2u);
-    return std::make_shared<SetJoinOp>(std::move(children[0]), std::move(children[1]),
-                                       label_, kernel_, source());
   }
 
   bool sorted_output() const override { return true; }  // Normalized merge.

@@ -90,8 +90,10 @@ enum class CacheOutcome {
   kUncached,     // The cache was not consulted.
   kMiss,         // Lowered fresh (and inserted when the cache is enabled).
   kHit,          // Version vector matched: the cached plan ran as-is.
-  kRevalidated,  // Versions moved; re-costed, every algorithm choice held.
-  kRepicked,     // Versions moved; re-costing flipped >= 1 choice.
+  kRevalidated,  // Versions moved; the plan's operators held (lowered
+                 // again to the same tree, or a plan that reads no
+                 // statistics, whose versions alone advanced).
+  kRepicked,     // Versions moved; lowering again built a different tree.
   kResultHit,    // Served from the result cache (engine/result_cache.h):
                  // no plan ran at all — the stored relation and the
                  // producing run's stats were replayed verbatim.
@@ -229,6 +231,8 @@ class PhysicalOp {
   const ra::Expr* source() const { return source_; }
 
   /// One-line description, e.g. "division[hash-division]" or "join[2=1]".
+  /// It names any algorithm the planner picks from statistics: the plan
+  /// cache tells two lowerings of one expression apart by their labels.
   virtual std::string label() const = 0;
 
   /// The operator's batch-at-a-time kernel: returns an iterator producing
@@ -241,14 +245,6 @@ class PhysicalOp {
   virtual std::unique_ptr<BatchIterator> MakeBatchIterator(
       ExecContext& ctx, std::vector<std::unique_ptr<BatchIterator>> inputs) const = 0;
 
-  /// A copy of this operator over different children (same kind, payload
-  /// and source; `children` must match the original count and arities).
-  /// The structural substitution primitive behind plan-cache revalidation:
-  /// a revalidated copy of a cached plan swaps in a re-picked operator by
-  /// rebuilding only the spine above it, never re-lowering the logical
-  /// expression.
-  virtual PhysicalOpPtr WithChildren(std::vector<PhysicalOpPtr> children) const = 0;
-
   /// The stored relation this operator scans, or nullptr for every
   /// non-scan operator (used to derive a plan's version vector).
   virtual const std::string* scan_relation() const { return nullptr; }
@@ -258,8 +254,8 @@ class PhysicalOp {
   /// consumer reads is normalized: scans, division and the set joins say
   /// so. A planning hint only: consumers that need sorted input still
   /// normalize it, a linear check on sorted rows, so a wrong answer costs
-  /// time, never a result. The planned division rule keys on a stored
-  /// scan instead (PlannedDivisionAlgorithm).
+  /// time, never a result. The planner's unpriced division pick keys on
+  /// a stored scan instead (scan_relation()).
   virtual bool sorted_output() const { return false; }
 
   /// Indented rendering of the subplan rooted here.

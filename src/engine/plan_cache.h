@@ -14,18 +14,22 @@
 //     trees from different parses share one plan) plus the database's
 //     process-unique id (two databases with colliding relation names can
 //     never exchange plans) and the engine's OptionsFingerprint.
-//   - Each entry snapshots the per-relation version vector its costs were
-//     computed against. A matching vector is a *hit*: the plan runs
-//     untouched. A moved vector is *revalidated*: the recorded choice
-//     points (PhysicalPlan::choice_points) are re-priced from fresh
-//     statistics — never re-lowered — and when a decision flips (e.g.
-//     hash-division → sort-merge after a bulk load) the operator is
-//     swapped by rebuilding only the spine above it
-//     (PhysicalOp::WithChildren); the run reports *repicked*.
-//   - Entries are immutable once shared (SharedPlanPtr). Revalidation
-//     always works on a private copy (RevalidatedCopy), which the cache
-//     then publishes; a run or a PreparedQuery still holding the old
-//     entry keeps it alive and untouched.
+//   - Each entry snapshots the per-relation version vector its plan was
+//     lowered against. A matching vector is a *hit*: the plan runs
+//     untouched. A moved vector makes the entry stale. When the options
+//     read statistics (EngineOptions::UsesStatistics) the key expression
+//     is lowered again by Planner::Lower, exactly as a fresh run lowers
+//     it, so every planner decision (division kernel, semijoin strategy,
+//     multiway routing) follows the new data; the run reports *repicked*
+//     when the new operator tree differs from the cached one and
+//     *revalidated* when it does not. Any other options lower an
+//     expression to one plan whatever the data, so that plan (and a
+//     hand-built plan, which has no expression) keeps its operators and
+//     only its versions move: *revalidated*.
+//   - Entries are immutable once shared (SharedPlanPtr). A stale entry is
+//     replaced by a new one (RevalidatedCopy), which the cache then
+//     publishes; a run or a PreparedQuery still holding the old entry
+//     keeps it alive and untouched.
 //
 // Whatever the outcome, results and per-operator PlanStats row counts are
 // bit-identical to a fresh un-cached run — the cache-differential harness
@@ -54,7 +58,7 @@ struct CachedPlan {
   std::uint64_t expr_hash = 0;
   std::uint64_t db_id = 0;
   /// Versions of every relation the plan reads, as of the last
-  /// lowering/revalidation.
+  /// lowering or revalidation.
   stats::VersionVector versions;
   PhysicalPlan plan;
   /// Approximate resident footprint (operators, key expression, estimate
@@ -76,28 +80,18 @@ CachedPlanPtr MakeCachedPlan(ra::ExprPtr expr, const core::DatabaseView& db,
 /// eviction behavior is reproducible across runs).
 std::size_t ApproxPlanBytes(const CachedPlan& entry);
 
-/// Re-prices `entry`'s plan against `db`'s current statistics. Returns
-///   kHit         — version vector unchanged; the plan is untouched;
-///   kRevalidated — versions moved; estimates and recorded choices were
-///                  refreshed from fresh statistics (an unpriced plan,
-///                  lowered and revalidated without statistics, has
-///                  neither), every algorithm decision held;
-///   kRepicked    — versions moved and >= 1 decision flipped; the
-///                  affected operators were swapped in `entry` (only the
-///                  spine above each rebuilt — the expression is never
-///                  re-lowered) and the choice/rewrite notes updated.
-/// Mutates `entry`, so it must be private to the caller (RevalidatedCopy
-/// makes the copy). `options` must be the options the plan was lowered
-/// under (the plan cache keys entries on OptionsFingerprint to guarantee
-/// this). `db` must be the instance the entry is keyed on (same id).
-CacheOutcome RevalidateCachedPlan(CachedPlan& entry, const core::DatabaseView& db,
-                                  const stats::StatsProvider* stats,
-                                  const EngineOptions& options);
-
-/// `entry` costed against `db`'s current versions, without touching
-/// `entry`: `entry` itself when its version vector still matches (*outcome
-/// = kHit), otherwise a private copy run through RevalidateCachedPlan
-/// (kRevalidated / kRepicked).
+/// `entry` made current for `db`'s versions, without touching `entry`:
+///   kHit         — version vector unchanged; `entry` itself;
+///   kRevalidated — versions moved; a new entry with the same operators:
+///                  lowered again to the same tree, or (options that read
+///                  no statistics, or a hand-built plan) the cached plan
+///                  with its versions advanced and any estimates dropped;
+///   kRepicked    — versions moved and lowering again built a different
+///                  operator tree, which the new entry holds.
+/// `options` must be the options the plan was lowered under (the plan
+/// cache keys entries on OptionsFingerprint to guarantee this), `stats`
+/// the provider a fresh lowering would read, and `db` the instance the
+/// entry is keyed on (same id).
 SharedPlanPtr RevalidatedCopy(const SharedPlanPtr& entry, const core::DatabaseView& db,
                               const stats::StatsProvider* stats,
                               const EngineOptions& options, CacheOutcome* outcome);

@@ -84,6 +84,42 @@ std::optional<DivisionMatch> MatchEqualityDivision(const ExprPtr& e) {
   return contained;
 }
 
+// The unpriced division pick for a routed pattern whose lowered dividend
+// is `dividend`: sort-merge when the dividend is a stored scan, hash
+// division for any other.
+setjoin::DivisionAlgorithm PlannedDivisionAlgorithm(const PhysicalOp& dividend) {
+  // A stored dividend is normalized and handed over in place
+  // (TakeRelation): its groups are runs already, and sort-merge walks them
+  // with no table and no copy. Any other dividend would first be drained
+  // into a relation and sorted, where hash division consumes it batch by
+  // batch in state sized by its groups and the divisor.
+  return dividend.scan_relation() != nullptr ? setjoin::DivisionAlgorithm::kSortMerge
+                                             : setjoin::DivisionAlgorithm::kHashDivision;
+}
+
+// The rewrite note of a routed division pattern.
+std::string DivisionRewriteNote(setjoin::DivisionAlgorithm algorithm, bool equality,
+                                bool cost_based) {
+  return util::StrCat(equality ? "equality-division pattern → division=["
+                               : "division pattern → division[",
+                      setjoin::DivisionAlgorithmToString(algorithm), "]",
+                      cost_based ? " (cost-based)" : "");
+}
+
+// The rewrite note of a join chain routed to the multiway operator.
+std::string MultiwayRewriteNote(std::size_t relations, double agm_bound) {
+  return util::StrCat("join chain [", std::to_string(relations),
+                      " relations] → multiway generic join (AGM bound ",
+                      std::to_string(static_cast<std::size_t>(agm_bound)), ")");
+}
+
+// The choices label for the multiway-vs-binary decision: "multiway[k]"
+// when routed, "binary" when the written plan was kept.
+std::string MultiwayChoiceLabel(bool routed, std::size_t relations) {
+  return routed ? util::StrCat("multiway[", std::to_string(relations), "]")
+                : std::string("binary");
+}
+
 class Lowering {
  public:
   Lowering(const EngineOptions& options, const stats::StatsProvider* stats)
@@ -101,9 +137,6 @@ class Lowering {
       const ExprEstimate guess = model_.Estimate(e);
       estimates_[op.get()] = {0.0, guess.cardinality, guess.cardinality};
     }
-    // Pair the operator with its logical node so a cached plan can
-    // refresh the estimate from fresh statistics without re-lowering.
-    op_sources_.emplace_back(op.get(), e);
     memo_.emplace(e.get(), op);
     return op;
   }
@@ -113,9 +146,6 @@ class Lowering {
   std::unordered_map<const PhysicalOp*, CostEstimate> TakeEstimates() {
     return std::move(estimates_);
   }
-  std::vector<std::pair<const PhysicalOp*, ExprPtr>> TakeOpSources() {
-    return std::move(op_sources_);
-  }
   std::vector<ChoicePoint> TakeChoicePoints() { return std::move(choice_points_); }
   double agm_bound() const { return agm_bound_; }
   bool has_agm_bound() const { return has_agm_bound_; }
@@ -123,22 +153,12 @@ class Lowering {
  private:
   bool CostBased() const { return options_.cost_based && stats_ != nullptr; }
 
-  SemijoinStrategy Strategy() const {
-    return options_.use_fast_semijoin ? SemijoinStrategy::kFastKernel
-                                      : SemijoinStrategy::kGeneric;
-  }
-
-  struct SemijoinPlan {
-    SemijoinStrategy strategy;
-    /// Slice of choices_ this decision wrote (for the plan's ChoicePoint).
-    std::size_t first_choice;
-    std::size_t num_choices;
-  };
-
-  SemijoinPlan SemijoinStrategyFor(const ExprPtr& left, const ExprPtr& right,
-                                   const std::vector<ra::JoinAtom>& atoms) {
-    const std::size_t first_choice = choices_.size();
-    if (!CostBased()) return {Strategy(), first_choice, 0};
+  SemijoinStrategy SemijoinStrategyFor(const ExprPtr& left, const ExprPtr& right,
+                                       const std::vector<ra::JoinAtom>& atoms) {
+    if (!CostBased()) {
+      return options_.rewrites ? SemijoinStrategy::kFastKernel
+                               : SemijoinStrategy::kGeneric;
+    }
     const ExprEstimate l = model_.Estimate(left);
     const ExprEstimate r = model_.Estimate(right);
     const SemijoinStrategy strategy = model_.ChooseSemijoin(l, r, atoms);
@@ -146,28 +166,7 @@ class Lowering {
         {"semijoin",
          strategy == SemijoinStrategy::kFastKernel ? "fast-kernel" : "generic",
          model_.EstimateSemijoin(l, r, atoms, strategy)});
-    return {strategy, first_choice, 1};
-  }
-
-  /// Records the re-costable decision behind one lowered semijoin
-  /// operator (both the direct lowering and the π(⋈) reductions).
-  void RecordSemijoinPoint(const PhysicalOpPtr& op, const ExprPtr& left,
-                           const ExprPtr& right,
-                           const std::vector<ra::JoinAtom>& pricing_atoms,
-                           std::vector<ra::JoinAtom> op_atoms,
-                           const ra::Expr* source, const SemijoinPlan& plan) {
-    ChoicePoint point;
-    point.kind = ChoicePoint::Kind::kSemijoin;
-    point.op = op.get();
-    point.left = left;
-    point.right = right;
-    point.atoms = pricing_atoms;
-    point.op_atoms = std::move(op_atoms);
-    point.source = source;
-    point.semijoin_strategy = plan.strategy;
-    point.first_choice = plan.first_choice;
-    point.num_choices = plan.num_choices;
-    choice_points_.push_back(std::move(point));
+    return strategy;
   }
 
   PhysicalOpPtr LowerDivision(const DivisionMatch& m, bool equality,
@@ -181,7 +180,6 @@ class Lowering {
       s_est = model_.Estimate(m.s);
     }
     std::optional<setjoin::DivisionAlgorithm> priced;
-    const std::size_t first_choice = choices_.size();
     if (CostBased()) {
       const auto choice = model_.ChooseDivision(r_est, s_est, equality);
       priced = choice.algorithm;
@@ -189,7 +187,6 @@ class Lowering {
                           setjoin::DivisionAlgorithmToString(choice.algorithm),
                           choice.estimate});
     }
-    const std::size_t num_choices = choices_.size() - first_choice;
     const std::size_t rewrite_index = rewrites_.size();
     rewrites_.emplace_back();
     PhysicalOpPtr dividend = Lower(m.r);
@@ -202,18 +199,8 @@ class Lowering {
     if (stats_ != nullptr) {
       estimates_[op.get()] = model_.EstimateDivision(algorithm, r_est, s_est, equality);
     }
-    ChoicePoint point;
-    point.kind = ChoicePoint::Kind::kDivision;
-    point.op = op.get();
-    point.left = m.r;
-    point.right = m.s;
-    point.equality = equality;
-    point.source = source;
-    point.division_algorithm = algorithm;
-    point.first_choice = first_choice;
-    point.num_choices = num_choices;
-    point.rewrite_index = rewrite_index;
-    choice_points_.push_back(std::move(point));
+    choice_points_.push_back(
+        {ChoicePoint::Kind::kDivision, m.r, m.s, equality, algorithm});
     return op;
   }
 
@@ -341,36 +328,15 @@ class Lowering {
       has_agm_bound_ = true;
     }
 
-    const std::size_t first_choice = choices_.size();
     if (CostBased()) {
       choices_.push_back(
           {"join-chain", MultiwayChoiceLabel(choice.use_multiway, chain.leaves.size()),
            choice.use_multiway ? choice.multiway : choice.binary});
     }
-
-    ChoicePoint point;
-    point.kind = ChoicePoint::Kind::kMultiway;
-    point.left = e;
-    point.multiway_inputs = chain.leaves;
-    point.multiway_var_maps = var_maps;
-    point.multiway_num_vars = num_vars;
-    point.multiway_interior = chain.interior;
-    point.first_choice = first_choice;
-
-    if (!choice.use_multiway) {
-      // Keep the written binary plan; the recorded point lets a cached
-      // plan re-price the (pinned) decision from fresh statistics.
-      PhysicalOpPtr op =
-          MakeJoin(Lower(e->child(0)), Lower(e->child(1)), e->atoms(), e.get());
-      point.op = op.get();
-      point.source = e.get();
-      point.multiway_routed = false;
-      point.num_choices = choices_.size() - first_choice;
-      choice_points_.push_back(std::move(point));
-      return op;
+    if (!choice.use_multiway) {  // Keep the written binary plan.
+      return MakeJoin(Lower(e->child(0)), Lower(e->child(1)), e->atoms(), e.get());
     }
 
-    const std::size_t rewrite_index = rewrites_.size();
     rewrites_.push_back(MultiwayRewriteNote(chain.leaves.size(), choice.agm_bound));
 
     std::vector<PhysicalOpPtr> children;
@@ -384,17 +350,11 @@ class Lowering {
     for (std::size_t raw : root_raw) {
       projection.push_back(dense.at(chain.Find(raw)) + 1);
     }
-    point.op = mw.get();
-    point.source = nullptr;  // Rewrite-synthesized, like the reduced semijoin.
-    point.multiway_routed = true;
-    point.num_choices = choices_.size() - first_choice;
-    point.rewrite_index = rewrite_index;
-    choice_points_.push_back(std::move(point));
     return MakeProject(std::move(mw), std::move(projection), e.get());
   }
 
   PhysicalOpPtr LowerUncached(const ExprPtr& e) {
-    if (options_.recognize_division) {
+    if (options_.rewrites) {
       if (auto m = MatchEqualityDivision(e)) {
         return LowerDivision(*m, /*equality=*/true, e.get());
       }
@@ -402,7 +362,7 @@ class Lowering {
         return LowerDivision(*m, /*equality=*/false, e.get());
       }
     }
-    if (options_.recognize_semijoin_projection && e->kind() == OpKind::kProjection &&
+    if (options_.rewrites && e->kind() == OpKind::kProjection &&
         e->child(0)->kind() == OpKind::kJoin) {
       if (PhysicalOpPtr reduced = TrySemijoinReduction(e)) return reduced;
     }
@@ -427,13 +387,10 @@ class Lowering {
       case OpKind::kJoin:
         return MakeJoin(Lower(e->child(0)), Lower(e->child(1)), e->atoms(), e.get());
       case OpKind::kSemiJoin: {
-        const SemijoinPlan semi =
+        const SemijoinStrategy strategy =
             SemijoinStrategyFor(e->child(0), e->child(1), e->atoms());
-        PhysicalOpPtr op = MakeSemiJoin(Lower(e->child(0)), Lower(e->child(1)),
-                                        e->atoms(), semi.strategy, e.get());
-        RecordSemijoinPoint(op, e->child(0), e->child(1), e->atoms(), e->atoms(),
-                            e.get(), semi);
-        return op;
+        return MakeSemiJoin(Lower(e->child(0)), Lower(e->child(1)), e->atoms(),
+                            strategy, e.get());
       }
     }
     SETALG_CHECK_STREAM(false) << "unreachable";
@@ -456,12 +413,10 @@ class Lowering {
     if (all_left) {
       // The semijoin op is rewrite-synthesized: its output matches no
       // logical node, so it carries no source.
-      const SemijoinPlan plan =
+      const SemijoinStrategy strategy =
           SemijoinStrategyFor(join->child(0), join->child(1), join->atoms());
       PhysicalOpPtr semi = MakeSemiJoin(Lower(join->child(0)), Lower(join->child(1)),
-                                        join->atoms(), plan.strategy, nullptr);
-      RecordSemijoinPoint(semi, join->child(0), join->child(1), join->atoms(),
-                          join->atoms(), nullptr, plan);
+                                        join->atoms(), strategy, nullptr);
       rewrites_.push_back("π(join) reduced to π(semijoin) at " + e->ToString());
       return MakeProject(std::move(semi), columns, e.get());
     }
@@ -474,12 +429,10 @@ class Lowering {
       std::vector<std::size_t> shifted;
       shifted.reserve(columns.size());
       for (std::size_t c : columns) shifted.push_back(c - left_arity);
-      const SemijoinPlan plan =
+      const SemijoinStrategy strategy =
           SemijoinStrategyFor(join->child(1), join->child(0), join->atoms());
       PhysicalOpPtr semi = MakeSemiJoin(Lower(join->child(1)), Lower(join->child(0)),
-                                        mirrored, plan.strategy, nullptr);
-      RecordSemijoinPoint(semi, join->child(1), join->child(0), join->atoms(),
-                          std::move(mirrored), nullptr, plan);
+                                        std::move(mirrored), strategy, nullptr);
       rewrites_.push_back("π(join) reduced to π(mirrored semijoin) at " +
                           e->ToString());
       return MakeProject(std::move(semi), std::move(shifted), e.get());
@@ -494,7 +447,6 @@ class Lowering {
   std::vector<std::string> rewrites_;
   std::vector<AlgorithmChoice> choices_;
   std::unordered_map<const PhysicalOp*, CostEstimate> estimates_;
-  std::vector<std::pair<const PhysicalOp*, ExprPtr>> op_sources_;
   std::vector<ChoicePoint> choice_points_;
   double agm_bound_ = 0.0;
   bool has_agm_bound_ = false;
@@ -502,40 +454,9 @@ class Lowering {
 
 }  // namespace
 
-setjoin::DivisionAlgorithm PlannedDivisionAlgorithm(const PhysicalOp& dividend) {
-  // A stored dividend is normalized and handed over in place
-  // (TakeRelation): its groups are runs already, and sort-merge walks them
-  // with no table and no copy. Any other dividend would first be drained
-  // into a relation and sorted, where hash division consumes it batch by
-  // batch in state sized by its groups and the divisor.
-  return dividend.scan_relation() != nullptr ? setjoin::DivisionAlgorithm::kSortMerge
-                                             : setjoin::DivisionAlgorithm::kHashDivision;
-}
-
-std::string DivisionRewriteNote(setjoin::DivisionAlgorithm algorithm, bool equality,
-                                bool cost_based) {
-  return util::StrCat(equality ? "equality-division pattern → division=["
-                               : "division pattern → division[",
-                      setjoin::DivisionAlgorithmToString(algorithm), "]",
-                      cost_based ? " (cost-based)" : "");
-}
-
-std::string MultiwayRewriteNote(std::size_t relations, double agm_bound) {
-  return util::StrCat("join chain [", std::to_string(relations),
-                      " relations] → multiway generic join (AGM bound ",
-                      std::to_string(static_cast<std::size_t>(agm_bound)), ")");
-}
-
-std::string MultiwayChoiceLabel(bool routed, std::size_t relations) {
-  return routed ? util::StrCat("multiway[", std::to_string(relations), "]")
-                : std::string("binary");
-}
-
 EngineOptions EngineOptions::Reference() {
   EngineOptions options;
-  options.recognize_division = false;
-  options.recognize_semijoin_projection = false;
-  options.use_fast_semijoin = false;
+  options.rewrites = false;
   return options;
 }
 
@@ -556,9 +477,7 @@ EngineOptions EngineOptions::WithCalibration(
 std::uint64_t OptionsFingerprint(const EngineOptions& options) {
   std::uint64_t h = util::kFnvOffsetBasis;
   auto mix = [&h](std::uint64_t value) { h = util::HashCombine(h, value); };
-  mix(options.recognize_division);
-  mix(options.recognize_semijoin_projection);
-  mix(options.use_fast_semijoin);
+  mix(options.rewrites);
   mix(options.cost_based);
   mix(options.multiway);
   mix(options.batch_size);
@@ -597,7 +516,6 @@ util::Result<PhysicalPlan> Planner::Lower(const ra::ExprPtr& expr,
   plan.rewrites = lowering.TakeRewrites();
   plan.choices = lowering.TakeChoices();
   plan.estimates = lowering.TakeEstimates();
-  plan.op_sources = lowering.TakeOpSources();
   plan.choice_points = lowering.TakeChoicePoints();
   plan.agm_bound = lowering.agm_bound();
   plan.has_agm_bound = lowering.has_agm_bound();

@@ -35,16 +35,12 @@ class CalibrationStore;  // engine/calibration.h
 
 /// Knobs for planning and execution.
 struct EngineOptions {
-  /// Route the classic division pattern (and its equality variant) to a
-  /// direct division operator.
-  bool recognize_division = true;
-
-  /// Lower π_cols(E1 ⋈_θ E2) with one-sided cols to π_cols(E1 ⋉_θ E2).
-  bool recognize_semijoin_projection = true;
-
-  /// Use the sa::Semijoin specialized kernels for semijoin nodes (the
-  /// alternative is the generic reference implementation).
-  bool use_fast_semijoin = true;
+  /// The planner's rewrites and fast kernels: route the classic division
+  /// pattern (and its equality variant) to a direct division operator,
+  /// lower π_cols(E1 ⋈_θ E2) with one-sided cols to π_cols(E1 ⋉_θ E2), and
+  /// run unpriced semijoin nodes on the sa::Semijoin kernels instead of
+  /// the generic reference implementation. Reference() clears it.
+  bool rewrites = true;
 
   /// Collect maximal binary-join chains into a join hypergraph and route
   /// them to the worst-case-optimal multiway operator
@@ -57,8 +53,9 @@ struct EngineOptions {
   bool multiway = false;
 
   /// Pick the algorithm per call site from relation statistics via the
-  /// cost model (engine/cost.h) instead of the unpriced picks
-  /// (PlannedDivisionAlgorithm for division). Requires statistics
+  /// cost model (engine/cost.h) instead of the unpriced picks (for
+  /// division: sort-merge over a stored dividend, hash division over any
+  /// other). Requires statistics
   /// (Planner::Lower's `stats`, supplied automatically by Engine::Run);
   /// without them the unpriced picks still apply. Every
   /// choice is recorded in PhysicalPlan::choices / PlanStats::choices.
@@ -91,8 +88,8 @@ struct EngineOptions {
   /// and Engine::Prepare returns detached handles. When set, Engine::Run,
   /// Engine::Prepare and prepared handles keep lowered plans keyed on the
   /// expression's structure (ra::ExprHash), the database's id and
-  /// OptionsFingerprint; a version-vector mismatch re-costs the cached
-  /// plan from fresh statistics instead of re-lowering it
+  /// OptionsFingerprint; a version-vector mismatch lowers a plan that
+  /// reads statistics again and advances any other plan's versions
   /// (PlanStats::cache reports hit/miss/revalidated/repicked). Entries
   /// are immutable and revalidated by replacement, so any number of
   /// engines on any number of threads may share one instance; an entry
@@ -181,13 +178,6 @@ struct EngineOptions {
   }
 };
 
-/// The unpriced division pick for a routed pattern whose lowered dividend
-/// is `dividend`: sort-merge when the dividend is a stored scan, hash
-/// division for any other. Lowering and plan-cache revalidation both
-/// call it, so a revalidated plan names the same kernel a fresh lowering
-/// does.
-setjoin::DivisionAlgorithm PlannedDivisionAlgorithm(const PhysicalOp& dividend);
-
 /// Deterministic hash of every EngineOptions field that can change what a
 /// lowered plan looks like or what a run produces (rewrites, cost_based,
 /// multiway, batch size and threads, the budget, calibration).
@@ -197,58 +187,17 @@ setjoin::DivisionAlgorithm PlannedDivisionAlgorithm(const PhysicalOp& dividend);
 /// can share one cache without exchanging plans.
 std::uint64_t OptionsFingerprint(const EngineOptions& options);
 
-/// One re-costable algorithm decision baked into a lowered plan: the call
-/// site kind, the logical inputs its cost formulas price, and the operator
-/// the decision produced. A cached plan keeps these alive so a
-/// version-vector mismatch re-prices the recorded alternatives from fresh
-/// statistics — and swaps the operator when the decision flips —
-/// without ever re-lowering the expression (engine/plan_cache.h).
+/// One division pattern the planner routed: its logical dividend and
+/// divisor, its flavor, and the kernel it picked. servebench reads these
+/// to time the raw kernel on the same inputs.
 struct ChoicePoint {
-  enum class Kind { kDivision, kSemijoin, kMultiway };
+  enum class Kind { kDivision };
   Kind kind = Kind::kDivision;
-  /// The operator this decision built (remapped when a swap rebuilds it).
-  const PhysicalOp* op = nullptr;
-  /// Logical inputs: dividend/divisor for kDivision, left/right for
-  /// kSemijoin. Owned here so estimates survive beyond the lowering.
-  ra::ExprPtr left;
-  ra::ExprPtr right;
-  bool equality = false;  // Division flavor.
-  /// Semijoin condition as the cost formulas price it (the planner's
-  /// exact inputs, so re-costing reproduces fresh-lowering estimates).
-  std::vector<ra::JoinAtom> atoms;
-  /// Semijoin condition as baked into the operator — differs from `atoms`
-  /// for the mirrored π(⋈) reduction, where the operator's sides are
-  /// swapped. A flip rebuilds the operator with these.
-  std::vector<ra::JoinAtom> op_atoms;
-  const ra::Expr* source = nullptr;  // Logical node the operator mirrors.
-  /// The decision currently baked into `op`.
+  ra::ExprPtr left;   // Dividend.
+  ra::ExprPtr right;  // Divisor.
+  bool equality = false;
   setjoin::DivisionAlgorithm division_algorithm =
       setjoin::DivisionAlgorithm::kHashDivision;
-  SemijoinStrategy semijoin_strategy = SemijoinStrategy::kFastKernel;
-  /// kMultiway payload: the collected join chain. The routing itself is
-  /// structural (like the division-pattern rewrite, revalidation never
-  /// un-routes a chain — see plan_cache.cc), so a multiway point never
-  /// flips; these inputs let re-costing re-price the pinned alternative.
-  /// Leaf relations of the hypergraph, in edge order.
-  std::vector<ra::ExprPtr> multiway_inputs;
-  /// Per leaf, per column: the 0-based join variable the column binds.
-  std::vector<std::vector<std::size_t>> multiway_var_maps;
-  std::size_t multiway_num_vars = 0;
-  /// Interior nodes of the written binary chain, root last — what
-  /// EstimateBinaryJoinChain prices against the AGM bound.
-  std::vector<ra::ExprPtr> multiway_interior;
-  /// True when the chain was routed to the multiway operator (`op` is the
-  /// multiway join); false when the written binary plan was kept.
-  bool multiway_routed = false;
-  /// This decision's slice of PhysicalPlan::choices (first index + count;
-  /// 0 when the plan was not cost-based), updated in place on re-cost so
-  /// revalidated runs report choices in the exact fresh-lowering order.
-  std::size_t first_choice = 0;
-  std::size_t num_choices = 0;
-  /// Index of this decision's note in PhysicalPlan::rewrites (division
-  /// pattern notes name the algorithm, so a repick rewrites the note), or
-  /// SIZE_MAX when no note mentions the decision.
-  std::size_t rewrite_index = static_cast<std::size_t>(-1);
 };
 
 /// A lowered plan plus the planner decisions that shaped it.
@@ -262,11 +211,7 @@ struct PhysicalPlan {
   /// matching prediction into each OpStats entry, so a run's stats read
   /// as estimated-vs-actual pairs.
   std::unordered_map<const PhysicalOp*, CostEstimate> estimates;
-  /// Each lowered operator paired with the logical node it reproduces, in
-  /// lowering order — what re-costing iterates to refresh `estimates`
-  /// from fresh statistics without re-lowering.
-  std::vector<std::pair<const PhysicalOp*, ra::ExprPtr>> op_sources;
-  /// The re-costable decisions baked into the plan, in lowering order.
+  /// The routed division patterns, in lowering order.
   std::vector<ChoicePoint> choice_points;
   /// AGM bound of the first collected join chain (see PlanStats).
   double agm_bound = 0.0;
@@ -275,21 +220,6 @@ struct PhysicalPlan {
   /// Indented operator tree followed by the rewrite notes.
   std::string ToString() const;
 };
-
-/// The rewrite note LowerDivision records for a routed division pattern —
-/// shared with plan-cache revalidation, which rewrites the note in place
-/// when a repick changes the algorithm the note names.
-std::string DivisionRewriteNote(setjoin::DivisionAlgorithm algorithm, bool equality,
-                                bool cost_based);
-
-/// The rewrite note recorded when a collected join chain is routed to the
-/// multiway operator — shared with plan-cache revalidation, which
-/// refreshes the AGM figure the note quotes on re-cost.
-std::string MultiwayRewriteNote(std::size_t relations, double agm_bound);
-
-/// The choices label for the multiway-vs-binary decision:
-/// "multiway[k]" when routed, "binary" when the written plan was kept.
-std::string MultiwayChoiceLabel(bool routed, std::size_t relations);
 
 class Planner {
  public:

@@ -3,14 +3,12 @@
 // prepared handles all go through it (EngineOptions::shared_plan_cache).
 //
 // Every resident entry is immutable (`shared_ptr<const CachedPlan>`): a
-// version-vector mismatch revalidates a private *copy* of the entry
-// (RevalidatedCopy in engine/plan_cache.h — re-pricing and operator swaps
-// touch only freshly allocated nodes; PhysicalOps themselves are
-// immutable and safely shared between the old and new plan) and then
-// publishes the copy as the new resident entry. Readers still executing
-// the old plan keep it alive through their shared_ptr; last writer wins
-// on concurrent revalidations of the same key, which costs a duplicated
-// re-cost, never correctness.
+// version-vector mismatch builds a *new* entry (RevalidatedCopy in
+// engine/plan_cache.h — the plan lowered again, or the same immutable
+// PhysicalOps with advanced versions) and then publishes it as the new
+// resident entry. Readers still executing the old plan keep it alive
+// through their shared_ptr; last writer wins on concurrent revalidations
+// of the same key, which costs a duplicated lowering, never correctness.
 //
 // Keys add an EngineOptions fingerprint to (expression structure,
 // database id): the cache outlives any one engine, so two engines
@@ -61,7 +59,7 @@ class SharedPlanCache {
   SharedPlanCache(std::size_t max_entries, std::size_t max_bytes);
 
   /// Looks up (expr, db.id(), options fingerprint) and ensures the
-  /// returned plan is costed against `db`'s current version vector.
+  /// returned plan is current for `db`'s version vector.
   /// `stats` supplies statistics for revalidation (pass the provider the
   /// plan would be lowered with; must be safe for this thread). Thread-
   /// safe; never blocks on another stripe.

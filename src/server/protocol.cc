@@ -14,12 +14,15 @@ namespace setalg::server {
 namespace {
 
 /// Splits off the first whitespace-delimited word of `text` starting at
-/// `*pos`; advances `*pos` past it and any following spaces.
-std::string NextWord(const std::string& text, std::size_t* pos) {
+/// `*pos`; advances `*pos` past it and any following spaces. `*start_out`,
+/// when given, receives the word's offset (text.size() when none is left).
+std::string NextWord(const std::string& text, std::size_t* pos,
+                     std::size_t* start_out = nullptr) {
   while (*pos < text.size() && std::isspace(static_cast<unsigned char>(text[*pos]))) {
     ++*pos;
   }
   const std::size_t start = *pos;
+  if (start_out != nullptr) *start_out = start;
   while (*pos < text.size() && !std::isspace(static_cast<unsigned char>(text[*pos]))) {
     ++*pos;
   }
@@ -100,31 +103,38 @@ std::string DigestToHex(std::uint64_t digest) {
 }
 
 util::Result<Request> ParseRequest(const std::string& line) {
+  // Located on the request line: at the offending word, or just past the
+  // line's end when an operand is missing.
+  const auto fail = [](std::size_t offset, const std::string& message) {
+    return util::Result<Request>::Error(util::LocatedError(1, offset + 1, message));
+  };
   std::size_t pos = 0;
-  const std::string verb = NextWord(line, &pos);
+  std::size_t verb_at = 0;
+  const std::string verb = NextWord(line, &pos, &verb_at);
   Request request;
+  std::size_t name_at = 0;
   if (verb == "QUERY") {
     request.kind = Request::Kind::kQuery;
     request.statement = line.substr(pos);
-    if (request.statement.empty()) {
-      return util::Result<Request>::Error("QUERY needs a statement");
-    }
+    if (request.statement.empty()) return fail(line.size(), "QUERY needs a statement");
     return request;
   }
   if (verb == "PREPARE") {
     request.kind = Request::Kind::kPrepare;
-    request.name = NextWord(line, &pos);
+    request.name = NextWord(line, &pos, &name_at);
+    request.name_column = name_at + 1;
     request.statement = line.substr(pos);
     if (request.name.empty() || request.statement.empty()) {
-      return util::Result<Request>::Error("PREPARE needs a name and a statement");
+      return fail(line.size(), "PREPARE needs a name and a statement");
     }
     return request;
   }
   if (verb == "EXECUTE") {
     request.kind = Request::Kind::kExecute;
-    request.name = NextWord(line, &pos);
+    request.name = NextWord(line, &pos, &name_at);
+    request.name_column = name_at + 1;
     if (request.name.empty() || pos < line.size()) {
-      return util::Result<Request>::Error("EXECUTE needs exactly one name");
+      return fail(pos, "EXECUTE needs exactly one name");
     }
     return request;
   }
@@ -136,9 +146,8 @@ util::Result<Request> ParseRequest(const std::string& line) {
     request.kind = Request::Kind::kClose;
     return request;
   }
-  return util::Result<Request>::Error(
-      util::StrCat("unknown request verb '", verb,
-                   "' (want QUERY, PREPARE, EXECUTE, PING or CLOSE)"));
+  return fail(verb_at, util::StrCat("unknown request verb '", verb,
+                                    "' (want QUERY, PREPARE, EXECUTE, PING or CLOSE)"));
 }
 
 util::Result<ResponseHeader> ParseResponseHeader(const std::string& line) {

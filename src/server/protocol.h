@@ -17,6 +17,12 @@
 //   BYE
 //   ERR <line>:<column>: <message>
 //
+// Every ERR is located (util::LocatedError). Request-line errors and the
+// server's refusals point into the request line; frontend errors point
+// into the statement, counted from its first byte; errors of a whole
+// run (an intermediate budget, say) read 1:1; and "line too long" reads
+// 1:<kMaxLineBytes + 1>, the first byte past the cap.
+//
 // Framing is by lines alone: a response is complete at its "." line,
 // however the bytes were cut into TCP segments. setalgd streams a large
 // OK answer in 64 KiB pieces, so one response may arrive in many
@@ -65,12 +71,15 @@ std::string DigestToHex(std::uint64_t digest);
 struct Request {
   enum class Kind { kQuery, kPrepare, kExecute, kPing, kClose };
   Kind kind = Kind::kPing;
-  std::string name;       // PREPARE / EXECUTE target.
-  std::string statement;  // QUERY / PREPARE payload.
+  std::string name;             // PREPARE / EXECUTE target.
+  std::size_t name_column = 0;  // 1-based column of `name` in the line.
+  std::string statement;        // QUERY / PREPARE payload.
 };
 
 /// Parses one request line. Unknown verbs and missing operands are
-/// errors (the server answers ERR and keeps the session open).
+/// errors (the server answers ERR and keeps the session open), located
+/// on line 1 like every ERR: at the offending word, or one column past
+/// the line's end when an operand is missing.
 util::Result<Request> ParseRequest(const std::string& line);
 
 /// One parsed response header line.

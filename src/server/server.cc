@@ -235,6 +235,10 @@ void Server::ServeSession(int fd) {
     return WriteAll(fd, util::StrCat(FormatErrHeader(message), "\n",
                                      kTerminator, "\n"));
   };
+  // An engine error concerns the whole statement, so it is located at 1:1.
+  const auto respond_run_error = [&](const std::string& message) {
+    return respond_error(util::LocatedError(1, 1, message));
+  };
   const auto compile = [&](const std::string& statement,
                            const core::Schema& schema) {
     return sql::LooksLikeSql(statement) ? sql::Compile(statement, schema)
@@ -258,11 +262,8 @@ void Server::ServeSession(int fd) {
       case Request::Kind::kPrepare: {
         if (prepared.size() >= kMaxPreparedPerSession &&
             prepared.find(request->name) == prepared.end()) {
-          // Located at the refused name in the request line.
-          const std::size_t column =
-              line.find(request->name, std::strlen("PREPARE")) + 1;
           if (!respond_error(util::LocatedError(
-                  1, column,
+                  1, request->name_column,
                   util::StrCat("session already holds ", kMaxPreparedPerSession,
                                " prepared statements; re-PREPARE one of their "
                                "names to replace it")))) {
@@ -278,7 +279,7 @@ void Server::ServeSession(int fd) {
         }
         auto handle = engine.Prepare(*expr, *snapshot);
         if (!handle.ok()) {
-          if (!respond_error(handle.error())) return;
+          if (!respond_run_error(handle.error())) return;
           continue;
         }
         prepared[request->name] = std::move(*handle);
@@ -303,8 +304,10 @@ void Server::ServeSession(int fd) {
         } else {
           const auto it = prepared.find(request->name);
           if (it == prepared.end()) {
-            if (!respond_error(util::StrCat("no prepared statement named '",
-                                            request->name, "'"))) {
+            if (!respond_error(util::LocatedError(
+                    1, request->name_column,
+                    util::StrCat("no prepared statement named '", request->name,
+                                 "'")))) {
               return;
             }
             continue;
@@ -312,7 +315,7 @@ void Server::ServeSession(int fd) {
           run = engine.Run(it->second, *snapshot);
         }
         if (!run.ok()) {
-          if (!respond_error(run.error())) return;
+          if (!respond_run_error(run.error())) return;
           continue;
         }
         const std::string header = FormatOkHeader(
@@ -328,8 +331,9 @@ void Server::ServeSession(int fd) {
   }
   if (reader.overflowed()) {
     // Best effort — the connection is dropped either way, keeping the
-    // read buffer bounded at kMaxLineBytes per session.
-    respond_error("line too long");
+    // read buffer bounded at kMaxLineBytes per session. Located at the
+    // first byte past the cap.
+    respond_error(util::LocatedError(1, kMaxLineBytes + 1, "line too long"));
   }
 }
 

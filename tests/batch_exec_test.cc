@@ -884,10 +884,7 @@ TEST(BatchExec, SharedSubplansMaterializeOnceAndKeepStatsParity) {
 TEST(BatchExec, BudgetAbortsOversizedBatchedRuns) {
   const auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}, {3, 10}}), MakeRel(1, {{10}, {30}}));
-  EngineOptions options = EngineOptions{}.WithBatchSize(2);
-  options.recognize_division = false;
-  options.recognize_semijoin_projection = false;
-  options.use_fast_semijoin = false;
+  EngineOptions options = EngineOptions::Reference().WithBatchSize(2);
   options.max_intermediate_budget = 2;
   auto run = Engine::Run(ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), db, options);
   ASSERT_FALSE(run.ok());

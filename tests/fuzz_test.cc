@@ -243,7 +243,12 @@ std::string Mutate(const std::vector<std::string>& corpus, util::Rng* rng) {
 }
 
 void FeedEveryTarget(const std::string& text, const core::Schema& schema) {
-  server::ParseRequest(text);
+  auto request = server::ParseRequest(text);
+  if (!request.ok()) {
+    std::size_t line = 0, column = 0;
+    EXPECT_TRUE(util::ParseErrorLocation(request.error(), &line, &column))
+        << request.error() << "\ninput: " << text;
+  }
   server::ParseResponseHeader(text);
   auto sql = sql::Compile(text, schema);
   if (!sql.ok()) {

@@ -3,17 +3,17 @@
 //
 // The property under test: the plan cache is *pure provenance*. However a
 // plan reaches the executor — lowered fresh, served as a cache hit,
-// re-costed after a mutation (revalidated), or re-costed with an
-// algorithm swapped in place (repicked) — the result relation and the
-// per-operator PlanStats (labels, sources, distinct output cardinalities,
-// aggregates, estimates, recorded choices, batch/partition accounting)
-// must be bit-identical to a fresh un-cached Engine::Run under the same
-// options. The harness interleaves randomized database mutations
-// (in-place inserts, deletes, bulk loads) with repeated prepared and
-// transparently-cached executions and checks that identity after every
-// mutation, across Reference/planned/CostBased × threads {1, 2, 7}, and
-// checks the fresh run itself against the materializing reference
-// (engine::RunMaterialized) of the same plan.
+// kept or lowered again to the same operators after a mutation
+// (revalidated), or lowered again to different ones (repicked) — the
+// result relation and the per-operator PlanStats (labels, sources,
+// distinct output cardinalities, aggregates, estimates, recorded choices,
+// batch/partition accounting) must be bit-identical to a fresh un-cached
+// Engine::Run under the same options. The harness interleaves randomized
+// database mutations (in-place inserts, deletes, bulk loads) with
+// repeated prepared and transparently-cached executions and checks that
+// identity after every mutation, across Reference/planned/CostBased ×
+// threads {1, 2, 7}, and checks the fresh run itself against the
+// materializing reference (engine::RunMaterialized) of the same plan.
 //
 // Like tests/batch_exec_test.cc, the suite reads SETALG_BATCH_SEED
 // (default 1) as the base of its seed range; CI runs it under ASan/UBSan
@@ -295,8 +295,8 @@ TEST(PlanCache, OutcomeTransitionsAcrossMutations) {
 }
 
 // ---------------------------------------------------------------------------
-// Revalidation is a re-cost, not a re-lowering: when no decision flips,
-// the physical operators are the very same objects.
+// A plan whose options read no statistics is never lowered again: its
+// revalidation keeps the very same operator objects.
 // ---------------------------------------------------------------------------
 
 TEST(PlanCache, RevalidationWithoutFlipKeepsTheSamePlanObjects) {
@@ -382,11 +382,11 @@ TEST(PlanCache, PlannedRevalidationEqualsAFreshLowering) {
 }
 
 // ---------------------------------------------------------------------------
-// Repick: a bulk load flips the cost-based division choice and the cached
-// plan swaps the operator in place — sharing the untouched scans.
+// Repick: a bulk load flips the cost-based division choice, and lowering
+// the cached plan again picks the new kernel.
 // ---------------------------------------------------------------------------
 
-TEST(PlanCache, BulkLoadRepicksTheDivisionAlgorithmInPlace) {
+TEST(PlanCache, BulkLoadRepicksTheDivisionAlgorithm) {
   // Tiny instance: the cost model picks a small-input algorithm.
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
@@ -400,8 +400,6 @@ TEST(PlanCache, BulkLoadRepicksTheDivisionAlgorithmInPlace) {
   ASSERT_TRUE(handle.ok()) << handle.error();
   ASSERT_EQ(handle->plan().choice_points.size(), 1u);
   const auto small_algorithm = handle->plan().choice_points[0].division_algorithm;
-  const PhysicalOp* scan_r = handle->plan().root->child(0).get();
-  const PhysicalOp* scan_s = handle->plan().root->child(1).get();
 
   // Bulk-load to the shape the model prices for hash division (the bench
   // regime: many groups, wide domain).
@@ -426,9 +424,6 @@ TEST(PlanCache, BulkLoadRepicksTheDivisionAlgorithmInPlace) {
       << "the bulk load was chosen to flip the division decision; if the "
          "cost model changed, adjust the shapes so a flip still occurs";
   EXPECT_EQ(run->stats.cache, CacheOutcome::kRepicked);
-  // The swap rebuilt only the division spine: both scans are shared.
-  EXPECT_EQ(handle->plan().root->child(0).get(), scan_r);
-  EXPECT_EQ(handle->plan().root->child(1).get(), scan_s);
   // The re-pick is observable exactly like a fresh lowering's choice.
   ASSERT_FALSE(run->stats.choices.empty());
   EXPECT_EQ(run->stats.choices[0].algorithm,
@@ -442,12 +437,80 @@ TEST(PlanCache, BulkLoadRepicksTheDivisionAlgorithmInPlace) {
   EXPECT_EQ(again->stats.cache, CacheOutcome::kHit);
 }
 
+// The triangle query R(a,b) ⋈ S(b,c) ⋈ T(c,a) over 50 random edges per
+// relation from a wide domain: the written binary chain's intermediates
+// stay far under the AGM bound, so a fresh lowering keeps it.
+void LoadSparseTriangle(core::Database* db, std::uint64_t seed) {
+  util::Rng rng(seed);
+  for (const char* name : {"R", "S", "T"}) {
+    core::Relation edges(2);
+    for (std::size_t i = 0; i < 50; ++i) {
+      edges.Add({static_cast<core::Value>(1 + rng.NextBounded(1000)),
+                 static_cast<core::Value>(1 + rng.NextBounded(1000))});
+    }
+    db->SetRelation(name, std::move(edges));
+  }
+}
+
+// The skewed triangle instance, where a binary chain materializes 400,000
+// rows and the multiway join's largest intermediate is 19,520.
+void LoadSkewedTriangle(core::Database* db) {
+  const core::Database skewed = workload::SqlTriangleDatabase(2000, 10, 1);
+  for (const char* name : {"R", "S", "T"}) {
+    db->SetRelation(name, skewed.relation(name));
+  }
+}
+
+// A bulk load that changes which side of the AGM bound a cached join
+// chain falls on re-routes it, in both directions: the cached run reports
+// repicked and matches a fresh lowering in every stat.
+TEST(PlanCache, BulkLoadReroutesACachedJoinChain) {
+  constexpr std::size_t kThreadCounts[] = {1, 2, 7};
+  const ra::ExprPtr expr = workload::TriangleSqlPair().expr;
+  for (const Mode& mode : {Mode{"multiway", EngineOptions{}.WithMultiway()},
+                           Mode{"cost-based multiway",
+                                EngineOptions::CostBased().WithMultiway()}}) {
+    for (std::size_t threads : kThreadCounts) {
+      const EngineOptions options = mode.options.WithThreads(threads);
+      const Engine cached(options.WithSharedCaches(
+          std::make_shared<SharedPlanCache>(4, 0), nullptr));
+      const Engine fresh(options);
+      const std::string what = mode.name + " threads=" + std::to_string(threads);
+      core::Schema schema;
+      for (const char* name : {"R", "S", "T"}) schema.AddRelation(name, 2);
+      core::Database db(schema);
+      LoadSparseTriangle(&db, BaseSeed());
+      auto first = cached.Run(expr, db);
+      ASSERT_TRUE(first.ok()) << what << ": " << first.error();
+      EXPECT_EQ(first->stats.cache, CacheOutcome::kMiss) << what;
+
+      for (const bool skewed : {true, false}) {
+        const std::string context = what + (skewed ? " to skewed" : " to sparse");
+        if (skewed) {
+          LoadSkewedTriangle(&db);
+        } else {
+          LoadSparseTriangle(&db, BaseSeed() + 1);
+        }
+        auto run = cached.Run(expr, db);
+        auto want = fresh.Run(expr, db);
+        ASSERT_TRUE(run.ok()) << context << ": " << run.error();
+        ASSERT_TRUE(want.ok()) << context << ": " << want.error();
+        EXPECT_EQ(run->stats.cache, CacheOutcome::kRepicked) << context;
+        EXPECT_EQ(run->relation, want->relation) << context;
+        ExpectIdenticalStats(want->stats, run->stats, context);
+        if (skewed) {
+          EXPECT_EQ(run->stats.max_intermediate, 19520u) << context;
+        }
+      }
+    }
+  }
+}
+
 TEST(PlanCache, RepickRechargesTheByteAccounting) {
-  // A repick rewrites choice/rewrite strings on a revalidated private
-  // copy of the entry and publishes that copy in the old one's place; the
-  // cache must charge the copy's bytes, or the stale charge drifts on
-  // eviction and eventually underflows bytes_ (after which a
-  // byte-budgeted cache evicts everything forever).
+  // A repick lowers the plan again into a new entry and publishes it in
+  // the old one's place; the cache must charge the new entry's bytes, or
+  // the stale charge drifts on eviction and eventually underflows bytes_
+  // (after which a byte-budgeted cache evicts everything forever).
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
   EngineOptions options = EngineOptions::CostBased();

@@ -11,6 +11,7 @@
 
 #include "server/protocol.h"
 #include "test_util.h"
+#include "util/str.h"
 
 namespace setalg::server {
 namespace {
@@ -44,6 +45,38 @@ TEST(ParseRequest, RejectsMissingOperandsAndUnknownVerbs) {
   EXPECT_FALSE(ParseRequest("EXECUTE q1 extra").ok());
   EXPECT_FALSE(ParseRequest("query lowercase").ok());
   EXPECT_FALSE(ParseRequest("").ok());
+}
+
+// Every request-line error is located on line 1: at the offending word,
+// or one column past the line's end when an operand is missing.
+TEST(ParseRequest, ErrorsAreLocatedOnTheRequestLine) {
+  const struct {
+    const char* line;
+    std::size_t column;
+  } cases[] = {
+      {"QUERY", 6},
+      {"QUERY   ", 9},
+      {"PREPARE", 8},
+      {"PREPARE q1", 11},
+      {"PREPARE q1   ", 14},
+      {"EXECUTE", 8},
+      {"EXECUTE q1 extra", 12},
+      {"FROB x", 1},
+      {"  query lowercase", 3},
+      {"", 1},
+  };
+  for (const auto& c : cases) {
+    auto request = ParseRequest(c.line);
+    ASSERT_FALSE(request.ok()) << "'" << c.line << "'";
+    std::size_t line = 0, column = 0;
+    ASSERT_TRUE(util::ParseErrorLocation(request.error(), &line, &column))
+        << request.error();
+    EXPECT_EQ(line, 1u) << request.error();
+    EXPECT_EQ(column, c.column) << "'" << c.line << "': " << request.error();
+  }
+  // The name's column, for the server's refusals that point at it.
+  EXPECT_EQ(ParseRequest("PREPARE  q7 pi[1](R)")->name_column, 10u);
+  EXPECT_EQ(ParseRequest(" EXECUTE q7")->name_column, 10u);
 }
 
 TEST(ParseResponseHeader, RoundTripsTheFormatters) {

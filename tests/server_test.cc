@@ -714,6 +714,62 @@ TEST(ServerTest, DeepStatementGetsErrorAndSessionSurvives) {
   client->Close();
 }
 
+// Every ERR is located ("<line>:<column>: ", util::ParseErrorLocation)
+// and leaves the session serving: request lines that do not parse, an
+// unknown prepared name, and a run the intermediate budget stops (at 1:1,
+// the whole statement). "line too long" is located at the first byte past
+// the cap and arrives before the server drops the connection.
+TEST(ServerTest, EveryErrorIsLocated) {
+  engine::EngineOptions options;
+  options.max_intermediate_budget = 10;
+  ServerFixture fixture(options, BaseSeed());
+  auto client = server::Client::Connect("127.0.0.1", fixture.port);
+  ASSERT_TRUE(client.ok()) << client.error();
+  const struct {
+    const char* request;
+    std::size_t column;
+  } cases[] = {
+      {"QUERY", 6},
+      {"FROB x", 1},
+      {"PREPARE q1", 11},
+      {"EXECUTE q1 extra", 12},
+      {"EXECUTE nope", 9},
+      {"QUERY join[](R, R)", 1},
+  };
+  for (const auto& c : cases) {
+    auto response = client->Roundtrip(c.request);
+    ASSERT_TRUE(response.ok()) << c.request << ": " << response.error();
+    EXPECT_EQ(response->header.verb, "ERR") << c.request;
+    std::size_t line = 0, column = 0;
+    ASSERT_TRUE(util::ParseErrorLocation(response->header.error, &line, &column))
+        << c.request << ": " << response->header.error;
+    EXPECT_EQ(line, 1u) << c.request;
+    EXPECT_EQ(column, c.column) << c.request << ": " << response->header.error;
+    auto pong = client->Roundtrip("PING");
+    ASSERT_TRUE(pong.ok()) << pong.error();
+    EXPECT_EQ(pong->header.verb, "PONG") << "after " << c.request;
+  }
+  auto budget = client->Roundtrip("QUERY join[](R, R)");
+  ASSERT_TRUE(budget.ok()) << budget.error();
+  EXPECT_NE(budget->header.error.find("budget"), std::string::npos)
+      << budget->header.error;
+  client->Close();
+
+  const int fd = ConnectRaw(fixture.port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, std::string(server::kMaxLineBytes + 1, 'x')));
+  const std::string header = RecvLine(fd);
+  ::close(fd);
+  auto parsed = server::ParseResponseHeader(header);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_EQ(parsed->verb, "ERR") << header;
+  std::size_t line = 0, column = 0;
+  ASSERT_TRUE(util::ParseErrorLocation(parsed->error, &line, &column)) << header;
+  EXPECT_EQ(line, 1u);
+  EXPECT_EQ(column, server::kMaxLineBytes + 1);
+  EXPECT_NE(parsed->error.find("line too long"), std::string::npos) << header;
+}
+
 TEST(ServerTest, OversizedLineGetsErrorAndDisconnect) {
   ServerFixture fixture(engine::EngineOptions{}, BaseSeed());
   const int fd = ConnectRaw(fixture.port);
